@@ -18,21 +18,27 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from .criteria import (
     ENTANGLED,
     CriterionVerdict,
     discriminant,
+    min_eigenvalue_verdict,
+    moment_verdict,
+    norm_verdict,
     ppt_verdict,
     realignment_norm_verdict,
-    verdict_v1,
-    verdict_v2,
-    verdict_v3,
+    transpose_party,
 )
+from .linalg import MAX_KRON_DIM, hermitian_eigenvalues, singular_values
 from .realign import (
     MomentSet,
     RealignSpec,
     enumerate_splits,
     moments,
+    power_sums,
+    realign_array,
     realign_bipartite,
     realign_partial,
 )
@@ -50,6 +56,10 @@ EXIT_INPUT = 2
 EXIT_VALIDATION = 3
 
 BISECTION_TOL = 1e-6
+
+# Audit samples realigned and decomposed together; bounds the stack at
+# AUDIT_CHUNK * D^2 complex entries however many states are requested.
+AUDIT_CHUNK = 256
 
 CRITERIA = ("v1", "v2", "v3", "realign", "ppt")
 
@@ -138,8 +148,12 @@ def evaluate_criterion(
     v: float | None = None,
     split: str | None = None,
     party: int | None = None,
-) -> CriterionVerdict:
-    """Dispatch one criterion evaluation; shared by analyze/sweep/threshold."""
+) -> tuple[CriterionVerdict, MomentSet | None]:
+    """Dispatch one criterion evaluation; shared by analyze/sweep/threshold.
+
+    Returns the verdict and, for v1/v2/v3, the moment sums it was computed
+    from, so callers that report T1/T2 take the spectrum only once.
+    """
     try:
         if criterion == "v1":
             if a is None:
@@ -148,38 +162,29 @@ def evaluate_criterion(
                 raise UsageError(
                     "criterion v1 requires a two-party state (use v2 with --split instead)"
                 )
-            return verdict_v1(dm, a)
+            mset = moments(realign_bipartite(dm))
+            return moment_verdict("v1", mset, a), mset
         if criterion in ("v2", "v3", "realign"):
             if split is None:
                 raise UsageError(f"criterion {criterion} requires --split")
             spec = _parse_split(split)
-            if criterion == "v2":
-                if u is None:
-                    raise UsageError("criterion v2 requires --u")
-                return verdict_v2(dm, spec, u)
-            if criterion == "v3":
-                if v is None:
-                    raise UsageError("criterion v3 requires --v")
-                return verdict_v3(dm, spec, v)
-            return realignment_norm_verdict(dm, spec)
+            if criterion == "realign":
+                return realignment_norm_verdict(dm, spec), None
+            weight, flag = (u, "--u") if criterion == "v2" else (v, "--v")
+            if weight is None:
+                raise UsageError(f"criterion {criterion} requires {flag}")
+            mset = moments(realign_partial(dm, spec))
+            return moment_verdict(criterion, mset, weight), mset
         if criterion == "ppt":
             if party is None:
                 raise UsageError("criterion ppt requires --party")
-            return ppt_verdict(dm, party)
+            return ppt_verdict(dm, party), None
         raise UsageError(f"unknown criterion {criterion!r}; choose from {CRITERIA}")
     except UsageError:
         raise
     except ValueError as exc:
         # Weight sign, split/party versus dims: input problems, not state ones.
         raise UsageError(str(exc)) from exc
-
-
-def _criterion_moments(dm: DensityMatrix, criterion: str, split: str | None) -> MomentSet | None:
-    if criterion == "v1":
-        return moments(realign_bipartite(dm))
-    if criterion in ("v2", "v3") and split is not None:
-        return moments(realign_partial(dm, _parse_split(split)))
-    return None
 
 
 def _format_admissible(verdict: CriterionVerdict) -> str:
@@ -197,10 +202,9 @@ def _format_admissible(verdict: CriterionVerdict) -> str:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     dm = _build_state(args)
-    verdict = evaluate_criterion(
+    verdict, mset = evaluate_criterion(
         dm, args.criterion, a=args.a, u=args.u, v=args.v, split=args.split, party=args.party
     )
-    mset = _criterion_moments(dm, args.criterion, args.split)
 
     if args.family is not None:
         state_label = f"{args.family}({_fmt(args.param)})"
@@ -309,7 +313,7 @@ def sweep_rows(
     rows = []
     for x in grid:
         dm = _family_state(family, x)
-        verdict = evaluate_criterion(dm, criterion, a=a, u=u, v=v, split=split, party=party)
+        verdict, _ = evaluate_criterion(dm, criterion, a=a, u=u, v=v, split=split, party=party)
         rows.append(_verdict_row(x, verdict))
     return rows
 
@@ -359,7 +363,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 
     def offset(x: float) -> float:
         dm = _family_state(args.family, x)
-        verdict = evaluate_criterion(
+        verdict, _ = evaluate_criterion(
             dm, args.criterion, a=args.a, u=args.u, v=args.v, split=args.split, party=args.party
         )
         if math.isnan(verdict.statistic):
@@ -420,7 +424,16 @@ def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
     published weighted criteria on near-pure samples that is expected,
     which is exactly what this measures.  `worst_statistic` is the
     largest statistic seen (smallest for ppt), with the seed that made it.
+
+    Every sample is drawn and validated on its own, then up to
+    AUDIT_CHUNK of them are stacked: each split is realigned with one
+    transpose and decomposed with one stacked `singular_values` call, and
+    that spectrum serves every weight of v1/v2/v3 and the realign trace
+    norm.  ppt takes one stacked partial transpose and eigensolve per party.
     """
+    for criterion in cfg.criteria:
+        if criterion not in CRITERIA:
+            raise UsageError(f"unknown criterion {criterion!r}; choose from {CRITERIA}")
     n = len(cfg.dims)
     splits = enumerate_splits(n)
     entries: dict[tuple, AuditEntry] = {}
@@ -446,35 +459,42 @@ def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
             ent.worst_statistic = stat
             ent.worst_seed = seed
 
-    for i in range(cfg.num_states):
-        seed = cfg.seed + i
-        dm = sample_separable(cfg.dims, cfg.num_terms, seed)
+    for start in range(0, cfg.num_states, AUDIT_CHUNK):
+        seeds = range(cfg.seed + start, cfg.seed + min(cfg.num_states, start + AUDIT_CHUNK))
+        stack = np.stack([sample_separable(cfg.dims, cfg.num_terms, s).matrix for s in seeds])
+        spectra: dict[str, tuple[list[float], list[MomentSet]]] = {}
+
+        def spectrum(spec: RealignSpec) -> tuple[list[float], list[MomentSet]]:
+            """Per-sample trace norms and moment sums of one split's realignment."""
+            label = str(spec)
+            if label not in spectra:
+                sv = singular_values(realign_array(stack, cfg.dims, spec))
+                t1, t2 = power_sums(sv)
+                msets = [MomentSet(t1=x, t2=y) for x, y in zip(t1.tolist(), t2.tolist())]
+                spectra[label] = (sv.sum(axis=-1).tolist(), msets)
+            return spectra[label]
+
+        def tally(criterion: str, parameter: float | None, split: str | None, verdicts) -> None:
+            ent = entry_for(criterion, parameter, split)
+            for seed, verdict in zip(seeds, verdicts):
+                record(ent, verdict, seed)
+
         for criterion in cfg.criteria:
-            if criterion == "v1":
-                if n != 2:
-                    continue
-                for a in cfg.params:
-                    record(entry_for("v1", a, "1|2"), verdict_v1(dm, a), seed)
-            elif criterion == "v2":
-                for spec in splits:
-                    for u in cfg.params:
-                        record(entry_for("v2", u, str(spec)), verdict_v2(dm, spec, u), seed)
-            elif criterion == "v3":
-                for spec in splits:
-                    for v in cfg.params:
-                        record(entry_for("v3", v, str(spec)), verdict_v3(dm, spec, v), seed)
-            elif criterion == "realign":
-                for spec in splits:
-                    record(
-                        entry_for("realign", None, str(spec)),
-                        realignment_norm_verdict(dm, spec),
-                        seed,
-                    )
-            elif criterion == "ppt":
+            if criterion == "ppt":
                 for party in range(1, n + 1):
-                    record(entry_for("ppt", float(party), None), ppt_verdict(dm, party), seed)
-            else:
-                raise UsageError(f"unknown criterion {criterion!r}; choose from {CRITERIA}")
+                    evals = hermitian_eigenvalues(transpose_party(stack, cfg.dims, party))
+                    tally("ppt", float(party), None,
+                          [min_eigenvalue_verdict(party, x) for x in evals[:, -1].tolist()])
+                continue
+            if criterion == "v1" and n != 2:
+                continue  # v1 is the two-party case, whose one split is 1|2
+            for spec in splits:
+                norms, msets = spectrum(spec)
+                if criterion == "realign":
+                    tally("realign", None, str(spec), [norm_verdict(x) for x in norms])
+                    continue
+                for w in cfg.params:
+                    tally(criterion, w, str(spec), [moment_verdict(criterion, m, w) for m in msets])
     return list(entries.values())
 
 
@@ -495,6 +515,17 @@ def cmd_audit(args: argparse.Namespace) -> int:
         raise UsageError(f"params {args.params!r} must be comma-separated numbers") from exc
     if args.num_states < 1 or args.num_terms < 1:
         raise UsageError("--num-states and --num-terms must be >= 1")
+    if math.prod(dims) > MAX_KRON_DIM:
+        raise UsageError(
+            f"dims {args.dims!r} give dimension {math.prod(dims)}, above the cap {MAX_KRON_DIM}"
+        )
+    for w in params:
+        if not math.isfinite(w):
+            raise UsageError(f"weight {w!r} in --params is not finite")
+        if w < 0.0 and "v3" in criteria:
+            raise UsageError(f"v3 needs nonnegative weights, got {w!r}")
+        if w <= 0.0 and ("v1" in criteria or "v2" in criteria):
+            raise UsageError(f"v1 and v2 need positive weights, got {w!r}")
 
     cfg = AuditConfig(
         dims=dims,

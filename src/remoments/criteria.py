@@ -208,35 +208,61 @@ def v3(m: MomentSet, v: float) -> float:
     return math.sqrt(inner * inner + math.sqrt(spread))
 
 
-def _moment_verdict(name: str, m: MomentSet, a: float) -> CriterionVerdict:
+def _threshold_verdict(
+    name: str, parameter: float | None, stat: float, admissible: AdmissibleRange | None = None
+) -> CriterionVerdict:
+    outcome = ENTANGLED if stat > 1.0 + DETECTION_SLACK else INCONCLUSIVE
+    return CriterionVerdict(
+        criterion=name,
+        parameter=parameter,
+        statistic=stat,
+        threshold=1.0,
+        outcome=outcome,
+        admissible=admissible,
+    )
+
+
+def moment_verdict(criterion: str, m: MomentSet, weight: float) -> CriterionVerdict:
+    """Verdict of "v1", "v2" or "v3" at `weight` from the state's moment sums.
+
+    v1 and v2 share one formula and differ only in which realignment the
+    moments came from; both are gated by the admissible range and report
+    a NaN statistic outside it.  v3 has no gate.
+    """
+    if criterion == "v3":
+        return _threshold_verdict("v3", weight, v3(m, weight))
     rng = admissible_range(m)
-    if a <= 0.0:
-        raise ValueError(f"weight must be positive, got {a!r}")
-    if not rng.contains(a):
+    if weight <= 0.0:
+        raise ValueError(f"weight must be positive, got {weight!r}")
+    if not rng.contains(weight):
         return CriterionVerdict(
-            criterion=name,
-            parameter=a,
+            criterion=criterion,
+            parameter=weight,
             statistic=float("nan"),
             threshold=1.0,
             outcome=INCONCLUSIVE,
             admissible=rng,
             note="parameter outside admissible range",
         )
-    stat = v1(m, a)
-    outcome = ENTANGLED if stat > 1.0 + DETECTION_SLACK else INCONCLUSIVE
+    return _threshold_verdict(criterion, weight, v1(m, weight), rng)
+
+
+def norm_verdict(norm: float) -> CriterionVerdict:
+    """Realignment verdict from the realigned rectangle's trace norm."""
+    return _threshold_verdict("realign", None, norm)
+
+
+def min_eigenvalue_verdict(party: int, min_eig: float) -> CriterionVerdict:
+    """PPT verdict from the minimum eigenvalue of the partial transpose."""
+    outcome = ENTANGLED if min_eig < -PT_NEGATIVITY_TOL else INCONCLUSIVE
     return CriterionVerdict(
-        criterion=name,
-        parameter=a,
-        statistic=stat,
-        threshold=1.0,
-        outcome=outcome,
-        admissible=rng,
+        criterion="ppt", parameter=float(party), statistic=min_eig, threshold=0.0, outcome=outcome
     )
 
 
 def verdict_v1(dm: DensityMatrix, a: float) -> CriterionVerdict:
     """Weighted moment criterion on a two-party state at weight a."""
-    return _moment_verdict("v1", moments(realign_bipartite(dm)), a)
+    return moment_verdict("v1", moments(realign_bipartite(dm)), a)
 
 
 def verdict_v2(dm: DensityMatrix, spec: RealignSpec, u: float) -> CriterionVerdict:
@@ -246,36 +272,39 @@ def verdict_v2(dm: DensityMatrix, spec: RealignSpec, u: float) -> CriterionVerdi
     `realign_partial(dm, spec)`; for two parties split "1|2" the two
     agree exactly.
     """
-    return _moment_verdict("v2", moments(realign_partial(dm, spec)), u)
+    return moment_verdict("v2", moments(realign_partial(dm, spec)), u)
 
 
 def verdict_v3(dm: DensityMatrix, spec: RealignSpec, v: float) -> CriterionVerdict:
     """Unconditional moment criterion on a partial realignment at weight v."""
-    stat = v3(moments(realign_partial(dm, spec)), v)
-    outcome = ENTANGLED if stat > 1.0 + DETECTION_SLACK else INCONCLUSIVE
-    return CriterionVerdict(
-        criterion="v3", parameter=v, statistic=stat, threshold=1.0, outcome=outcome
-    )
+    return moment_verdict("v3", moments(realign_partial(dm, spec)), v)
 
 
 def realignment_norm_verdict(dm: DensityMatrix, spec: RealignSpec) -> CriterionVerdict:
     """Trace norm of the realigned rectangle; above 1 flags entanglement."""
-    stat = trace_norm(realign_partial(dm, spec).matrix)
-    outcome = ENTANGLED if stat > 1.0 + DETECTION_SLACK else INCONCLUSIVE
-    return CriterionVerdict(
-        criterion="realign", parameter=None, statistic=stat, threshold=1.0, outcome=outcome
-    )
+    return norm_verdict(trace_norm(realign_partial(dm, spec).matrix))
+
+
+def transpose_party(matrix: np.ndarray, dims: tuple[int, ...], party: int) -> np.ndarray:
+    """The axis swap behind :func:`partial_transpose`, on raw arrays.
+
+    `matrix` is one D x D matrix or a (..., D, D) stack of them; every
+    matrix of a stack is transposed by the same single permutation.
+    """
+    n = len(dims)
+    if not (1 <= party <= n):
+        raise ValueError(f"party {party!r} out of range for {n} parties")
+    lead = matrix.shape[:-2]
+    tensor = matrix.reshape(lead + dims + dims)
+    k = len(lead)
+    axes = list(range(k + 2 * n))
+    axes[k + party - 1], axes[k + n + party - 1] = axes[k + n + party - 1], axes[k + party - 1]
+    return np.ascontiguousarray(tensor.transpose(axes).reshape(matrix.shape))
 
 
 def partial_transpose(dm: DensityMatrix, party: int) -> np.ndarray:
     """Transpose the indices of one 1-based party, leaving the rest alone."""
-    n = len(dm.dims)
-    if not (1 <= party <= n):
-        raise ValueError(f"party {party!r} out of range for {n} parties")
-    tensor = dm.matrix.reshape(dm.dims + dm.dims)
-    axes = list(range(2 * n))
-    axes[party - 1], axes[n + party - 1] = axes[n + party - 1], axes[party - 1]
-    return np.ascontiguousarray(tensor.transpose(axes).reshape(dm.dim, dm.dim))
+    return transpose_party(dm.matrix, dm.dims, party)
 
 
 def ppt_verdict(dm: DensityMatrix, party: int) -> CriterionVerdict:
@@ -286,7 +315,4 @@ def ppt_verdict(dm: DensityMatrix, party: int) -> CriterionVerdict:
     state may still be bound entangled).
     """
     min_eig = float(hermitian_eigenvalues(partial_transpose(dm, party))[-1])
-    outcome = ENTANGLED if min_eig < -PT_NEGATIVITY_TOL else INCONCLUSIVE
-    return CriterionVerdict(
-        criterion="ppt", parameter=float(party), statistic=min_eig, threshold=0.0, outcome=outcome
-    )
+    return min_eigenvalue_verdict(party, min_eig)

@@ -34,47 +34,52 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a).conj().T
+    """Conjugate transpose; of each matrix, for a (..., m, n) stack."""
+    return np.asarray(a).conj().swapaxes(-1, -2)
 
 
 def hermitian_eigenvalues(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, sorted descending.
 
-    The input is symmetrized to (a + a^dagger)/2 before solving; a max-abs
-    deviation from Hermiticity beyond `tol` is rejected instead of hidden.
+    Also takes a (..., n, n) stack and returns one descending row per
+    matrix.  The input is symmetrized to (a + a^dagger)/2 before solving;
+    a max-abs deviation from Hermiticity beyond `tol`, in any matrix of a
+    stack, is rejected instead of hidden.
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    dev = float(np.abs(a - a.conj().T).max()) if a.size else 0.0
+    adj = dagger(a)
+    dev = float(np.abs(a - adj).max()) if a.size else 0.0
     if dev > tol:
         raise ValueError(f"matrix is not Hermitian: deviation {dev:.3e} exceeds {tol:.1e}")
-    sym = (a + a.conj().T) / 2.0
-    return np.linalg.eigvalsh(sym)[::-1].copy()
+    return np.linalg.eigvalsh((a + adj) / 2.0)[..., ::-1].copy()
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:
     """All min(rows, cols) singular values, sorted descending.
 
-    Computed as square roots of the eigenvalues of the smaller-side Gram
-    matrix.  Gram eigenvalues in [-1e-12, 0) are rounding noise and get
-    clamped to zero; anything below that window is a hard error.
+    Also takes a (..., rows, cols) stack and returns one descending row per
+    matrix, equal bit for bit to the per-matrix call.  Computed as square
+    roots of the eigenvalues of the smaller-side Gram matrix.  Gram
+    eigenvalues in [-1e-12, 0) are rounding noise and get clamped to zero;
+    anything below that window, in any matrix of a stack, is a hard error.
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2:
+    if a.ndim < 2:
         raise ValueError(f"expected a matrix, got ndim {a.ndim}")
-    if a.shape[1] <= a.shape[0]:
-        gram = a.conj().T @ a
+    if a.shape[-1] <= a.shape[-2]:
+        gram = dagger(a) @ a
     else:
-        gram = a @ a.conj().T
-    evals = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
-    if evals.size and float(evals[0]) < GRAM_CLAMP:
+        gram = a @ dagger(a)
+    evals = np.linalg.eigvalsh((gram + dagger(gram)) / 2.0)
+    lowest = float(min(evals[..., 0].flat, default=0.0))
+    if lowest < GRAM_CLAMP:
         raise ValueError(
-            f"Gram eigenvalue {float(evals[0]):.3e} below clamp window "
+            f"Gram eigenvalue {lowest:.3e} below clamp window "
             f"{GRAM_CLAMP:.1e}: numerical failure"
         )
-    return np.sqrt(np.clip(evals, 0.0, None))[::-1].copy()
+    return np.sqrt(np.clip(evals, 0.0, None))[..., ::-1].copy()
 
 
 def trace_norm(a: np.ndarray) -> float:

@@ -16,6 +16,7 @@ on equal dims returns the input bit for bit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,6 +116,30 @@ def vec(a: np.ndarray) -> np.ndarray:
     return a.flatten(order="F")
 
 
+def realign_array(matrix: np.ndarray, dims: tuple[int, ...], spec: RealignSpec) -> np.ndarray:
+    """The axis permutation behind :func:`realign_partial`, on raw arrays.
+
+    `matrix` is one D x D matrix or a (..., D, D) stack of them over the
+    factor dimensions `dims`; every matrix of a stack is realigned by the
+    same single transpose.
+    """
+    n = len(dims)
+    spec.validate_for(n)
+    g1 = [p - 1 for p in spec.group1]
+    g2 = [p - 1 for p in spec.group2]
+    comp = [p - 1 for p in spec.untouched(n)]
+    lead = matrix.shape[:-2]
+    tensor = matrix.reshape(lead + dims + dims)
+    row_axes = g1 + [n + p for p in g1] + comp
+    col_axes = g2 + [n + p for p in g2] + [n + p for p in comp]
+    axes = list(range(len(lead))) + [len(lead) + p for p in row_axes + col_axes]
+    d1 = math.prod(dims[p] for p in g1)
+    d2 = math.prod(dims[p] for p in g2)
+    dc = math.prod(dims[p] for p in comp)
+    out = tensor.transpose(axes).reshape(lead + (d1 * d1 * dc, d2 * d2 * dc))
+    return np.ascontiguousarray(out)
+
+
 def realign_bipartite(dm: DensityMatrix) -> RealignedMatrix:
     """Realign a two-party state into its m^2 x n^2 rectangle.
 
@@ -141,27 +166,26 @@ def realign_partial(dm: DensityMatrix, spec: RealignSpec) -> RealignedMatrix:
     (d1^2 * dC) x (d2^2 * dC) and reduces exactly to
     :func:`realign_bipartite` for two parties split "1|2".
     """
-    n = len(dm.dims)
-    spec.validate_for(n)
-    g1 = [p - 1 for p in spec.group1]
-    g2 = [p - 1 for p in spec.group2]
-    comp = [p - 1 for p in spec.untouched(n)]
-    tensor = dm.matrix.reshape(dm.dims + dm.dims)
-    row_axes = g1 + [n + p for p in g1] + comp
-    col_axes = g2 + [n + p for p in g2] + [n + p for p in comp]
-    d1 = int(np.prod([dm.dims[p] for p in g1]))
-    d2 = int(np.prod([dm.dims[p] for p in g2]))
-    dc = int(np.prod([dm.dims[p] for p in comp])) if comp else 1
-    out = tensor.transpose(row_axes + col_axes).reshape(d1 * d1 * dc, d2 * d2 * dc)
-    return RealignedMatrix(matrix=np.ascontiguousarray(out), spec=spec, source_dims=dm.dims)
+    return RealignedMatrix(
+        matrix=realign_array(dm.matrix, dm.dims, spec), spec=spec, source_dims=dm.dims
+    )
+
+
+def power_sums(sv: np.ndarray, max_k: int = 2) -> list[np.ndarray]:
+    """T_k = sum_i sigma_i^(2k) over the last axis of `sv`, k = 1 .. max_k.
+
+    `sv` is one spectrum or a stack of them (one row per matrix); the sums
+    come back with the stack's leading shape.
+    """
+    if max_k < 2:
+        raise ValueError(f"max_k must be >= 2, got {max_k!r}")
+    s2 = np.asarray(sv) ** 2
+    return [np.sum(s2**k, axis=-1) for k in range(1, max_k + 1)]
 
 
 def moments(rm: RealignedMatrix, max_k: int = 2) -> MomentSet:
     """Moment sums T_k = sum_i sigma_i^(2k) for k = 1 .. max_k."""
-    if max_k < 2:
-        raise ValueError(f"max_k must be >= 2, got {max_k!r}")
-    s2 = singular_values(rm.matrix) ** 2
-    vals = [float(np.sum(s2**k)) for k in range(1, max_k + 1)]
+    vals = [float(t) for t in power_sums(singular_values(rm.matrix), max_k)]
     return MomentSet(t1=vals[0], t2=vals[1], higher=tuple(vals[2:]))
 
 

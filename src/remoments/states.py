@@ -32,7 +32,8 @@ class StateValidationError(ValueError):
     """A matrix failed a density-matrix invariant.
 
     `code` is one of NOT_HERMITIAN, TRACE_NOT_ONE, NOT_PSD,
-    DIMENSION_MISMATCH; `deviation` is the measured violation.
+    DIMENSION_MISMATCH, NON_FINITE; `deviation` is the measured violation
+    (for NON_FINITE, the number of NaN or infinite entries).
     """
 
     def __init__(self, code: str, deviation: float, detail: str):
@@ -58,7 +59,7 @@ class DensityMatrix:
 
 
 def validate(dm: DensityMatrix) -> DensityMatrix:
-    """Check Hermiticity, unit trace, positivity and the dims product.
+    """Check finite entries, Hermiticity, unit trace, positivity and the dims product.
 
     Returns the input unchanged on success so constructors can end with
     ``return validate(...)``.  Tolerance is 1e-10 on every invariant.
@@ -75,6 +76,11 @@ def validate(dm: DensityMatrix) -> DensityMatrix:
             "DIMENSION_MISMATCH",
             float(abs((m.shape[0] if m.ndim else 0) - d)),
             f"matrix shape {m.shape} does not match dims {dims} (product {d})",
+        )
+    if not np.isfinite(m).all():
+        bad = int(np.count_nonzero(~np.isfinite(m)))
+        raise StateValidationError(
+            "NON_FINITE", float(bad), f"{bad} of {m.size} entries are NaN or infinite"
         )
     herm_dev = float(np.abs(m - m.conj().T).max())
     if herm_dev > VALIDATION_TOL:

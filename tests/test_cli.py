@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from remoments import pure_state, save_state
+from remoments import DensityMatrix, pure_state, save_state
 from remoments.cli import main
 
 Q0 = (math.sqrt(2) - 1) / 2
@@ -41,6 +41,26 @@ def parse_csv(text):
 
 
 class TestAnalyze:
+    def test_golden_stdout(self):
+        code, out, err = run_cli(
+            "analyze", "--family", "rho_pq", "--param", "0.2071067811",
+            "--criterion", "v1", "--a", "0.2",
+        )
+        assert code == 0 and err == ""
+        assert out == (
+            "state:        rho_pq(0.2071067811)\n"
+            "dims:         4x4\n"
+            "criterion:    v1\n"
+            "parameter:    0.2\n"
+            "statistic:    1.50728766522\n"
+            "threshold:    1\n"
+            "outcome:      ENTANGLED\n"
+            "T1:           0.171572875233\n"
+            "T2:           0.00597944171477\n"
+            "discriminant: 0.0188214686352\n"
+            "admissible:   (0, 0.21077270347] U [11.9076326314, inf)\n"
+        )
+
     def test_golden_statistic(self):
         code, out, err = run_cli(
             "analyze", "--family", "rho_pq", "--param", "0.2071067811",
@@ -130,6 +150,14 @@ class TestExitCodes:
             ("audit", "--dims", "2", "--criteria", "v3"),
             ("audit", "--dims", "2,x", "--criteria", "v3"),
             ("audit", "--dims", "2,2", "--criteria", "nope"),
+            ("audit", "--dims", "9,9"),  # dimension 81 exceeds the kron cap of 64
+            ("audit", "--dims", "2,2,2,2,2,2,2"),
+            ("audit", "--dims", "2,2", "--params", "0.5,-1", "--criteria", "v3"),
+            ("audit", "--dims", "2,2", "--params", "-1", "--criteria", "v1"),
+            ("audit", "--dims", "2,2", "--params", "0", "--criteria", "v2"),
+            ("audit", "--dims", "2,2", "--params", "nan", "--criteria", "v3"),
+            ("audit", "--dims", "2,2", "--params", "inf", "--criteria", "v1"),
+            ("audit", "--dims", "2,2", "--params", "nan", "--criteria", "realign"),
         ],
     )
     def test_usage_errors_exit_2(self, args):
@@ -173,6 +201,19 @@ class TestExitCodes:
         )
         assert code == 3
         assert "validation failure" in err
+
+    @pytest.mark.parametrize("cells", [((0, 1), (1, 0)), ((0, 0),)])
+    def test_non_finite_state_file_exit_3(self, tmp_path, cells):
+        state = np.eye(4, dtype=complex) / 4
+        for idx in cells:
+            state[idx] = math.nan
+        path = tmp_path / "nan.json"
+        save_state(path, DensityMatrix(dims=(2, 2), matrix=state))
+        code, _, err = run_cli(
+            "analyze", "--state", str(path), "--criterion", "ppt", "--party", "2"
+        )
+        assert code == 3
+        assert "NON_FINITE" in err
 
     def test_invalid_state_file_exit_3(self, tmp_path):
         path = tmp_path / "npsd.json"

@@ -91,6 +91,21 @@ class TestHermitianEigenvalues:
         with pytest.raises(ValueError, match="[Hh]ermitian"):
             hermitian_eigenvalues(m)
 
+    @pytest.mark.parametrize("n", [1, 2, 4, 9, 16])
+    def test_stack_equals_per_matrix(self, n):
+        stack = np.stack([random_matrix(n, n, 40 + k) for k in range(7)])
+        stack = stack + dagger(stack)
+        out = hermitian_eigenvalues(stack)
+        assert out.shape == (7, n)
+        for k in range(7):
+            assert np.array_equal(out[k], hermitian_eigenvalues(stack[k]))
+
+    def test_stack_rejects_one_non_hermitian(self):
+        stack = np.stack([np.eye(2, dtype=complex)] * 3)
+        stack[1, 0, 1] = 1e-3
+        with pytest.raises(ValueError, match="[Hh]ermitian"):
+            hermitian_eigenvalues(stack)
+
     def test_symmetrizes_small_deviation(self):
         m = np.diag([2.0, 1.0]).astype(complex)
         m[0, 1] = 1e-9  # below the 1e-8 gate, symmetrized away
@@ -129,6 +144,24 @@ class TestSingularValues:
         m = random_matrix(rows, cols, seed + 1)
         frob2 = float(np.sum(np.abs(m) ** 2))
         assert np.sum(singular_values(m) ** 2) == pytest.approx(frob2, rel=1e-10)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (4, 16), (16, 4), (8, 8), (2, 32), (16, 16)])
+    def test_stack_equals_per_matrix(self, shape):
+        stack = np.stack([random_matrix(*shape, 60 + k) for k in range(9)])
+        out = singular_values(stack)
+        assert out.shape == (9, min(shape))
+        for k in range(9):
+            assert np.array_equal(out[k], singular_values(stack[k]))
+
+    def test_stack_of_stacks(self):
+        stack = np.stack([random_matrix(3, 5, k) for k in range(6)]).reshape(2, 3, 3, 5)
+        out = singular_values(stack)
+        assert out.shape == (2, 3, 3)
+        assert np.array_equal(out[1, 2], singular_values(stack[1, 2]))
+
+    def test_rejects_vector(self):
+        with pytest.raises(ValueError, match="matrix"):
+            singular_values(np.ones(3, dtype=complex))
 
     def test_known_rank_one(self):
         u = np.array([3.0, 4.0])

@@ -57,6 +57,24 @@ class TestValidate:
         with pytest.raises(StateValidationError, match="DIMENSION_MISMATCH"):
             validate(DensityMatrix(dims=(2, 2), matrix=np.eye(3, dtype=complex) / 3))
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {(0, 1): math.nan, (1, 0): math.nan},  # a Hermitian off-diagonal pair
+            {(0, 0): math.nan},
+            {(2, 2): math.inf},
+            {(1, 3): complex(0, math.nan), (3, 1): complex(0, math.nan)},
+        ],
+    )
+    def test_non_finite(self, entries):
+        m = np.eye(4, dtype=complex) / 4
+        for idx, x in entries.items():
+            m[idx] = x
+        with pytest.raises(StateValidationError, match="NON_FINITE") as exc:
+            validate(DensityMatrix(dims=(2, 2), matrix=m))
+        assert exc.value.code == "NON_FINITE"
+        assert exc.value.deviation == len(entries)
+
 
 class TestPureState:
     def test_basis_projector(self):
