@@ -27,25 +27,15 @@ from .criteria import (
     min_eigenvalue_verdict,
     moment_verdict,
     norm_verdict,
-    ppt_verdict,
-    realignment_norm_verdict,
     transpose_party,
 )
 from .linalg import MAX_KRON_DIM, hermitian_eigenvalues, singular_values
-from .realign import (
-    MomentSet,
-    RealignSpec,
-    enumerate_splits,
-    moments,
-    power_sums,
-    realign_array,
-    realign_bipartite,
-    realign_partial,
-)
+from .realign import MomentSet, RealignSpec, enumerate_splits, power_sums, realign_array
 from .states import (
     FAMILIES,
     DensityMatrix,
     StateValidationError,
+    family_stack,
     load_state,
     sample_separable,
     validate,
@@ -56,10 +46,21 @@ EXIT_INPUT = 2
 EXIT_VALIDATION = 3
 
 BISECTION_TOL = 1e-6
+# Bisection levels whose midpoints one threshold round evaluates as a stack.
+_TREE_DEPTH = 3
 
 # Audit samples realigned and decomposed together; bounds the stack at
 # AUDIT_CHUNK * D^2 complex entries however many states are requested.
 AUDIT_CHUNK = 256
+# Sweep points built, validated and evaluated together.  Narrower than an
+# audit stack: a sweep takes one spectrum per stack, not one per split and
+# criterion, so wide stacks save little time but hold several stack-sized
+# temporaries at once (256-point stacks raised the peak RSS of the four
+# figure-data sweeps by 2.3 MB; 32-point stacks by 0.6 MB).
+SWEEP_CHUNK = 32
+
+# A sweep grid with more points than this is rejected before any is built.
+MAX_GRID_POINTS = 100_000
 
 CRITERIA = ("v1", "v2", "v3", "realign", "ppt")
 
@@ -139,8 +140,24 @@ def _family_state(family: str, param: float) -> DensityMatrix:
         raise ValidationFailure(str(exc)) from exc
 
 
-def evaluate_criterion(
-    dm: DensityMatrix,
+def _split_spectra(
+    matrices: np.ndarray, dims: tuple[int, ...], spec: RealignSpec
+) -> tuple[list[float], list[MomentSet]]:
+    """Per-matrix trace norms and moment sums of one split's realignment of a stack."""
+    sv = singular_values(realign_array(matrices, dims, spec))
+    t1, t2 = power_sums(sv)
+    msets = [MomentSet(t1=x, t2=y) for x, y in zip(t1.tolist(), t2.tolist())]
+    return sv.sum(axis=-1).tolist(), msets
+
+
+def _min_eigenvalues(matrices: np.ndarray, dims: tuple[int, ...], party: int) -> list[float]:
+    """Per-matrix minimum eigenvalue of the partial transpose of a stack over `party`."""
+    return hermitian_eigenvalues(transpose_party(matrices, dims, party))[:, -1].tolist()
+
+
+def evaluate_stack(
+    matrices: np.ndarray,
+    dims: tuple[int, ...],
     criterion: str,
     *,
     a: float | None = None,
@@ -148,43 +165,89 @@ def evaluate_criterion(
     v: float | None = None,
     split: str | None = None,
     party: int | None = None,
-) -> tuple[CriterionVerdict, MomentSet | None]:
-    """Dispatch one criterion evaluation; shared by analyze/sweep/threshold.
+) -> list[tuple[CriterionVerdict, MomentSet | None]]:
+    """Evaluate one criterion on every matrix of a (N, D, D) stack over `dims`.
 
-    Returns the verdict and, for v1/v2/v3, the moment sums it was computed
-    from, so callers that report T1/T2 take the spectrum only once.
+    The split is parsed once, the stack is realigned with one transpose and
+    decomposed with one `singular_values` call (ppt: one partial transpose
+    and eigensolve), and each matrix gets its verdict plus, for v1/v2/v3,
+    the moment sums it was computed from.  Missing flags, bad splits or
+    parties and invalid weights raise UsageError.
     """
     try:
-        if criterion == "v1":
-            if a is None:
-                raise UsageError("criterion v1 requires --a")
-            if len(dm.dims) != 2:
-                raise UsageError(
-                    "criterion v1 requires a two-party state (use v2 with --split instead)"
-                )
-            mset = moments(realign_bipartite(dm))
-            return moment_verdict("v1", mset, a), mset
-        if criterion in ("v2", "v3", "realign"):
-            if split is None:
-                raise UsageError(f"criterion {criterion} requires --split")
-            spec = _parse_split(split)
-            if criterion == "realign":
-                return realignment_norm_verdict(dm, spec), None
-            weight, flag = (u, "--u") if criterion == "v2" else (v, "--v")
-            if weight is None:
-                raise UsageError(f"criterion {criterion} requires {flag}")
-            mset = moments(realign_partial(dm, spec))
-            return moment_verdict(criterion, mset, weight), mset
         if criterion == "ppt":
             if party is None:
                 raise UsageError("criterion ppt requires --party")
-            return ppt_verdict(dm, party), None
-        raise UsageError(f"unknown criterion {criterion!r}; choose from {CRITERIA}")
+            return [(min_eigenvalue_verdict(party, x), None)
+                    for x in _min_eigenvalues(matrices, dims, party)]
+        if criterion == "v1":
+            if a is None:
+                raise UsageError("criterion v1 requires --a")
+            if len(dims) != 2:
+                raise UsageError(
+                    "criterion v1 requires a two-party state (use v2 with --split instead)"
+                )
+            spec, weight = RealignSpec((1,), (2,)), a
+        elif criterion in ("v2", "v3", "realign"):
+            if split is None:
+                raise UsageError(f"criterion {criterion} requires --split")
+            spec = _parse_split(split)
+            weight, flag = (u, "--u") if criterion == "v2" else (v, "--v")
+            if weight is None and criterion != "realign":
+                raise UsageError(f"criterion {criterion} requires {flag}")
+        else:
+            raise UsageError(f"unknown criterion {criterion!r}; choose from {CRITERIA}")
+        norms, msets = _split_spectra(matrices, dims, spec)
+        if criterion == "realign":
+            return [(norm_verdict(x), None) for x in norms]
+        return [(moment_verdict(criterion, m, weight), m) for m in msets]
     except UsageError:
         raise
     except ValueError as exc:
         # Weight sign, split/party versus dims: input problems, not state ones.
         raise UsageError(str(exc)) from exc
+
+
+def evaluate_criterion(
+    dm: DensityMatrix, criterion: str, **flags: float | str | None
+) -> tuple[CriterionVerdict, MomentSet | None]:
+    """Evaluate one criterion on one state: :func:`evaluate_stack` with N = 1.
+
+    Takes the same flags.  Returns the verdict and, for v1/v2/v3, the
+    moment sums it was computed from, so callers that report T1/T2 take
+    the spectrum only once.
+    """
+    return evaluate_stack(np.asarray(dm.matrix)[None], dm.dims, criterion, **flags)[0]
+
+
+def _family_outcomes(family: str, xs: list[float], criterion: str, **flags) -> list:
+    """Build family members at `xs` as one stack and evaluate them together.
+
+    Per parameter the result is (verdict, moments), or the UsageError or
+    ValidationFailure that building and evaluating that member alone
+    raises, so callers can raise it where a point-by-point loop would.
+    """
+    try:
+        fs = family_stack(family, xs)
+    except KeyError:
+        raise UsageError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}") from None
+    outcomes: list = [None if e is None else ValidationFailure(str(e)) for e in fs.errors]
+    valid = [i for i, e in enumerate(fs.errors) if e is None]
+    if not valid:
+        return outcomes
+    try:
+        results: list = evaluate_stack(fs.matrices, fs.dims, criterion, **flags)
+    except UsageError:
+        # Some member fails: evaluate one by one to find which, and why.
+        results = []
+        for k in range(len(valid)):
+            try:
+                results.append(evaluate_stack(fs.matrices[k:k + 1], fs.dims, criterion, **flags)[0])
+            except UsageError as exc:
+                results.append(exc)
+    for i, result in zip(valid, results):
+        outcomes[i] = result
+    return outcomes
 
 
 def _format_admissible(verdict: CriterionVerdict) -> str:
@@ -264,6 +327,8 @@ def _parse_grid(text: str) -> list[float]:
         lo, hi, step = (float(x) for x in parts)
     except ValueError as exc:
         raise UsageError(f"range {text!r} must be numeric LO:HI:STEP") from exc
+    if not all(math.isfinite(x) for x in (lo, hi, step)):
+        raise UsageError(f"range {text!r} must have finite LO, HI and STEP")
     if step <= 0.0 or hi < lo:
         raise UsageError("range requires STEP > 0 and HI >= LO")
     pts = []
@@ -272,6 +337,8 @@ def _parse_grid(text: str) -> list[float]:
         x = lo + k * step
         if x > hi + 1e-9 * step:
             break
+        if len(pts) == MAX_GRID_POINTS:  # also ends a STEP too small to move x past LO
+            raise UsageError(f"range {text!r} has more than {MAX_GRID_POINTS} points")
         pts.append(min(x, hi))
         k += 1
     if not pts or pts[-1] < hi - 1e-9 * step:
@@ -309,12 +376,20 @@ def sweep_rows(
     split: str | None = None,
     party: int | None = None,
 ) -> list[SweepRow]:
-    """Evaluate one criterion across a family grid, ascending order."""
+    """Evaluate one criterion across a family grid, ascending order.
+
+    Up to SWEEP_CHUNK grid points are built, validated and evaluated as one
+    stack.  A failing point raises the error the point-by-point loop would
+    have raised first.
+    """
+    flags = dict(a=a, u=u, v=v, split=split, party=party)
     rows = []
-    for x in grid:
-        dm = _family_state(family, x)
-        verdict, _ = evaluate_criterion(dm, criterion, a=a, u=u, v=v, split=split, party=party)
-        rows.append(_verdict_row(x, verdict))
+    for start in range(0, len(grid), SWEEP_CHUNK):
+        chunk = grid[start:start + SWEEP_CHUNK]
+        for x, outcome in zip(chunk, _family_outcomes(family, chunk, criterion, **flags)):
+            if isinstance(outcome, Exception):
+                raise outcome
+            rows.append(_verdict_row(x, outcome[0]))
     return rows
 
 
@@ -350,6 +425,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _midpoint_tree(lo: float, hi: float) -> list[float]:
+    """Every midpoint the bisection can visit in its next _TREE_DEPTH steps from [lo, hi].
+
+    Built with the loop's own `0.5 * (lo + hi)` and width test, so each
+    one equals, bit for bit, the `mid` the loop computes when it gets there.
+    """
+    mids: list[float] = []
+    level = [(lo, hi)]
+    for _ in range(_TREE_DEPTH):
+        below = []
+        for left, right in level:
+            if right - left > BISECTION_TOL:
+                mid = 0.5 * (left + right)
+                mids.append(mid)
+                below += [(left, mid), (mid, right)]
+        level = below
+    return mids
+
+
 def cmd_threshold(args: argparse.Namespace) -> int:
     parts = args.bracket.split(":")
     if len(parts) != 2:
@@ -358,21 +452,37 @@ def cmd_threshold(args: argparse.Namespace) -> int:
         lo, hi = (float(x) for x in parts)
     except ValueError as exc:
         raise UsageError(f"bracket {args.bracket!r} must be numeric LO:HI") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(f"bracket {args.bracket!r} must have finite LO and HI")
     if hi <= lo:
         raise UsageError("bracket requires HI > LO")
+    flags = dict(a=args.a, u=args.u, v=args.v, split=args.split, party=args.party)
+    # State parameter -> offset from the threshold, or the error raised there.
+    table: dict[float, float | Exception] = {}
+
+    def prefetch(xs: list[float]) -> None:
+        for x, outcome in zip(xs, _family_outcomes(args.family, xs, args.criterion, **flags)):
+            if not isinstance(outcome, Exception):
+                verdict = outcome[0]
+                if math.isnan(verdict.statistic):
+                    outcome = UsageError(
+                        f"statistic undefined at state parameter {_fmt(x)} "
+                        "(criterion parameter outside admissible range)"
+                    )
+                else:
+                    outcome = verdict.statistic - verdict.threshold
+            table[x] = outcome
 
     def offset(x: float) -> float:
-        dm = _family_state(args.family, x)
-        verdict, _ = evaluate_criterion(
-            dm, args.criterion, a=args.a, u=args.u, v=args.v, split=args.split, party=args.party
-        )
-        if math.isnan(verdict.statistic):
-            raise UsageError(
-                f"statistic undefined at state parameter {_fmt(x)} "
-                "(criterion parameter outside admissible range)"
-            )
-        return verdict.statistic - verdict.threshold
+        value = table[x]
+        if isinstance(value, Exception):
+            raise value
+        return value
 
+    # Each round evaluates the midpoints of the next _TREE_DEPTH steps as
+    # one stack; the sequential bisection below then reads them from the
+    # table, so errors surface only at points it visits, in its order.
+    prefetch([lo, hi, *_midpoint_tree(lo, hi)])
     f_lo = offset(lo)
     f_hi = offset(hi)
     if f_lo * f_hi > 0.0:
@@ -382,6 +492,10 @@ def cmd_threshold(args: argparse.Namespace) -> int:
         )
     while hi - lo > BISECTION_TOL:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # adjacent floats wider than the tolerance: mid is lo or hi
+        if mid not in table:
+            prefetch(_midpoint_tree(lo, hi))
         f_mid = offset(mid)
         if (f_mid < 0.0) == (f_lo < 0.0):
             lo, f_lo = mid, f_mid
@@ -465,13 +579,9 @@ def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
         spectra: dict[str, tuple[list[float], list[MomentSet]]] = {}
 
         def spectrum(spec: RealignSpec) -> tuple[list[float], list[MomentSet]]:
-            """Per-sample trace norms and moment sums of one split's realignment."""
             label = str(spec)
             if label not in spectra:
-                sv = singular_values(realign_array(stack, cfg.dims, spec))
-                t1, t2 = power_sums(sv)
-                msets = [MomentSet(t1=x, t2=y) for x, y in zip(t1.tolist(), t2.tolist())]
-                spectra[label] = (sv.sum(axis=-1).tolist(), msets)
+                spectra[label] = _split_spectra(stack, cfg.dims, spec)
             return spectra[label]
 
         def tally(criterion: str, parameter: float | None, split: str | None, verdicts) -> None:
@@ -482,9 +592,8 @@ def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
         for criterion in cfg.criteria:
             if criterion == "ppt":
                 for party in range(1, n + 1):
-                    evals = hermitian_eigenvalues(transpose_party(stack, cfg.dims, party))
-                    tally("ppt", float(party), None,
-                          [min_eigenvalue_verdict(party, x) for x in evals[:, -1].tolist()])
+                    mins = _min_eigenvalues(stack, cfg.dims, party)
+                    tally("ppt", float(party), None, [min_eigenvalue_verdict(party, x) for x in mins])
                 continue
             if criterion == "v1" and n != 2:
                 continue  # v1 is the two-party case, whose one split is 1|2
@@ -515,6 +624,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
         raise UsageError(f"params {args.params!r} must be comma-separated numbers") from exc
     if args.num_states < 1 or args.num_terms < 1:
         raise UsageError("--num-states and --num-terms must be >= 1")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     if math.prod(dims) > MAX_KRON_DIM:
         raise UsageError(
             f"dims {args.dims!r} give dimension {math.prod(dims)}, above the cap {MAX_KRON_DIM}"

@@ -72,7 +72,9 @@ def singular_values(a: np.ndarray) -> np.ndarray:
         gram = dagger(a) @ a
     else:
         gram = a @ dagger(a)
-    evals = np.linalg.eigvalsh((gram + dagger(gram)) / 2.0)
+    gram += dagger(gram)  # symmetrize in place: one stack-sized temporary fewer
+    gram /= 2.0
+    evals = np.linalg.eigvalsh(gram)
     lowest = float(min(evals[..., 0].flat, default=0.0))
     if lowest < GRAM_CLAMP:
         raise ValueError(

@@ -150,9 +150,7 @@ def realign_bipartite(dm: DensityMatrix) -> RealignedMatrix:
     """
     if len(dm.dims) != 2:
         raise ValueError(f"realign_bipartite requires exactly two parties, got dims {dm.dims}")
-    m, n = dm.dims
-    out = dm.matrix.reshape(m, n, m, n).transpose(0, 2, 1, 3).reshape(m * m, n * n)
-    return RealignedMatrix(matrix=out, spec=RealignSpec((1,), (2,)), source_dims=dm.dims)
+    return realign_partial(dm, RealignSpec((1,), (2,)))
 
 
 def realign_partial(dm: DensityMatrix, spec: RealignSpec) -> RealignedMatrix:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import hermitian_eigenvalues, kron
+from .linalg import dagger, kron
 
 VALIDATION_TOL = 1e-10
 
@@ -77,23 +77,63 @@ def validate(dm: DensityMatrix) -> DensityMatrix:
             float(abs((m.shape[0] if m.ndim else 0) - d)),
             f"matrix shape {m.shape} does not match dims {dims} (product {d})",
         )
-    if not np.isfinite(m).all():
-        bad = int(np.count_nonzero(~np.isfinite(m)))
-        raise StateValidationError(
-            "NON_FINITE", float(bad), f"{bad} of {m.size} entries are NaN or infinite"
-        )
-    herm_dev = float(np.abs(m - m.conj().T).max())
-    if herm_dev > VALIDATION_TOL:
-        raise StateValidationError("NOT_HERMITIAN", herm_dev, "matrix is not Hermitian")
-    trace_dev = abs(complex(np.trace(m)) - 1.0)
-    if trace_dev > VALIDATION_TOL:
-        raise StateValidationError("TRACE_NOT_ONE", trace_dev, "trace differs from 1")
-    min_eig = float(hermitian_eigenvalues(m, tol=VALIDATION_TOL)[-1])
-    if min_eig < -VALIDATION_TOL:
-        raise StateValidationError(
-            "NOT_PSD", -min_eig, f"minimum eigenvalue {min_eig:.3e} is negative"
-        )
+    validate_stack(m[None])
     return dm
+
+
+def stack_failures(matrices: np.ndarray) -> dict[int, StateValidationError]:
+    """The first failed invariant of every bad matrix in a (N, D, D) stack.
+
+    Keys are stack positions.  The checks run in the order of
+    :func:`validate` (finite entries, Hermiticity, unit trace, positivity,
+    each to 1e-10), and each error carries the code and deviation that
+    :func:`validate` reports for that matrix on its own.
+    """
+    m = np.asarray(matrices, dtype=complex)
+    if not len(m):
+        return {}
+    adj = dagger(m)
+    with np.errstate(invalid="ignore"):  # inf - inf: such matrices fail as NON_FINITE
+        herm_dev = np.abs(m - adj).max(axis=(-2, -1))
+    trace_dev = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
+    # A NaN or infinite entry makes herm_dev NaN or infinite, so `ok` is False.
+    ok = np.maximum(herm_dev, trace_dev) <= VALIDATION_TOL
+    if ok.all():
+        # hermitian_eigenvalues' arithmetic; its Hermiticity check is herm_dev.
+        min_eig = np.linalg.eigvalsh((m + adj) / 2.0)[:, 0]
+        if not (min_eig < -VALIDATION_TOL).any():
+            return {}
+    else:
+        min_eig = np.zeros(len(m))
+        min_eig[ok] = np.linalg.eigvalsh((m[ok] + adj[ok]) / 2.0)[:, 0]
+    failures = {}
+    for i in range(len(m)):
+        if ok[i] and not min_eig[i] < -VALIDATION_TOL:
+            continue
+        bad = int(np.count_nonzero(~np.isfinite(m[i])))
+        if bad:
+            code, dev, detail = "NON_FINITE", bad, f"{bad} of {m[i].size} entries are NaN or infinite"
+        elif herm_dev[i] > VALIDATION_TOL:
+            code, dev, detail = "NOT_HERMITIAN", herm_dev[i], "matrix is not Hermitian"
+        elif trace_dev[i] > VALIDATION_TOL:
+            code, dev, detail = "TRACE_NOT_ONE", trace_dev[i], "trace differs from 1"
+        else:
+            code, dev = "NOT_PSD", -min_eig[i]
+            detail = f"minimum eigenvalue {min_eig[i]:.3e} is negative"
+        failures[i] = StateValidationError(code, float(dev), detail)
+    return failures
+
+
+def validate_stack(matrices: np.ndarray) -> np.ndarray:
+    """Check every matrix of a (N, D, D) stack; returns the stack unchanged.
+
+    Raises what a :func:`validate` loop over the stack would raise first:
+    the first failed invariant of the first bad matrix.
+    """
+    failures = stack_failures(matrices)
+    if failures:
+        raise failures[min(failures)]
+    return matrices
 
 
 def pure_state(amplitudes: Sequence[complex], dims: Sequence[int]) -> DensityMatrix:
@@ -135,20 +175,17 @@ def rho_d(d: float) -> DensityMatrix:
     semidefinite exactly for d in [RHO_D_MIN, RHO_D_MAX]; its partial
     transpose has a negative eigenvalue throughout that window.
     """
-    d = float(d)
-    if not (RHO_D_MIN <= d <= RHO_D_MAX):
-        raise ValueError(
-            f"rho_d is not positive semidefinite for d={d!r}; "
-            f"valid range is [{RHO_D_MIN!r}, {RHO_D_MAX!r}]"
-        )
-    m = np.zeros((9, 9), dtype=complex)
-    m[0, 0] = (1.0 - d) / 2.0
-    m[4, 4] = 0.5 - d
-    m[5, 5] = d
-    m[8, 8] = d / 2.0
-    m[0, 8] = m[8, 0] = -11.0 / 50.0
-    m[4, 5] = m[5, 4] = -11.0 / 50.0
-    return validate(DensityMatrix(dims=(3, 3), matrix=m))
+    return _family_member("rho_d", d)
+
+
+def _rho_d_stack(d: np.ndarray) -> np.ndarray:
+    m = np.zeros((d.size, 9, 9), dtype=complex)
+    m[:, 0, 0] = (1.0 - d) / 2.0
+    m[:, 4, 4] = 0.5 - d
+    m[:, 5, 5] = d
+    m[:, 8, 8] = d / 2.0
+    m[:, [0, 8, 4, 5], [8, 0, 5, 4]] = -11.0 / 50.0
+    return m
 
 
 def rho_eps(eps: float) -> DensityMatrix:
@@ -159,25 +196,20 @@ def rho_eps(eps: float) -> DensityMatrix:
     the separable member.  The family is equivalent under relabeling to
     its eps -> 1/eps mirror.
     """
-    eps = float(eps)
-    if eps <= 0.0:
-        raise ValueError(f"rho_eps requires eps > 0, got {eps!r}")
+    return _family_member("rho_eps", eps)
+
+
+def _rho_eps_stack(eps: np.ndarray) -> np.ndarray:
     e2 = eps * eps
     norm = 3.0 * (1.0 + e2 + 1.0 / e2)
-    m = np.zeros((9, 9), dtype=complex)
+    m = np.zeros((eps.size, 9, 9), dtype=complex)
     for r in (0, 4, 8):
         for c in (0, 4, 8):
-            m[r, c] = 1.0
-    m[1, 1] = 1.0 / e2
-    m[1, 3] = m[3, 1] = 1.0
-    m[3, 3] = e2
-    m[2, 2] = e2
-    m[2, 6] = m[6, 2] = 1.0
-    m[6, 6] = 1.0 / e2
-    m[5, 5] = 1.0 / e2
-    m[5, 7] = m[7, 5] = 1.0
-    m[7, 7] = e2
-    return validate(DensityMatrix(dims=(3, 3), matrix=m / norm))
+            m[:, r, c] = 1.0
+    m[:, [1, 6, 5], [1, 6, 5]] = (1.0 / e2)[:, None]
+    m[:, [3, 2, 7], [3, 2, 7]] = e2[:, None]
+    m[:, [1, 3, 2, 6, 5, 7], [3, 1, 6, 2, 7, 5]] = 1.0
+    return m / norm[:, None, None]
 
 
 def _rho_pq_kets() -> list[np.ndarray]:
@@ -208,41 +240,115 @@ def rho_pq(q: float) -> DensityMatrix:
     PPT test is blind there even though the state stays entangled; at
     every other q in the window it is NPT.
     """
-    q = float(q)
-    if not (0.0 <= q <= 0.5):
-        raise ValueError(f"rho_pq requires 0 <= q <= 1/2, got {q!r}")
-    p = (1.0 - 2.0 * q) / 4.0
+    return _family_member("rho_pq", q)
+
+
+def _rho_pq_stack(q: np.ndarray) -> np.ndarray:
+    p = ((1.0 - 2.0 * q) / 4.0)[:, None, None]
     kets = _rho_pq_kets()
-    m = np.zeros((16, 16), dtype=complex)
+    m = np.zeros((q.size, 16, 16), dtype=complex)
     for ket in kets[:4]:
         m += p * np.outer(ket, ket.conj())
     for ket in kets[4:]:
-        m += q * np.outer(ket, ket.conj())
-    return validate(DensityMatrix(dims=(4, 4), matrix=m))
+        m += q[:, None, None] * np.outer(ket, ket.conj())
+    return m
 
 
 def ghz_w(q: float) -> DensityMatrix:
     """Three-qubit mixture q|GHZ><GHZ| + (1-q)|W><W|."""
-    q = float(q)
-    if not (0.0 <= q <= 1.0):
-        raise ValueError(f"ghz_w requires 0 <= q <= 1, got {q!r}")
+    return _family_member("ghz_w", q)
+
+
+def _ghz_w_stack(q: np.ndarray) -> np.ndarray:
     ghz = np.zeros(8, dtype=complex)
     ghz[0] = ghz[7] = 1.0 / math.sqrt(2.0)
     w = np.zeros(8, dtype=complex)
     w[1] = w[2] = w[4] = 1.0 / math.sqrt(3.0)
-    m = q * np.outer(ghz, ghz.conj()) + (1.0 - q) * np.outer(w, w.conj())
-    return validate(DensityMatrix(dims=(2, 2, 2), matrix=m))
+    q = q[:, None, None]
+    return q * np.outer(ghz, ghz.conj()) + (1.0 - q) * np.outer(w, w.conj())
 
 
 def noisy_ghz4(x: float) -> DensityMatrix:
     """Four-qubit GHZ state mixed with white noise: (1-x)/16 * I + x|GHZ4><GHZ4|."""
-    x = float(x)
-    if not (0.0 <= x <= 1.0):
-        raise ValueError(f"noisy_ghz4 requires 0 <= x <= 1, got {x!r}")
+    return _family_member("noisy_ghz4", x)
+
+
+def _noisy_ghz4_stack(x: np.ndarray) -> np.ndarray:
     psi = np.zeros(16, dtype=complex)
     psi[0] = psi[15] = 1.0 / math.sqrt(2.0)
-    m = (1.0 - x) / 16.0 * np.eye(16, dtype=complex) + x * np.outer(psi, psi.conj())
-    return validate(DensityMatrix(dims=(2, 2, 2, 2), matrix=m))
+    x = x[:, None, None]
+    return (1.0 - x) / 16.0 * np.eye(16, dtype=complex) + x * np.outer(psi, psi.conj())
+
+
+# name -> (dims, outside(x): parameter off the domain, its error message,
+# matrix formula taking a 1-D parameter array to an (N, D, D) stack).
+_FAMILY_SPECS = {
+    "rho_d": (
+        (3, 3),
+        lambda d: not (RHO_D_MIN <= d <= RHO_D_MAX),
+        f"rho_d is not positive semidefinite for d={{!r}}; "
+        f"valid range is [{RHO_D_MIN!r}, {RHO_D_MAX!r}]",
+        _rho_d_stack,
+    ),
+    "rho_eps": ((3, 3), lambda eps: eps <= 0.0, "rho_eps requires eps > 0, got {!r}", _rho_eps_stack),
+    "rho_pq": (
+        (4, 4), lambda q: not (0.0 <= q <= 0.5), "rho_pq requires 0 <= q <= 1/2, got {!r}",
+        _rho_pq_stack,
+    ),
+    "ghz_w": (
+        (2, 2, 2), lambda q: not (0.0 <= q <= 1.0), "ghz_w requires 0 <= q <= 1, got {!r}",
+        _ghz_w_stack,
+    ),
+    "noisy_ghz4": (
+        (2, 2, 2, 2), lambda x: not (0.0 <= x <= 1.0), "noisy_ghz4 requires 0 <= x <= 1, got {!r}",
+        _noisy_ghz4_stack,
+    ),
+}
+
+
+@dataclass(frozen=True, eq=False)
+class FamilyStack:
+    """Members of one family at a list of parameters, as one stack.
+
+    `errors[i]` is the ValueError the scalar constructor raises at
+    parameter i (its domain check, then validation), or None; `matrices`
+    holds the members at the parameters without an error, in order.
+    """
+
+    dims: tuple[int, ...]
+    matrices: np.ndarray
+    errors: list[ValueError | None]
+
+
+def family_stack(name: str, params: Sequence[float]) -> FamilyStack:
+    """Build and validate family `name` at every parameter in one pass.
+
+    The scalar constructors (`rho_d(x)` and the rest) are the one-parameter
+    case of this, so a member of a stack equals the scalar constructor's
+    matrix bit for bit.  Raises KeyError for an unknown family name.
+    """
+    dims, outside, message, formula = _FAMILY_SPECS[name]
+    xs = [float(x) for x in params]
+    errors: list[ValueError | None] = [
+        ValueError(message.format(x)) if outside(x) else None for x in xs
+    ]
+    positions = [i for i, e in enumerate(errors) if e is None]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # Off-scale parameters give inf or NaN entries, which fail as NON_FINITE.
+        matrices = formula(np.array([xs[i] for i in positions], dtype=float))
+    failures = stack_failures(matrices)
+    for k, exc in failures.items():
+        errors[positions[k]] = exc
+    if failures:
+        matrices = matrices[[k for k in range(len(positions)) if k not in failures]]
+    return FamilyStack(dims=dims, matrices=matrices, errors=errors)
+
+
+def _family_member(name: str, x: float) -> DensityMatrix:
+    fs = family_stack(name, [x])
+    if fs.errors[0] is not None:
+        raise fs.errors[0]
+    return DensityMatrix(dims=fs.dims, matrix=fs.matrices[0])
 
 
 def sample_separable(dims: Sequence[int], num_terms: int, seed: int) -> DensityMatrix:

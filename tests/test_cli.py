@@ -158,6 +158,15 @@ class TestExitCodes:
             ("audit", "--dims", "2,2", "--params", "nan", "--criteria", "v3"),
             ("audit", "--dims", "2,2", "--params", "inf", "--criteria", "v1"),
             ("audit", "--dims", "2,2", "--params", "nan", "--criteria", "realign"),
+            ("sweep", "--family", "ghz_w", "--range", "0:inf:0.1", "--criterion", "v2", "--u", "5", "--split", "1|2"),
+            ("sweep", "--family", "ghz_w", "--range", "0:1:nan", "--criterion", "v2", "--u", "5", "--split", "1|2"),
+            ("sweep", "--family", "ghz_w", "--range", "nan:1:0.1", "--criterion", "v2", "--u", "5", "--split", "1|2"),
+            ("sweep", "--family", "ghz_w", "--range", "0:1:1e-9", "--criterion", "v2", "--u", "5", "--split", "1|2"),
+            ("threshold", "--family", "noisy_ghz4", "--bracket", "nan:1", "--criterion", "v3", "--v", "1", "--split", "1|2"),
+            ("threshold", "--family", "noisy_ghz4", "--bracket", "0:inf", "--criterion", "v3", "--v", "1", "--split", "1|2"),
+            ("threshold", "--family", "rho_eps", "--bracket", "-inf:1", "--criterion", "realign", "--split", "1|2"),
+            ("audit", "--dims", "2,2", "--seed", "-1"),
+            ("sweep", "--family", "rho_eps", "--range", "1e308:1e308:0.1", "--criterion", "realign", "--split", "1|2"),
         ],
     )
     def test_usage_errors_exit_2(self, args):

@@ -1,0 +1,246 @@
+"""Stacked family construction, validation, sweep and threshold.
+
+The stacked paths must reproduce the scalar ones exactly: family members
+bit for bit, validation errors code for code, sweep CSVs byte for byte
+against the committed reference series, and threshold roots, messages and
+exit codes as the point-by-point bisection printed them.
+"""
+import importlib.util
+import io
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import random_density
+from remoments import FAMILIES, DensityMatrix, StateValidationError, validate
+from remoments import cli
+from remoments.cli import _parse_grid, sweep_rows, write_sweep_csv
+from remoments.states import RHO_D_MAX, RHO_D_MIN, family_stack, validate_stack
+from test_cli import run_cli
+
+ROOT = Path(__file__).resolve().parent.parent
+
+DOMAINS = {
+    "rho_d": (RHO_D_MIN, RHO_D_MAX),
+    "rho_eps": (1e-3, 1e3),
+    "rho_pq": (0.0, 0.5),
+    "ghz_w": (0.0, 1.0),
+    "noisy_ghz4": (0.0, 1.0),
+}
+
+
+@st.composite
+def family_params(draw):
+    name = draw(st.sampled_from(sorted(DOMAINS)))
+    lo, hi = DOMAINS[name]
+    xs = draw(st.lists(st.floats(lo, hi), min_size=1, max_size=8))
+    return name, xs
+
+
+class TestFamilyStack:
+    @given(family_params())
+    def test_equals_scalar_constructors_bit_for_bit(self, case):
+        name, xs = case
+        fs = family_stack(name, xs)
+        assert fs.errors == [None] * len(xs)
+        assert fs.matrices.shape[0] == len(xs)
+        for x, m in zip(xs, fs.matrices):
+            scalar = FAMILIES[name](x)
+            assert fs.dims == scalar.dims
+            assert m.tobytes() == scalar.matrix.tobytes()
+
+    def test_domain_errors_per_parameter(self):
+        fs = family_stack("ghz_w", [0.5, 1.5, 0.25, -1.0])
+        assert [e is None for e in fs.errors] == [True, False, True, False]
+        assert str(fs.errors[1]) == "ghz_w requires 0 <= q <= 1, got 1.5"
+        assert fs.matrices.shape == (2, 8, 8)
+        assert fs.matrices[1].tobytes() == FAMILIES["ghz_w"](0.25).matrix.tobytes()
+
+    def test_validation_error_recorded_at_its_parameter(self):
+        # eps = nan passes the eps > 0 gate and fails validation instead.
+        fs = family_stack("rho_eps", [1.0, math.nan, 2.0])
+        assert fs.errors[0] is None and fs.errors[2] is None
+        assert isinstance(fs.errors[1], StateValidationError)
+        assert fs.errors[1].code == "NON_FINITE"
+        assert fs.matrices.shape == (2, 9, 9)
+
+    def test_unknown_family(self):
+        with pytest.raises(KeyError):
+            family_stack("nope", [0.5])
+
+
+DEFECTS = ("NON_FINITE", "NOT_HERMITIAN", "TRACE_NOT_ONE", "NOT_PSD")
+
+
+def _corrupt(m, defect, size):
+    m = m.copy()
+    if defect == "NON_FINITE":
+        m[0, 1] = m[1, 0] = math.nan
+    elif defect == "NOT_HERMITIAN":
+        m[0, 1] += size
+    elif defect == "TRACE_NOT_ONE":
+        m = m * (1.0 + size)
+    else:
+        vals, vecs = np.linalg.eigh(m)
+        vals[0] = -size
+        vals[-1] += 1.0 - vals.sum()  # keep the trace at 1
+        m = (vecs * vals) @ vecs.conj().T
+    return m
+
+
+def _first_loop_error(stack, dims):
+    for m in stack:
+        try:
+            validate(DensityMatrix(dims=dims, matrix=m))
+        except StateValidationError as exc:
+            return exc
+    return None
+
+
+class TestValidateStack:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        data=st.data(),
+        defect=st.sampled_from(DEFECTS),
+        size=st.sampled_from([1e-6, 1e-3, 0.2]),
+        seed=st.integers(0, 10_000),
+        second=st.sampled_from((None,) + DEFECTS),
+    )
+    def test_matches_per_matrix_loop(self, n, data, defect, size, seed, second):
+        dims = (2, 2)
+        stack = np.stack([random_density(dims, seed + k).matrix for k in range(n)])
+        pos = data.draw(st.integers(0, n - 1))
+        stack[pos] = _corrupt(stack[pos], defect, size)
+        if second is not None and pos + 1 < n:
+            stack[pos + 1] = _corrupt(stack[pos + 1], second, size)
+        expected = _first_loop_error(stack, dims)
+        assert expected is not None and expected.code == defect
+        with pytest.raises(StateValidationError) as exc:
+            validate_stack(stack)
+        assert exc.value.code == expected.code
+        assert exc.value.deviation == expected.deviation
+        assert str(exc.value) == str(expected)
+
+    def test_valid_stack_passes_unchanged(self):
+        stack = np.stack([random_density((3, 2), k).matrix for k in range(5)])
+        assert validate_stack(stack) is stack
+
+    def test_empty_stack(self):
+        stack = np.zeros((0, 4, 4), dtype=complex)
+        assert validate_stack(stack) is stack
+
+
+def _figure_series():
+    path = ROOT / "scripts" / "make_figure_data.py"
+    spec = importlib.util.spec_from_file_location("make_figure_data", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SERIES
+
+
+@pytest.mark.parametrize("series", _figure_series(), ids=lambda s: s[0])
+def test_figure_series_match_reference_csv(series):
+    filename, family, range_spec, criterion, kwargs = series
+    rows = sweep_rows(family, _parse_grid(range_spec), criterion, **kwargs)
+    buf = io.StringIO(newline="")
+    write_sweep_csv(buf, rows)
+    assert buf.getvalue().encode() == (ROOT / "bench" / "ref" / filename).read_bytes()
+
+
+# Unvisited midpoints of this bracket have NaN v2 statistics.
+NAN_UNVISITED = ("--family", "rho_pq", "--bracket", "0.0668:0.491", "--criterion", "v2",
+                 "--u", "11.849", "--split", "1|2")
+
+# (argv after "threshold", exit code, stdout, stderr) as printed by the
+# point-by-point bisection before thresholds were evaluated as stacks.
+THRESHOLD_GOLDEN = [
+    # every split of the benchmark's threshold solves
+    (("--family", "noisy_ghz4", "--bracket", "0:1", "--criterion", "v3", "--v", "0.01",
+      "--split", "1|2"), 0, "0.642671108246\n", ""),
+    (("--family", "noisy_ghz4", "--bracket", "0:1", "--criterion", "v3", "--v", "2.5",
+      "--split", "12|3"), 0, "0.754998683929\n", ""),
+    (("--family", "noisy_ghz4", "--bracket", "0:1", "--criterion", "v3", "--v", "7.25",
+      "--split", "12|34"), 0, "0.801340579987\n", ""),
+    (("--family", "noisy_ghz4", "--bracket", "0:1", "--criterion", "v3", "--v", "0",
+      "--split", "1|234"), 0, "0.643168926239\n", ""),
+    (("--family", "noisy_ghz4", "--bracket", "0:1", "--criterion", "v3", "--v", "10",
+      "--split", "1|23"), 0, "0.809607028961\n", ""),
+    # v1, v2, realign and ppt brackets
+    (("--family", "rho_pq", "--bracket", "0.2327:0.4652", "--criterion", "v1", "--a", "15.196"),
+     0, "0.460899782372\n", ""),
+    (("--family", "noisy_ghz4", "--bracket", "0.5325:0.768", "--criterion", "v2",
+      "--u", "17.765", "--split", "1|234"), 0, "0.643168667793\n", ""),
+    (("--family", "noisy_ghz4", "--bracket", "0:1", "--criterion", "realign", "--split", "1|2"),
+     0, "0.333333492279\n", ""),
+    (("--family", "noisy_ghz4", "--bracket", "0:1", "--criterion", "ppt", "--party", "1"),
+     0, "0.111111164093\n", ""),
+    # midpoints the bisection never visits have NaN v2 statistics
+    (NAN_UNVISITED, 0, "0.460899558067\n", ""),
+    (("--family", "rho_pq", "--bracket", "0.05:0.491", "--criterion", "v2", "--u", "11.849",
+      "--split", "1|2"), 0, "0.460899357796\n", ""),
+    # NaN statistic at a visited end
+    (("--family", "rho_pq", "--bracket", "0.2:0.47", "--criterion", "v2", "--u", "11.849",
+      "--split", "1|2"), 2, "",
+     "error: statistic undefined at state parameter 0.2 "
+     "(criterion parameter outside admissible range)\n"),
+    (("--family", "rho_pq", "--bracket", "0.1:0.175", "--criterion", "v2", "--u", "11.849",
+      "--split", "1|2"), 2, "",
+     "error: statistic undefined at state parameter 0.175 "
+     "(criterion parameter outside admissible range)\n"),
+    # no sign change
+    (("--family", "ghz_w", "--bracket", "0:1", "--criterion", "v2", "--u", "5", "--split", "1|2"),
+     2, "", "error: bracket [0, 1] does not straddle the threshold "
+     "(offsets 0.625441850697 and 0.639637116155)\n"),
+    # hi outside the family's domain
+    (("--family", "noisy_ghz4", "--bracket", "0:1.5", "--criterion", "v3", "--v", "0.01",
+      "--split", "1|2"), 3, "",
+     "validation failure: noisy_ghz4 requires 0 <= x <= 1, got 1.5\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", THRESHOLD_GOLDEN)
+def test_threshold_golden(argv, code, out, err):
+    assert run_cli("threshold", *argv) == (code, out, err)
+
+
+def test_unvisited_nan_midpoints_do_not_raise(monkeypatch):
+    """The stacked rounds do evaluate NaN points, and the solve still succeeds."""
+    evaluated = []
+    outcomes = cli._family_outcomes
+
+    def recording(family, xs, criterion, **flags):
+        result = outcomes(family, xs, criterion, **flags)
+        evaluated.extend(r[0].statistic for r in result if not isinstance(r, Exception))
+        return result
+
+    monkeypatch.setattr(cli, "_family_outcomes", recording)
+    assert run_cli("threshold", *NAN_UNVISITED) == (0, "0.460899558067\n", "")
+    assert any(math.isnan(x) for x in evaluated)
+
+
+def test_threshold_stops_between_adjacent_floats():
+    # Near 3e10 adjacent floats are 3.8e-6 apart, wider than the 1e-6
+    # tolerance, and the realign offset there is exactly 0, so the bracket
+    # passes the straddle check; the midpoint rounds to an end every time.
+    hi = math.nextafter(3e10, math.inf)
+    argv = ("--family", "rho_eps", "--bracket", f"3e10:{hi!r}", "--criterion", "realign",
+            "--split", "1|2")
+    assert run_cli("threshold", *argv) == (0, "30000000000\n", "")
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+def test_sweep_chunk_boundaries(monkeypatch, chunk):
+    grid = _parse_grid("0:1:0.05")
+    flags = dict(v=0.5, split="12|3")
+    expected = sweep_rows("ghz_w", grid, "v3", **flags)
+    monkeypatch.setattr(cli, "SWEEP_CHUNK", chunk)
+    assert sweep_rows("ghz_w", grid, "v3", **flags) == expected
+    # the first failing point wins, whichever chunk it is in
+    code, out, err = run_cli("sweep", "--family", "ghz_w", "--range", "0.5:1.3:0.1",
+                             "--criterion", "v3", "--v", "0.5", "--split", "12|3")
+    assert (code, out) == (3, "")
+    assert err == "validation failure: ghz_w requires 0 <= q <= 1, got 1.1\n"
