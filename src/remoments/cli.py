@@ -172,7 +172,7 @@ def evaluate_stack(
     decomposed with one `singular_values` call (ppt: one partial transpose
     and eigensolve), and each matrix gets its verdict plus, for v1/v2/v3,
     the moment sums it was computed from.  Missing flags, bad splits or
-    parties and invalid weights raise UsageError.
+    parties and invalid or non-finite weights raise UsageError.
     """
     try:
         if criterion == "ppt":
@@ -187,7 +187,7 @@ def evaluate_stack(
                 raise UsageError(
                     "criterion v1 requires a two-party state (use v2 with --split instead)"
                 )
-            spec, weight = RealignSpec((1,), (2,)), a
+            spec, weight, flag = RealignSpec((1,), (2,)), a, "--a"
         elif criterion in ("v2", "v3", "realign"):
             if split is None:
                 raise UsageError(f"criterion {criterion} requires --split")
@@ -197,6 +197,8 @@ def evaluate_stack(
                 raise UsageError(f"criterion {criterion} requires {flag}")
         else:
             raise UsageError(f"unknown criterion {criterion!r}; choose from {CRITERIA}")
+        if criterion != "realign" and not math.isfinite(weight):
+            raise UsageError(f"{flag} must be finite, got {weight!r}")
         norms, msets = _split_spectra(matrices, dims, spec)
         if criterion == "realign":
             return [(norm_verdict(x), None) for x in norms]
@@ -220,34 +222,22 @@ def evaluate_criterion(
     return evaluate_stack(np.asarray(dm.matrix)[None], dm.dims, criterion, **flags)[0]
 
 
-def _family_outcomes(family: str, xs: list[float], criterion: str, **flags) -> list:
+def _family_verdicts(
+    family: str, xs: list[float], criterion: str, **flags
+) -> list[tuple[CriterionVerdict, MomentSet | None]]:
     """Build family members at `xs` as one stack and evaluate them together.
 
-    Per parameter the result is (verdict, moments), or the UsageError or
-    ValidationFailure that building and evaluating that member alone
-    raises, so callers can raise it where a point-by-point loop would.
+    All or nothing: an unknown family raises UsageError, a member outside
+    the family's domain or failing validation raises ValidationFailure, and
+    otherwise this returns or raises what :func:`evaluate_stack` does.
     """
     try:
-        fs = family_stack(family, xs)
+        dims, matrices = family_stack(family, xs)
     except KeyError:
         raise UsageError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}") from None
-    outcomes: list = [None if e is None else ValidationFailure(str(e)) for e in fs.errors]
-    valid = [i for i, e in enumerate(fs.errors) if e is None]
-    if not valid:
-        return outcomes
-    try:
-        results: list = evaluate_stack(fs.matrices, fs.dims, criterion, **flags)
-    except UsageError:
-        # Some member fails: evaluate one by one to find which, and why.
-        results = []
-        for k in range(len(valid)):
-            try:
-                results.append(evaluate_stack(fs.matrices[k:k + 1], fs.dims, criterion, **flags)[0])
-            except UsageError as exc:
-                results.append(exc)
-    for i, result in zip(valid, results):
-        outcomes[i] = result
-    return outcomes
+    except ValueError as exc:
+        raise ValidationFailure(str(exc)) from exc
+    return evaluate_stack(matrices, dims, criterion, **flags)
 
 
 def _format_admissible(verdict: CriterionVerdict) -> str:
@@ -379,17 +369,18 @@ def sweep_rows(
     """Evaluate one criterion across a family grid, ascending order.
 
     Up to SWEEP_CHUNK grid points are built, validated and evaluated as one
-    stack.  A failing point raises the error the point-by-point loop would
-    have raised first.
+    stack.  A chunk that fails is redone point by point, so the error raised
+    is the one the point-by-point loop raises first.
     """
     flags = dict(a=a, u=u, v=v, split=split, party=party)
     rows = []
     for start in range(0, len(grid), SWEEP_CHUNK):
         chunk = grid[start:start + SWEEP_CHUNK]
-        for x, outcome in zip(chunk, _family_outcomes(family, chunk, criterion, **flags)):
-            if isinstance(outcome, Exception):
-                raise outcome
-            rows.append(_verdict_row(x, outcome[0]))
+        try:
+            verdicts = _family_verdicts(family, chunk, criterion, **flags)
+        except (UsageError, ValidationFailure):
+            verdicts = [_family_verdicts(family, [x], criterion, **flags)[0] for x in chunk]
+        rows += [_verdict_row(x, verdict) for x, (verdict, _) in zip(chunk, verdicts)]
     return rows
 
 
@@ -457,26 +448,26 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     if hi <= lo:
         raise UsageError("bracket requires HI > LO")
     flags = dict(a=args.a, u=args.u, v=args.v, split=args.split, party=args.party)
-    # State parameter -> offset from the threshold, or the error raised there.
-    table: dict[float, float | Exception] = {}
+    # State parameter -> offset from the threshold; NaN where the statistic is undefined.
+    table: dict[float, float] = {}
+
+    def offsets(xs: list[float]) -> dict[float, float]:
+        verdicts = _family_verdicts(args.family, xs, args.criterion, **flags)
+        return {x: v.statistic - v.threshold for x, (v, _) in zip(xs, verdicts)}
 
     def prefetch(xs: list[float]) -> None:
-        for x, outcome in zip(xs, _family_outcomes(args.family, xs, args.criterion, **flags)):
-            if not isinstance(outcome, Exception):
-                verdict = outcome[0]
-                if math.isnan(verdict.statistic):
-                    outcome = UsageError(
-                        f"statistic undefined at state parameter {_fmt(x)} "
-                        "(criterion parameter outside admissible range)"
-                    )
-                else:
-                    outcome = verdict.statistic - verdict.threshold
-            table[x] = outcome
+        try:
+            table.update(offsets(xs))
+        except (UsageError, ValidationFailure):
+            pass  # offset() evaluates each visited point on its own instead
 
     def offset(x: float) -> float:
-        value = table[x]
-        if isinstance(value, Exception):
-            raise value
+        value = table[x] if x in table else offsets([x])[x]
+        if math.isnan(value):
+            raise UsageError(
+                f"statistic undefined at state parameter {_fmt(x)} "
+                "(criterion parameter outside admissible range)"
+            )
         return value
 
     # Each round evaluates the midpoints of the next _TREE_DEPTH steps as

@@ -108,14 +108,6 @@ class MomentSet:
         return self.higher[k - 3]
 
 
-def vec(a: np.ndarray) -> np.ndarray:
-    """Stack the columns of a matrix into one vector (column-major order)."""
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2:
-        raise ValueError(f"vec expects a matrix, got ndim {a.ndim}")
-    return a.flatten(order="F")
-
-
 def realign_array(matrix: np.ndarray, dims: tuple[int, ...], spec: RealignSpec) -> np.ndarray:
     """The axis permutation behind :func:`realign_partial`, on raw arrays.
 

@@ -49,10 +49,6 @@ class DensityMatrix:
     dims: tuple[int, ...]
     matrix: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return int(np.prod(self.dims))
-
     def purity(self) -> float:
         """trace(rho^2); equals 1 exactly for pure states."""
         return float(np.trace(self.matrix @ self.matrix).real)
@@ -81,59 +77,39 @@ def validate(dm: DensityMatrix) -> DensityMatrix:
     return dm
 
 
-def stack_failures(matrices: np.ndarray) -> dict[int, StateValidationError]:
-    """The first failed invariant of every bad matrix in a (N, D, D) stack.
+def validate_stack(matrices: np.ndarray) -> np.ndarray:
+    """Check every matrix of a (N, D, D) stack; returns the stack unchanged.
 
-    Keys are stack positions.  The checks run in the order of
-    :func:`validate` (finite entries, Hermiticity, unit trace, positivity,
-    each to 1e-10), and each error carries the code and deviation that
-    :func:`validate` reports for that matrix on its own.
+    Raises what a :func:`validate` loop over the stack would raise first:
+    the first failed invariant (finite entries, Hermiticity, unit trace,
+    positivity, each to 1e-10) of the first bad matrix, with the code and
+    deviation :func:`validate` reports for that matrix on its own.
     """
     m = np.asarray(matrices, dtype=complex)
-    if not len(m):
-        return {}
     adj = dagger(m)
     with np.errstate(invalid="ignore"):  # inf - inf: such matrices fail as NON_FINITE
         herm_dev = np.abs(m - adj).max(axis=(-2, -1))
     trace_dev = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
     # A NaN or infinite entry makes herm_dev NaN or infinite, so `ok` is False.
     ok = np.maximum(herm_dev, trace_dev) <= VALIDATION_TOL
-    if ok.all():
-        # hermitian_eigenvalues' arithmetic; its Hermiticity check is herm_dev.
-        min_eig = np.linalg.eigvalsh((m + adj) / 2.0)[:, 0]
-        if not (min_eig < -VALIDATION_TOL).any():
-            return {}
-    else:
-        min_eig = np.zeros(len(m))
-        min_eig[ok] = np.linalg.eigvalsh((m[ok] + adj[ok]) / 2.0)[:, 0]
-    failures = {}
-    for i in range(len(m)):
-        if ok[i] and not min_eig[i] < -VALIDATION_TOL:
-            continue
-        bad = int(np.count_nonzero(~np.isfinite(m[i])))
-        if bad:
-            code, dev, detail = "NON_FINITE", bad, f"{bad} of {m[i].size} entries are NaN or infinite"
-        elif herm_dev[i] > VALIDATION_TOL:
-            code, dev, detail = "NOT_HERMITIAN", herm_dev[i], "matrix is not Hermitian"
-        elif trace_dev[i] > VALIDATION_TOL:
-            code, dev, detail = "TRACE_NOT_ONE", trace_dev[i], "trace differs from 1"
-        else:
-            code, dev = "NOT_PSD", -min_eig[i]
-            detail = f"minimum eigenvalue {min_eig[i]:.3e} is negative"
-        failures[i] = StateValidationError(code, float(dev), detail)
-    return failures
-
-
-def validate_stack(matrices: np.ndarray) -> np.ndarray:
-    """Check every matrix of a (N, D, D) stack; returns the stack unchanged.
-
-    Raises what a :func:`validate` loop over the stack would raise first:
-    the first failed invariant of the first bad matrix.
-    """
-    failures = stack_failures(matrices)
-    if failures:
-        raise failures[min(failures)]
-    return matrices
+    n_ok = len(m) if ok.all() else int(ok.argmin())
+    # Only the matrices before the first non-ok one can fail first as NOT_PSD.
+    # hermitian_eigenvalues' arithmetic; its Hermiticity check is herm_dev.
+    min_eig = np.linalg.eigvalsh((m[:n_ok] + adj[:n_ok]) / 2.0)[:, 0]
+    negative = np.flatnonzero(min_eig < -VALIDATION_TOL)
+    if negative.size:
+        e = min_eig[negative[0]]
+        raise StateValidationError("NOT_PSD", float(-e), f"minimum eigenvalue {e:.3e} is negative")
+    if n_ok == len(m):
+        return matrices
+    bad = int(np.count_nonzero(~np.isfinite(m[n_ok])))
+    if bad:
+        raise StateValidationError(
+            "NON_FINITE", float(bad), f"{bad} of {m[n_ok].size} entries are NaN or infinite"
+        )
+    if herm_dev[n_ok] > VALIDATION_TOL:
+        raise StateValidationError("NOT_HERMITIAN", float(herm_dev[n_ok]), "matrix is not Hermitian")
+    raise StateValidationError("TRACE_NOT_ONE", float(trace_dev[n_ok]), "trace differs from 1")
 
 
 def pure_state(amplitudes: Sequence[complex], dims: Sequence[int]) -> DensityMatrix:
@@ -306,49 +282,31 @@ _FAMILY_SPECS = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class FamilyStack:
-    """Members of one family at a list of parameters, as one stack.
+def family_stack(name: str, params: Sequence[float]) -> tuple[tuple[int, ...], np.ndarray]:
+    """Build and validate family `name` at every parameter as one stack.
 
-    `errors[i]` is the ValueError the scalar constructor raises at
-    parameter i (its domain check, then validation), or None; `matrices`
-    holds the members at the parameters without an error, in order.
-    """
-
-    dims: tuple[int, ...]
-    matrices: np.ndarray
-    errors: list[ValueError | None]
-
-
-def family_stack(name: str, params: Sequence[float]) -> FamilyStack:
-    """Build and validate family `name` at every parameter in one pass.
-
-    The scalar constructors (`rho_d(x)` and the rest) are the one-parameter
-    case of this, so a member of a stack equals the scalar constructor's
-    matrix bit for bit.  Raises KeyError for an unknown family name.
+    Returns the factor dims and the (N, D, D) stack.  All or nothing: raises
+    what calling the scalar constructor at each parameter in turn raises
+    first, the domain ValueError or a StateValidationError, and KeyError
+    for an unknown family name.  The scalar constructors (`rho_d(x)` and
+    the rest) are the one-parameter case of this, so a member of a stack
+    equals the scalar constructor's matrix bit for bit.
     """
     dims, outside, message, formula = _FAMILY_SPECS[name]
     xs = [float(x) for x in params]
-    errors: list[ValueError | None] = [
-        ValueError(message.format(x)) if outside(x) else None for x in xs
-    ]
-    positions = [i for i, e in enumerate(errors) if e is None]
+    n = next((k for k, x in enumerate(xs) if outside(x)), len(xs))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # Off-scale parameters give inf or NaN entries, which fail as NON_FINITE.
-        matrices = formula(np.array([xs[i] for i in positions], dtype=float))
-    failures = stack_failures(matrices)
-    for k, exc in failures.items():
-        errors[positions[k]] = exc
-    if failures:
-        matrices = matrices[[k for k in range(len(positions)) if k not in failures]]
-    return FamilyStack(dims=dims, matrices=matrices, errors=errors)
+        matrices = formula(np.array(xs[:n], dtype=float))
+    validate_stack(matrices)
+    if n < len(xs):
+        raise ValueError(message.format(xs[n]))
+    return dims, matrices
 
 
 def _family_member(name: str, x: float) -> DensityMatrix:
-    fs = family_stack(name, [x])
-    if fs.errors[0] is not None:
-        raise fs.errors[0]
-    return DensityMatrix(dims=fs.dims, matrix=fs.matrices[0])
+    dims, matrices = family_stack(name, [x])
+    return DensityMatrix(dims=dims, matrix=matrices[0])
 
 
 def sample_separable(dims: Sequence[int], num_terms: int, seed: int) -> DensityMatrix:

@@ -167,6 +167,12 @@ class TestExitCodes:
             ("threshold", "--family", "rho_eps", "--bracket", "-inf:1", "--criterion", "realign", "--split", "1|2"),
             ("audit", "--dims", "2,2", "--seed", "-1"),
             ("sweep", "--family", "rho_eps", "--range", "1e308:1e308:0.1", "--criterion", "realign", "--split", "1|2"),
+            ("analyze", "--family", "noisy_ghz4", "--param", "0.5", "--criterion", "v3", "--v", "nan", "--split", "1|2"),
+            ("analyze", "--family", "rho_d", "--param", "0.3", "--criterion", "v1", "--a", "inf"),
+            ("sweep", "--family", "noisy_ghz4", "--range", "0:1:0.25", "--criterion", "v3", "--v", "nan", "--split", "1|2"),
+            ("sweep", "--family", "rho_pq", "--range", "0:0.5:0.1", "--criterion", "v1", "--a", "inf"),
+            ("sweep", "--family", "ghz_w", "--range", "0:1:0.25", "--criterion", "v2", "--u", "inf", "--split", "1|2"),
+            ("threshold", "--family", "noisy_ghz4", "--bracket", "0:1", "--criterion", "v3", "--v", "inf", "--split", "1|2"),
         ],
     )
     def test_usage_errors_exit_2(self, args):

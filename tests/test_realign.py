@@ -21,7 +21,6 @@ from remoments import (
     sample_separable,
     singular_values,
     trace_norm,
-    vec,
 )
 
 
@@ -84,21 +83,6 @@ def partial_loop_12_3(rho, dims):
 
 
 BELL = pure_state(np.array([1, 0, 0, 1]) / math.sqrt(2), (2, 2))
-
-
-class TestVec:
-    def test_column_major(self):
-        out = vec(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert np.array_equal(out.ravel(), [1.0, 3.0, 2.0, 4.0])
-
-    def test_identity(self):
-        assert np.array_equal(vec(np.eye(2)).ravel(), [1.0, 0.0, 0.0, 1.0])
-
-    def test_row_becomes_column(self):
-        row = np.array([[1.0, 2.0, 3.0]])
-        out = vec(row)
-        assert out.shape == (3, 1) or out.shape == (3,)
-        assert np.array_equal(np.ravel(out), [1.0, 2.0, 3.0])
 
 
 class TestRealignBipartite:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_density
 from remoments import FAMILIES, DensityMatrix, StateValidationError, validate
@@ -34,38 +34,66 @@ DOMAINS = {
 
 @st.composite
 def family_params(draw):
+    """A family and parameters in its domain, mixed with off-domain and NaN ones."""
     name = draw(st.sampled_from(sorted(DOMAINS)))
     lo, hi = DOMAINS[name]
-    xs = draw(st.lists(st.floats(lo, hi), min_size=1, max_size=8))
+    inside = st.floats(lo, hi)
+    anywhere = st.one_of(inside, st.floats(-2.0, 2.0), st.just(math.nan), st.just(1e300))
+    xs = draw(st.lists(st.one_of(inside, inside, anywhere), min_size=1, max_size=8))
     return name, xs
+
+
+def _first_scalar_error(name, xs):
+    for x in xs:
+        try:
+            FAMILIES[name](x)
+        except ValueError as exc:
+            return exc
+    return None
 
 
 class TestFamilyStack:
     @given(family_params())
+    @example(("ghz_w", [0.5, 1.5, 0.25, -1.0]))
+    @example(("rho_eps", [1.0, math.nan, 2.0]))  # nan passes eps > 0, fails as NON_FINITE
+    @example(("rho_eps", [1.0, math.nan, -1.0]))  # validation error before a domain error
     def test_equals_scalar_constructors_bit_for_bit(self, case):
+        """The stack, or the error the scalar constructor loop raises first."""
         name, xs = case
-        fs = family_stack(name, xs)
-        assert fs.errors == [None] * len(xs)
-        assert fs.matrices.shape[0] == len(xs)
-        for x, m in zip(xs, fs.matrices):
+        expected = _first_scalar_error(name, xs)
+        if expected is not None:
+            with pytest.raises(ValueError) as exc:
+                family_stack(name, xs)
+            assert type(exc.value) is type(expected)
+            assert str(exc.value) == str(expected)
+            assert getattr(exc.value, "code", None) == getattr(expected, "code", None)
+            return
+        dims, matrices = family_stack(name, xs)
+        assert matrices.shape[0] == len(xs)
+        for x, m in zip(xs, matrices):
             scalar = FAMILIES[name](x)
-            assert fs.dims == scalar.dims
+            assert dims == scalar.dims
             assert m.tobytes() == scalar.matrix.tobytes()
 
     def test_domain_errors_per_parameter(self):
-        fs = family_stack("ghz_w", [0.5, 1.5, 0.25, -1.0])
-        assert [e is None for e in fs.errors] == [True, False, True, False]
-        assert str(fs.errors[1]) == "ghz_w requires 0 <= q <= 1, got 1.5"
-        assert fs.matrices.shape == (2, 8, 8)
-        assert fs.matrices[1].tobytes() == FAMILIES["ghz_w"](0.25).matrix.tobytes()
+        # The stack fails as a whole, with the first off-domain parameter's error.
+        with pytest.raises(ValueError) as exc:
+            family_stack("ghz_w", [0.5, 1.5, 0.25, -1.0])
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "ghz_w requires 0 <= q <= 1, got 1.5"
+        dims, matrices = family_stack("ghz_w", [0.5, 0.25])
+        assert matrices.shape == (2, 8, 8)
+        assert matrices[1].tobytes() == FAMILIES["ghz_w"](0.25).matrix.tobytes()
 
     def test_validation_error_recorded_at_its_parameter(self):
         # eps = nan passes the eps > 0 gate and fails validation instead.
-        fs = family_stack("rho_eps", [1.0, math.nan, 2.0])
-        assert fs.errors[0] is None and fs.errors[2] is None
-        assert isinstance(fs.errors[1], StateValidationError)
-        assert fs.errors[1].code == "NON_FINITE"
-        assert fs.matrices.shape == (2, 9, 9)
+        with pytest.raises(StateValidationError) as exc:
+            family_stack("rho_eps", [1.0, math.nan, 2.0])
+        assert exc.value.code == "NON_FINITE"
+        expected = _first_scalar_error("rho_eps", [math.nan])
+        assert str(exc.value) == str(expected)
+        dims, matrices = family_stack("rho_eps", [1.0, 2.0])
+        assert matrices.shape == (2, 9, 9)
 
     def test_unknown_family(self):
         with pytest.raises(KeyError):
@@ -199,6 +227,9 @@ THRESHOLD_GOLDEN = [
     (("--family", "noisy_ghz4", "--bracket", "0:1.5", "--criterion", "v3", "--v", "0.01",
       "--split", "1|2"), 3, "",
      "validation failure: noisy_ghz4 requires 0 <= x <= 1, got 1.5\n"),
+    # a missing flag at LO wins over the out-of-domain HI
+    (("--family", "noisy_ghz4", "--bracket", "0:1.5", "--criterion", "v3", "--v", "0.01"),
+     2, "", "error: criterion v3 requires --split\n"),
 ]
 
 
@@ -210,14 +241,14 @@ def test_threshold_golden(argv, code, out, err):
 def test_unvisited_nan_midpoints_do_not_raise(monkeypatch):
     """The stacked rounds do evaluate NaN points, and the solve still succeeds."""
     evaluated = []
-    outcomes = cli._family_outcomes
+    evaluate_stack = cli.evaluate_stack
 
-    def recording(family, xs, criterion, **flags):
-        result = outcomes(family, xs, criterion, **flags)
-        evaluated.extend(r[0].statistic for r in result if not isinstance(r, Exception))
+    def recording(matrices, dims, criterion, **flags):
+        result = evaluate_stack(matrices, dims, criterion, **flags)
+        evaluated.extend(verdict.statistic for verdict, _ in result)
         return result
 
-    monkeypatch.setattr(cli, "_family_outcomes", recording)
+    monkeypatch.setattr(cli, "evaluate_stack", recording)
     assert run_cli("threshold", *NAN_UNVISITED) == (0, "0.460899558067\n", "")
     assert any(math.isnan(x) for x in evaluated)
 
@@ -244,3 +275,11 @@ def test_sweep_chunk_boundaries(monkeypatch, chunk):
                              "--criterion", "v3", "--v", "0.5", "--split", "12|3")
     assert (code, out) == (3, "")
     assert err == "validation failure: ghz_w requires 0 <= q <= 1, got 1.1\n"
+
+
+def test_sweep_usage_error_before_later_domain_error():
+    # The chunk fails on the out-of-domain 1.1 first; redone point by point,
+    # the first point raises its usage error, as the point-by-point loop did.
+    code, out, err = run_cli("sweep", "--family", "ghz_w", "--range", "0.5:1.3:0.1",
+                             "--criterion", "v3", "--v", "0.5")
+    assert (code, out, err) == (2, "", "error: criterion v3 requires --split\n")
