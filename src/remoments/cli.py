@@ -21,11 +21,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .criteria import (
-    ENTANGLED,
     CriterionVerdict,
+    admissible_bounds,
     discriminant,
+    entangled,
     min_eigenvalue_verdict,
-    moment_verdict,
+    moment_statistics,
+    moment_verdicts,
     norm_verdict,
     transpose_party,
 )
@@ -37,7 +39,7 @@ from .states import (
     StateValidationError,
     family_stack,
     load_state,
-    sample_separable,
+    separable_stack,
     validate,
 )
 
@@ -142,17 +144,16 @@ def _family_state(family: str, param: float) -> DensityMatrix:
 
 def _split_spectra(
     matrices: np.ndarray, dims: tuple[int, ...], spec: RealignSpec
-) -> tuple[list[float], list[MomentSet]]:
-    """Per-matrix trace norms and moment sums of one split's realignment of a stack."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-matrix trace norms and moment sums T1, T2 of one split's realignment of a stack."""
     sv = singular_values(realign_array(matrices, dims, spec))
     t1, t2 = power_sums(sv)
-    msets = [MomentSet(t1=x, t2=y) for x, y in zip(t1.tolist(), t2.tolist())]
-    return sv.sum(axis=-1).tolist(), msets
+    return sv.sum(axis=-1), t1, t2
 
 
-def _min_eigenvalues(matrices: np.ndarray, dims: tuple[int, ...], party: int) -> list[float]:
+def _min_eigenvalues(matrices: np.ndarray, dims: tuple[int, ...], party: int) -> np.ndarray:
     """Per-matrix minimum eigenvalue of the partial transpose of a stack over `party`."""
-    return hermitian_eigenvalues(transpose_party(matrices, dims, party))[:, -1].tolist()
+    return hermitian_eigenvalues(transpose_party(matrices, dims, party))[:, -1]
 
 
 def evaluate_stack(
@@ -170,16 +171,17 @@ def evaluate_stack(
 
     The split is parsed once, the stack is realigned with one transpose and
     decomposed with one `singular_values` call (ppt: one partial transpose
-    and eigensolve), and each matrix gets its verdict plus, for v1/v2/v3,
-    the moment sums it was computed from.  Missing flags, bad splits or
-    parties and invalid or non-finite weights raise UsageError.
+    and eigensolve), the statistics come from one array call, and each
+    matrix gets its verdict plus, for v1/v2/v3, the moment sums it was
+    computed from.  Missing flags, bad splits or parties and invalid or
+    non-finite weights raise UsageError.
     """
     try:
         if criterion == "ppt":
             if party is None:
                 raise UsageError("criterion ppt requires --party")
             return [(min_eigenvalue_verdict(party, x), None)
-                    for x in _min_eigenvalues(matrices, dims, party)]
+                    for x in _min_eigenvalues(matrices, dims, party).tolist()]
         if criterion == "v1":
             if a is None:
                 raise UsageError("criterion v1 requires --a")
@@ -199,10 +201,11 @@ def evaluate_stack(
             raise UsageError(f"unknown criterion {criterion!r}; choose from {CRITERIA}")
         if criterion != "realign" and not math.isfinite(weight):
             raise UsageError(f"{flag} must be finite, got {weight!r}")
-        norms, msets = _split_spectra(matrices, dims, spec)
+        norms, t1, t2 = _split_spectra(matrices, dims, spec)
         if criterion == "realign":
-            return [(norm_verdict(x), None) for x in norms]
-        return [(moment_verdict(criterion, m, weight), m) for m in msets]
+            return [(norm_verdict(x), None) for x in norms.tolist()]
+        msets = [MomentSet(t1=x, t2=y) for x, y in zip(t1.tolist(), t2.tolist())]
+        return list(zip(moment_verdicts(criterion, t1, t2, weight), msets))
     except UsageError:
         raise
     except ValueError as exc:
@@ -530,11 +533,14 @@ def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
     which is exactly what this measures.  `worst_statistic` is the
     largest statistic seen (smallest for ppt), with the seed that made it.
 
-    Every sample is drawn and validated on its own, then up to
-    AUDIT_CHUNK of them are stacked: each split is realigned with one
-    transpose and decomposed with one stacked `singular_values` call, and
-    that spectrum serves every weight of v1/v2/v3 and the realign trace
-    norm.  ppt takes one stacked partial transpose and eigensolve per party.
+    Up to AUDIT_CHUNK samples are drawn and validated as one stack
+    (`separable_stack`).  Each split is realigned with one transpose and
+    decomposed with one stacked `singular_values` call; that spectrum and
+    the admissible bounds computed from it once serve every weight of
+    v1/v2/v3, each weight's statistics being one array, and the realign
+    trace norm.  ppt takes one stacked partial transpose and eigensolve
+    per party.  Each cell is tallied from its statistics array with masks,
+    the worst sample being the first index of the extreme value.
     """
     for criterion in cfg.criteria:
         if criterion not in CRITERIA:
@@ -543,58 +549,54 @@ def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
     splits = enumerate_splits(n)
     entries: dict[tuple, AuditEntry] = {}
 
-    def entry_for(criterion: str, parameter: float | None, split: str | None) -> AuditEntry:
+    def tally(
+        criterion: str, parameter: float | None, split: str | None, stats: np.ndarray, seeds: range
+    ) -> None:
         key = (criterion, parameter, split)
         if key not in entries:
             entries[key] = AuditEntry(criterion=criterion, parameter=parameter, split=split)
-        return entries[key]
+        ent = entries[key]
+        evaluated = np.flatnonzero(~np.isnan(stats))  # NaN: weight outside the admissible range
+        if not evaluated.size:
+            return
+        ent.evaluated += int(evaluated.size)
+        ent.violations += int(np.count_nonzero(entangled(criterion, stats)))
+        values = stats[evaluated]
+        lowest = criterion == "ppt"
+        i = int(evaluated[values.argmin() if lowest else values.argmax()])
+        stat = float(stats[i])
+        if math.isnan(ent.worst_statistic) or (
+            stat < ent.worst_statistic if lowest else stat > ent.worst_statistic
+        ):
+            ent.worst_statistic, ent.worst_seed = stat, seeds[i]
 
-    def record(ent: AuditEntry, verdict: CriterionVerdict, seed: int) -> None:
-        if math.isnan(verdict.statistic):
-            return  # weight outside the admissible range: not evaluated
-        ent.evaluated += 1
-        if verdict.outcome == ENTANGLED:
-            ent.violations += 1
-        stat = verdict.statistic
-        worse = (
-            math.isnan(ent.worst_statistic)
-            or (stat < ent.worst_statistic if ent.criterion == "ppt" else stat > ent.worst_statistic)
-        )
-        if worse:
-            ent.worst_statistic = stat
-            ent.worst_seed = seed
-
+    gated = "v1" in cfg.criteria or "v2" in cfg.criteria
     for start in range(0, cfg.num_states, AUDIT_CHUNK):
         seeds = range(cfg.seed + start, cfg.seed + min(cfg.num_states, start + AUDIT_CHUNK))
-        stack = np.stack([sample_separable(cfg.dims, cfg.num_terms, s).matrix for s in seeds])
-        spectra: dict[str, tuple[list[float], list[MomentSet]]] = {}
+        stack = separable_stack(cfg.dims, cfg.num_terms, seeds)
+        spectra: dict[str, tuple] = {}
 
-        def spectrum(spec: RealignSpec) -> tuple[list[float], list[MomentSet]]:
+        def spectrum(spec: RealignSpec) -> tuple:
             label = str(spec)
             if label not in spectra:
-                spectra[label] = _split_spectra(stack, cfg.dims, spec)
+                norms, t1, t2 = _split_spectra(stack, cfg.dims, spec)
+                spectra[label] = norms, t1, t2, admissible_bounds(t1, t2) if gated else None
             return spectra[label]
-
-        def tally(criterion: str, parameter: float | None, split: str | None, verdicts) -> None:
-            ent = entry_for(criterion, parameter, split)
-            for seed, verdict in zip(seeds, verdicts):
-                record(ent, verdict, seed)
 
         for criterion in cfg.criteria:
             if criterion == "ppt":
                 for party in range(1, n + 1):
-                    mins = _min_eigenvalues(stack, cfg.dims, party)
-                    tally("ppt", float(party), None, [min_eigenvalue_verdict(party, x) for x in mins])
+                    tally("ppt", float(party), None, _min_eigenvalues(stack, cfg.dims, party), seeds)
                 continue
             if criterion == "v1" and n != 2:
                 continue  # v1 is the two-party case, whose one split is 1|2
             for spec in splits:
-                norms, msets = spectrum(spec)
+                norms, t1, t2, bounds = spectrum(spec)
                 if criterion == "realign":
-                    tally("realign", None, str(spec), [norm_verdict(x) for x in norms])
+                    tally("realign", None, str(spec), norms, seeds)
                     continue
                 for w in cfg.params:
-                    tally(criterion, w, str(spec), [moment_verdict(criterion, m, w) for m in msets])
+                    tally(criterion, w, str(spec), moment_statistics(criterion, t1, t2, w, bounds), seeds)
     return list(entries.values())
 
 

@@ -126,18 +126,57 @@ def discriminant(m: MomentSet) -> float:
     positive splits the admissible weights into two intervals around the
     roots of the radicand.
     """
-    t1, t2 = m.t1, m.t2
-    return (t1 * t1 - t1) ** 2 - 2.0 * (t1 * t1 - t2) * t1 * t1
+    return _discriminant(m.t1, m.t2)
 
 
-def _radicand(m: MomentSet, a: float) -> float:
-    # F(a) = (T1^2 - T2) a^2 / 2 + (T1^2 - T1) a + T1^2
-    t1, t2 = m.t1, m.t2
-    return (t1 * t1 - t2) * a * a / 2.0 + (t1 * t1 - t1) * a + t1 * t1
+def _discriminant(t1, t2):
+    # Floats or arrays alike.  lin * lin, not lin ** 2: Python's float ** 2
+    # goes through libm pow, which is not always the correctly rounded square.
+    lin = t1 * t1 - t1
+    return lin * lin - 2.0 * (t1 * t1 - t2) * t1 * t1
 
 
-def admissible_range(m: MomentSet) -> AdmissibleRange:
-    """Weights a > 0 where the radicand F(a) stays nonnegative.
+def _one(m: MomentSet) -> tuple[np.ndarray, np.ndarray]:
+    return np.array([m.t1]), np.array([m.t2])
+
+
+@dataclass(frozen=True)
+class AdmissibleBounds:
+    """The v1/v2 admissible ranges of a stack of moment sums, as arrays.
+
+    For state i a weight a > 0 is admissible exactly when it is finite and
+    a <= low_end[i] or a >= high_start[i].  low_end is the closed upper end
+    of (0, low_end] (inf when every weight is admissible); high_start is
+    the closed lower end of [high_start, inf) (inf when there is no such
+    interval).
+    """
+
+    discriminant: np.ndarray
+    degenerate: np.ndarray
+    low_end: np.ndarray
+    high_start: np.ndarray
+
+    def admits(self, weight: float) -> np.ndarray:
+        """Mask of the states at which `weight` is admissible."""
+        return ((weight <= self.low_end) | (weight >= self.high_start)) & (weight < math.inf)
+
+    def at(self, i: int) -> AdmissibleRange:
+        """State i's range as intervals."""
+        low, high = float(self.low_end[i]), float(self.high_start[i])
+        degenerate = bool(self.degenerate[i])
+        if low == math.inf:
+            intervals = (Interval(0.0, math.inf, lo_closed=False, hi_closed=False),)
+        else:
+            intervals = ()
+            if low > 0.0 or degenerate:
+                intervals += (Interval(0.0, low, lo_closed=False, hi_closed=True),)
+            if high < math.inf:
+                intervals += (Interval(high, math.inf, lo_closed=True, hi_closed=False),)
+        return AdmissibleRange(intervals, float(self.discriminant[i]), degenerate)
+
+
+def admissible_bounds(t1: np.ndarray, t2: np.ndarray) -> AdmissibleBounds:
+    """Weights a > 0 where the radicand F(a) stays nonnegative, per state.
 
     The quadratic coefficient (T1^2 - T2)/2 is nonnegative for genuine
     moment sets.  Nondegenerate with a nonpositive discriminant: all of
@@ -147,32 +186,44 @@ def admissible_range(m: MomentSet) -> AdmissibleRange:
     tail decides, giving (0, inf) when T1^2 >= T1 and otherwise
     (0, T1^2/(T1 - T1^2)].
     """
-    t1, t2 = m.t1, m.t2
     quad = t1 * t1 - t2
     lin = t1 * t1 - t1
-    const = t1 * t1
-    disc = discriminant(m)
+    disc = _discriminant(t1, t2)
     degenerate = quad <= DEGENERATE_TOL
-    unbounded = Interval(0.0, math.inf, lo_closed=False, hi_closed=False)
-    if degenerate:
-        if lin >= 0.0:
-            intervals: tuple[Interval, ...] = (unbounded,)
-        else:
-            intervals = (Interval(0.0, const / (-lin), lo_closed=False, hi_closed=True),)
-        return AdmissibleRange(intervals=intervals, discriminant=disc, degenerate=True)
-    if disc <= 0.0:
-        return AdmissibleRange(intervals=(unbounded,), discriminant=disc, degenerate=False)
-    root = math.sqrt(disc)
-    lower = (-lin - root) / quad
-    upper = (-lin + root) / quad
-    pieces = []
-    if lower > 0.0:
-        pieces.append(Interval(0.0, lower, lo_closed=False, hi_closed=True))
-    if upper > 0.0:
-        pieces.append(Interval(upper, math.inf, lo_closed=True, hi_closed=False))
-    else:
-        pieces = [unbounded]
-    return AdmissibleRange(intervals=tuple(pieces), discriminant=disc, degenerate=False)
+    with np.errstate(divide="ignore", invalid="ignore"):  # only where unused
+        root = np.sqrt(disc)
+        lower = (-lin - root) / quad
+        upper = (-lin + root) / quad
+        tail = t1 * t1 / -lin
+    two_sided = ~degenerate & (disc > 0.0) & (upper > 0.0)
+    low_end = np.where(two_sided, lower, np.inf)
+    low_end = np.where(degenerate & (lin < 0.0), tail, low_end)
+    high_start = np.where(two_sided, upper, np.inf)
+    return AdmissibleBounds(disc, degenerate, low_end, high_start)
+
+
+def admissible_range(m: MomentSet) -> AdmissibleRange:
+    """One state's admissible weights: :func:`admissible_bounds` with N = 1."""
+    return admissible_bounds(*_one(m)).at(0)
+
+
+def v1_stack(t1: np.ndarray, t2: np.ndarray, a: float) -> np.ndarray:
+    """v1 of each state of a stack of moment sums; see :func:`v1`.
+
+    Raises the radicand ValueError of the first state whose radicand lies
+    below F_CLAMP.
+    """
+    if a <= 0.0:
+        raise ValueError(f"weight must be positive, got {a!r}")
+    # F(a) = (T1^2 - T2) a^2 / 2 + (T1^2 - T1) a + T1^2
+    f = (t1 * t1 - t2) * a * a / 2.0 + (t1 * t1 - t1) * a + t1 * t1
+    negative = np.flatnonzero(f < F_CLAMP)
+    if negative.size:
+        raise ValueError(
+            f"radicand {float(f[negative[0]]):.3e} is negative: "
+            f"weight {a!r} lies outside the admissible range"
+        )
+    return np.sqrt((2.0 / a) * ((1.0 + a / 2.0) * t1 + np.sqrt(np.maximum(f, 0.0))))
 
 
 def v1(m: MomentSet, a: float) -> float:
@@ -182,15 +233,16 @@ def v1(m: MomentSet, a: float) -> float:
     [-1e-12, 0) are endpoint rounding and clamp to zero, anything lower
     means `a` sits outside the admissible range and is an error.
     """
-    if a <= 0.0:
-        raise ValueError(f"weight must be positive, got {a!r}")
-    f = _radicand(m, a)
-    if f < F_CLAMP:
-        raise ValueError(
-            f"radicand {f:.3e} is negative: weight {a!r} lies outside the admissible range"
-        )
-    f = max(f, 0.0)
-    return math.sqrt((2.0 / a) * ((1.0 + a / 2.0) * m.t1 + math.sqrt(f)))
+    return float(v1_stack(*_one(m), a)[0])
+
+
+def v3_stack(t1: np.ndarray, t2: np.ndarray, v: float) -> np.ndarray:
+    """v3 of each state of a stack of moment sums; see :func:`v3`."""
+    if v < 0.0:
+        raise ValueError(f"weight must be nonnegative, got {v!r}")
+    inner = np.sqrt(t1 + (v * v + 2.0 * v) * t2) - v * np.sqrt(t2)
+    spread = np.maximum(2.0 * (t1 * t1 - t2), 0.0)
+    return np.sqrt(inner * inner + np.sqrt(spread))
 
 
 def v3(m: MomentSet, v: float) -> float:
@@ -200,51 +252,79 @@ def v3(m: MomentSet, v: float) -> float:
     No admissible-range gate; separable states stay at or below 1.  At
     v = 0 this is the limit value sqrt(T1 + sqrt(2 (T1^2 - T2))).
     """
-    if v < 0.0:
-        raise ValueError(f"weight must be nonnegative, got {v!r}")
-    t1, t2 = m.t1, m.t2
-    inner = math.sqrt(t1 + (v * v + 2.0 * v) * t2) - v * math.sqrt(t2)
-    spread = max(2.0 * (t1 * t1 - t2), 0.0)
-    return math.sqrt(inner * inner + math.sqrt(spread))
+    return float(v3_stack(*_one(m), v)[0])
+
+
+def moment_statistics(
+    criterion: str, t1: np.ndarray, t2: np.ndarray, weight: float,
+    bounds: AdmissibleBounds | None = None,
+) -> np.ndarray:
+    """Statistic of "v1", "v2" or "v3" at `weight` for each state of a stack.
+
+    v1 and v2 are NaN where `weight` is outside the state's admissible
+    range; pass the stack's `bounds` to reuse them across weights.
+    """
+    if criterion == "v3":
+        return v3_stack(t1, t2, weight)
+    ok = (admissible_bounds(t1, t2) if bounds is None else bounds).admits(weight)
+    stats = np.full(np.shape(t1), np.nan)
+    stats[ok] = v1_stack(t1[ok], t2[ok], weight)  # raises for a weight <= 0 even if none is admitted
+    return stats
+
+
+def entangled(criterion: str, statistic):
+    """Whether a statistic (float or array) flags entanglement.
+
+    ppt: a minimum eigenvalue below -PT_NEGATIVITY_TOL; every other
+    criterion: a statistic above 1 + DETECTION_SLACK.
+    """
+    if criterion == "ppt":
+        return statistic < -PT_NEGATIVITY_TOL
+    return statistic > 1.0 + DETECTION_SLACK
 
 
 def _threshold_verdict(
-    name: str, parameter: float | None, stat: float, admissible: AdmissibleRange | None = None
+    name: str, parameter: float | None, stat: float, admissible: AdmissibleRange | None = None,
+    note: str | None = None,
 ) -> CriterionVerdict:
-    outcome = ENTANGLED if stat > 1.0 + DETECTION_SLACK else INCONCLUSIVE
     return CriterionVerdict(
         criterion=name,
         parameter=parameter,
         statistic=stat,
         threshold=1.0,
-        outcome=outcome,
+        outcome=ENTANGLED if entangled(name, stat) else INCONCLUSIVE,
         admissible=admissible,
+        note=note,
     )
 
 
-def moment_verdict(criterion: str, m: MomentSet, weight: float) -> CriterionVerdict:
-    """Verdict of "v1", "v2" or "v3" at `weight` from the state's moment sums.
+def moment_verdicts(
+    criterion: str, t1: np.ndarray, t2: np.ndarray, weight: float
+) -> list[CriterionVerdict]:
+    """Verdicts of "v1", "v2" or "v3" at `weight`, one per state of a stack.
 
     v1 and v2 share one formula and differ only in which realignment the
     moments came from; both are gated by the admissible range and report
     a NaN statistic outside it.  v3 has no gate.
     """
     if criterion == "v3":
-        return _threshold_verdict("v3", weight, v3(m, weight))
-    rng = admissible_range(m)
-    if weight <= 0.0:
-        raise ValueError(f"weight must be positive, got {weight!r}")
-    if not rng.contains(weight):
-        return CriterionVerdict(
-            criterion=criterion,
-            parameter=weight,
-            statistic=float("nan"),
-            threshold=1.0,
-            outcome=INCONCLUSIVE,
-            admissible=rng,
-            note="parameter outside admissible range",
+        return [_threshold_verdict("v3", weight, x) for x in v3_stack(t1, t2, weight).tolist()]
+    bounds = admissible_bounds(t1, t2)
+    stats = moment_statistics(criterion, t1, t2, weight, bounds).tolist()
+    return [
+        _threshold_verdict(
+            criterion, weight, stat, bounds.at(i), None if ok else "parameter outside admissible range"
         )
-    return _threshold_verdict(criterion, weight, v1(m, weight), rng)
+        for i, (stat, ok) in enumerate(zip(stats, bounds.admits(weight).tolist()))
+    ]
+
+
+def moment_verdict(criterion: str, m: MomentSet, weight: float) -> CriterionVerdict:
+    """Verdict of "v1", "v2" or "v3" at `weight` from one state's moment sums.
+
+    :func:`moment_verdicts` with N = 1.
+    """
+    return moment_verdicts(criterion, *_one(m), weight)[0]
 
 
 def norm_verdict(norm: float) -> CriterionVerdict:
@@ -254,7 +334,7 @@ def norm_verdict(norm: float) -> CriterionVerdict:
 
 def min_eigenvalue_verdict(party: int, min_eig: float) -> CriterionVerdict:
     """PPT verdict from the minimum eigenvalue of the partial transpose."""
-    outcome = ENTANGLED if min_eig < -PT_NEGATIVITY_TOL else INCONCLUSIVE
+    outcome = ENTANGLED if entangled("ppt", min_eig) else INCONCLUSIVE
     return CriterionVerdict(
         criterion="ppt", parameter=float(party), statistic=min_eig, threshold=0.0, outcome=outcome
     )

@@ -24,13 +24,23 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=complex)
     if a.ndim != b.ndim or a.ndim not in (1, 2):
         raise ValueError("kron operands must both be vectors or both be matrices")
-    out_shape = tuple(da * db for da, db in zip(a.shape, b.shape))
+    kron_shape(a.shape, b.shape)
+    return np.kron(a, b)
+
+
+def kron_shape(a_shape: tuple[int, ...], b_shape: tuple[int, ...]) -> tuple[int, ...]:
+    """Shape of the Kronecker product of operands of these shapes.
+
+    Raises the "input too large" ValueError of :func:`kron` when an axis
+    exceeds MAX_KRON_DIM.
+    """
+    out_shape = tuple(da * db for da, db in zip(a_shape, b_shape))
     if any(d > MAX_KRON_DIM for d in out_shape):
         raise ValueError(
             f"kron output shape {out_shape} exceeds the supported size "
             f"{MAX_KRON_DIM}: input too large"
         )
-    return np.kron(a, b)
+    return out_shape
 
 
 def dagger(a: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ threshold (`noisy_ghz4`).
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import dagger, kron
+from .linalg import dagger, kron_shape
 
 VALIDATION_TOL = 1e-10
 
@@ -60,11 +61,7 @@ def validate(dm: DensityMatrix) -> DensityMatrix:
     Returns the input unchanged on success so constructors can end with
     ``return validate(...)``.  Tolerance is 1e-10 on every invariant.
     """
-    dims = tuple(int(d) for d in dm.dims)
-    if not dims or any(d <= 0 for d in dims):
-        raise StateValidationError(
-            "DIMENSION_MISMATCH", float("nan"), f"invalid factor dimensions {dm.dims}"
-        )
+    dims = _factor_dims(dm.dims)
     d = int(np.prod(dims))
     m = np.asarray(dm.matrix)
     if m.ndim != 2 or m.shape != (d, d):
@@ -75,6 +72,15 @@ def validate(dm: DensityMatrix) -> DensityMatrix:
         )
     validate_stack(m[None])
     return dm
+
+
+def _factor_dims(dims: Sequence[int]) -> tuple[int, ...]:
+    out = tuple(int(d) for d in dims)
+    if not out or any(d <= 0 for d in out):
+        raise StateValidationError(
+            "DIMENSION_MISMATCH", float("nan"), f"invalid factor dimensions {dims}"
+        )
+    return out
 
 
 def validate_stack(matrices: np.ndarray) -> np.ndarray:
@@ -313,24 +319,66 @@ def sample_separable(dims: Sequence[int], num_terms: int, seed: int) -> DensityM
     """Random separable state: a convex mixture of `num_terms` product kets.
 
     Weights are normalized exponentials; each factor ket is a normalized
-    complex Gaussian vector.  Deterministic for a fixed seed.
+    complex Gaussian vector.  Deterministic for a fixed seed; the one-seed
+    case of :func:`separable_stack`.
+    """
+    dims = tuple(int(d) for d in dims)
+    return DensityMatrix(dims=dims, matrix=separable_stack(dims, num_terms, [seed])[0])
+
+
+def separable_stack(dims: Sequence[int], num_terms: int, seeds: Sequence[int]) -> np.ndarray:
+    """The separable samples of `seeds` as one validated (N, D, D) stack.
+
+    Seed s draws from its own ``default_rng(s)``: `num_terms` exponential
+    weights, then per term the real and imaginary Gaussian parts of each
+    party's factor in party order, as one ``(num_terms, 2 * sum(dims))``
+    block.  Normalizing, tensoring and mixing the kets then run on the
+    whole stack with the arithmetic of a one-seed loop: each factor divided
+    by its ``np.linalg.norm``, the factors tensored in party order, and the
+    weighted outer products added in term order.  So each matrix is the
+    same bit for bit whatever the other seeds are.  Raises
+    what sampling the seeds one at a time raises first: the num_terms
+    ValueError, a negative seed's ValueError, or the kron "input too
+    large" ValueError when the dims product exceeds MAX_KRON_DIM.
     """
     dims = tuple(int(d) for d in dims)
     if num_terms < 1:
         raise ValueError(f"num_terms must be >= 1, got {num_terms!r}")
-    rng = np.random.default_rng(seed)
-    weights = rng.exponential(size=num_terms)
-    weights /= weights.sum()
-    d = int(np.prod(dims))
-    m = np.zeros((d, d), dtype=complex)
-    for w in weights:
-        ket = np.ones(1, dtype=complex)
-        for dk in dims:
-            factor = rng.standard_normal(dk) + 1j * rng.standard_normal(dk)
-            factor /= np.linalg.norm(factor)
-            ket = kron(ket, factor)
-        m += w * np.outer(ket, ket.conj())
-    return validate(DensityMatrix(dims=dims, matrix=m))
+    n, width = len(seeds), sum(dims)
+    weights = np.empty((n, num_terms))
+    normals = np.empty((n, num_terms, 2 * width))
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        if i == 0:  # errors a one-seed sampler raises after its seed check
+            functools.reduce(kron_shape, [(dk,) for dk in dims], (1,))
+            _factor_dims(dims)
+        w = rng.exponential(size=num_terms)
+        w /= w.sum()
+        weights[i] = w
+        rng.standard_normal(out=normals[i])
+    # Party p's real parts start at 2 * (its offset in the ket widths); its
+    # imaginary parts follow them.
+    offsets = np.cumsum((0,) + dims[:-1])
+    real_at = np.concatenate([2 * o + np.arange(dk) for o, dk in zip(offsets, dims)])
+    factors = normals[..., real_at] + 1j * normals[..., real_at + np.repeat(dims, dims)]
+    ket = None
+    for o, dk in zip(offsets, dims):
+        f = factors[..., o:o + dk]
+        # np.linalg.norm's arithmetic: one BLAS dot each on the strided real and imaginary views.
+        re, im = f.real, f.imag
+        f /= np.sqrt(re[..., None, :] @ re[..., :, None] + im[..., None, :] @ im[..., :, None])[..., 0]
+        if ket is None:
+            ket = f
+        else:
+            ket = (ket[..., :, None] * f[..., None, :]).reshape(n, num_terms, ket.shape[-1] * dk)
+    d = ket.shape[-1]
+    m = np.zeros((n, d, d), dtype=complex)
+    for t in range(num_terms):
+        kt = ket[:, t]
+        outer = kt[:, :, None] * kt.conj()[:, None, :]
+        np.multiply(weights[:, t, None, None], outer, out=outer)
+        m += outer
+    return validate_stack(m)
 
 
 # Parameterized families the CLI can build directly.

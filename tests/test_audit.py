@@ -63,7 +63,7 @@ def assert_same_report(got, want):
             assert abs(g.worst_statistic - w.worst_statistic) <= 1e-12
 
 
-@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 2, 2)])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 2, 2), (4, 4), (3, 2, 2)])
 @pytest.mark.parametrize("num_terms", [1, 2, 3])
 @pytest.mark.parametrize("seed", [0, 4242])
 def test_matches_scalar_loop(dims, num_terms, seed):
@@ -95,3 +95,23 @@ def test_chunk_boundaries(monkeypatch):
     chunked = run_audit(cfg)
     assert_same_report(chunked, whole)
     assert_same_report(chunked, reference_audit(cfg))
+
+
+@pytest.mark.parametrize("chunk", [4, 5])
+def test_ties_across_chunks_keep_the_first_seed(monkeypatch, chunk):
+    """Pure products tie exactly on v1; the worst seed is the first sample to reach the maximum.
+
+    With 4-sample chunks the first tied sample ends a chunk; with 5 it
+    shares its chunk with the next tied one.
+    """
+    cfg = AuditConfig(
+        dims=(2, 2), num_states=12, num_terms=1, seed=14, criteria=("v1",), params=(0.5,),
+    )
+    stats = [verdict_v1(sample_separable(cfg.dims, 1, cfg.seed + i), 0.5).statistic for i in range(12)]
+    tied = [i for i, x in enumerate(stats) if x == max(stats)]
+    assert len({i // chunk for i in tied}) >= 2  # the tie spans a chunk boundary
+    monkeypatch.setattr(cli, "AUDIT_CHUNK", chunk)
+    (entry,) = run_audit(cfg)
+    assert entry.worst_statistic == max(stats)
+    assert entry.worst_seed == cfg.seed + tied[0]
+    assert_same_report([entry], reference_audit(cfg))
