@@ -12,23 +12,29 @@ bad flags, 3 state validation failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import sys
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .criteria import (
+    ENTANGLED,
+    INCONCLUSIVE,
+    AdmissibleBounds,
     CriterionVerdict,
     admissible_bounds,
     discriminant,
     entangled,
     min_eigenvalue_verdict,
     moment_statistics,
-    moment_verdicts,
+    moment_verdict,
     norm_verdict,
+    threshold_of,
     transpose_party,
 )
 from .linalg import MAX_KRON_DIM, hermitian_eigenvalues, singular_values
@@ -66,16 +72,6 @@ MAX_GRID_POINTS = 100_000
 
 CRITERIA = ("v1", "v2", "v3", "realign", "ppt")
 
-SWEEP_HEADER = (
-    "state_param",
-    "criterion",
-    "criterion_param",
-    "statistic",
-    "admissible_low",
-    "admissible_high",
-    "outcome",
-)
-
 
 class UsageError(ValueError):
     """Bad flags or malformed input; maps to exit code 2."""
@@ -85,9 +81,8 @@ class ValidationFailure(Exception):
     """State failed an invariant or family domain check; exit code 3."""
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One CSV row of a parameter sweep."""
+class SweepRow(NamedTuple):
+    """One CSV row of a parameter sweep (a tuple: a sweep builds one per grid point)."""
 
     state_param: float
     criterion: str
@@ -98,17 +93,13 @@ class SweepRow:
     outcome: str
 
 
+SWEEP_HEADER = SweepRow._fields
+
+
 def _fmt(x: float | None) -> str:
     if x is None:
         return ""
     return format(float(x), ".12g")
-
-
-def _parse_split(text: str) -> RealignSpec:
-    try:
-        return RealignSpec.parse(text)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _build_state(args: argparse.Namespace) -> DensityMatrix:
@@ -130,14 +121,20 @@ def _build_state(args: argparse.Namespace) -> DensityMatrix:
         raise UsageError("one of --family or --state is required")
     if args.param is None:
         raise UsageError("--family requires --param")
-    return _family_state(args.family, args.param)
+    dims, matrices = _family_stack(args.family, [args.param])
+    return DensityMatrix(dims=dims, matrix=matrices[0])
 
 
-def _family_state(family: str, param: float) -> DensityMatrix:
+def _family_stack(family: str, xs: list[float]) -> tuple[tuple[int, ...], np.ndarray]:
+    """:func:`family_stack`, all or nothing, with CLI errors.
+
+    An unknown family raises UsageError; a member outside the family's
+    domain or failing validation raises ValidationFailure.
+    """
     try:
-        return FAMILIES[family](param)
+        return family_stack(family, xs)
     except KeyError:
-        raise UsageError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
+        raise UsageError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}") from None
     except ValueError as exc:
         raise ValidationFailure(str(exc)) from exc
 
@@ -156,6 +153,33 @@ def _min_eigenvalues(matrices: np.ndarray, dims: tuple[int, ...], party: int) ->
     return hermitian_eigenvalues(transpose_party(matrices, dims, party))[:, -1]
 
 
+def _party_min_eigenvalues(matrices: np.ndarray, dims: tuple[int, ...]) -> list[np.ndarray]:
+    """:func:`_min_eigenvalues` over each party in turn.
+
+    Two parties share one eigensolve: rho^T2 = (rho^T1)^T has the spectrum
+    of rho^T1, and LAPACK returns it bit for bit.
+    """
+    first = _min_eigenvalues(matrices, dims, 1)
+    return [first] + [first if len(dims) == 2 else _min_eigenvalues(matrices, dims, p)
+                      for p in range(2, len(dims) + 1)]
+
+
+class StackEvaluation(NamedTuple):
+    """One criterion evaluated on every matrix of a stack, as arrays.
+
+    `statistic` is NaN where a v1/v2 weight is not admissible; `parameter`
+    is the weight, the party as a float (ppt) or None (realign).  v1/v2/v3
+    carry their moment sums and v1/v2 their admissible bounds.
+    """
+
+    criterion: str
+    parameter: float | None
+    statistic: np.ndarray
+    t1: np.ndarray | None = None
+    t2: np.ndarray | None = None
+    bounds: AdmissibleBounds | None = None
+
+
 def evaluate_stack(
     matrices: np.ndarray,
     dims: tuple[int, ...],
@@ -164,24 +188,22 @@ def evaluate_stack(
     a: float | None = None,
     u: float | None = None,
     v: float | None = None,
-    split: str | None = None,
+    split: str | RealignSpec | None = None,
     party: int | None = None,
-) -> list[tuple[CriterionVerdict, MomentSet | None]]:
+) -> StackEvaluation:
     """Evaluate one criterion on every matrix of a (N, D, D) stack over `dims`.
 
-    The split is parsed once, the stack is realigned with one transpose and
-    decomposed with one `singular_values` call (ppt: one partial transpose
-    and eigensolve), the statistics come from one array call, and each
-    matrix gets its verdict plus, for v1/v2/v3, the moment sums it was
-    computed from.  Missing flags, bad splits or parties and invalid or
-    non-finite weights raise UsageError.
+    The split is parsed unless it already is a RealignSpec, the stack is
+    realigned with one transpose and decomposed with one `singular_values`
+    call (ppt: one partial transpose and eigensolve), and the statistics
+    come from one array call.  Missing flags, bad splits or parties and
+    invalid or non-finite weights raise UsageError.
     """
     try:
         if criterion == "ppt":
             if party is None:
                 raise UsageError("criterion ppt requires --party")
-            return [(min_eigenvalue_verdict(party, x), None)
-                    for x in _min_eigenvalues(matrices, dims, party).tolist()]
+            return StackEvaluation("ppt", float(party), _min_eigenvalues(matrices, dims, party))
         if criterion == "v1":
             if a is None:
                 raise UsageError("criterion v1 requires --a")
@@ -193,7 +215,7 @@ def evaluate_stack(
         elif criterion in ("v2", "v3", "realign"):
             if split is None:
                 raise UsageError(f"criterion {criterion} requires --split")
-            spec = _parse_split(split)
+            spec = split if isinstance(split, RealignSpec) else RealignSpec.parse(split)
             weight, flag = (u, "--u") if criterion == "v2" else (v, "--v")
             if weight is None and criterion != "realign":
                 raise UsageError(f"criterion {criterion} requires {flag}")
@@ -203,9 +225,10 @@ def evaluate_stack(
             raise UsageError(f"{flag} must be finite, got {weight!r}")
         norms, t1, t2 = _split_spectra(matrices, dims, spec)
         if criterion == "realign":
-            return [(norm_verdict(x), None) for x in norms.tolist()]
-        msets = [MomentSet(t1=x, t2=y) for x, y in zip(t1.tolist(), t2.tolist())]
-        return list(zip(moment_verdicts(criterion, t1, t2, weight), msets))
+            return StackEvaluation("realign", None, norms)
+        bounds = None if criterion == "v3" else admissible_bounds(t1, t2)
+        stats = moment_statistics(criterion, t1, t2, weight, bounds)
+        return StackEvaluation(criterion, weight, stats, t1, t2, bounds)
     except UsageError:
         raise
     except ValueError as exc:
@@ -222,25 +245,31 @@ def evaluate_criterion(
     moment sums it was computed from, so callers that report T1/T2 take
     the spectrum only once.
     """
-    return evaluate_stack(np.asarray(dm.matrix)[None], dm.dims, criterion, **flags)[0]
+    ev = evaluate_stack(np.asarray(dm.matrix)[None], dm.dims, criterion, **flags)
+    if ev.criterion == "ppt":
+        return min_eigenvalue_verdict(ev.parameter, float(ev.statistic[0])), None
+    if ev.criterion == "realign":
+        return norm_verdict(float(ev.statistic[0])), None
+    mset = MomentSet(t1=float(ev.t1[0]), t2=float(ev.t2[0]))
+    return moment_verdict(ev.criterion, mset, ev.parameter), mset
 
 
-def _family_verdicts(
-    family: str, xs: list[float], criterion: str, **flags
-) -> list[tuple[CriterionVerdict, MomentSet | None]]:
-    """Build family members at `xs` as one stack and evaluate them together.
+def _family_evaluation(family: str, xs: list[float], criterion: str, **flags) -> StackEvaluation:
+    """Family members at `xs` built as one stack and evaluated together, all or nothing."""
+    dims, matrices = _family_stack(family, xs)
+    return evaluate_stack(matrices, dims, criterion, **flags)
 
-    All or nothing: an unknown family raises UsageError, a member outside
-    the family's domain or failing validation raises ValidationFailure, and
-    otherwise this returns or raises what :func:`evaluate_stack` does.
+
+def _split_once(split: str | None) -> str | RealignSpec | None:
+    """`split` parsed once for the many evaluations of one request.
+
+    Text that does not parse is returned as is, so that the evaluation
+    that reaches it raises its error, in the order it always did.
     """
     try:
-        dims, matrices = family_stack(family, xs)
-    except KeyError:
-        raise UsageError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}") from None
-    except ValueError as exc:
-        raise ValidationFailure(str(exc)) from exc
-    return evaluate_stack(matrices, dims, criterion, **flags)
+        return split if split is None else RealignSpec.parse(split)
+    except ValueError:
+        return split
 
 
 def _format_admissible(verdict: CriterionVerdict) -> str:
@@ -312,16 +341,23 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_grid(text: str) -> list[float]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise UsageError(f"range {text!r} must be LO:HI:STEP")
+def _parse_floats(text: str, what: str, names: tuple[str, ...]) -> list[float]:
+    """The finite numbers of a colon-separated `what` like "LO:HI", or UsageError."""
+    parts, form = text.split(":"), ":".join(names)
+    if len(parts) != len(names):
+        raise UsageError(f"{what} {text!r} must be {form}")
     try:
-        lo, hi, step = (float(x) for x in parts)
+        values = [float(x) for x in parts]
     except ValueError as exc:
-        raise UsageError(f"range {text!r} must be numeric LO:HI:STEP") from exc
-    if not all(math.isfinite(x) for x in (lo, hi, step)):
-        raise UsageError(f"range {text!r} must have finite LO, HI and STEP")
+        raise UsageError(f"{what} {text!r} must be numeric {form}") from exc
+    if not all(math.isfinite(x) for x in values):
+        ends = f"{', '.join(names[:-1])} and {names[-1]}"
+        raise UsageError(f"{what} {text!r} must have finite {ends}")
+    return values
+
+
+def _parse_grid(text: str) -> list[float]:
+    lo, hi, step = _parse_floats(text, "range", ("LO", "HI", "STEP"))
     if step <= 0.0 or hi < lo:
         raise UsageError("range requires STEP > 0 and HI >= LO")
     pts = []
@@ -339,23 +375,28 @@ def _parse_grid(text: str) -> list[float]:
     return pts
 
 
-def _verdict_row(state_param: float, verdict: CriterionVerdict) -> SweepRow:
-    low = high = None
-    if verdict.admissible is not None:
-        ends = verdict.admissible.finite_endpoints()
-        if len(ends) >= 1:
-            low = ends[0]
-        if len(ends) >= 2:
-            high = ends[1]
-    return SweepRow(
-        state_param=state_param,
-        criterion=verdict.criterion,
-        criterion_param=verdict.parameter,
-        statistic=verdict.statistic,
-        admissible_low=low,
-        admissible_high=high,
-        outcome=verdict.outcome,
-    )
+def _sweep_rows(xs: list[float], ev: StackEvaluation) -> list[SweepRow]:
+    """One CSV row per state parameter of an evaluated stack.
+
+    The admissible columns hold the finite positive ends, ascending, of
+    (0, low_end] and [high_start, inf): both only for the two roots of one
+    quadratic, low_end <= high_start, and neither when every weight is
+    admissible (low_end and high_start both inf).
+    """
+    lows = highs = [None] * len(xs)
+    if ev.bounds is not None:
+        low, high = ev.bounds.low_end, ev.bounds.high_start
+        has_low = (low > 0.0) & (low < math.inf)
+        has_high = (high > 0.0) & (high < math.inf)
+        first = np.where(has_low, low, high).tolist()
+        lows = [x if ok else None for x, ok in zip(first, (has_low | has_high).tolist())]
+        highs = [x if ok else None for x, ok in zip(high.tolist(), (has_low & has_high).tolist())]
+    flagged = entangled(ev.criterion, ev.statistic).tolist()
+    outcomes = [ENTANGLED if e else INCONCLUSIVE for e in flagged]
+    return [
+        SweepRow(x, ev.criterion, ev.parameter, stat, lo, hi, outcome)
+        for x, stat, lo, hi, outcome in zip(xs, ev.statistic.tolist(), lows, highs, outcomes)
+    ]
 
 
 def sweep_rows(
@@ -375,15 +416,15 @@ def sweep_rows(
     stack.  A chunk that fails is redone point by point, so the error raised
     is the one the point-by-point loop raises first.
     """
-    flags = dict(a=a, u=u, v=v, split=split, party=party)
+    flags = dict(a=a, u=u, v=v, split=_split_once(split), party=party)
     rows = []
     for start in range(0, len(grid), SWEEP_CHUNK):
         chunk = grid[start:start + SWEEP_CHUNK]
         try:
-            verdicts = _family_verdicts(family, chunk, criterion, **flags)
+            rows += _sweep_rows(chunk, _family_evaluation(family, chunk, criterion, **flags))
         except (UsageError, ValidationFailure):
-            verdicts = [_family_verdicts(family, [x], criterion, **flags)[0] for x in chunk]
-        rows += [_verdict_row(x, verdict) for x, (verdict, _) in zip(chunk, verdicts)]
+            for x in chunk:
+                rows += _sweep_rows([x], _family_evaluation(family, [x], criterion, **flags))
     return rows
 
 
@@ -391,18 +432,10 @@ def write_sweep_csv(fh, rows: list[SweepRow]) -> None:
     """Fixed header, 12-significant-digit numbers, one row per grid point."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(SWEEP_HEADER)
-    for r in rows:
-        writer.writerow(
-            [
-                _fmt(r.state_param),
-                r.criterion,
-                _fmt(r.criterion_param),
-                _fmt(r.statistic),
-                _fmt(r.admissible_low),
-                _fmt(r.admissible_high),
-                r.outcome,
-            ]
-        )
+    writer.writerows(
+        (_fmt(r.state_param), r.criterion, _fmt(r.criterion_param), _fmt(r.statistic),
+         _fmt(r.admissible_low), _fmt(r.admissible_high), r.outcome) for r in rows
+    )
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -439,24 +472,16 @@ def _midpoint_tree(lo: float, hi: float) -> list[float]:
 
 
 def cmd_threshold(args: argparse.Namespace) -> int:
-    parts = args.bracket.split(":")
-    if len(parts) != 2:
-        raise UsageError(f"bracket {args.bracket!r} must be LO:HI")
-    try:
-        lo, hi = (float(x) for x in parts)
-    except ValueError as exc:
-        raise UsageError(f"bracket {args.bracket!r} must be numeric LO:HI") from exc
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise UsageError(f"bracket {args.bracket!r} must have finite LO and HI")
+    lo, hi = _parse_floats(args.bracket, "bracket", ("LO", "HI"))
     if hi <= lo:
         raise UsageError("bracket requires HI > LO")
-    flags = dict(a=args.a, u=args.u, v=args.v, split=args.split, party=args.party)
+    flags = dict(a=args.a, u=args.u, v=args.v, split=_split_once(args.split), party=args.party)
     # State parameter -> offset from the threshold; NaN where the statistic is undefined.
     table: dict[float, float] = {}
 
     def offsets(xs: list[float]) -> dict[float, float]:
-        verdicts = _family_verdicts(args.family, xs, args.criterion, **flags)
-        return {x: v.statistic - v.threshold for x, (v, _) in zip(xs, verdicts)}
+        ev = _family_evaluation(args.family, xs, args.criterion, **flags)
+        return dict(zip(xs, (ev.statistic - threshold_of(ev.criterion)).tolist()))
 
     def prefetch(xs: list[float]) -> None:
         try:
@@ -539,8 +564,9 @@ def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
     the admissible bounds computed from it once serve every weight of
     v1/v2/v3, each weight's statistics being one array, and the realign
     trace norm.  ppt takes one stacked partial transpose and eigensolve
-    per party.  Each cell is tallied from its statistics array with masks,
-    the worst sample being the first index of the extreme value.
+    per party, a single one for two parties.  Each cell is tallied from
+    its statistics array with masks, the worst sample being the first
+    index of the extreme value.
     """
     for criterion in cfg.criteria:
         if criterion not in CRITERIA:
@@ -585,8 +611,8 @@ def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
 
         for criterion in cfg.criteria:
             if criterion == "ppt":
-                for party in range(1, n + 1):
-                    tally("ppt", float(party), None, _min_eigenvalues(stack, cfg.dims, party), seeds)
+                for party, min_eigs in enumerate(_party_min_eigenvalues(stack, cfg.dims), 1):
+                    tally("ppt", float(party), None, min_eigs, seeds)
                 continue
             if criterion == "v1" and n != 2:
                 continue  # v1 is the two-party case, whose one split is 1|2
@@ -683,56 +709,89 @@ def _add_criterion_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--party", type=int, help="1-based party index (ppt)")
 
 
+def _analyze_flags(sp: argparse.ArgumentParser) -> None:
+    _add_state_flags(sp)
+    _add_criterion_flags(sp)
+    sp.add_argument("--out", help="also write the verdict as JSON to this path")
+    sp.set_defaults(func=cmd_analyze)
+
+
+def _sweep_flags(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--family", required=True, choices=sorted(FAMILIES))
+    sp.add_argument(
+        "--range", required=True, dest="range_spec", metavar="LO:HI:STEP",
+        help="closed state-parameter grid, both endpoints included",
+    )
+    _add_criterion_flags(sp)
+    sp.add_argument("--out", help="CSV output path (default: stdout)")
+    sp.set_defaults(func=cmd_sweep)
+
+
+def _threshold_flags(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--family", required=True, choices=sorted(FAMILIES))
+    sp.add_argument(
+        "--bracket", required=True, metavar="LO:HI",
+        help="state-parameter bracket that must straddle the threshold",
+    )
+    _add_criterion_flags(sp)
+    sp.set_defaults(func=cmd_threshold)
+
+
+def _audit_flags(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--dims", required=True, help='party dimensions, e.g. "2,2" or "3,3"')
+    sp.add_argument("--num-states", type=int, default=200)
+    sp.add_argument("--num-terms", type=int, default=3)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument(
+        "--criteria", default="realign,v3,ppt",
+        help=f"comma list from {','.join(CRITERIA)}",
+    )
+    sp.add_argument("--params", default="0.01,0.5,1,5", help="comma list of weights")
+    sp.add_argument("--out", help="also write the report as JSON to this path")
+    sp.set_defaults(func=cmd_audit)
+
+
+# name -> (help line, flags), in the order of the usage line
+SUBCOMMANDS = {
+    "analyze": ("evaluate one criterion on one state", _analyze_flags),
+    "sweep": ("evaluate a criterion across a family grid -> CSV", _sweep_flags),
+    "threshold": ("bisect a statistic/threshold crossing", _threshold_flags),
+    "audit": ("run criteria against random separable states", _audit_flags),
+}
+
+
+class _QuietParser(argparse.ArgumentParser):
+    """Raises every argparse error unprinted (exit_on_error=False covers only some)."""
+
+    def error(self, message: str):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="remoments",
         description="Entanglement detection from realignment moments of density matrices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    pa = sub.add_parser("analyze", help="evaluate one criterion on one state")
-    _add_state_flags(pa)
-    _add_criterion_flags(pa)
-    pa.add_argument("--out", help="also write the verdict as JSON to this path")
-    pa.set_defaults(func=cmd_analyze)
-
-    ps = sub.add_parser("sweep", help="evaluate a criterion across a family grid -> CSV")
-    ps.add_argument("--family", required=True, choices=sorted(FAMILIES))
-    ps.add_argument(
-        "--range", required=True, dest="range_spec", metavar="LO:HI:STEP",
-        help="closed state-parameter grid, both endpoints included",
-    )
-    _add_criterion_flags(ps)
-    ps.add_argument("--out", help="CSV output path (default: stdout)")
-    ps.set_defaults(func=cmd_sweep)
-
-    pt = sub.add_parser("threshold", help="bisect a statistic/threshold crossing")
-    pt.add_argument("--family", required=True, choices=sorted(FAMILIES))
-    pt.add_argument(
-        "--bracket", required=True, metavar="LO:HI",
-        help="state-parameter bracket that must straddle the threshold",
-    )
-    _add_criterion_flags(pt)
-    pt.set_defaults(func=cmd_threshold)
-
-    pd = sub.add_parser("audit", help="run criteria against random separable states")
-    pd.add_argument("--dims", required=True, help='party dimensions, e.g. "2,2" or "3,3"')
-    pd.add_argument("--num-states", type=int, default=200)
-    pd.add_argument("--num-terms", type=int, default=3)
-    pd.add_argument("--seed", type=int, default=0)
-    pd.add_argument(
-        "--criteria", default="realign,v3,ppt",
-        help=f"comma list from {','.join(CRITERIA)}",
-    )
-    pd.add_argument("--params", default="0.01,0.5,1,5", help="comma list of weights")
-    pd.add_argument("--out", help="also write the report as JSON to this path")
-    pd.set_defaults(func=cmd_audit)
+    for name, (help_text, add_flags) in SUBCOMMANDS.items():
+        add_flags(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = None
+    if argv and argv[0] in SUBCOMMANDS:
+        # The invoked subcommand's parser alone, with the prog the full parser
+        # gives it, takes a fifth to a third of the time of all four and
+        # prints the same help.  Its errors are left to the full parser,
+        # whose usage line lists every subcommand.
+        parser = _QuietParser(prog=f"remoments {argv[0]}")
+        SUBCOMMANDS[argv[0]][1](parser)
+        with contextlib.suppress(argparse.ArgumentError):
+            args = parser.parse_args(argv[1:])
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -283,6 +283,11 @@ def entangled(criterion: str, statistic):
     return statistic > 1.0 + DETECTION_SLACK
 
 
+def threshold_of(criterion: str) -> float:
+    """The value a criterion's statistic is compared with: 0 for ppt, 1 otherwise."""
+    return 0.0 if criterion == "ppt" else 1.0
+
+
 def _threshold_verdict(
     name: str, parameter: float | None, stat: float, admissible: AdmissibleRange | None = None,
     note: str | None = None,
@@ -291,40 +296,27 @@ def _threshold_verdict(
         criterion=name,
         parameter=parameter,
         statistic=stat,
-        threshold=1.0,
+        threshold=threshold_of(name),
         outcome=ENTANGLED if entangled(name, stat) else INCONCLUSIVE,
         admissible=admissible,
         note=note,
     )
 
 
-def moment_verdicts(
-    criterion: str, t1: np.ndarray, t2: np.ndarray, weight: float
-) -> list[CriterionVerdict]:
-    """Verdicts of "v1", "v2" or "v3" at `weight`, one per state of a stack.
+def moment_verdict(criterion: str, m: MomentSet, weight: float) -> CriterionVerdict:
+    """Verdict of "v1", "v2" or "v3" at `weight` from one state's moment sums.
 
     v1 and v2 share one formula and differ only in which realignment the
     moments came from; both are gated by the admissible range and report
     a NaN statistic outside it.  v3 has no gate.
     """
-    if criterion == "v3":
-        return [_threshold_verdict("v3", weight, x) for x in v3_stack(t1, t2, weight).tolist()]
-    bounds = admissible_bounds(t1, t2)
-    stats = moment_statistics(criterion, t1, t2, weight, bounds).tolist()
-    return [
-        _threshold_verdict(
-            criterion, weight, stat, bounds.at(i), None if ok else "parameter outside admissible range"
-        )
-        for i, (stat, ok) in enumerate(zip(stats, bounds.admits(weight).tolist()))
-    ]
-
-
-def moment_verdict(criterion: str, m: MomentSet, weight: float) -> CriterionVerdict:
-    """Verdict of "v1", "v2" or "v3" at `weight` from one state's moment sums.
-
-    :func:`moment_verdicts` with N = 1.
-    """
-    return moment_verdicts(criterion, *_one(m), weight)[0]
+    t1, t2 = _one(m)
+    bounds = None if criterion == "v3" else admissible_bounds(t1, t2)
+    stat = float(moment_statistics(criterion, t1, t2, weight, bounds)[0])
+    if bounds is None:
+        return _threshold_verdict("v3", weight, stat)
+    note = None if bounds.admits(weight)[0] else "parameter outside admissible range"
+    return _threshold_verdict(criterion, weight, stat, bounds.at(0), note)
 
 
 def norm_verdict(norm: float) -> CriterionVerdict:
@@ -334,10 +326,7 @@ def norm_verdict(norm: float) -> CriterionVerdict:
 
 def min_eigenvalue_verdict(party: int, min_eig: float) -> CriterionVerdict:
     """PPT verdict from the minimum eigenvalue of the partial transpose."""
-    outcome = ENTANGLED if entangled("ppt", min_eig) else INCONCLUSIVE
-    return CriterionVerdict(
-        criterion="ppt", parameter=float(party), statistic=min_eig, threshold=0.0, outcome=outcome
-    )
+    return _threshold_verdict("ppt", float(party), min_eig)
 
 
 def verdict_v1(dm: DensityMatrix, a: float) -> CriterionVerdict:

@@ -410,7 +410,11 @@ def from_json_dict(obj: object) -> DensityMatrix:
     if not isinstance(obj, dict):
         raise ValueError("state JSON must be an object with 'dims' and 'matrix'")
     try:
-        dims = tuple(int(d) for d in obj["dims"])
+        dims = tuple(obj["dims"])
+        bad = [d for d in dims if not (type(d) is int or type(d) is float and d.is_integer())]
+        if bad:  # int() would truncate 2.5 to 2 and read true, a bool, as 1
+            raise ValueError(f"dims entry {json.dumps(bad[0])} is not an integer")
+        dims = tuple(int(d) for d in dims)
         rows = obj["matrix"]
         d = int(np.prod(dims))
         m = np.zeros((d, d), dtype=complex)

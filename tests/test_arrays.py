@@ -36,7 +36,6 @@ from remoments.criteria import (
     entangled,
     moment_statistics,
     moment_verdict,
-    moment_verdicts,
     v1_stack,
     v3_stack,
 )
@@ -281,15 +280,12 @@ class TestMomentArrays:
             want, error = first_error(frozen_moment_verdict, [(criterion, m, weight) for m in msets])
             if error is not None:
                 assert_raises_same(error, lambda: moment_statistics(criterion, t1, t2, weight, bounds))
-                assert_raises_same(error, lambda: moment_verdicts(criterion, t1, t2, weight))
                 continue
             stats = moment_statistics(criterion, t1, t2, weight, bounds)
             assert np.isnan(stats).tolist() == [math.isnan(v.statistic) for v in want]
             for got, w in zip(stats.tolist(), want):
                 assert_same_float(got, w.statistic)
             assert (entangled(criterion, stats) == [v.outcome == "ENTANGLED" for v in want]).all()
-            for got, w in zip(moment_verdicts(criterion, t1, t2, weight), want):
-                assert_same_verdict(got, w)
             for m, w in zip(msets, want):
                 assert_same_verdict(moment_verdict(criterion, m, weight), w)
         for stack_fn, fn, frozen in ((v1_stack, v1, frozen_v1), (v3_stack, v3, frozen_v3)):

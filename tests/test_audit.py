@@ -15,6 +15,8 @@ from remoments import (
 )
 from remoments import cli
 from remoments.cli import AuditConfig, AuditEntry, run_audit
+from remoments.states import separable_stack
+from test_cli import run_cli
 
 ALL_CRITERIA = ("v1", "v2", "v3", "realign", "ppt")
 
@@ -115,3 +117,28 @@ def test_ties_across_chunks_keep_the_first_seed(monkeypatch, chunk):
     assert entry.worst_statistic == max(stats)
     assert entry.worst_seed == cfg.seed + tied[0]
     assert_same_report([entry], reference_audit(cfg))
+
+
+def per_party_min_eigenvalues(matrices, dims):
+    """The eigensolve per party that two-party audits used to make."""
+    return [cli._min_eigenvalues(matrices, dims, p) for p in range(1, len(dims) + 1)]
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (4, 4)])
+@pytest.mark.parametrize("num_terms", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 4242])
+def test_two_party_ppt_output_equals_per_party_eigensolves(
+    tmp_path, monkeypatch, dims, num_terms, seed
+):
+    """One eigensolve serves both parties: stdout and --out bytes equal the per-party run."""
+    argv = ["audit", "--dims", ",".join(map(str, dims)), "--num-states", "12",
+            "--num-terms", str(num_terms), "--seed", str(seed),
+            "--criteria", ",".join(ALL_CRITERIA), "--params", "0.01,0.5,1,5,30"]
+    shared = run_cli(*argv, "--out", str(tmp_path / "shared.json"))
+    monkeypatch.setattr(cli, "_party_min_eigenvalues", per_party_min_eigenvalues)
+    per_party = run_cli(*argv, "--out", str(tmp_path / "per_party.json"))
+    assert shared[0] == 0 and shared == per_party
+    assert (tmp_path / "shared.json").read_bytes() == (tmp_path / "per_party.json").read_bytes()
+    stack = separable_stack(dims, num_terms, range(seed, seed + 200))
+    first, second = per_party_min_eigenvalues(stack, dims)
+    assert first.tobytes() == second.tobytes()

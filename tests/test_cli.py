@@ -197,6 +197,28 @@ class TestExitCodes:
         )
         assert code == 2 and "cannot read" in err
 
+    @staticmethod
+    def mixed_state_file(tmp_path, dims):
+        """The 4x4 maximally mixed state, written with the given dims entries."""
+        matrix = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"dims": dims, "matrix": matrix}))
+        return str(path)
+
+    @pytest.mark.parametrize("entry", [2.5, True, "2", 2.0000001, None])
+    def test_non_integral_dims_exit_2(self, tmp_path, entry):
+        # int() used to truncate these: [2.5, 2] was analysed as a 2x2 state.
+        path = self.mixed_state_file(tmp_path, [entry, 2])
+        code, out, err = run_cli("analyze", "--state", path, "--criterion", "realign", "--split", "1|2")
+        assert (code, out) == (2, "")
+        assert err == (f"error: cannot read state file {path!r}: "
+                       f"dims entry {json.dumps(entry)} is not an integer\n")
+
+    def test_integral_float_dims_are_read(self, tmp_path):
+        path = self.mixed_state_file(tmp_path, [2.0, 2])
+        code, out, _ = run_cli("analyze", "--state", path, "--criterion", "realign", "--split", "1|2")
+        assert code == 0 and parse_report(out)["dims"] == "2x2"
+
     def test_missing_state_file_exit_2(self, tmp_path):
         code, _, _ = run_cli(
             "analyze", "--state", str(tmp_path / "absent.json"),

@@ -245,7 +245,7 @@ def test_unvisited_nan_midpoints_do_not_raise(monkeypatch):
 
     def recording(matrices, dims, criterion, **flags):
         result = evaluate_stack(matrices, dims, criterion, **flags)
-        evaluated.extend(verdict.statistic for verdict, _ in result)
+        evaluated.extend(result.statistic.tolist())
         return result
 
     monkeypatch.setattr(cli, "evaluate_stack", recording)

@@ -325,6 +325,9 @@ class TestJsonFormat:
             {"dims": [2], "matrix": [[[1.0, 0.0], [0.0, 0.0]]]},
             {"dims": [2], "matrix": "nope"},
             {"dims": [2], "matrix": [[[1.0], [0.0]], [[0.0], [0.0]]]},
+            {"dims": [2.5], "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]},
+            {"dims": [True, True], "matrix": [[[1.0, 0.0]]]},
+            {"dims": ["2"], "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]},
         ],
     )
     def test_malformed_rejected(self, payload):
