@@ -23,22 +23,23 @@ from typing import NamedTuple
 import numpy as np
 
 from .criteria import (
+    CRITERIA,
     ENTANGLED,
     INCONCLUSIVE,
-    AdmissibleBounds,
     CriterionVerdict,
+    Evaluation,
+    _min_eigenvalues,
+    _split_spectra,
     admissible_bounds,
     discriminant,
     entangled,
-    min_eigenvalue_verdict,
+    evaluate,
     moment_statistics,
-    moment_verdict,
-    norm_verdict,
     threshold_of,
-    transpose_party,
+    verdict,
 )
-from .linalg import MAX_KRON_DIM, hermitian_eigenvalues, singular_values
-from .realign import MomentSet, RealignSpec, enumerate_splits, power_sums, realign_array
+from .linalg import MAX_KRON_DIM
+from .realign import MomentSet, RealignSpec, enumerate_splits
 from .states import (
     FAMILIES,
     DensityMatrix,
@@ -69,8 +70,6 @@ SWEEP_CHUNK = 32
 
 # A sweep grid with more points than this is rejected before any is built.
 MAX_GRID_POINTS = 100_000
-
-CRITERIA = ("v1", "v2", "v3", "realign", "ppt")
 
 
 class UsageError(ValueError):
@@ -111,7 +110,7 @@ def _build_state(args: argparse.Namespace) -> DensityMatrix:
             dm = load_state(args.state)
         except StateValidationError:
             raise
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
             raise UsageError(f"cannot read state file {args.state!r}: {exc}") from exc
         try:
             return validate(dm)
@@ -139,20 +138,6 @@ def _family_stack(family: str, xs: list[float]) -> tuple[tuple[int, ...], np.nda
         raise ValidationFailure(str(exc)) from exc
 
 
-def _split_spectra(
-    matrices: np.ndarray, dims: tuple[int, ...], spec: RealignSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-matrix trace norms and moment sums T1, T2 of one split's realignment of a stack."""
-    sv = singular_values(realign_array(matrices, dims, spec))
-    t1, t2 = power_sums(sv)
-    return sv.sum(axis=-1), t1, t2
-
-
-def _min_eigenvalues(matrices: np.ndarray, dims: tuple[int, ...], party: int) -> np.ndarray:
-    """Per-matrix minimum eigenvalue of the partial transpose of a stack over `party`."""
-    return hermitian_eigenvalues(transpose_party(matrices, dims, party))[:, -1]
-
-
 def _party_min_eigenvalues(matrices: np.ndarray, dims: tuple[int, ...]) -> list[np.ndarray]:
     """:func:`_min_eigenvalues` over each party in turn.
 
@@ -162,22 +147,6 @@ def _party_min_eigenvalues(matrices: np.ndarray, dims: tuple[int, ...]) -> list[
     first = _min_eigenvalues(matrices, dims, 1)
     return [first] + [first if len(dims) == 2 else _min_eigenvalues(matrices, dims, p)
                       for p in range(2, len(dims) + 1)]
-
-
-class StackEvaluation(NamedTuple):
-    """One criterion evaluated on every matrix of a stack, as arrays.
-
-    `statistic` is NaN where a v1/v2 weight is not admissible; `parameter`
-    is the weight, the party as a float (ppt) or None (realign).  v1/v2/v3
-    carry their moment sums and v1/v2 their admissible bounds.
-    """
-
-    criterion: str
-    parameter: float | None
-    statistic: np.ndarray
-    t1: np.ndarray | None = None
-    t2: np.ndarray | None = None
-    bounds: AdmissibleBounds | None = None
 
 
 def evaluate_stack(
@@ -190,45 +159,28 @@ def evaluate_stack(
     v: float | None = None,
     split: str | RealignSpec | None = None,
     party: int | None = None,
-) -> StackEvaluation:
-    """Evaluate one criterion on every matrix of a (N, D, D) stack over `dims`.
+) -> Evaluation:
+    """:func:`evaluate` with the criterion's flags, on a (N, D, D) stack over `dims`.
 
-    The split is parsed unless it already is a RealignSpec, the stack is
-    realigned with one transpose and decomposed with one `singular_values`
-    call (ppt: one partial transpose and eigensolve), and the statistics
-    come from one array call.  Missing flags, bad splits or parties and
-    invalid or non-finite weights raise UsageError.
+    The split is parsed unless it already is a RealignSpec.  An unknown
+    criterion, a missing flag, and every ValueError of :func:`evaluate`
+    (bad splits or parties, invalid or non-finite weights) raise UsageError.
     """
+    if criterion not in CRITERIA:
+        raise UsageError(f"unknown criterion {criterion!r}; choose from {tuple(CRITERIA)}")
+    row = CRITERIA[criterion]
     try:
-        if criterion == "ppt":
-            if party is None:
-                raise UsageError("criterion ppt requires --party")
-            return StackEvaluation("ppt", float(party), _min_eigenvalues(matrices, dims, party))
-        if criterion == "v1":
-            if a is None:
-                raise UsageError("criterion v1 requires --a")
-            if len(dims) != 2:
-                raise UsageError(
-                    "criterion v1 requires a two-party state (use v2 with --split instead)"
-                )
-            spec, weight, flag = RealignSpec((1,), (2,)), a, "--a"
-        elif criterion in ("v2", "v3", "realign"):
+        if row.reads == "party" and party is None:
+            raise UsageError(f"criterion {criterion} requires --party")
+        spec = None
+        if row.reads == "split":
             if split is None:
                 raise UsageError(f"criterion {criterion} requires --split")
             spec = split if isinstance(split, RealignSpec) else RealignSpec.parse(split)
-            weight, flag = (u, "--u") if criterion == "v2" else (v, "--v")
-            if weight is None and criterion != "realign":
-                raise UsageError(f"criterion {criterion} requires {flag}")
-        else:
-            raise UsageError(f"unknown criterion {criterion!r}; choose from {CRITERIA}")
-        if criterion != "realign" and not math.isfinite(weight):
-            raise UsageError(f"{flag} must be finite, got {weight!r}")
-        norms, t1, t2 = _split_spectra(matrices, dims, spec)
-        if criterion == "realign":
-            return StackEvaluation("realign", None, norms)
-        bounds = None if criterion == "v3" else admissible_bounds(t1, t2)
-        stats = moment_statistics(criterion, t1, t2, weight, bounds)
-        return StackEvaluation(criterion, weight, stats, t1, t2, bounds)
+        weight = {"a": a, "u": u, "v": v}.get(row.flag)
+        if row.flag and weight is None:
+            raise UsageError(f"criterion {criterion} requires --{row.flag}")
+        return evaluate(matrices, dims, criterion, weight, spec, party)
     except UsageError:
         raise
     except ValueError as exc:
@@ -238,23 +190,17 @@ def evaluate_stack(
 
 def evaluate_criterion(
     dm: DensityMatrix, criterion: str, **flags: float | str | None
-) -> tuple[CriterionVerdict, MomentSet | None]:
-    """Evaluate one criterion on one state: :func:`evaluate_stack` with N = 1.
+) -> tuple[CriterionVerdict, Evaluation]:
+    """One criterion's verdict on one state: :func:`evaluate_stack` with N = 1.
 
-    Takes the same flags.  Returns the verdict and, for v1/v2/v3, the
-    moment sums it was computed from, so callers that report T1/T2 take
-    the spectrum only once.
+    Takes the same flags, and returns the evaluation beside the verdict,
+    so that callers reporting T1/T2 take the spectrum only once.
     """
     ev = evaluate_stack(np.asarray(dm.matrix)[None], dm.dims, criterion, **flags)
-    if ev.criterion == "ppt":
-        return min_eigenvalue_verdict(ev.parameter, float(ev.statistic[0])), None
-    if ev.criterion == "realign":
-        return norm_verdict(float(ev.statistic[0])), None
-    mset = MomentSet(t1=float(ev.t1[0]), t2=float(ev.t2[0]))
-    return moment_verdict(ev.criterion, mset, ev.parameter), mset
+    return verdict(ev), ev
 
 
-def _family_evaluation(family: str, xs: list[float], criterion: str, **flags) -> StackEvaluation:
+def _family_evaluation(family: str, xs: list[float], criterion: str, **flags) -> Evaluation:
     """Family members at `xs` built as one stack and evaluated together, all or nothing."""
     dims, matrices = _family_stack(family, xs)
     return evaluate_stack(matrices, dims, criterion, **flags)
@@ -285,11 +231,22 @@ def _format_admissible(verdict: CriterionVerdict) -> str:
     return " U ".join(parts)
 
 
+def _write_out(path: str, write) -> None:
+    """Call `write` on `path` opened for text; a path that cannot be written is a UsageError."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     dm = _build_state(args)
-    verdict, mset = evaluate_criterion(
+    result, ev = evaluate_criterion(
         dm, args.criterion, a=args.a, u=args.u, v=args.v, split=args.split, party=args.party
     )
+    reads = CRITERIA[args.criterion].reads
+    mset = None if ev.t1 is None else MomentSet(t1=float(ev.t1[0]), t2=float(ev.t2[0]))
 
     if args.family is not None:
         state_label = f"{args.family}({_fmt(args.param)})"
@@ -298,46 +255,40 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     lines = [
         ("state", state_label),
         ("dims", "x".join(str(d) for d in dm.dims)),
-        ("criterion", verdict.criterion),
+        ("criterion", result.criterion),
     ]
-    if verdict.parameter is not None:
-        lines.append(("parameter", _fmt(verdict.parameter)))
-    if args.split is not None and args.criterion in ("v2", "v3", "realign"):
+    if result.parameter is not None:
+        lines.append(("parameter", _fmt(result.parameter)))
+    if args.split is not None and reads == "split":
         lines.append(("split", args.split))
-    lines.append(("statistic", _fmt(verdict.statistic)))
-    lines.append(("threshold", _fmt(verdict.threshold)))
-    lines.append(("outcome", verdict.outcome))
+    lines.append(("statistic", _fmt(result.statistic)))
+    lines.append(("threshold", _fmt(result.threshold)))
+    lines.append(("outcome", result.outcome))
     if mset is not None:
         lines.append(("T1", _fmt(mset.t1)))
         lines.append(("T2", _fmt(mset.t2)))
-    if verdict.admissible is not None:
-        lines.append(("discriminant", _fmt(verdict.admissible.discriminant)))
-        lines.append(("admissible", _format_admissible(verdict)))
-    if verdict.note:
-        lines.append(("note", verdict.note))
+    if result.admissible is not None:
+        lines.append(("discriminant", _fmt(result.admissible.discriminant)))
+        lines.append(("admissible", _format_admissible(result)))
+    if result.note:
+        lines.append(("note", result.note))
     width = max(len(k) for k, _ in lines) + 1
     for key, value in lines:
         print(f"{key + ':':<{width}} {value}")
 
     if args.out:
-        payload = verdict.to_dict()
+        payload = result.to_dict()
         payload["dims"] = [int(d) for d in dm.dims]
         payload["state"] = (
             {"family": args.family, "param": args.param}
             if args.family is not None
             else {"file": args.state}
         )
-        payload["split"] = args.split if args.criterion in ("v2", "v3", "realign") else None
-        payload["party"] = args.party if args.criterion == "ppt" else None
-        if mset is not None:
-            payload["moments"] = {"t1": mset.t1, "t2": mset.t2}
-            payload["discriminant"] = discriminant(mset)
-        else:
-            payload["moments"] = None
-            payload["discriminant"] = None
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        payload["split"] = args.split if reads == "split" else None
+        payload["party"] = args.party if reads == "party" else None
+        payload["moments"] = None if mset is None else {"t1": mset.t1, "t2": mset.t2}
+        payload["discriminant"] = None if mset is None else discriminant(mset)
+        _write_out(args.out, lambda fh: fh.write(json.dumps(payload, indent=2) + "\n"))
     return EXIT_OK
 
 
@@ -375,7 +326,7 @@ def _parse_grid(text: str) -> list[float]:
     return pts
 
 
-def _sweep_rows(xs: list[float], ev: StackEvaluation) -> list[SweepRow]:
+def _sweep_rows(xs: list[float], ev: Evaluation) -> list[SweepRow]:
     """One CSV row per state parameter of an evaluated stack.
 
     The admissible columns hold the finite positive ends, ascending, of
@@ -445,8 +396,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         split=args.split, party=args.party,
     )
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            write_sweep_csv(fh, rows)
+        _write_out(args.out, lambda fh: write_sweep_csv(fh, rows))
     else:
         write_sweep_csv(sys.stdout, rows)
     return EXIT_OK
@@ -570,7 +520,7 @@ def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
     """
     for criterion in cfg.criteria:
         if criterion not in CRITERIA:
-            raise UsageError(f"unknown criterion {criterion!r}; choose from {CRITERIA}")
+            raise UsageError(f"unknown criterion {criterion!r}; choose from {tuple(CRITERIA)}")
     n = len(cfg.dims)
     splits = enumerate_splits(n)
     entries: dict[tuple, AuditEntry] = {}
@@ -596,7 +546,7 @@ def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
         ):
             ent.worst_statistic, ent.worst_seed = stat, seeds[i]
 
-    gated = "v1" in cfg.criteria or "v2" in cfg.criteria
+    gated = any(CRITERIA[c].gated for c in cfg.criteria)
     for start in range(0, cfg.num_states, AUDIT_CHUNK):
         seeds = range(cfg.seed + start, cfg.seed + min(cfg.num_states, start + AUDIT_CHUNK))
         stack = separable_stack(cfg.dims, cfg.num_terms, seeds)
@@ -610,16 +560,17 @@ def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
             return spectra[label]
 
         for criterion in cfg.criteria:
-            if criterion == "ppt":
+            row = CRITERIA[criterion]
+            if row.reads == "party":
                 for party, min_eigs in enumerate(_party_min_eigenvalues(stack, cfg.dims), 1):
-                    tally("ppt", float(party), None, min_eigs, seeds)
+                    tally(criterion, float(party), None, min_eigs, seeds)
                 continue
-            if criterion == "v1" and n != 2:
-                continue  # v1 is the two-party case, whose one split is 1|2
+            if row.reads == "pair" and n != 2:
+                continue  # the 1|2 realignment of a two-party state, whose one split is 1|2
             for spec in splits:
                 norms, t1, t2, bounds = spectrum(spec)
-                if criterion == "realign":
-                    tally("realign", None, str(spec), norms, seeds)
+                if not row.flag:
+                    tally(criterion, None, str(spec), norms, seeds)
                     continue
                 for w in cfg.params:
                     tally(criterion, w, str(spec), moment_statistics(criterion, t1, t2, w, bounds), seeds)
@@ -636,7 +587,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
     criteria = tuple(c.strip() for c in args.criteria.split(",") if c.strip())
     for c in criteria:
         if c not in CRITERIA:
-            raise UsageError(f"unknown criterion {c!r}; choose from {CRITERIA}")
+            raise UsageError(f"unknown criterion {c!r}; choose from {tuple(CRITERIA)}")
+    weighted = [CRITERIA[c] for c in criteria if CRITERIA[c].flag]
     try:
         params = tuple(float(x) for x in args.params.split(",") if x.strip())
     except ValueError as exc:
@@ -652,9 +604,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
     for w in params:
         if not math.isfinite(w):
             raise UsageError(f"weight {w!r} in --params is not finite")
-        if w < 0.0 and "v3" in criteria:
+        if w < 0.0 and any(not row.positive for row in weighted):
             raise UsageError(f"v3 needs nonnegative weights, got {w!r}")
-        if w <= 0.0 and ("v1" in criteria or "v2" in criteria):
+        if w <= 0.0 and any(row.positive for row in weighted):
             raise UsageError(f"v1 and v2 need positive weights, got {w!r}")
 
     cfg = AuditConfig(
@@ -688,9 +640,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         for e in payload["entries"]:
             if isinstance(e["worst_statistic"], float) and math.isnan(e["worst_statistic"]):
                 e["worst_statistic"] = None
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _write_out(args.out, lambda fh: fh.write(json.dumps(payload, indent=2) + "\n"))
     return EXIT_OK
 
 

@@ -8,6 +8,11 @@ A statistic above 1 at an admissible weight flags entanglement.  The
 comparators are the plain trace-norm test on the realigned rectangle
 and the partial-transpose minimum eigenvalue.
 
+`CRITERIA` holds what each criterion needs, :func:`evaluate` computes
+any of them on a stack of states as arrays, and :func:`verdict` reads
+one state's verdict from that; the public ``verdict_*`` functions are
+the one-state case of the two.
+
 As published, the weighted criterion evaluates to sqrt(1 + 4/a) > 1 on
 every pure product state, so a statistic above 1 is not by itself proof
 of entanglement; the `audit` command of the CLI measures that gap on
@@ -17,11 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import hermitian_eigenvalues, trace_norm
-from .realign import MomentSet, RealignSpec, moments, realign_bipartite, realign_partial
+from .linalg import hermitian_eigenvalues, singular_values
+from .realign import MomentSet, RealignSpec, power_sums, realign_array
 from .states import DensityMatrix
 
 ENTANGLED = "ENTANGLED"
@@ -46,11 +52,6 @@ class Interval:
     lo_closed: bool
     hi_closed: bool
 
-    def contains(self, x: float) -> bool:
-        above = x >= self.lo if self.lo_closed else x > self.lo
-        below = x <= self.hi if self.hi_closed else x < self.hi
-        return above and below
-
 
 @dataclass(frozen=True)
 class AdmissibleRange:
@@ -59,18 +60,6 @@ class AdmissibleRange:
     intervals: tuple[Interval, ...]
     discriminant: float
     degenerate: bool
-
-    def contains(self, x: float) -> bool:
-        return any(iv.contains(x) for iv in self.intervals)
-
-    def finite_endpoints(self) -> tuple[float, ...]:
-        """Finite nonzero interval endpoints, ascending (for reports)."""
-        ends = []
-        for iv in self.intervals:
-            for e in (iv.lo, iv.hi):
-                if e > 0.0 and math.isfinite(e):
-                    ends.append(e)
-        return tuple(sorted(ends))
 
 
 @dataclass(frozen=True)
@@ -145,7 +134,8 @@ class AdmissibleBounds:
     """The v1/v2 admissible ranges of a stack of moment sums, as arrays.
 
     For state i a weight a > 0 is admissible exactly when it is finite and
-    a <= low_end[i] or a >= high_start[i].  low_end is the closed upper end
+    a <= low_end[i] or a >= high_start[i] (:meth:`admits`, the one
+    membership test).  low_end is the closed upper end
     of (0, low_end] (inf when every weight is admissible); high_start is
     the closed lower end of [high_start, inf) (inf when there is no such
     interval).
@@ -157,8 +147,8 @@ class AdmissibleBounds:
     high_start: np.ndarray
 
     def admits(self, weight: float) -> np.ndarray:
-        """Mask of the states at which `weight` is admissible."""
-        return ((weight <= self.low_end) | (weight >= self.high_start)) & (weight < math.inf)
+        """Mask of the states where `weight` is admissible (none when it is <= 0, inf or NaN)."""
+        return ((weight <= self.low_end) | (weight >= self.high_start)) & (0.0 < weight < math.inf)
 
     def at(self, i: int) -> AdmissibleRange:
         """State i's range as intervals."""
@@ -264,7 +254,7 @@ def moment_statistics(
     v1 and v2 are NaN where `weight` is outside the state's admissible
     range; pass the stack's `bounds` to reuse them across weights.
     """
-    if criterion == "v3":
+    if not CRITERIA[criterion].gated:
         return v3_stack(t1, t2, weight)
     ok = (admissible_bounds(t1, t2) if bounds is None else bounds).admits(weight)
     stats = np.full(np.shape(t1), np.nan)
@@ -288,50 +278,114 @@ def threshold_of(criterion: str) -> float:
     return 0.0 if criterion == "ppt" else 1.0
 
 
-def _threshold_verdict(
-    name: str, parameter: float | None, stat: float, admissible: AdmissibleRange | None = None,
-    note: str | None = None,
-) -> CriterionVerdict:
-    return CriterionVerdict(
-        criterion=name,
-        parameter=parameter,
-        statistic=stat,
-        threshold=threshold_of(name),
-        outcome=ENTANGLED if entangled(name, stat) else INCONCLUSIVE,
-        admissible=admissible,
-        note=note,
-    )
+class _Row(NamedTuple):
+    """What one criterion needs; see :data:`CRITERIA`."""
+
+    flag: str | None  # the weight's CLI flag without "--", or None when unweighted
+    reads: str  # "pair": the 1|2 realignment; "split": a split's; "party": a partial transpose
+    gated: bool  # the weight must lie in the admissible range
+    positive: bool  # the weight must be > 0 (otherwise >= 0)
 
 
-def moment_verdict(criterion: str, m: MomentSet, weight: float) -> CriterionVerdict:
-    """Verdict of "v1", "v2" or "v3" at `weight` from one state's moment sums.
+# v1 and v2 share one formula and differ only in which realignment the
+# moments come from; v3 holds for every weight >= 0, with no gate.
+CRITERIA = {
+    "v1": _Row("a", "pair", gated=True, positive=True),
+    "v2": _Row("u", "split", gated=True, positive=True),
+    "v3": _Row("v", "split", gated=False, positive=False),
+    "realign": _Row(None, "split", gated=False, positive=False),
+    "ppt": _Row(None, "party", gated=False, positive=False),
+}
 
-    v1 and v2 share one formula and differ only in which realignment the
-    moments came from; both are gated by the admissible range and report
-    a NaN statistic outside it.  v3 has no gate.
+
+class Evaluation(NamedTuple):
+    """One criterion evaluated on every matrix of a stack, as arrays.
+
+    `statistic` is NaN where a v1/v2 weight is not admissible; `parameter`
+    is the weight, the party as a float (ppt) or None (realign).  v1/v2/v3
+    carry their moment sums and v1/v2 their admissible bounds.
     """
-    t1, t2 = _one(m)
-    bounds = None if criterion == "v3" else admissible_bounds(t1, t2)
-    stat = float(moment_statistics(criterion, t1, t2, weight, bounds)[0])
-    if bounds is None:
-        return _threshold_verdict("v3", weight, stat)
-    note = None if bounds.admits(weight)[0] else "parameter outside admissible range"
-    return _threshold_verdict(criterion, weight, stat, bounds.at(0), note)
+
+    criterion: str
+    parameter: float | None
+    statistic: np.ndarray
+    t1: np.ndarray | None = None
+    t2: np.ndarray | None = None
+    bounds: AdmissibleBounds | None = None
 
 
-def norm_verdict(norm: float) -> CriterionVerdict:
-    """Realignment verdict from the realigned rectangle's trace norm."""
-    return _threshold_verdict("realign", None, norm)
+def _split_spectra(
+    matrices: np.ndarray, dims: tuple[int, ...], spec: RealignSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-matrix trace norms and moment sums T1, T2 of one split's realignment of a stack."""
+    sv = singular_values(realign_array(matrices, dims, spec))
+    t1, t2 = power_sums(sv)
+    return sv.sum(axis=-1), t1, t2
 
 
-def min_eigenvalue_verdict(party: int, min_eig: float) -> CriterionVerdict:
-    """PPT verdict from the minimum eigenvalue of the partial transpose."""
-    return _threshold_verdict("ppt", float(party), min_eig)
+def _min_eigenvalues(matrices: np.ndarray, dims: tuple[int, ...], party: int) -> np.ndarray:
+    """Per-matrix minimum eigenvalue of the partial transpose of a stack over `party`."""
+    return hermitian_eigenvalues(transpose_party(matrices, dims, party))[:, -1]
+
+
+def evaluate(
+    matrices: np.ndarray,
+    dims: tuple[int, ...],
+    criterion: str,
+    weight: float | None = None,
+    spec: RealignSpec | None = None,
+    party: int | None = None,
+) -> Evaluation:
+    """Evaluate one criterion on every matrix of a (N, D, D) stack over `dims`.
+
+    v1 reads the 1|2 realignment of a two-party state, v2, v3 and realign
+    that of `spec`, and ppt the partial transpose over `party`; v1, v2 and
+    v3 take `weight`.  The stack is realigned with one transpose and
+    decomposed with one `singular_values` call (ppt: one partial transpose
+    and eigensolve), and the statistics come from one array call.  A
+    non-finite or out-of-domain weight, or a state, split or party that
+    does not fit, raises ValueError.
+    """
+    row = CRITERIA[criterion]
+    if row.reads == "party":
+        return Evaluation(criterion, float(party), _min_eigenvalues(matrices, dims, party))
+    if row.reads == "pair":
+        if len(dims) != 2:
+            raise ValueError(
+                f"criterion {criterion} requires a two-party state (use v2 with --split instead)"
+            )
+        spec = RealignSpec((1,), (2,))
+    if row.flag and not math.isfinite(weight):
+        raise ValueError(f"--{row.flag} must be finite, got {weight!r}")
+    norms, t1, t2 = _split_spectra(matrices, dims, spec)
+    if not row.flag:
+        return Evaluation(criterion, None, norms)
+    bounds = admissible_bounds(t1, t2) if row.gated else None
+    stats = moment_statistics(criterion, t1, t2, weight, bounds)
+    return Evaluation(criterion, weight, stats, t1, t2, bounds)
+
+
+def verdict(ev: Evaluation, i: int = 0) -> CriterionVerdict:
+    """The verdict on matrix i of an evaluated stack.
+
+    v1 and v2 report the state's admissible range and, where the weight
+    lies outside it, a note beside the NaN statistic.
+    """
+    stat = float(ev.statistic[i])
+    admissible = note = None
+    if ev.bounds is not None:
+        admissible = ev.bounds.at(i)
+        if not ev.bounds.admits(ev.parameter)[i]:
+            note = "parameter outside admissible range"
+    outcome = ENTANGLED if entangled(ev.criterion, stat) else INCONCLUSIVE
+    return CriterionVerdict(
+        ev.criterion, ev.parameter, stat, threshold_of(ev.criterion), outcome, admissible, note
+    )
 
 
 def verdict_v1(dm: DensityMatrix, a: float) -> CriterionVerdict:
     """Weighted moment criterion on a two-party state at weight a."""
-    return moment_verdict("v1", moments(realign_bipartite(dm)), a)
+    return verdict(evaluate(dm.matrix[None], dm.dims, "v1", a))
 
 
 def verdict_v2(dm: DensityMatrix, spec: RealignSpec, u: float) -> CriterionVerdict:
@@ -341,17 +395,17 @@ def verdict_v2(dm: DensityMatrix, spec: RealignSpec, u: float) -> CriterionVerdi
     `realign_partial(dm, spec)`; for two parties split "1|2" the two
     agree exactly.
     """
-    return moment_verdict("v2", moments(realign_partial(dm, spec)), u)
+    return verdict(evaluate(dm.matrix[None], dm.dims, "v2", u, spec))
 
 
 def verdict_v3(dm: DensityMatrix, spec: RealignSpec, v: float) -> CriterionVerdict:
     """Unconditional moment criterion on a partial realignment at weight v."""
-    return moment_verdict("v3", moments(realign_partial(dm, spec)), v)
+    return verdict(evaluate(dm.matrix[None], dm.dims, "v3", v, spec))
 
 
 def realignment_norm_verdict(dm: DensityMatrix, spec: RealignSpec) -> CriterionVerdict:
     """Trace norm of the realigned rectangle; above 1 flags entanglement."""
-    return norm_verdict(trace_norm(realign_partial(dm, spec).matrix))
+    return verdict(evaluate(dm.matrix[None], dm.dims, "realign", spec=spec))
 
 
 def transpose_party(matrix: np.ndarray, dims: tuple[int, ...], party: int) -> np.ndarray:
@@ -383,5 +437,4 @@ def ppt_verdict(dm: DensityMatrix, party: int) -> CriterionVerdict:
     the given party; at or above -1e-10 the test is inconclusive (the
     state may still be bound entangled).
     """
-    min_eig = float(hermitian_eigenvalues(partial_transpose(dm, party))[-1])
-    return min_eigenvalue_verdict(party, min_eig)
+    return verdict(evaluate(dm.matrix[None], dm.dims, "ppt", party=party))

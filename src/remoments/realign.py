@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, singular_values
+from .linalg import singular_values
 from .states import DensityMatrix
 
 
@@ -76,18 +76,9 @@ class RealignSpec:
         return "".join(str(p) for p in self.group1) + "|" + "".join(str(p) for p in self.group2)
 
 
-@dataclass(frozen=True, eq=False)
-class RealignedMatrix:
-    """A realigned rectangle plus the spec and dims that produced it."""
-
-    matrix: np.ndarray
-    spec: RealignSpec
-    source_dims: tuple[int, ...]
-
-
 @dataclass(frozen=True)
 class MomentSet:
-    """Singular-value power sums T_k of a realigned matrix.
+    """Singular-value power sums T1 and T2 of a realigned matrix.
 
     t1 equals trace(rho^2) for any density matrix (the rearrangement
     preserves the squared Frobenius norm), and t2 <= t1^2 always.
@@ -95,17 +86,6 @@ class MomentSet:
 
     t1: float
     t2: float
-    higher: tuple[float, ...] = ()
-
-    def moment(self, k: int) -> float:
-        """T_k for 1 <= k <= 2 + len(higher)."""
-        if k == 1:
-            return self.t1
-        if k == 2:
-            return self.t2
-        if not 3 <= k <= 2 + len(self.higher):
-            raise ValueError(f"moment T_{k} was not computed; available up to T_{2 + len(self.higher)}")
-        return self.higher[k - 3]
 
 
 def realign_array(matrix: np.ndarray, dims: tuple[int, ...], spec: RealignSpec) -> np.ndarray:
@@ -132,7 +112,7 @@ def realign_array(matrix: np.ndarray, dims: tuple[int, ...], spec: RealignSpec) 
     return np.ascontiguousarray(out)
 
 
-def realign_bipartite(dm: DensityMatrix) -> RealignedMatrix:
+def realign_bipartite(dm: DensityMatrix) -> np.ndarray:
     """Realign a two-party state into its m^2 x n^2 rectangle.
 
     Output entry [(i,j),(k,l)] = rho[(i,k),(j,l)]: rows pair the party-1
@@ -145,7 +125,7 @@ def realign_bipartite(dm: DensityMatrix) -> RealignedMatrix:
     return realign_partial(dm, RealignSpec((1,), (2,)))
 
 
-def realign_partial(dm: DensityMatrix, spec: RealignSpec) -> RealignedMatrix:
+def realign_partial(dm: DensityMatrix, spec: RealignSpec) -> np.ndarray:
     """Realign the spec's two party groups, leaving the rest untouched.
 
     Rows carry the (bra, ket) multi-index of group1 followed by the bra
@@ -156,9 +136,7 @@ def realign_partial(dm: DensityMatrix, spec: RealignSpec) -> RealignedMatrix:
     (d1^2 * dC) x (d2^2 * dC) and reduces exactly to
     :func:`realign_bipartite` for two parties split "1|2".
     """
-    return RealignedMatrix(
-        matrix=realign_array(dm.matrix, dm.dims, spec), spec=spec, source_dims=dm.dims
-    )
+    return realign_array(dm.matrix, dm.dims, spec)
 
 
 def power_sums(sv: np.ndarray, max_k: int = 2) -> list[np.ndarray]:
@@ -173,28 +151,10 @@ def power_sums(sv: np.ndarray, max_k: int = 2) -> list[np.ndarray]:
     return [np.sum(s2**k, axis=-1) for k in range(1, max_k + 1)]
 
 
-def moments(rm: RealignedMatrix, max_k: int = 2) -> MomentSet:
-    """Moment sums T_k = sum_i sigma_i^(2k) for k = 1 .. max_k."""
-    vals = [float(t) for t in power_sums(singular_values(rm.matrix), max_k)]
-    return MomentSet(t1=vals[0], t2=vals[1], higher=tuple(vals[2:]))
-
-
-def moments_via_gram(rm: RealignedMatrix, max_k: int = 2) -> MomentSet:
-    """The same moment sums as traces of Gram-matrix powers.
-
-    Independent arithmetic path kept as a cross-check against
-    :func:`moments`; the two must agree to 1e-9 relative.
-    """
-    if max_k < 2:
-        raise ValueError(f"max_k must be >= 2, got {max_k!r}")
-    a = rm.matrix
-    gram = a @ dagger(a) if a.shape[0] <= a.shape[1] else dagger(a) @ a
-    vals = []
-    power = gram
-    for _ in range(max_k):
-        vals.append(float(np.trace(power).real))
-        power = power @ gram
-    return MomentSet(t1=vals[0], t2=vals[1], higher=tuple(vals[2:]))
+def moments(realigned: np.ndarray) -> MomentSet:
+    """Moment sums T1 and T2 of one realigned matrix; see :func:`power_sums` for T_k, k > 2."""
+    t1, t2 = power_sums(singular_values(realigned))
+    return MomentSet(t1=float(t1), t2=float(t2))
 
 
 def enumerate_splits(n_parties: int) -> list[RealignSpec]:

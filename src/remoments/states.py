@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import dagger, kron_shape
+from .linalg import MAX_KRON_DIM, dagger, kron_shape
 
 VALIDATION_TOL = 1e-10
 
@@ -416,7 +416,9 @@ def from_json_dict(obj: object) -> DensityMatrix:
             raise ValueError(f"dims entry {json.dumps(bad[0])} is not an integer")
         dims = tuple(int(d) for d in dims)
         rows = obj["matrix"]
-        d = int(np.prod(dims))
+        d = math.prod(dims)
+        if d > MAX_KRON_DIM:  # before allocating a D x D matrix
+            raise ValueError(f"dims {list(dims)} give dimension {d}, above the cap {MAX_KRON_DIM}")
         m = np.zeros((d, d), dtype=complex)
         if len(rows) != d:
             raise ValueError(f"matrix has {len(rows)} rows, expected {d}")

@@ -2,10 +2,11 @@
 
 The frozen copies below are the per-term sampler (a `kron` and an
 `np.linalg.norm` per factor) and the scalar v1, v3, admissible range and
-moment verdict as they were before the array versions replaced them; the
-discriminant carries the one change made since, `lin * lin` in place of
-Python's `lin ** 2`.  The array code must reproduce them bit for bit,
-errors included.
+moment verdict as they were before the array versions replaced them,
+with the range's membership test and finite endpoints as they were
+then; the discriminant carries the one change made since, `lin * lin`
+in place of Python's `lin ** 2`.  The array code must reproduce them bit
+for bit, errors included.
 """
 import math
 import struct
@@ -32,12 +33,13 @@ from remoments import (
 from remoments.criteria import (
     F_CLAMP,
     DEGENERATE_TOL,
+    Evaluation,
     admissible_bounds,
     entangled,
     moment_statistics,
-    moment_verdict,
     v1_stack,
     v3_stack,
+    verdict,
 )
 from remoments.states import separable_stack
 
@@ -103,6 +105,19 @@ def frozen_admissible_range(m):
     return AdmissibleRange(intervals=tuple(pieces), discriminant=disc, degenerate=False)
 
 
+def frozen_contains(rng, x):
+    """Whether x lies in one of the range's intervals."""
+    return any(
+        (x >= iv.lo if iv.lo_closed else x > iv.lo) and (x <= iv.hi if iv.hi_closed else x < iv.hi)
+        for iv in rng.intervals
+    )
+
+
+def frozen_finite_endpoints(rng):
+    """Finite positive interval endpoints of the range, ascending."""
+    return tuple(sorted(e for iv in rng.intervals for e in (iv.lo, iv.hi) if 0.0 < e < math.inf))
+
+
 def frozen_v1(m, a):
     if a <= 0.0:
         raise ValueError(f"weight must be positive, got {a!r}")
@@ -138,7 +153,7 @@ def frozen_moment_verdict(criterion, m, weight):
     rng = frozen_admissible_range(m)
     if weight <= 0.0:
         raise ValueError(f"weight must be positive, got {weight!r}")
-    if not rng.contains(weight):
+    if not frozen_contains(rng, weight):
         return CriterionVerdict(
             criterion=criterion, parameter=weight, statistic=float("nan"), threshold=1.0,
             outcome=INCONCLUSIVE, admissible=rng, note="parameter outside admissible range",
@@ -263,7 +278,7 @@ def root_weights(t1, t2):
     """The finite interval ends of each state's frozen range, and their neighbours."""
     out = []
     for a, b in zip(t1.tolist(), t2.tolist()):
-        for e in frozen_admissible_range(MomentSet(a, b)).finite_endpoints():
+        for e in frozen_finite_endpoints(frozen_admissible_range(MomentSet(a, b))):
             out += [e, math.nextafter(e, 0.0), math.nextafter(e, math.inf)]
     return out
 
@@ -286,8 +301,9 @@ class TestMomentArrays:
             for got, w in zip(stats.tolist(), want):
                 assert_same_float(got, w.statistic)
             assert (entangled(criterion, stats) == [v.outcome == "ENTANGLED" for v in want]).all()
-            for m, w in zip(msets, want):
-                assert_same_verdict(moment_verdict(criterion, m, weight), w)
+            ev = Evaluation(criterion, weight, stats, t1, t2, None if criterion == "v3" else bounds)
+            for i, w in enumerate(want):
+                assert_same_verdict(verdict(ev, i), w)
         for stack_fn, fn, frozen in ((v1_stack, v1, frozen_v1), (v3_stack, v3, frozen_v3)):
             want, error = first_error(frozen, [(m, weight) for m in msets])
             if error is not None:
@@ -322,7 +338,7 @@ class TestMomentArrays:
         """The named cases reach every branch of the frozen range."""
         ranges = {k: frozen_admissible_range(MomentSet(*v)) for k, v in CASES.items()}
         assert ranges["degenerate_lin_nonneg"].degenerate
-        assert ranges["degenerate_lin_neg"].finite_endpoints() == (1.0,)
+        assert frozen_finite_endpoints(ranges["degenerate_lin_neg"]) == (1.0,)
         assert ranges["degenerate_rounding"].degenerate
         assert ranges["disc_nonpositive"].discriminant <= 0.0
         lower_nonpositive = ranges["disc_positive_lower_root_nonpositive"]

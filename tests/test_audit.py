@@ -15,6 +15,7 @@ from remoments import (
 )
 from remoments import cli
 from remoments.cli import AuditConfig, AuditEntry, run_audit
+from remoments.criteria import _min_eigenvalues
 from remoments.states import separable_stack
 from test_cli import run_cli
 
@@ -121,7 +122,7 @@ def test_ties_across_chunks_keep_the_first_seed(monkeypatch, chunk):
 
 def per_party_min_eigenvalues(matrices, dims):
     """The eigensolve per party that two-party audits used to make."""
-    return [cli._min_eigenvalues(matrices, dims, p) for p in range(1, len(dims) + 1)]
+    return [_min_eigenvalues(matrices, dims, p) for p in range(1, len(dims) + 1)]
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (4, 4)])

@@ -104,6 +104,24 @@ class TestAnalyze:
         assert float(fields["statistic"]) == pytest.approx(-0.22, abs=1e-9)
         assert float(fields["threshold"]) == 0.0
 
+    @pytest.mark.parametrize(
+        "flags, split, party",
+        [
+            (("--criterion", "v1", "--a", "0.2"), None, None),
+            (("--criterion", "v3", "--v", "0.5"), "1|2", None),
+            (("--criterion", "realign",), "1|2", None),
+            (("--criterion", "ppt",), None, 2),
+        ],
+    )
+    def test_split_and_party_reported_where_read(self, tmp_path, flags, split, party):
+        path = tmp_path / "verdict.json"
+        code, out, _ = run_cli("analyze", "--family", "rho_pq", "--param", "0.1", *flags,
+                               "--split", "1|2", "--party", "2", "--out", str(path))
+        assert code == 0
+        assert parse_report(out).get("split") == split
+        payload = json.loads(path.read_text())
+        assert (payload["split"], payload["party"]) == (split, party)
+
     def test_json_out(self, tmp_path):
         path = tmp_path / "verdict.json"
         code, out, _ = run_cli(
@@ -225,6 +243,48 @@ class TestExitCodes:
             "--criterion", "realign", "--split", "1|2",
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "dims, matrix, message",
+        [
+            # 14.6 TiB if allocated before the row count is checked
+            ([1000, 1000], [], "dims [1000, 1000] give dimension 1000000, above the cap 64"),
+            # a valid state of total dimension 128 (analysed, exit 0, before the cap)
+            ([8, 16], None, "dims [8, 16] give dimension 128, above the cap 64"),
+        ],
+    )
+    def test_state_file_above_the_dimension_cap_exit_2(self, tmp_path, dims, matrix, message):
+        path = tmp_path / "big.json"
+        if matrix is None:
+            save_state(path, DensityMatrix(dims=tuple(dims), matrix=np.eye(128) / 128))
+        else:
+            path.write_text(json.dumps({"dims": dims, "matrix": matrix}))
+        code, out, err = run_cli("analyze", "--state", str(path), "--criterion", "ppt", "--party", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read state file {str(path)!r}: {message}\n"
+
+    def test_state_file_nested_too_deep_exit_2(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_cli("analyze", "--state", str(path), "--criterion", "ppt", "--party", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read state file {str(path)!r}: maximum recursion depth")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "--family", "rho_pq", "--param", "0.2", "--criterion", "v1", "--a", "0.2"),
+            ("sweep", "--family", "rho_pq", "--range", "0:0.5:0.1", "--criterion", "v1", "--a", "0.2"),
+            ("audit", "--dims", "2,2", "--num-states", "5"),
+        ],
+    )
+    @pytest.mark.parametrize("where, reason", [("missing/out.txt", "No such file or directory"),
+                                               ("", "Is a directory")])
+    def test_unwritable_out_exit_2(self, tmp_path, argv, where, reason):
+        path = str(tmp_path / where) if where else str(tmp_path)
+        code, _, err = run_cli(*argv, "--out", path)
+        assert code == 2
+        assert err == f"error: cannot write {path!r}: {reason}\n"
 
     def test_unknown_choice_exit_2(self):
         code, _, _ = run_cli(

@@ -1,6 +1,13 @@
-"""Every argv the CLI can receive ends in exit code 0, 2 or 3, never a traceback."""
+"""Every argv the CLI can receive ends in exit code 0, 2 or 3, never a traceback.
+
+`--state` is drawn from a corpus of state files, most of them malformed,
+and `--out` from a writable path or a path in a missing directory; both
+live in a temporary directory that argv names as TMP.
+"""
+import json
 import math
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from test_cli import run_cli
@@ -16,8 +23,34 @@ SPLITS = st.sampled_from(
 )
 
 
+BELL = [[[0.5 if i in (0, 3) and j in (0, 3) else 0.0, 0.0] for j in range(4)] for i in range(4)]
+STATE_FILES = {
+    "bell.json": json.dumps({"dims": [2, 2], "matrix": BELL}),
+    "deep.json": "[" * 100_000 + "]" * 100_000,  # json.load raises RecursionError
+    "huge_dims.json": json.dumps({"dims": [1000, 1000], "matrix": []}),  # a 14.6 TiB matrix
+    "nan.json": json.dumps({"dims": [2, 2], "matrix": [[[math.nan, 0.0]] * 4] * 4}),
+    "fractional_dims.json": json.dumps({"dims": [2.5, 2], "matrix": BELL}),
+}
+DIRECTORY = "a_directory"
+STATES = st.sampled_from(sorted(STATE_FILES) + [DIRECTORY, "absent.json"])
+OUTS = st.sampled_from(["out.txt", "missing_dir/out.txt"])
+
+
+@pytest.fixture(scope="module")
+def tmp(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, text in STATE_FILES.items():
+        (root / name).write_text(text)
+    (root / DIRECTORY).mkdir()
+    return root
+
+
 def num(x: float) -> str:
     return repr(x)
+
+
+def out_flag(draw):
+    return ["--out", "TMP/" + draw(OUTS)] if draw(st.booleans()) else []
 
 
 @st.composite
@@ -39,10 +72,13 @@ def family(draw):
 
 @st.composite
 def analyze_argv(draw):
-    argv = ["analyze", *family(draw)]
     if draw(st.booleans()):
-        argv += ["--param", num(draw(NUMBERS))]
-    return argv + draw(criterion_flags())
+        argv = ["analyze", "--state", "TMP/" + draw(STATES)]
+    else:
+        argv = ["analyze", *family(draw)]
+        if draw(st.booleans()):
+            argv += ["--param", num(draw(NUMBERS))]
+    return argv + draw(criterion_flags()) + out_flag(draw)
 
 
 @st.composite
@@ -51,7 +87,7 @@ def sweep_argv(draw):
     hi = lo + draw(st.sampled_from([0.0, 0.3, 1.0, 2.5, -1.0]))
     step = draw(st.sampled_from([0.1, 0.5, 1.0, 0.0, -0.1, math.nan, math.inf, 1e-12]))
     spec = draw(st.sampled_from([f"{num(lo)}:{num(hi)}:{num(step)}", "0:1", "a:b:c", "1:2:3:4"]))
-    return ["sweep", *family(draw), "--range", spec] + draw(criterion_flags())
+    return ["sweep", *family(draw), "--range", spec] + draw(criterion_flags()) + out_flag(draw)
 
 
 @st.composite
@@ -76,12 +112,13 @@ def audit_argv(draw):
         argv += ["--criteria", ",".join(names)]
     if draw(st.booleans()):
         argv += ["--params", ",".join(num(x) for x in draw(st.lists(NUMBERS, max_size=3)))]
-    return argv
+    return argv + out_flag(draw)
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.one_of(analyze_argv(), sweep_argv(), threshold_argv(), audit_argv()))
-def test_exit_code_is_0_2_or_3(argv):
+def test_exit_code_is_0_2_or_3(tmp, argv):
+    argv = [a.replace("TMP", str(tmp), 1) if a.startswith("TMP/") else a for a in argv]
     code, _, err = run_cli(*argv)
     assert code in (0, 2, 3), (argv, code, err)
     assert "Traceback" not in err

@@ -34,6 +34,7 @@ from remoments import (
     verdict_v2,
     verdict_v3,
 )
+from remoments.criteria import admissible_bounds
 from remoments.realign import MomentSet
 
 Q0 = (math.sqrt(2) - 1) / 2
@@ -46,6 +47,11 @@ def bell_moments():
 
 def pq_moments():
     return moments(realign_bipartite(rho_pq(Q0)))
+
+
+def bounds_of(m):
+    """The admissible bounds of one state's moment sums; `admits(w)[0]` is the gate."""
+    return admissible_bounds(np.array([m.t1]), np.array([m.t2]))
 
 
 class TestDiscriminant:
@@ -66,25 +72,27 @@ class TestDiscriminant:
 
 class TestAdmissibleRange:
     def test_negative_discriminant_is_all_positive(self):
-        ar = admissible_range(moments(realign_bipartite(rho_d(0.3))))
+        m = moments(realign_bipartite(rho_d(0.3)))
+        ar = admissible_range(m)
         assert ar.discriminant < 0
         assert not ar.degenerate
         assert len(ar.intervals) == 1
         iv = ar.intervals[0]
         assert iv.lo == 0.0 and not iv.lo_closed and math.isinf(iv.hi)
-        assert ar.contains(1e-9) and ar.contains(1e9)
-        assert not ar.contains(0.0)
+        assert bounds_of(m).admits(1e-9)[0] and bounds_of(m).admits(1e9)[0]
+        assert not bounds_of(m).admits(0.0)[0]
 
     def test_pq_two_intervals(self):
         ar = admissible_range(pq_moments())
+        bounds = bounds_of(pq_moments())
         assert len(ar.intervals) == 2
         lo_iv, hi_iv = ar.intervals
         assert lo_iv.hi == pytest.approx(0.21077270350240235, abs=1e-10)
         assert hi_iv.lo == pytest.approx(11.907632629193923, abs=1e-8)
         assert lo_iv.hi_closed and hi_iv.lo_closed
-        assert ar.contains(0.2) and ar.contains(12.0)
-        assert not ar.contains(1.0)
-        assert ar.finite_endpoints() == (lo_iv.hi, hi_iv.lo)
+        assert bounds.admits(0.2)[0] and bounds.admits(12.0)[0]
+        assert not bounds.admits(1.0)[0]
+        assert (bounds.low_end[0], bounds.high_start[0]) == (lo_iv.hi, hi_iv.lo)
 
     def test_degenerate_rank_one(self):
         ar = admissible_range(MomentSet(t1=0.5, t2=0.25))
@@ -105,16 +113,16 @@ class TestAdmissibleRange:
         quad = m.t1**2 - m.t2
         lin = m.t1**2 - m.t1
         for a in [0.01, 0.05, 0.1, 0.2, ar.intervals[0].hi, ar.intervals[1].lo, 12.0, 50.0]:
-            assert ar.contains(a)
+            assert bounds_of(m).admits(a)[0]
             f = quad * a * a / 2 + lin * a + m.t1**2
             assert f >= -1e-12
 
     def test_radicand_vanishes_at_endpoints(self):
         m = pq_moments()
-        ar = admissible_range(m)
+        bounds = bounds_of(m)
         quad = m.t1**2 - m.t2
         lin = m.t1**2 - m.t1
-        for a in ar.finite_endpoints():
+        for a in (bounds.low_end[0], bounds.high_start[0]):
             f = quad * a * a / 2 + lin * a + m.t1**2
             assert abs(f) <= 1e-9
 
@@ -155,7 +163,7 @@ class TestV1:
 
     def test_clamps_tiny_negative_radicand(self):
         m = pq_moments()
-        edge = admissible_range(m).finite_endpoints()[0]
+        edge = bounds_of(m).low_end[0]
         assert v1(m, edge) > 0  # |F| <= 1e-9 at the root, clamp handles sign noise
 
 
@@ -207,9 +215,9 @@ class TestVerdictV1:
 
     def test_never_entangled_outside_range(self):
         dm = rho_pq(Q0)
-        ar = admissible_range(pq_moments())
+        bounds = bounds_of(pq_moments())
         for a in np.geomspace(0.25, 11.0, 25):
-            if not ar.contains(float(a)):
+            if not bounds.admits(float(a))[0]:
                 assert verdict_v1(dm, float(a)).outcome == INCONCLUSIVE
 
     def test_requires_bipartite(self):

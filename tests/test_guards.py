@@ -1,0 +1,60 @@
+"""Names and examples that other files rely on, checked where tier-1 sees them.
+
+The benchmark tracer looks every name of `bench/tracing.py`'s TRACED up
+with `getattr`, and README's Quick start promises printed values in its
+comments; a rename or a changed number otherwise shows up only in the
+traced benchmark run or in a reader's terminal.
+"""
+import contextlib
+import importlib
+import importlib.util
+import io
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "name", [f"{mod}.{fn}" for mod, fns in load_tracing().TRACED.items() for fn in fns]
+)
+def test_traced_names_resolve(name):
+    mod, fn = name.split(".")
+    assert callable(getattr(importlib.import_module(f"remoments.{mod}"), fn))
+
+
+def readme_python_blocks():
+    return re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), flags=re.S)
+
+
+def test_readme_examples_print_what_their_comments_say():
+    """Each `print(...)  # EXPECTED...` line prints a line starting with EXPECTED.
+
+    EXPECTED is the comment up to its first "..." or ":" ("ENTANGLED
+    1.5072876...", "INCONCLUSIVE: PPT misses it", "1.0857... > 1").
+    """
+    blocks = readme_python_blocks()
+    assert len(blocks) == 2
+    namespace: dict = {}
+    expected, printed = [], []
+    for block in blocks:
+        for line in block.splitlines():
+            if line.startswith("print(") and "#" in line:
+                expected.append(re.split(r"\.\.\.|:", line.split("#", 1)[1].strip())[0])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(block, namespace)
+        printed += out.getvalue().splitlines()
+    assert expected == ["ENTANGLED 1.5072876", "INCONCLUSIVE", "1.0857", "1.0853"]
+    assert len(printed) == len(expected)
+    for want, got in zip(expected, printed):
+        assert got.startswith(want), (want, got)

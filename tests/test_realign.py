@@ -10,11 +10,11 @@ from remoments import (
     DensityMatrix,
     MomentSet,
     RealignSpec,
+    dagger,
     enumerate_splits,
     ghz_w,
     kron,
     moments,
-    moments_via_gram,
     pure_state,
     realign_bipartite,
     realign_partial,
@@ -22,6 +22,23 @@ from remoments import (
     singular_values,
     trace_norm,
 )
+from remoments.realign import power_sums, realign_array
+
+
+def gram_power_traces(a, max_k=2):
+    """T_1 .. T_max_k of a realigned matrix as traces of Gram-matrix powers.
+
+    An arithmetic path independent of the singular values, kept as the
+    oracle that :func:`moments` and :func:`power_sums` must agree with to
+    1e-9 relative.
+    """
+    gram = a @ dagger(a) if a.shape[0] <= a.shape[1] else dagger(a) @ a
+    vals = []
+    power = gram
+    for _ in range(max_k):
+        vals.append(float(np.trace(power).real))
+        power = power @ gram
+    return vals
 
 
 def realign_loop(rho, m, n):
@@ -91,16 +108,16 @@ class TestRealignBipartite:
         dm = random_density(dims, sum(dims))
         out = realign_bipartite(dm)
         m, n = dims
-        assert out.matrix.shape == (m * m, n * n)
-        assert np.array_equal(out.matrix, realign_loop(dm.matrix, m, n))
+        assert out.shape == (m * m, n * n)
+        assert np.array_equal(out, realign_loop(dm.matrix, m, n))
 
     def test_basis_projector(self):
         dm = pure_state(np.array([1, 0, 0, 0]), (2, 2))
         out = realign_bipartite(dm)
         expected = np.zeros((4, 4))
         expected[0, 0] = 1
-        assert np.array_equal(out.matrix, expected)
-        assert trace_norm(out.matrix) == pytest.approx(1.0, abs=1e-12)
+        assert np.array_equal(out, expected)
+        assert trace_norm(out) == pytest.approx(1.0, abs=1e-12)
 
     def test_product_state_is_rank_one(self):
         rng = np.random.default_rng(11)
@@ -111,7 +128,7 @@ class TestRealignBipartite:
         b = gb @ gb.conj().T
         b /= np.trace(b).real
         dm = DensityMatrix(dims=(2, 2), matrix=kron(a, b))
-        out = realign_bipartite(dm).matrix
+        out = realign_bipartite(dm)
         assert np.allclose(out, np.outer(a.reshape(-1), b.reshape(-1)), atol=1e-14)
         sv = singular_values(out)
         pur = math.sqrt(np.trace(a @ a).real * np.trace(b @ b).real)
@@ -119,9 +136,9 @@ class TestRealignBipartite:
         assert np.all(sv[1:] <= 1e-7)
 
     def test_bell_singular_values(self):
-        sv = singular_values(realign_bipartite(BELL).matrix)
+        sv = singular_values(realign_bipartite(BELL))
         assert np.max(np.abs(sv - 0.5)) <= 1e-10
-        assert trace_norm(realign_bipartite(BELL).matrix) == pytest.approx(2.0, abs=1e-9)
+        assert trace_norm(realign_bipartite(BELL)) == pytest.approx(2.0, abs=1e-9)
 
     def test_rejects_non_bipartite(self):
         with pytest.raises(ValueError, match="two"):
@@ -131,20 +148,20 @@ class TestRealignBipartite:
     def test_involution_exact(self, seed):
         dm = random_density((3, 3), seed)
         once = realign_bipartite(dm)
-        twice = realign_bipartite(DensityMatrix(dims=(3, 3), matrix=once.matrix))
-        assert np.array_equal(twice.matrix, dm.matrix)
+        twice = realign_bipartite(DensityMatrix(dims=(3, 3), matrix=once))
+        assert np.array_equal(twice, dm.matrix)
 
     @given(st.integers(0, 10_000))
     def test_entry_conservation(self, seed):
         dm = random_density((2, 3), seed)
         before = np.sort(np.abs(dm.matrix).ravel())
-        after = np.sort(np.abs(realign_bipartite(dm).matrix).ravel())
+        after = np.sort(np.abs(realign_bipartite(dm)).ravel())
         assert np.max(np.abs(before - after)) <= 1e-12
 
     def test_block_composition_only_permutes(self):
         # alternate ket-major block ordering must not change singular values
         dm = random_density((3, 4), 21)
-        sv_a = singular_values(realign_bipartite(dm).matrix)
+        sv_a = singular_values(realign_bipartite(dm))
         sv_b = singular_values(realign_loop_alt_blocks(dm.matrix, 3, 4))
         assert np.max(np.abs(sv_a - sv_b)) <= 1e-10
 
@@ -195,34 +212,34 @@ class TestEnumerateSplits:
 class TestRealignPartial:
     def test_shapes(self):
         g = ghz_w(0.3)
-        assert realign_partial(g, RealignSpec.parse("1|2")).matrix.shape == (8, 8)
-        assert realign_partial(g, RealignSpec.parse("12|3")).matrix.shape == (16, 4)
+        assert realign_partial(g, RealignSpec.parse("1|2")).shape == (8, 8)
+        assert realign_partial(g, RealignSpec.parse("12|3")).shape == (16, 4)
         dm = random_density((2, 3, 2), 31)
-        assert realign_partial(dm, RealignSpec.parse("1|3")).matrix.shape == (12, 12)
+        assert realign_partial(dm, RealignSpec.parse("1|3")).shape == (12, 12)
 
     def test_matches_loop_oracle_1_2(self):
         for dims, seed in [((2, 2, 2), 32), ((2, 3, 2), 33)]:
             dm = random_density(dims, seed)
             out = realign_partial(dm, RealignSpec.parse("1|2"))
-            assert np.array_equal(out.matrix, partial_loop_1_2(dm.matrix, dims))
+            assert np.array_equal(out, partial_loop_1_2(dm.matrix, dims))
 
     def test_matches_loop_oracle_12_3(self):
         dm = random_density((2, 2, 2), 34)
         out = realign_partial(dm, RealignSpec.parse("12|3"))
-        assert np.array_equal(out.matrix, partial_loop_12_3(dm.matrix, (2, 2, 2)))
+        assert np.array_equal(out, partial_loop_12_3(dm.matrix, (2, 2, 2)))
 
     def test_reduces_to_bipartite(self):
         dm = random_density((3, 4), 35)
         full = realign_bipartite(dm)
         part = realign_partial(dm, RealignSpec.parse("1|2"))
-        assert np.array_equal(full.matrix, part.matrix)
+        assert np.array_equal(full, part)
 
     @given(st.integers(0, 10_000))
     def test_frobenius_preserved(self, seed):
         dm = random_density((2, 2, 2), seed)
         for spec in enumerate_splits(3):
             out = realign_partial(dm, spec)
-            frob2 = float(np.sum(np.abs(out.matrix) ** 2))
+            frob2 = float(np.sum(np.abs(out) ** 2))
             assert frob2 == pytest.approx(dm.purity(), rel=1e-10)
 
     def test_untouched_relabel_invariance(self):
@@ -232,8 +249,8 @@ class TestRealignPartial:
         swapped = t.transpose(0, 1, 3, 2, 4, 5, 7, 6).reshape(16, 16)
         dm2 = DensityMatrix(dims=(2, 2, 2, 2), matrix=np.ascontiguousarray(swapped))
         spec = RealignSpec.parse("1|2")
-        sv1 = singular_values(realign_partial(dm, spec).matrix)
-        sv2 = singular_values(realign_partial(dm2, spec).matrix)
+        sv1 = singular_values(realign_partial(dm, spec))
+        sv2 = singular_values(realign_partial(dm2, spec))
         assert np.max(np.abs(sv1 - sv2)) <= 1e-10
 
     def test_rejects_out_of_range_spec(self):
@@ -241,19 +258,20 @@ class TestRealignPartial:
             realign_partial(ghz_w(0.2), RealignSpec.parse("1|4"))
 
     def test_metadata(self):
+        # the rectangle is the realignment of the state's dims by the spec
         g = ghz_w(0.3)
         spec = RealignSpec.parse("1|3")
         out = realign_partial(g, spec)
-        assert out.spec == spec
-        assert out.source_dims == (2, 2, 2)
+        assert np.array_equal(out, realign_array(g.matrix, g.dims, spec))
+        assert out.shape == (2 * 2 * 2, 2 * 2 * 2)  # d1^2 dC x d2^2 dC over dims (2, 2, 2)
 
 
 class TestMoments:
     def test_product_state_all_one(self):
         dm = sample_separable((2, 2), 1, 3)
-        m = moments(realign_bipartite(dm), max_k=4)
+        sums = power_sums(singular_values(realign_bipartite(dm)), 4)
         for k in (1, 2, 3, 4):
-            assert m.moment(k) == pytest.approx(1.0, abs=1e-10)
+            assert sums[k - 1] == pytest.approx(1.0, abs=1e-10)
 
     def test_bell(self):
         m = moments(realign_bipartite(BELL))
@@ -262,7 +280,7 @@ class TestMoments:
 
     def test_w_state_singular_values(self):
         w = realign_partial(ghz_w(0.0), RealignSpec.parse("1|2"))
-        sv2 = np.sort(singular_values(w.matrix) ** 2)[::-1]
+        sv2 = np.sort(singular_values(w) ** 2)[::-1]
         assert np.allclose(sv2[:4] * 9, [4.0, 2.0, 2.0, 1.0], atol=1e-10)
         assert np.all(sv2[4:] <= 1e-12)
 
@@ -297,27 +315,26 @@ class TestMoments:
     def test_gram_route_agrees(self, seed):
         dm = random_density((2, 3), seed)
         r = realign_bipartite(dm)
-        a = moments(r, max_k=3)
-        b = moments_via_gram(r, max_k=3)
-        assert a.t1 == pytest.approx(b.t1, rel=1e-9)
-        assert a.t2 == pytest.approx(b.t2, rel=1e-9)
-        assert a.moment(3) == pytest.approx(b.moment(3), rel=1e-9)
+        a = moments(r)
+        b = gram_power_traces(r, max_k=3)
+        assert a.t1 == pytest.approx(b[0], rel=1e-9)
+        assert a.t2 == pytest.approx(b[1], rel=1e-9)
+        assert power_sums(singular_values(r), 3)[2] == pytest.approx(b[2], rel=1e-9)
 
     def test_higher_moments_decreasing(self):
         dm = random_density((3, 3), 50)
-        m = moments(realign_bipartite(dm), max_k=5)
-        vals = [m.moment(k) for k in range(1, 6)]
+        vals = power_sums(singular_values(realign_bipartite(dm)), 5)
         assert all(vals[i + 1] <= vals[i] + 1e-12 for i in range(4))
 
     def test_max_k_guard(self):
         r = realign_bipartite(BELL)
         with pytest.raises(ValueError):
-            moments(r, max_k=1)
+            power_sums(singular_values(r), 1)
 
     def test_moment_accessor(self):
-        m = MomentSet(t1=1.0, t2=0.25, higher=(0.1,))
-        assert m.moment(1) == 1.0
-        assert m.moment(2) == 0.25
-        assert m.moment(3) == 0.1
-        with pytest.raises(ValueError):
-            m.moment(4)
+        m = MomentSet(t1=1.0, t2=0.25)
+        assert m.t1 == 1.0
+        assert m.t2 == 0.25
+        sums = power_sums(np.array([1.0, 0.5]), 3)
+        assert sums[2] == 1.015625  # T3 of sigma = (1, 1/2)
+        assert len(sums) == 3  # T_k past max_k is not computed

@@ -3,8 +3,8 @@
 The frozen copy below is the sweep as it was when every grid point got a
 `CriterionVerdict` (from `moment_verdicts`, which made one per state of a
 stack, `norm_verdict` or `min_eigenvalue_verdict`) and its row took the
-admissible columns from `verdict.admissible.finite_endpoints()`.  The CSV
-bytes must be equal.
+admissible columns from the finite endpoints of `verdict.admissible`.
+The CSV bytes must be equal.
 """
 import csv
 import io
@@ -18,10 +18,12 @@ from remoments import ENTANGLED, INCONCLUSIVE, CriterionVerdict, cli
 from remoments.cli import SweepRow, _parse_grid, sweep_rows, write_sweep_csv
 from remoments.criteria import (
     DETECTION_SLACK,
+    PT_NEGATIVITY_TOL,
+    Evaluation,
+    _min_eigenvalues,
+    _split_spectra,
     admissible_bounds,
-    min_eigenvalue_verdict,
     moment_statistics,
-    norm_verdict,
     v3_stack,
 )
 from remoments.realign import RealignSpec
@@ -44,25 +46,40 @@ def moment_verdicts(criterion, t1, t2, weight):
             for i, (stat, ok) in enumerate(zip(stats, bounds.admits(weight).tolist()))]
 
 
+def norm_verdict(norm):
+    outcome = ENTANGLED if norm > 1.0 + DETECTION_SLACK else INCONCLUSIVE
+    return CriterionVerdict("realign", None, norm, 1.0, outcome)
+
+
+def min_eigenvalue_verdict(party, min_eig):
+    outcome = ENTANGLED if min_eig < -PT_NEGATIVITY_TOL else INCONCLUSIVE
+    return CriterionVerdict("ppt", float(party), min_eig, 0.0, outcome)
+
+
 def frozen_verdicts(matrices, dims, criterion, a=None, u=None, v=None, split=None, party=None):
     """The per-point verdicts of a successful stack evaluation."""
     if criterion == "ppt":
         return [min_eigenvalue_verdict(party, x)
-                for x in cli._min_eigenvalues(matrices, dims, party).tolist()]
+                for x in _min_eigenvalues(matrices, dims, party).tolist()]
     if criterion == "v1":
         spec, weight = RealignSpec((1,), (2,)), a
     else:
         spec, weight = RealignSpec.parse(split), (u if criterion == "v2" else v)
-    norms, t1, t2 = cli._split_spectra(matrices, dims, spec)
+    norms, t1, t2 = _split_spectra(matrices, dims, spec)
     if criterion == "realign":
         return [norm_verdict(x) for x in norms.tolist()]
     return moment_verdicts(criterion, t1, t2, weight)
 
 
+def finite_endpoints(admissible):
+    """Finite positive interval endpoints of an admissible range, ascending."""
+    return tuple(sorted(e for iv in admissible.intervals for e in (iv.lo, iv.hi) if 0.0 < e < math.inf))
+
+
 def frozen_verdict_row(state_param, verdict):
     low = high = None
     if verdict.admissible is not None:
-        ends = verdict.admissible.finite_endpoints()
+        ends = finite_endpoints(verdict.admissible)
         if len(ends) >= 1:
             low = ends[0]
         if len(ends) >= 2:
@@ -145,7 +162,7 @@ def test_grids_reach_every_kind_of_row():
             if verdict.admissible is None:
                 kinds.add(f"no range ({criterion})")
                 continue
-            kinds.add(f"{len(verdict.admissible.finite_endpoints())} endpoints")
+            kinds.add(f"{len(finite_endpoints(verdict.admissible))} endpoints")
             if verdict.admissible.degenerate:
                 kinds.add("degenerate")
     assert kinds >= {"nan", "0 endpoints", "1 endpoints", "2 endpoints", "degenerate",
@@ -161,8 +178,7 @@ def check_moment_rows(t1, t2, weight):
     except ValueError:
         return  # a radicand error; the sweep raises it before any row is built
     bounds = admissible_bounds(t1, t2)
-    ev = cli.StackEvaluation("v1", weight, moment_statistics("v1", t1, t2, weight, bounds),
-                             t1, t2, bounds)
+    ev = Evaluation("v1", weight, moment_statistics("v1", t1, t2, weight, bounds), t1, t2, bounds)
     got = cli._sweep_rows(xs, ev)
     assert new_csv(got) == frozen_csv(want)
     assert exact(got) == exact(want)
