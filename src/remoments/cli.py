@@ -12,8 +12,8 @@ bad flags, 3 state validation failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
+import functools
 import json
 import math
 import sys
@@ -28,14 +28,12 @@ from .criteria import (
     INCONCLUSIVE,
     CriterionVerdict,
     Evaluation,
-    _min_eigenvalues,
-    _split_spectra,
-    admissible_bounds,
+    Spectrum,
     discriminant,
     entangled,
     evaluate,
-    moment_statistics,
-    threshold_of,
+    spectrum,
+    statistics,
     verdict,
 )
 from .linalg import MAX_KRON_DIM
@@ -136,17 +134,6 @@ def _family_stack(family: str, xs: list[float]) -> tuple[tuple[int, ...], np.nda
         raise UsageError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}") from None
     except ValueError as exc:
         raise ValidationFailure(str(exc)) from exc
-
-
-def _party_min_eigenvalues(matrices: np.ndarray, dims: tuple[int, ...]) -> list[np.ndarray]:
-    """:func:`_min_eigenvalues` over each party in turn.
-
-    Two parties share one eigensolve: rho^T2 = (rho^T1)^T has the spectrum
-    of rho^T1, and LAPACK returns it bit for bit.
-    """
-    first = _min_eigenvalues(matrices, dims, 1)
-    return [first] + [first if len(dims) == 2 else _min_eigenvalues(matrices, dims, p)
-                      for p in range(2, len(dims) + 1)]
 
 
 def evaluate_stack(
@@ -431,7 +418,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 
     def offsets(xs: list[float]) -> dict[float, float]:
         ev = _family_evaluation(args.family, xs, args.criterion, **flags)
-        return dict(zip(xs, (ev.statistic - threshold_of(ev.criterion)).tolist()))
+        return dict(zip(xs, (ev.statistic - CRITERIA[ev.criterion].threshold).tolist()))
 
     def prefetch(xs: list[float]) -> None:
         try:
@@ -507,18 +494,18 @@ def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
     published weighted criteria on near-pure samples that is expected,
     which is exactly what this measures.  `worst_statistic` is the
     largest statistic seen (smallest for ppt), with the seed that made it.
+    A criterion or weight listed twice is evaluated once.
 
     Up to AUDIT_CHUNK samples are drawn and validated as one stack
-    (`separable_stack`).  Each split is realigned with one transpose and
-    decomposed with one stacked `singular_values` call; that spectrum and
-    the admissible bounds computed from it once serve every weight of
-    v1/v2/v3, each weight's statistics being one array, and the realign
-    trace norm.  ppt takes one stacked partial transpose and eigensolve
-    per party, a single one for two parties.  Each cell is tallied from
-    its statistics array with masks, the worst sample being the first
-    index of the extreme value.
+    (`separable_stack`).  Each split and party takes one :func:`spectrum`
+    per chunk, with the admissible bounds when a gated criterion is
+    requested, and every (criterion, weight) reads its statistics array
+    from it with :func:`statistics`.  Each cell is tallied from that array
+    with masks, the worst sample being the first index of the extreme
+    value.
     """
-    for criterion in cfg.criteria:
+    criteria, params = dict.fromkeys(cfg.criteria), tuple(dict.fromkeys(cfg.params))
+    for criterion in criteria:
         if criterion not in CRITERIA:
             raise UsageError(f"unknown criterion {criterion!r}; choose from {tuple(CRITERIA)}")
     n = len(cfg.dims)
@@ -538,7 +525,7 @@ def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
         ent.evaluated += int(evaluated.size)
         ent.violations += int(np.count_nonzero(entangled(criterion, stats)))
         values = stats[evaluated]
-        lowest = criterion == "ppt"
+        lowest = CRITERIA[criterion].below
         i = int(evaluated[values.argmin() if lowest else values.argmax()])
         stat = float(stats[i])
         if math.isnan(ent.worst_statistic) or (
@@ -546,34 +533,30 @@ def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
         ):
             ent.worst_statistic, ent.worst_seed = stat, seeds[i]
 
-    gated = any(CRITERIA[c].gated for c in cfg.criteria)
+    gated = any(CRITERIA[c].gated for c in criteria)
     for start in range(0, cfg.num_states, AUDIT_CHUNK):
         seeds = range(cfg.seed + start, cfg.seed + min(cfg.num_states, start + AUDIT_CHUNK))
         stack = separable_stack(cfg.dims, cfg.num_terms, seeds)
-        spectra: dict[str, tuple] = {}
+        spectra: dict[RealignSpec | int, Spectrum] = {}
 
-        def spectrum(spec: RealignSpec) -> tuple:
-            label = str(spec)
-            if label not in spectra:
-                norms, t1, t2 = _split_spectra(stack, cfg.dims, spec)
-                spectra[label] = norms, t1, t2, admissible_bounds(t1, t2) if gated else None
-            return spectra[label]
+        def spectrum_of(target: RealignSpec | int) -> Spectrum:
+            if n == 2 and target == 2:  # rho^T2 = (rho^T1)^T: rho^T1's spectrum, bit for bit
+                target = 1
+            if target not in spectra:
+                spectra[target] = (spectrum(stack, cfg.dims, party=target) if isinstance(target, int)
+                                   else spectrum(stack, cfg.dims, target, gated=gated))
+            return spectra[target]
 
-        for criterion in cfg.criteria:
+        for criterion in criteria:
             row = CRITERIA[criterion]
-            if row.reads == "party":
-                for party, min_eigs in enumerate(_party_min_eigenvalues(stack, cfg.dims), 1):
-                    tally(criterion, float(party), None, min_eigs, seeds)
-                continue
             if row.reads == "pair" and n != 2:
                 continue  # the 1|2 realignment of a two-party state, whose one split is 1|2
-            for spec in splits:
-                norms, t1, t2, bounds = spectrum(spec)
-                if not row.flag:
-                    tally(criterion, None, str(spec), norms, seeds)
-                    continue
-                for w in cfg.params:
-                    tally(criterion, w, str(spec), moment_statistics(criterion, t1, t2, w, bounds), seeds)
+            # (parameter, split label, spectrum target) of each cell, in report order
+            cells = ([(float(p), None, p) for p in range(1, n + 1)] if row.reads == "party" else
+                     [(w, str(sp), sp) for sp in splits for w in (params if row.flag else (None,))])
+            for parameter, split, target in cells:
+                stats = statistics(criterion, spectrum_of(target), parameter)
+                tally(criterion, parameter, split, stats, seeds)
     return list(entries.values())
 
 
@@ -604,6 +587,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
     for w in params:
         if not math.isfinite(w):
             raise UsageError(f"weight {w!r} in --params is not finite")
+        if w * w == math.inf:
+            raise UsageError(f"weight {w!r} in --params is too large")
         if w < 0.0 and any(not row.positive for row in weighted):
             raise UsageError(f"v3 needs nonnegative weights, got {w!r}")
         if w <= 0.0 and any(row.positive for row in weighted):
@@ -689,14 +674,14 @@ def _threshold_flags(sp: argparse.ArgumentParser) -> None:
 
 def _audit_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--dims", required=True, help='party dimensions, e.g. "2,2" or "3,3"')
-    sp.add_argument("--num-states", type=int, default=200)
-    sp.add_argument("--num-terms", type=int, default=3)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--num-states", type=int, default=AuditConfig.num_states)
+    sp.add_argument("--num-terms", type=int, default=AuditConfig.num_terms)
+    sp.add_argument("--seed", type=int, default=AuditConfig.seed)
     sp.add_argument(
-        "--criteria", default="realign,v3,ppt",
+        "--criteria", default=",".join(AuditConfig.criteria),
         help=f"comma list from {','.join(CRITERIA)}",
     )
-    sp.add_argument("--params", default="0.01,0.5,1,5", help="comma list of weights")
+    sp.add_argument("--params", default=",".join(map(_fmt, AuditConfig.params)), help="comma list of weights")
     sp.add_argument("--out", help="also write the report as JSON to this path")
     sp.set_defaults(func=cmd_audit)
 
@@ -710,14 +695,9 @@ SUBCOMMANDS = {
 }
 
 
-class _QuietParser(argparse.ArgumentParser):
-    """Raises every argparse error unprinted (exit_on_error=False covers only some)."""
-
-    def error(self, message: str):
-        raise argparse.ArgumentError(None, message)
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process (parse_args keeps no state)."""
     parser = argparse.ArgumentParser(
         prog="remoments",
         description="Entanglement detection from realignment moments of density matrices.",
@@ -729,19 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = None
-    if argv and argv[0] in SUBCOMMANDS:
-        # The invoked subcommand's parser alone, with the prog the full parser
-        # gives it, takes a fifth to a third of the time of all four and
-        # prints the same help.  Its errors are left to the full parser,
-        # whose usage line lists every subcommand.
-        parser = _QuietParser(prog=f"remoments {argv[0]}")
-        SUBCOMMANDS[argv[0]][1](parser)
-        with contextlib.suppress(argparse.ArgumentError):
-            args = parser.parse_args(argv[1:])
-    if args is None:
-        args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

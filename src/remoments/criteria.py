@@ -205,6 +205,8 @@ def v1_stack(t1: np.ndarray, t2: np.ndarray, a: float) -> np.ndarray:
     """
     if a <= 0.0:
         raise ValueError(f"weight must be positive, got {a!r}")
+    if a * a == math.inf:
+        raise ValueError(f"weight {a!r} is too large: its square overflows")
     # F(a) = (T1^2 - T2) a^2 / 2 + (T1^2 - T1) a + T1^2
     f = (t1 * t1 - t2) * a * a / 2.0 + (t1 * t1 - t1) * a + t1 * t1
     negative = np.flatnonzero(f < F_CLAMP)
@@ -230,7 +232,10 @@ def v3_stack(t1: np.ndarray, t2: np.ndarray, v: float) -> np.ndarray:
     """v3 of each state of a stack of moment sums; see :func:`v3`."""
     if v < 0.0:
         raise ValueError(f"weight must be nonnegative, got {v!r}")
-    inner = np.sqrt(t1 + (v * v + 2.0 * v) * t2) - v * np.sqrt(t2)
+    if v * v == math.inf:
+        raise ValueError(f"weight {v!r} is too large: its square overflows")
+    # sqrt(T1 + (v^2 + 2v) T2) - v sqrt(T2) without that difference, which cancels at large v
+    inner = (t1 + 2.0 * v * t2) / (np.sqrt(t1 + (v * v + 2.0 * v) * t2) + v * np.sqrt(t2))
     spread = np.maximum(2.0 * (t1 * t1 - t2), 0.0)
     return np.sqrt(inner * inner + np.sqrt(spread))
 
@@ -258,24 +263,20 @@ def moment_statistics(
         return v3_stack(t1, t2, weight)
     ok = (admissible_bounds(t1, t2) if bounds is None else bounds).admits(weight)
     stats = np.full(np.shape(t1), np.nan)
-    stats[ok] = v1_stack(t1[ok], t2[ok], weight)  # raises for a weight <= 0 even if none is admitted
+    stats[ok] = v1_stack(t1[ok], t2[ok], weight)  # a bad weight raises even if none is admitted
     return stats
 
 
 def entangled(criterion: str, statistic):
     """Whether a statistic (float or array) flags entanglement.
 
-    ppt: a minimum eigenvalue below -PT_NEGATIVITY_TOL; every other
-    criterion: a statistic above 1 + DETECTION_SLACK.
+    Below the row's threshold by more than PT_NEGATIVITY_TOL where the row
+    says `below` (ppt), otherwise above it by more than DETECTION_SLACK.
     """
-    if criterion == "ppt":
-        return statistic < -PT_NEGATIVITY_TOL
-    return statistic > 1.0 + DETECTION_SLACK
-
-
-def threshold_of(criterion: str) -> float:
-    """The value a criterion's statistic is compared with: 0 for ppt, 1 otherwise."""
-    return 0.0 if criterion == "ppt" else 1.0
+    row = CRITERIA[criterion]
+    if row.below:
+        return statistic < row.threshold - PT_NEGATIVITY_TOL
+    return statistic > row.threshold + DETECTION_SLACK
 
 
 class _Row(NamedTuple):
@@ -285,6 +286,8 @@ class _Row(NamedTuple):
     reads: str  # "pair": the 1|2 realignment; "split": a split's; "party": a partial transpose
     gated: bool  # the weight must lie in the admissible range
     positive: bool  # the weight must be > 0 (otherwise >= 0)
+    threshold: float = 1.0  # the value the statistic is compared with
+    below: bool = False  # a statistic below the threshold flags entanglement, not one above
 
 
 # v1 and v2 share one formula and differ only in which realignment the
@@ -294,8 +297,38 @@ CRITERIA = {
     "v2": _Row("u", "split", gated=True, positive=True),
     "v3": _Row("v", "split", gated=False, positive=False),
     "realign": _Row(None, "split", gated=False, positive=False),
-    "ppt": _Row(None, "party", gated=False, positive=False),
+    "ppt": _Row(None, "party", gated=False, positive=False, threshold=0.0, below=True),
 }
+
+
+class Spectrum(NamedTuple):
+    """Per state: realignment trace norms, T1, T2 and bounds, or partial-transpose minimum eigenvalues."""
+
+    values: np.ndarray
+    t1: np.ndarray | None = None
+    t2: np.ndarray | None = None
+    bounds: AdmissibleBounds | None = None
+
+
+def spectrum(
+    matrices: np.ndarray, dims: tuple[int, ...], spec: RealignSpec | None = None,
+    party: int | None = None, gated: bool = False,
+) -> Spectrum:
+    """One eigensolve of a stack's partial transpose over `party`, or else one
+    `singular_values` call on its `spec` realignment, with bounds when `gated`.
+    """
+    if party is not None:
+        return Spectrum(hermitian_eigenvalues(transpose_party(matrices, dims, party))[:, -1])
+    sv = singular_values(realign_array(matrices, dims, spec))
+    t1, t2 = power_sums(sv)
+    return Spectrum(sv.sum(axis=-1), t1, t2, admissible_bounds(t1, t2) if gated else None)
+
+
+def statistics(criterion: str, sp: Spectrum, weight: float | None = None) -> np.ndarray:
+    """Each state's statistic: the values unweighted, else :func:`moment_statistics` at `weight`."""
+    if not CRITERIA[criterion].flag:
+        return sp.values
+    return moment_statistics(criterion, sp.t1, sp.t2, weight, sp.bounds)
 
 
 class Evaluation(NamedTuple):
@@ -314,20 +347,6 @@ class Evaluation(NamedTuple):
     bounds: AdmissibleBounds | None = None
 
 
-def _split_spectra(
-    matrices: np.ndarray, dims: tuple[int, ...], spec: RealignSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-matrix trace norms and moment sums T1, T2 of one split's realignment of a stack."""
-    sv = singular_values(realign_array(matrices, dims, spec))
-    t1, t2 = power_sums(sv)
-    return sv.sum(axis=-1), t1, t2
-
-
-def _min_eigenvalues(matrices: np.ndarray, dims: tuple[int, ...], party: int) -> np.ndarray:
-    """Per-matrix minimum eigenvalue of the partial transpose of a stack over `party`."""
-    return hermitian_eigenvalues(transpose_party(matrices, dims, party))[:, -1]
-
-
 def evaluate(
     matrices: np.ndarray,
     dims: tuple[int, ...],
@@ -340,15 +359,11 @@ def evaluate(
 
     v1 reads the 1|2 realignment of a two-party state, v2, v3 and realign
     that of `spec`, and ppt the partial transpose over `party`; v1, v2 and
-    v3 take `weight`.  The stack is realigned with one transpose and
-    decomposed with one `singular_values` call (ppt: one partial transpose
-    and eigensolve), and the statistics come from one array call.  A
-    non-finite or out-of-domain weight, or a state, split or party that
-    does not fit, raises ValueError.
+    v3 take `weight`.  After the checks this is one :func:`spectrum` and
+    one :func:`statistics` call.  A non-finite or out-of-domain weight, or
+    a state, split or party that does not fit, raises ValueError.
     """
     row = CRITERIA[criterion]
-    if row.reads == "party":
-        return Evaluation(criterion, float(party), _min_eigenvalues(matrices, dims, party))
     if row.reads == "pair":
         if len(dims) != 2:
             raise ValueError(
@@ -357,12 +372,12 @@ def evaluate(
         spec = RealignSpec((1,), (2,))
     if row.flag and not math.isfinite(weight):
         raise ValueError(f"--{row.flag} must be finite, got {weight!r}")
-    norms, t1, t2 = _split_spectra(matrices, dims, spec)
+    party = party if row.reads == "party" else None
+    sp = spectrum(matrices, dims, spec, party, row.gated)
+    stats = statistics(criterion, sp, weight)
     if not row.flag:
-        return Evaluation(criterion, None, norms)
-    bounds = admissible_bounds(t1, t2) if row.gated else None
-    stats = moment_statistics(criterion, t1, t2, weight, bounds)
-    return Evaluation(criterion, weight, stats, t1, t2, bounds)
+        return Evaluation(criterion, None if party is None else float(party), stats)
+    return Evaluation(criterion, weight, stats, sp.t1, sp.t2, sp.bounds)
 
 
 def verdict(ev: Evaluation, i: int = 0) -> CriterionVerdict:
@@ -379,7 +394,7 @@ def verdict(ev: Evaluation, i: int = 0) -> CriterionVerdict:
             note = "parameter outside admissible range"
     outcome = ENTANGLED if entangled(ev.criterion, stat) else INCONCLUSIVE
     return CriterionVerdict(
-        ev.criterion, ev.parameter, stat, threshold_of(ev.criterion), outcome, admissible, note
+        ev.criterion, ev.parameter, stat, CRITERIA[ev.criterion].threshold, outcome, admissible, note
     )
 
 

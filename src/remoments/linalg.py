@@ -48,21 +48,21 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().swapaxes(-1, -2)
 
 
-def hermitian_eigenvalues(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, sorted descending.
 
     Also takes a (..., n, n) stack and returns one descending row per
     matrix.  The input is symmetrized to (a + a^dagger)/2 before solving;
-    a max-abs deviation from Hermiticity beyond `tol`, in any matrix of a
-    stack, is rejected instead of hidden.
+    a max-abs deviation from Hermiticity beyond HERMITICITY_TOL, in any
+    matrix of a stack, is rejected instead of hidden.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     adj = dagger(a)
     dev = float(np.abs(a - adj).max()) if a.size else 0.0
-    if dev > tol:
-        raise ValueError(f"matrix is not Hermitian: deviation {dev:.3e} exceeds {tol:.1e}")
+    if dev > HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian: deviation {dev:.3e} exceeds {HERMITICITY_TOL:.1e}")
     return np.linalg.eigvalsh((a + adj) / 2.0)[..., ::-1].copy()
 
 

@@ -4,9 +4,12 @@ The frozen copies below are the per-term sampler (a `kron` and an
 `np.linalg.norm` per factor) and the scalar v1, v3, admissible range and
 moment verdict as they were before the array versions replaced them,
 with the range's membership test and finite endpoints as they were
-then; the discriminant carries the one change made since, `lin * lin`
-in place of Python's `lin ** 2`.  The array code must reproduce them bit
-for bit, errors included.
+then.  They carry the two changes made since: the discriminant's
+`lin * lin` in place of Python's `lin ** 2`, and v3's inner term
+sqrt(T1 + (v^2 + 2v) T2) - v sqrt(T2) taken as the equal quotient
+(T1 + 2v T2) / (sqrt(T1 + (v^2 + 2v) T2) + v sqrt(T2)), which does not
+cancel at large v.  The array code must reproduce them bit for bit,
+errors included.
 """
 import math
 import struct
@@ -134,7 +137,7 @@ def frozen_v3(m, v):
     if v < 0.0:
         raise ValueError(f"weight must be nonnegative, got {v!r}")
     t1, t2 = m.t1, m.t2
-    inner = math.sqrt(t1 + (v * v + 2.0 * v) * t2) - v * math.sqrt(t2)
+    inner = (t1 + 2.0 * v * t2) / (math.sqrt(t1 + (v * v + 2.0 * v) * t2) + v * math.sqrt(t2))
     spread = max(2.0 * (t1 * t1 - t2), 0.0)
     return math.sqrt(inner * inner + math.sqrt(spread))
 

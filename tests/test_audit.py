@@ -1,4 +1,5 @@
 """The stacked audit engine against a per-state loop over the scalar verdicts."""
+import json
 import math
 
 import pytest
@@ -15,7 +16,7 @@ from remoments import (
 )
 from remoments import cli
 from remoments.cli import AuditConfig, AuditEntry, run_audit
-from remoments.criteria import _min_eigenvalues
+from remoments.criteria import PT_NEGATIVITY_TOL, spectrum
 from remoments.states import separable_stack
 from test_cli import run_cli
 
@@ -121,25 +122,59 @@ def test_ties_across_chunks_keep_the_first_seed(monkeypatch, chunk):
 
 
 def per_party_min_eigenvalues(matrices, dims):
-    """The eigensolve per party that two-party audits used to make."""
-    return [_min_eigenvalues(matrices, dims, p) for p in range(1, len(dims) + 1)]
+    """One eigensolve per party, as two-party audits made before they shared one."""
+    return [spectrum(matrices, dims, party=p).values for p in range(1, len(dims) + 1)]
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (4, 4)])
 @pytest.mark.parametrize("num_terms", [1, 2, 3])
 @pytest.mark.parametrize("seed", [0, 4242])
-def test_two_party_ppt_output_equals_per_party_eigensolves(
-    tmp_path, monkeypatch, dims, num_terms, seed
-):
-    """One eigensolve serves both parties: stdout and --out bytes equal the per-party run."""
+def test_two_party_ppt_output_equals_per_party_eigensolves(tmp_path, dims, num_terms, seed):
+    """One eigensolve serves both parties: each ppt cell is its own party's eigensolve, bit for bit."""
     argv = ["audit", "--dims", ",".join(map(str, dims)), "--num-states", "12",
             "--num-terms", str(num_terms), "--seed", str(seed),
             "--criteria", ",".join(ALL_CRITERIA), "--params", "0.01,0.5,1,5,30"]
-    shared = run_cli(*argv, "--out", str(tmp_path / "shared.json"))
-    monkeypatch.setattr(cli, "_party_min_eigenvalues", per_party_min_eigenvalues)
-    per_party = run_cli(*argv, "--out", str(tmp_path / "per_party.json"))
-    assert shared[0] == 0 and shared == per_party
-    assert (tmp_path / "shared.json").read_bytes() == (tmp_path / "per_party.json").read_bytes()
-    stack = separable_stack(dims, num_terms, range(seed, seed + 200))
-    first, second = per_party_min_eigenvalues(stack, dims)
+    code, out, err = run_cli(*argv, "--out", str(tmp_path / "audit.json"))
+    assert (code, err) == (0, "")
+    entries = json.loads((tmp_path / "audit.json").read_text())["entries"]
+    stack = separable_stack(dims, num_terms, range(seed, seed + 12))
+    for party, mins in enumerate(per_party_min_eigenvalues(stack, dims), 1):
+        i = int(mins.argmin())
+        want = {"criterion": "ppt", "parameter": float(party), "split": None, "evaluated": 12,
+                "violations": int((mins < -PT_NEGATIVITY_TOL).sum()),
+                "worst_statistic": float(mins[i]), "worst_seed": seed + i}
+        assert [e for e in entries if e["criterion"] == "ppt" and e["parameter"] == party] == [want]
+        row = (f"{'ppt':<9} {cli._fmt(party):>8} {'-':<6} {12:>9} {want['violations']:>10} "
+               f"{cli._fmt(mins[i]):>18} {seed + i:>10}\n")
+        assert row in out
+    first, second = per_party_min_eigenvalues(separable_stack(dims, num_terms, range(seed, seed + 200)), dims)
     assert first.tobytes() == second.tobytes()
+
+
+@pytest.mark.parametrize(
+    "repeated, once",
+    [
+        (("--criteria", "v3,v3", "--params", "1"), ("--criteria", "v3", "--params", "1")),
+        (("--criteria", "v3", "--params", "1,1.0"), ("--criteria", "v3", "--params", "1")),
+        (("--criteria", "ppt,ppt"), ("--criteria", "ppt")),
+        (("--criteria", "v1,ppt,v2,v1,realign,ppt", "--params", "5,0.5,5,1,0.5"),
+         ("--criteria", "v1,ppt,v2,realign", "--params", "5,0.5,1")),
+    ],
+)
+@pytest.mark.parametrize("dims", ["2,2", "2,2,2"])
+def test_repeated_criteria_and_weights_count_once(tmp_path, repeated, once, dims):
+    """Entries equal those of the list without repeats; the config keeps the lists as given."""
+    base = ("audit", "--dims", dims, "--num-states", "10", "--num-terms", "2")
+    reports = []
+    for name, flags in (("repeated", repeated), ("once", once)):
+        code, out, err = run_cli(*base, *flags, "--out", str(tmp_path / f"{name}.json"))
+        assert (code, err) == (0, "")
+        reports.append((out, json.loads((tmp_path / f"{name}.json").read_text())))
+    (out_repeated, got), (out_once, want) = reports
+    assert got["entries"] == want["entries"]
+    assert all(e["evaluated"] <= 10 for e in got["entries"])
+    assert out_repeated.splitlines()[1:] == out_once.splitlines()[1:]
+    flags = dict(zip(repeated[::2], repeated[1::2]))
+    assert got["config"]["criteria"] == flags["--criteria"].split(",")
+    if "--params" in flags:
+        assert got["config"]["params"] == [float(x) for x in flags["--params"].split(",")]

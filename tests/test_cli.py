@@ -1,17 +1,19 @@
 """Command-line interface: subcommands, exit codes, CSV/JSON output."""
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from remoments import DensityMatrix, pure_state, save_state
-from remoments.cli import main
+from remoments.cli import AuditConfig, main
 
 Q0 = (math.sqrt(2) - 1) / 2
 
@@ -460,6 +462,13 @@ class TestAudit:
             if parts and parts[0] in ("v3", "realign", "ppt"):
                 assert int(parts[4]) == 0
 
+    def test_flag_defaults_are_the_config_defaults(self, tmp_path):
+        path = tmp_path / "audit.json"
+        assert run_cli("audit", "--dims", "2,2", "--out", str(path))[0] == 0
+        config = json.loads(path.read_text())["config"]
+        assert config == json.loads(json.dumps(dataclasses.asdict(AuditConfig(dims=(2, 2)))))
+        assert config["params"] == [0.01, 0.5, 1.0, 5.0] and config["num_states"] == 200
+
     def test_deterministic(self):
         args = ("audit", "--dims", "2,2", "--num-states", "10", "--seed", "3")
         assert run_cli(*args)[1] == run_cli(*args)[1]
@@ -480,6 +489,47 @@ class TestAudit:
         assert entry["violations"] == 5
         assert entry["worst_statistic"] == pytest.approx(math.sqrt(3.0), abs=1e-9)
         assert isinstance(entry["worst_seed"], int)
+
+
+class TestWeightOverflow:
+    """A weight whose square overflows is bad input (exit 2), not a statistic of inf."""
+
+    @staticmethod
+    def argvs(w):
+        return [
+            ("analyze", "--family", "rho_eps", "--param", "1", "--criterion", "v1", "--a", w),
+            ("analyze", "--family", "rho_eps", "--param", "1", "--criterion", "v2", "--u", w,
+             "--split", "1|2"),
+            ("analyze", "--family", "rho_eps", "--param", "1", "--criterion", "v3", "--v", w,
+             "--split", "1|2"),
+            ("sweep", "--family", "rho_eps", "--range", "0.5:1:0.25", "--criterion", "v1", "--a", w),
+            ("sweep", "--family", "ghz_w", "--range", "0:1:0.5", "--criterion", "v3", "--v", w,
+             "--split", "1|2"),
+            ("threshold", "--family", "noisy_ghz4", "--bracket", "0:1", "--criterion", "v3",
+             "--v", w, "--split", "1|2"),
+            ("audit", "--dims", "3,3", "--criteria", "v1,v2", "--params", w, "--num-states", "20"),
+            ("audit", "--dims", "2,2", "--criteria", "v3", "--params", f"1,{w}", "--num-states", "5"),
+        ]
+
+    @pytest.mark.parametrize("index", range(8))
+    @pytest.mark.parametrize("w", ["1e160", "1e300"])
+    def test_exit_2_without_traceback_or_warning(self, index, w):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(*self.argvs(w)[index])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: weight ") and "is too large" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_1e150_still_evaluates(self, index):
+        argv = self.argvs("1e150")[index]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(*argv)
+        assert (code, err) == (0, "")
+        if argv[0] == "analyze":
+            assert math.isfinite(float(parse_report(out)["statistic"]))
 
 
 def test_module_entry_point():

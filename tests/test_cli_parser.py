@@ -1,11 +1,10 @@
-"""`main` parses with the invoked subcommand's parser alone; the full parser must agree.
+"""`main` parses with one parser built once per process; sharing it must change nothing.
 
-Every argv here runs twice: through `main` as it is, and through `main`
-with the lean parse refused, so that the parser with all four
-subcommands, which every request used before, parses it.  Exit code,
-stdout and stderr must be equal, help texts and argparse errors included.
+Every argv here runs through `main` with the shared parser, then through
+`main` with a freshly built one, then with the shared parser again after
+a failing argv.  Exit code, stdout and stderr must be equal, help texts
+and argparse errors included.
 """
-import argparse
 import contextlib
 import io
 
@@ -30,20 +29,18 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-class Refusing(cli._QuietParser):
-    def parse_args(self, args=None, namespace=None):
-        raise argparse.ArgumentError(None, "refused")
-
-
-def run_full(argv):
+def run_fresh(argv):
+    """`argv` through `main` with a parser built for this call alone."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_QuietParser", Refusing)
+        mp.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
         return run(argv)
 
 
 def assert_same(argv):
     got = run(argv)
-    assert got == run_full(argv), argv
+    assert got == run_fresh(argv), argv
+    assert run(["threshold", "--bracket"])[0] == 2  # a failing argv in between
+    assert run(argv) == got, argv
     return got
 
 
@@ -100,30 +97,28 @@ def test_missing_and_invalid_flags(argv):
     assert err.startswith(f"usage: remoments {argv[0]} [-h]")
 
 
-def test_valid_requests_build_one_subcommand():
+def test_one_process_builds_the_parser_once():
     built = []
-    full, quiet = cli.build_parser, cli._QuietParser
 
-    class Recording(quiet):
-        def __init__(self, **kwargs):
-            built.append(kwargs["prog"])
-            super().__init__(**kwargs)
+    def recording(name, add_flags):
+        def add(sp):
+            built.append(name)
+            add_flags(sp)
+        return add
 
-    def recording_full():
-        built.append("full")
-        return full()
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_QuietParser", Recording)
-        mp.setattr(cli, "build_parser", recording_full)
-        assert run(THRESHOLD) == (0, "0.642671108246\n", "")
-        assert built == ["remoments threshold"]
-        built.clear()
-        assert run([*THRESHOLD, "extra"])[0] == 2
-        assert built == ["remoments threshold", "full"]
-        built.clear()
-        assert run(["--help"])[0] == 0
-        assert built == ["full"]
+    subcommands = {name: (text, recording(name, add)) for name, (text, add) in cli.SUBCOMMANDS.items()}
+    cli.build_parser.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "SUBCOMMANDS", subcommands)
+            assert run(THRESHOLD) == (0, "0.642671108246\n", "")
+            assert run([*THRESHOLD, "extra"])[0] == 2
+            assert run(["--help"])[0] == 0
+            assert run(["audit", "--dims", "2,2", "--num-states", "2"])[0] == 0
+            assert run(THRESHOLD) == (0, "0.642671108246\n", "")
+    finally:
+        cli.build_parser.cache_clear()
+    assert built == list(cli.SUBCOMMANDS)  # every subparser, built for the first request only
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -28,7 +28,7 @@ from remoments import (
     verdict_v3,
 )
 from remoments.cli import UsageError, evaluate_stack
-from remoments.criteria import CRITERIA, admissible_bounds, evaluate, verdict
+from remoments.criteria import CRITERIA, admissible_bounds, entangled, evaluate, verdict
 from test_arrays import moment_stacks
 from test_cli import run_cli
 from test_sweep_rows import EDGE_CASES
@@ -63,6 +63,17 @@ def test_table_rows():
     assert {name: row.reads for name, row in CRITERIA.items()} == {
         "v1": "pair", "v2": "split", "v3": "split", "realign": "split", "ppt": "party",
     }
+    assert {name: (row.threshold, row.below) for name, row in CRITERIA.items()} == {
+        "v1": (1.0, False), "v2": (1.0, False), "v3": (1.0, False), "realign": (1.0, False),
+        "ppt": (0.0, True),
+    }
+
+
+def test_entangled_reads_the_row_threshold_side_and_tolerance():
+    above = np.array([1.0 + 2e-9, 1.0 + 5e-10, 1.0, 0.0])
+    for name in ("v1", "v2", "v3", "realign"):
+        assert entangled(name, above).tolist() == [True, False, False, False]
+    assert entangled("ppt", np.array([-2e-10, -5e-11, 0.0, 2.0])).tolist() == [True, False, False, False]
 
 
 def mixed(dims, members, seed):
@@ -114,6 +125,17 @@ def test_mixed_stacks_reach_gated_and_flagged_rows():
     outcomes = {verdict(ev, i).outcome for i in range(len(states))}
     assert notes == {None, "parameter outside admissible range"}
     assert outcomes == {"ENTANGLED", "INCONCLUSIVE"}
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
+def test_evaluation_carries_what_the_row_reads(case):
+    """Moment sums for weighted criteria only, admissible bounds for gated ones only."""
+    criterion, dims, members, _, args = case
+    _, stack = mixed(dims, members, 0)
+    row = CRITERIA[criterion]
+    ev = evaluate(stack, dims, criterion, *args(1.0))
+    assert (ev.t1 is not None, ev.t2 is not None) == (bool(row.flag), bool(row.flag))
+    assert (ev.bounds is not None) == row.gated
 
 
 NON_POSITIVE = st.sampled_from([0.0, -0.0, -1.0, -math.inf, math.inf, math.nan, 5e-324])

@@ -1,4 +1,5 @@
 """Detection criteria: weighted moment statistics, comparators, verdicts."""
+import decimal
 import math
 
 import numpy as np
@@ -34,8 +35,9 @@ from remoments import (
     verdict_v2,
     verdict_v3,
 )
-from remoments.criteria import admissible_bounds
+from remoments.criteria import admissible_bounds, spectrum, v1_stack, v3_stack
 from remoments.realign import MomentSet
+from remoments.states import separable_stack
 
 Q0 = (math.sqrt(2) - 1) / 2
 BELL = pure_state(np.array([1, 0, 0, 1]) / math.sqrt(2), (2, 2))
@@ -380,3 +382,62 @@ class TestBoundEntanglementSignature:
         assert ppt_verdict(dm, 2).outcome == INCONCLUSIVE
         assert realignment_norm_verdict(dm, RealignSpec.parse("1|2")).outcome == ENTANGLED
         assert verdict_v1(dm, 0.2).outcome == ENTANGLED
+
+
+LARGE_WEIGHTS = (1e6, 1e8, 1e12, 1e20, 1e150)
+
+
+def decimal_v3(t1, t2, v):
+    """v3 as written, sqrt((sqrt(T1 + (v^2 + 2v) T2) - v sqrt(T2))^2 + sqrt(2 (T1^2 - T2))).
+
+    Evaluated in decimal with 60 significant digits left after the
+    cancellation of the inner difference, which loses about 2 log10(v).
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60 + 2 * max(0, math.ceil(math.log10(v)))
+        t1, t2, v = decimal.Decimal(t1), decimal.Decimal(t2), decimal.Decimal(v)
+        inner = (t1 + (v * v + 2 * v) * t2).sqrt() - v * t2.sqrt()
+        spread = max(2 * (t1 * t1 - t2), decimal.Decimal(0))
+        return float((inner * inner + spread.sqrt()).sqrt())
+
+
+class TestV3AtLargeWeights:
+    """v3 holds for every v >= 0; its inner difference must not cancel to noise at large v."""
+
+    def moment_sums(self):
+        dm = rho_eps(1.0)
+        yield spectrum(dm.matrix[None], dm.dims, RealignSpec.parse("1|2"))
+        for dims in ((2, 2), (3, 3), (2, 2, 2)):
+            stack = separable_stack(dims, 3, range(20))
+            for spec in enumerate_splits(len(dims)):
+                yield spectrum(stack, dims, spec)
+
+    @pytest.mark.parametrize("v", LARGE_WEIGHTS)
+    def test_matches_decimal_formula(self, v):
+        for sp in self.moment_sums():
+            got = v3_stack(sp.t1, sp.t2, v)
+            for stat, a, b in zip(got.tolist(), sp.t1.tolist(), sp.t2.tolist()):
+                want = decimal_v3(a, b, v)
+                assert abs(stat - want) <= 1e-12 * want, (v, a, b)
+
+    @pytest.mark.parametrize("v", (0.0, 1.0, 1e3) + LARGE_WEIGHTS)
+    def test_separable_rho_eps_1_never_flagged(self, v):
+        dm = rho_eps(1.0)
+        result = verdict_v3(dm, RealignSpec.parse("1|2"), v)
+        assert result.outcome == INCONCLUSIVE
+        assert result.statistic < 1.0
+
+
+class TestWeightOverflow:
+    @pytest.mark.parametrize("w", [1e160, 1e200, 1.7e308, math.inf])
+    def test_square_overflow_raises(self, w):
+        t1, t2 = np.array([0.5]), np.array([0.2])
+        for fn in (v1_stack, v3_stack):
+            with pytest.raises(ValueError, match="is too large: its square overflows"):
+                fn(t1, t2, w)
+
+    def test_largest_weight_whose_square_is_finite_evaluates(self):
+        w = math.sqrt(np.finfo(float).max)
+        t1, t2 = np.array([0.5]), np.array([0.2])
+        assert np.isfinite(v1_stack(t1, t2, w)).all()
+        assert np.isfinite(v3_stack(t1, t2, w)).all()

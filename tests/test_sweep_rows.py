@@ -20,10 +20,9 @@ from remoments.criteria import (
     DETECTION_SLACK,
     PT_NEGATIVITY_TOL,
     Evaluation,
-    _min_eigenvalues,
-    _split_spectra,
     admissible_bounds,
     moment_statistics,
+    spectrum,
     v3_stack,
 )
 from remoments.realign import RealignSpec
@@ -60,12 +59,12 @@ def frozen_verdicts(matrices, dims, criterion, a=None, u=None, v=None, split=Non
     """The per-point verdicts of a successful stack evaluation."""
     if criterion == "ppt":
         return [min_eigenvalue_verdict(party, x)
-                for x in _min_eigenvalues(matrices, dims, party).tolist()]
+                for x in spectrum(matrices, dims, party=party).values.tolist()]
     if criterion == "v1":
         spec, weight = RealignSpec((1,), (2,)), a
     else:
         spec, weight = RealignSpec.parse(split), (u if criterion == "v2" else v)
-    norms, t1, t2 = _split_spectra(matrices, dims, spec)
+    norms, t1, t2, _ = spectrum(matrices, dims, spec)
     if criterion == "realign":
         return [norm_verdict(x) for x in norms.tolist()]
     return moment_verdicts(criterion, t1, t2, weight)
