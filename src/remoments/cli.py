@@ -16,6 +16,7 @@ import csv
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
@@ -29,9 +30,11 @@ from .criteria import (
     CriterionVerdict,
     Evaluation,
     Spectrum,
+    criterion_row,
     discriminant,
     entangled,
     evaluate,
+    json_safe,
     spectrum,
     statistics,
     verdict,
@@ -106,8 +109,6 @@ def _build_state(args: argparse.Namespace) -> DensityMatrix:
     if args.state is not None:
         try:
             dm = load_state(args.state)
-        except StateValidationError:
-            raise
         except (OSError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
             raise UsageError(f"cannot read state file {args.state!r}: {exc}") from exc
         try:
@@ -144,34 +145,23 @@ def evaluate_stack(
     a: float | None = None,
     u: float | None = None,
     v: float | None = None,
-    split: str | RealignSpec | None = None,
+    split: str | None = None,
     party: int | None = None,
 ) -> Evaluation:
     """:func:`evaluate` with the criterion's flags, on a (N, D, D) stack over `dims`.
 
-    The split is parsed unless it already is a RealignSpec.  An unknown
-    criterion, a missing flag, and every ValueError of :func:`evaluate`
-    (bad splits or parties, invalid or non-finite weights) raise UsageError.
+    The split text is parsed where the criterion reads one.  Every
+    ValueError of that parse and of :func:`evaluate` (a criterion without a
+    row, a missing flag, bad splits or parties, invalid or non-finite weights)
+    raises UsageError.
     """
-    if criterion not in CRITERIA:
-        raise UsageError(f"unknown criterion {criterion!r}; choose from {tuple(CRITERIA)}")
-    row = CRITERIA[criterion]
     try:
-        if row.reads == "party" and party is None:
-            raise UsageError(f"criterion {criterion} requires --party")
-        spec = None
-        if row.reads == "split":
-            if split is None:
-                raise UsageError(f"criterion {criterion} requires --split")
-            spec = split if isinstance(split, RealignSpec) else RealignSpec.parse(split)
+        row = criterion_row(criterion)
+        spec = RealignSpec.parse(split) if row.reads == "split" and split is not None else None
         weight = {"a": a, "u": u, "v": v}.get(row.flag)
-        if row.flag and weight is None:
-            raise UsageError(f"criterion {criterion} requires --{row.flag}")
         return evaluate(matrices, dims, criterion, weight, spec, party)
-    except UsageError:
-        raise
     except ValueError as exc:
-        # Weight sign, split/party versus dims: input problems, not state ones.
+        # Flags, splits and parties versus dims: input problems, not state ones.
         raise UsageError(str(exc)) from exc
 
 
@@ -191,18 +181,6 @@ def _family_evaluation(family: str, xs: list[float], criterion: str, **flags) ->
     """Family members at `xs` built as one stack and evaluated together, all or nothing."""
     dims, matrices = _family_stack(family, xs)
     return evaluate_stack(matrices, dims, criterion, **flags)
-
-
-def _split_once(split: str | None) -> str | RealignSpec | None:
-    """`split` parsed once for the many evaluations of one request.
-
-    Text that does not parse is returned as is, so that the evaluation
-    that reaches it raises its error, in the order it always did.
-    """
-    try:
-        return split if split is None else RealignSpec.parse(split)
-    except ValueError:
-        return split
 
 
 def _format_admissible(verdict: CriterionVerdict) -> str:
@@ -354,7 +332,7 @@ def sweep_rows(
     stack.  A chunk that fails is redone point by point, so the error raised
     is the one the point-by-point loop raises first.
     """
-    flags = dict(a=a, u=u, v=v, split=_split_once(split), party=party)
+    flags = dict(a=a, u=u, v=v, split=split, party=party)
     rows = []
     for start in range(0, len(grid), SWEEP_CHUNK):
         chunk = grid[start:start + SWEEP_CHUNK]
@@ -412,7 +390,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     lo, hi = _parse_floats(args.bracket, "bracket", ("LO", "HI"))
     if hi <= lo:
         raise UsageError("bracket requires HI > LO")
-    flags = dict(a=args.a, u=args.u, v=args.v, split=_split_once(args.split), party=args.party)
+    flags = dict(a=args.a, u=args.u, v=args.v, split=args.split, party=args.party)
     # State parameter -> offset from the threshold; NaN where the statistic is undefined.
     table: dict[float, float] = {}
 
@@ -504,10 +482,11 @@ def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
     with masks, the worst sample being the first index of the extreme
     value.
     """
-    criteria, params = dict.fromkeys(cfg.criteria), tuple(dict.fromkeys(cfg.params))
-    for criterion in criteria:
-        if criterion not in CRITERIA:
-            raise UsageError(f"unknown criterion {criterion!r}; choose from {tuple(CRITERIA)}")
+    params = tuple(dict.fromkeys(cfg.params))
+    try:
+        rows = {criterion: criterion_row(criterion) for criterion in cfg.criteria}
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     n = len(cfg.dims)
     splits = enumerate_splits(n)
     entries: dict[tuple, AuditEntry] = {}
@@ -525,7 +504,7 @@ def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
         ent.evaluated += int(evaluated.size)
         ent.violations += int(np.count_nonzero(entangled(criterion, stats)))
         values = stats[evaluated]
-        lowest = CRITERIA[criterion].below
+        lowest = rows[criterion].below
         i = int(evaluated[values.argmin() if lowest else values.argmax()])
         stat = float(stats[i])
         if math.isnan(ent.worst_statistic) or (
@@ -533,7 +512,7 @@ def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
         ):
             ent.worst_statistic, ent.worst_seed = stat, seeds[i]
 
-    gated = any(CRITERIA[c].gated for c in criteria)
+    gated = any(row.gated for row in rows.values())
     for start in range(0, cfg.num_states, AUDIT_CHUNK):
         seeds = range(cfg.seed + start, cfg.seed + min(cfg.num_states, start + AUDIT_CHUNK))
         stack = separable_stack(cfg.dims, cfg.num_terms, seeds)
@@ -547,8 +526,7 @@ def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
                                    else spectrum(stack, cfg.dims, target, gated=gated))
             return spectra[target]
 
-        for criterion in criteria:
-            row = CRITERIA[criterion]
+        for criterion, row in rows.items():
             if row.reads == "pair" and n != 2:
                 continue  # the 1|2 realignment of a two-party state, whose one split is 1|2
             # (parameter, split label, spectrum target) of each cell, in report order
@@ -568,10 +546,10 @@ def cmd_audit(args: argparse.Namespace) -> int:
     if len(dims) < 2 or any(d < 2 for d in dims):
         raise UsageError("dims needs at least two parties of dimension >= 2")
     criteria = tuple(c.strip() for c in args.criteria.split(",") if c.strip())
-    for c in criteria:
-        if c not in CRITERIA:
-            raise UsageError(f"unknown criterion {c!r}; choose from {tuple(CRITERIA)}")
-    weighted = [CRITERIA[c] for c in criteria if CRITERIA[c].flag]
+    try:
+        weighted = [row for row in map(criterion_row, criteria) if row.flag]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     try:
         params = tuple(float(x) for x in args.params.split(",") if x.strip())
     except ValueError as exc:
@@ -621,10 +599,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         )
 
     if args.out:
-        payload = {"config": asdict(cfg), "entries": [asdict(e) for e in report]}
-        for e in payload["entries"]:
-            if isinstance(e["worst_statistic"], float) and math.isnan(e["worst_statistic"]):
-                e["worst_statistic"] = None
+        payload = json_safe({"config": asdict(cfg), "entries": [asdict(e) for e in report]})
         _write_out(args.out, lambda fh: fh.write(json.dumps(payload, indent=2) + "\n"))
     return EXIT_OK
 
@@ -704,7 +679,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_flags) in SUBCOMMANDS.items():
-        add_flags(sub.add_parser(name, help=help_text))
+        sp = sub.add_parser(name, help=help_text)
+        # argparse's hook for values that look like options; its default pattern has no
+        # exponent form, so "--v -1e-3" and "--bracket -1:1" were read as unknown options.
+        sp._negative_number_matcher = re.compile(r"^-\.?\d")
+        add_flags(sp)
     return parser
 
 

@@ -21,7 +21,7 @@ random separable states rather than hiding it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -76,36 +76,18 @@ class CriterionVerdict:
 
     def to_dict(self) -> dict:
         """JSON-safe mirror (NaN -> null, inf -> null)."""
+        return json_safe(asdict(self))
 
-        def _num(x: float | None) -> float | None:
-            if x is None or not math.isfinite(x):
-                return None
-            return float(x)
 
-        adm = None
-        if self.admissible is not None:
-            adm = {
-                "intervals": [
-                    {
-                        "lo": _num(iv.lo),
-                        "hi": _num(iv.hi),
-                        "lo_closed": iv.lo_closed,
-                        "hi_closed": iv.hi_closed,
-                    }
-                    for iv in self.admissible.intervals
-                ],
-                "discriminant": _num(self.admissible.discriminant),
-                "degenerate": self.admissible.degenerate,
-            }
-        return {
-            "criterion": self.criterion,
-            "parameter": _num(self.parameter),
-            "statistic": _num(self.statistic),
-            "threshold": _num(self.threshold),
-            "outcome": self.outcome,
-            "admissible": adm,
-            "note": self.note,
-        }
+def json_safe(obj):
+    """`obj` for json.dumps: tuples as lists, NaN and infinite floats as None."""
+    if isinstance(obj, dict):
+        return {k: json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_safe(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def discriminant(m: MomentSet) -> float:
@@ -251,17 +233,16 @@ def v3(m: MomentSet, v: float) -> float:
 
 
 def moment_statistics(
-    criterion: str, t1: np.ndarray, t2: np.ndarray, weight: float,
-    bounds: AdmissibleBounds | None = None,
+    criterion: str, t1: np.ndarray, t2: np.ndarray, weight: float, bounds: AdmissibleBounds | None
 ) -> np.ndarray:
     """Statistic of "v1", "v2" or "v3" at `weight` for each state of a stack.
 
-    v1 and v2 are NaN where `weight` is outside the state's admissible
-    range; pass the stack's `bounds` to reuse them across weights.
+    v1 and v2 are NaN where `weight` is outside the state's range in
+    `bounds`, the stack's admissible bounds; v3 does not read them.
     """
     if not CRITERIA[criterion].gated:
         return v3_stack(t1, t2, weight)
-    ok = (admissible_bounds(t1, t2) if bounds is None else bounds).admits(weight)
+    ok = bounds.admits(weight)
     stats = np.full(np.shape(t1), np.nan)
     stats[ok] = v1_stack(t1[ok], t2[ok], weight)  # a bad weight raises even if none is admitted
     return stats
@@ -301,6 +282,13 @@ CRITERIA = {
 }
 
 
+def criterion_row(name: str) -> _Row:
+    """The :data:`CRITERIA` row of `name`; an unknown name raises ValueError."""
+    if name not in CRITERIA:
+        raise ValueError(f"unknown criterion {name!r}; choose from {tuple(CRITERIA)}")
+    return CRITERIA[name]
+
+
 class Spectrum(NamedTuple):
     """Per state: realignment trace norms, T1, T2 and bounds, or partial-transpose minimum eigenvalues."""
 
@@ -325,7 +313,10 @@ def spectrum(
 
 
 def statistics(criterion: str, sp: Spectrum, weight: float | None = None) -> np.ndarray:
-    """Each state's statistic: the values unweighted, else :func:`moment_statistics` at `weight`."""
+    """Each state's statistic: the values unweighted, else :func:`moment_statistics` at `weight`.
+
+    v1 and v2 read `sp.bounds`, so their spectrum is taken with `gated=True`.
+    """
     if not CRITERIA[criterion].flag:
         return sp.values
     return moment_statistics(criterion, sp.t1, sp.t2, weight, sp.bounds)
@@ -360,18 +351,27 @@ def evaluate(
     v1 reads the 1|2 realignment of a two-party state, v2, v3 and realign
     that of `spec`, and ppt the partial transpose over `party`; v1, v2 and
     v3 take `weight`.  After the checks this is one :func:`spectrum` and
-    one :func:`statistics` call.  A non-finite or out-of-domain weight, or
-    a state, split or party that does not fit, raises ValueError.
+    one :func:`statistics` call.  A criterion without a row, a missing party,
+    split or weight, a non-finite or out-of-domain weight, or a state,
+    split or party that does not fit, raises ValueError.
     """
-    row = CRITERIA[criterion]
+    row = criterion_row(criterion)
+    if row.reads == "party" and party is None:
+        raise ValueError(f"criterion {criterion} requires --party")
+    if row.reads == "split" and spec is None:
+        raise ValueError(f"criterion {criterion} requires --split")
+    if row.flag and weight is None:
+        raise ValueError(f"criterion {criterion} requires --{row.flag}")
     if row.reads == "pair":
         if len(dims) != 2:
             raise ValueError(
                 f"criterion {criterion} requires a two-party state (use v2 with --split instead)"
             )
         spec = RealignSpec((1,), (2,))
-    if row.flag and not math.isfinite(weight):
-        raise ValueError(f"--{row.flag} must be finite, got {weight!r}")
+    if row.flag:
+        weight = float(weight)
+        if not math.isfinite(weight):
+            raise ValueError(f"--{row.flag} must be finite, got {weight!r}")
     party = party if row.reads == "party" else None
     sp = spectrum(matrices, dims, spec, party, row.gated)
     stats = statistics(criterion, sp, weight)

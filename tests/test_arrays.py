@@ -358,5 +358,5 @@ class TestMomentArrays:
         assert error is not None and "radicand" in str(error)
         assert_raises_same(error, lambda: v1_stack(t1, t2, 4.0))
         # Gated, those states are inadmissible instead.
-        stats = moment_statistics("v1", t1, t2, 4.0)
+        stats = moment_statistics("v1", t1, t2, 4.0, admissible_bounds(t1, t2))
         assert np.isnan(stats).tolist() == [False, True, False, True]

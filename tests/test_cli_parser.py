@@ -3,7 +3,8 @@
 Every argv here runs through `main` with the shared parser, then through
 `main` with a freshly built one, then with the shared parser again after
 a failing argv.  Exit code, stdout and stderr must be equal, help texts
-and argparse errors included.
+and argparse errors included.  A value that starts with a minus sign and
+a digit, as in an exponent form or a bracket, is read as a value.
 """
 import contextlib
 import io
@@ -119,6 +120,30 @@ def test_one_process_builds_the_parser_once():
     finally:
         cli.build_parser.cache_clear()
     assert built == list(cli.SUBCOMMANDS)  # every subparser, built for the first request only
+
+
+def test_negative_weight_in_exponent_form_is_a_value():
+    argv = ["analyze", "--family", "rho_eps", "--param", "1", "--criterion", "v3", "--split", "1|2"]
+    assert run([*argv, "--v", "-1e-3"]) == (2, "", "error: weight must be nonnegative, got -0.001\n")
+
+
+NO_PARAM = ("analyze", "--family", "rho_eps", "--criterion", "realign", "--split", "1|2")
+NO_BRACKET = ("threshold", "--family", "noisy_ghz4", "--criterion", "realign", "--split", "1|2")
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (NO_PARAM, "--param", "-1e-3"),
+        (NO_PARAM, "--param", "-2E+0"),
+        (NO_BRACKET, "--bracket", "-1:1"),
+        (NO_BRACKET, "--bracket", "-.5:1"),
+    ],
+)
+def test_negative_values_read_as_their_equals_form(argv, flag, value):
+    spaced = run([*argv, flag, value])
+    assert spaced == run([*argv, f"{flag}={value}"])
+    assert spaced[0] == 3 and spaced[2].startswith("validation failure: ")
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])

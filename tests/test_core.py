@@ -186,3 +186,26 @@ def test_evaluate_stack_usage_errors(criterion, dims, flags, message):
     with pytest.raises(UsageError) as exc:
         evaluate_stack(matrices, dims, criterion, **flags)
     assert str(exc.value) == message
+
+
+# What `evaluate` itself checks, in its order: the row, then the party, split and weight it reads.
+SPEC = RealignSpec.parse("1|2")
+EVALUATE_ERRORS = [
+    ("v9", {}, "unknown criterion 'v9'; choose from ('v1', 'v2', 'v3', 'realign', 'ppt')"),
+    ("ppt", {}, "criterion ppt requires --party"),
+    ("ppt", {"spec": SPEC, "weight": 1.0}, "criterion ppt requires --party"),
+    ("realign", {"party": 1}, "criterion realign requires --split"),
+    ("v3", {}, "criterion v3 requires --split"),
+    ("v2", {"party": 1, "weight": 1.0}, "criterion v2 requires --split"),
+    ("v3", {"spec": SPEC}, "criterion v3 requires --v"),
+    ("v2", {"spec": SPEC}, "criterion v2 requires --u"),
+    ("v1", {"spec": SPEC, "party": 1}, "criterion v1 requires --a"),
+]
+
+
+@pytest.mark.parametrize("criterion, args, message", EVALUATE_ERRORS)
+def test_evaluate_checks_what_it_reads(criterion, args, message):
+    stack = rho_pq(0.2).matrix[None]  # its partial transpose has eigenvalue -0.006
+    with pytest.raises(ValueError) as exc:
+        evaluate(stack, (4, 4), criterion, **args)
+    assert str(exc.value) == message

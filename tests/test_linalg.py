@@ -170,6 +170,20 @@ class TestSingularValues:
         assert out[0] == pytest.approx(15.0, rel=1e-12)  # |u| |v| = 5 * 3
         assert out[1] == pytest.approx(0.0, abs=1e-7)
 
+    @pytest.mark.parametrize("scale", [1e3, 1e6])
+    @pytest.mark.parametrize("kind", ["ones", "rank_one"])
+    def test_large_rank_one_inputs(self, scale, kind):
+        # Their Gram eigenvalues that should be 0 round to about -1e-10 to -3e-3.
+        if kind == "ones":
+            a = scale * np.ones((3, 3))
+        else:
+            a = scale * (random_matrix(3, 1, 5) @ random_matrix(1, 3, 6))
+        top = np.linalg.svd(a, compute_uv=False)[0]
+        assert singular_values(a)[0] == pytest.approx(top, rel=1e-12)
+        # The two zero singular values come back as square roots of Gram
+        # rounding, each about sqrt(eps) * top at most.
+        assert trace_norm(a) == pytest.approx(top, rel=1e-7)
+
 
 class TestTraceNorm:
     def test_identity(self):
