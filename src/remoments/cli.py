@@ -36,11 +36,10 @@ from .criteria import (
     evaluate,
     json_safe,
     spectrum,
-    statistics,
     verdict,
 )
 from .linalg import MAX_KRON_DIM
-from .realign import MomentSet, RealignSpec, enumerate_splits
+from .realign import RealignSpec, enumerate_splits
 from .states import (
     FAMILIES,
     DensityMatrix,
@@ -211,7 +210,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         dm, args.criterion, a=args.a, u=args.u, v=args.v, split=args.split, party=args.party
     )
     reads = CRITERIA[args.criterion].reads
-    mset = None if ev.t1 is None else MomentSet(t1=float(ev.t1[0]), t2=float(ev.t2[0]))
 
     if args.family is not None:
         state_label = f"{args.family}({_fmt(args.param)})"
@@ -229,9 +227,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     lines.append(("statistic", _fmt(result.statistic)))
     lines.append(("threshold", _fmt(result.threshold)))
     lines.append(("outcome", result.outcome))
-    if mset is not None:
-        lines.append(("T1", _fmt(mset.t1)))
-        lines.append(("T2", _fmt(mset.t2)))
+    if ev.t1 is not None:
+        lines += [("T1", _fmt(ev.t1[0])), ("T2", _fmt(ev.t2[0]))]
     if result.admissible is not None:
         lines.append(("discriminant", _fmt(result.admissible.discriminant)))
         lines.append(("admissible", _format_admissible(result)))
@@ -251,8 +248,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
         payload["split"] = args.split if reads == "split" else None
         payload["party"] = args.party if reads == "party" else None
-        payload["moments"] = None if mset is None else {"t1": mset.t1, "t2": mset.t2}
-        payload["discriminant"] = None if mset is None else discriminant(mset)
+        payload["moments"] = None if ev.t1 is None else {"t1": float(ev.t1[0]), "t2": float(ev.t2[0])}
+        payload["discriminant"] = None if ev.t1 is None else float(discriminant(ev.t1, ev.t2)[0])
         _write_out(args.out, lambda fh: fh.write(json.dumps(payload, indent=2) + "\n"))
     return EXIT_OK
 
@@ -478,9 +475,9 @@ def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
     (`separable_stack`).  Each split and party takes one :func:`spectrum`
     per chunk, with the admissible bounds when a gated criterion is
     requested, and every (criterion, weight) reads its statistics array
-    from it with :func:`statistics`.  Each cell is tallied from that array
-    with masks, the worst sample being the first index of the extreme
-    value.
+    from it with its row's `statistic`.  Each cell is tallied from that
+    array with masks, the worst sample being the first index of the
+    extreme value.
     """
     params = tuple(dict.fromkeys(cfg.params))
     try:
@@ -533,7 +530,7 @@ def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
             cells = ([(float(p), None, p) for p in range(1, n + 1)] if row.reads == "party" else
                      [(w, str(sp), sp) for sp in splits for w in (params if row.flag else (None,))])
             for parameter, split, target in cells:
-                stats = statistics(criterion, spectrum_of(target), parameter)
+                stats = row.statistic(spectrum_of(target), parameter)
                 tally(criterion, parameter, split, stats, seeds)
     return list(entries.values())
 
@@ -558,18 +555,19 @@ def cmd_audit(args: argparse.Namespace) -> int:
         raise UsageError("--num-states and --num-terms must be >= 1")
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
-    if math.prod(dims) > MAX_KRON_DIM:
-        raise UsageError(
-            f"dims {args.dims!r} give dimension {math.prod(dims)}, above the cap {MAX_KRON_DIM}"
-        )
+    d = math.prod(dims)
+    if d > MAX_KRON_DIM:
+        raise UsageError(f"dims {args.dims!r} give dimension {d}, above the cap {MAX_KRON_DIM}")
+    if args.num_terms > d * d:  # Caratheodory: a separable state mixes at most D^2 pure products
+        raise UsageError(f"--num-terms must be at most D^2 = {d * d}, got {args.num_terms}")
     for w in params:
         if not math.isfinite(w):
             raise UsageError(f"weight {w!r} in --params is not finite")
         if w * w == math.inf:
             raise UsageError(f"weight {w!r} in --params is too large")
-        if w < 0.0 and any(not row.positive for row in weighted):
+        if w < 0.0 and any(not row.gated for row in weighted):
             raise UsageError(f"v3 needs nonnegative weights, got {w!r}")
-        if w <= 0.0 and any(row.positive for row in weighted):
+        if w <= 0.0 and any(row.gated for row in weighted):
             raise UsageError(f"v1 and v2 need positive weights, got {w!r}")
 
     cfg = AuditConfig(
@@ -619,14 +617,23 @@ def _add_criterion_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--party", type=int, help="1-based party index (ppt)")
 
 
-def _analyze_flags(sp: argparse.ArgumentParser) -> None:
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process (parse_args keeps no state)."""
+    parser = argparse.ArgumentParser(
+        prog="remoments",
+        description="Entanglement detection from realignment moments of density matrices.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    sp = sub.add_parser("analyze", help="evaluate one criterion on one state")
+    sp.set_defaults(func=cmd_analyze)
     _add_state_flags(sp)
     _add_criterion_flags(sp)
     sp.add_argument("--out", help="also write the verdict as JSON to this path")
-    sp.set_defaults(func=cmd_analyze)
 
-
-def _sweep_flags(sp: argparse.ArgumentParser) -> None:
+    sp = sub.add_parser("sweep", help="evaluate a criterion across a family grid -> CSV")
+    sp.set_defaults(func=cmd_sweep)
     sp.add_argument("--family", required=True, choices=sorted(FAMILIES))
     sp.add_argument(
         "--range", required=True, dest="range_spec", metavar="LO:HI:STEP",
@@ -634,20 +641,18 @@ def _sweep_flags(sp: argparse.ArgumentParser) -> None:
     )
     _add_criterion_flags(sp)
     sp.add_argument("--out", help="CSV output path (default: stdout)")
-    sp.set_defaults(func=cmd_sweep)
 
-
-def _threshold_flags(sp: argparse.ArgumentParser) -> None:
+    sp = sub.add_parser("threshold", help="bisect a statistic/threshold crossing")
+    sp.set_defaults(func=cmd_threshold)
     sp.add_argument("--family", required=True, choices=sorted(FAMILIES))
     sp.add_argument(
         "--bracket", required=True, metavar="LO:HI",
         help="state-parameter bracket that must straddle the threshold",
     )
     _add_criterion_flags(sp)
-    sp.set_defaults(func=cmd_threshold)
 
-
-def _audit_flags(sp: argparse.ArgumentParser) -> None:
+    sp = sub.add_parser("audit", help="run criteria against random separable states")
+    sp.set_defaults(func=cmd_audit)
     sp.add_argument("--dims", required=True, help='party dimensions, e.g. "2,2" or "3,3"')
     sp.add_argument("--num-states", type=int, default=AuditConfig.num_states)
     sp.add_argument("--num-terms", type=int, default=AuditConfig.num_terms)
@@ -658,32 +663,11 @@ def _audit_flags(sp: argparse.ArgumentParser) -> None:
     )
     sp.add_argument("--params", default=",".join(map(_fmt, AuditConfig.params)), help="comma list of weights")
     sp.add_argument("--out", help="also write the report as JSON to this path")
-    sp.set_defaults(func=cmd_audit)
 
-
-# name -> (help line, flags), in the order of the usage line
-SUBCOMMANDS = {
-    "analyze": ("evaluate one criterion on one state", _analyze_flags),
-    "sweep": ("evaluate a criterion across a family grid -> CSV", _sweep_flags),
-    "threshold": ("bisect a statistic/threshold crossing", _threshold_flags),
-    "audit": ("run criteria against random separable states", _audit_flags),
-}
-
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, built once per process (parse_args keeps no state)."""
-    parser = argparse.ArgumentParser(
-        prog="remoments",
-        description="Entanglement detection from realignment moments of density matrices.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_flags) in SUBCOMMANDS.items():
-        sp = sub.add_parser(name, help=help_text)
+    for sp in sub.choices.values():
         # argparse's hook for values that look like options; its default pattern has no
         # exponent form, so "--v -1e-3" and "--bracket -1:1" were read as unknown options.
         sp._negative_number_matcher = re.compile(r"^-\.?\d")
-        add_flags(sp)
     return parser
 
 

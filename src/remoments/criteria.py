@@ -8,10 +8,11 @@ A statistic above 1 at an admissible weight flags entanglement.  The
 comparators are the plain trace-norm test on the realigned rectangle
 and the partial-transpose minimum eigenvalue.
 
-`CRITERIA` holds what each criterion needs, :func:`evaluate` computes
-any of them on a stack of states as arrays, and :func:`verdict` reads
-one state's verdict from that; the public ``verdict_*`` functions are
-the one-state case of the two.
+`CRITERIA` holds what each criterion needs, its statistic as a function
+of a :class:`Spectrum` included, so a new criterion is one row and one
+function.  :func:`evaluate` computes any of them on a stack of states as
+arrays, and :func:`verdict` reads one state's verdict from that; the
+public ``verdict_*`` functions are the one-state case of the two.
 
 As published, the weighted criterion evaluates to sqrt(1 + 4/a) > 1 on
 every pure product state, so a statistic above 1 is not by itself proof
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -90,19 +91,15 @@ def json_safe(obj):
     return obj
 
 
-def discriminant(m: MomentSet) -> float:
-    """(T1^2 - T1)^2 - 2 (T1^2 - T2) T1^2.
+def discriminant(t1, t2):
+    """(T1^2 - T1)^2 - 2 (T1^2 - T2) T1^2, of floats or of arrays alike.
 
     Nonpositive means the weighted bound holds for every weight a > 0;
     positive splits the admissible weights into two intervals around the
     roots of the radicand.
     """
-    return _discriminant(m.t1, m.t2)
-
-
-def _discriminant(t1, t2):
-    # Floats or arrays alike.  lin * lin, not lin ** 2: Python's float ** 2
-    # goes through libm pow, which is not always the correctly rounded square.
+    # lin * lin, not lin ** 2: Python's float ** 2 goes through libm pow,
+    # which is not always the correctly rounded square.
     lin = t1 * t1 - t1
     return lin * lin - 2.0 * (t1 * t1 - t2) * t1 * t1
 
@@ -160,7 +157,7 @@ def admissible_bounds(t1: np.ndarray, t2: np.ndarray) -> AdmissibleBounds:
     """
     quad = t1 * t1 - t2
     lin = t1 * t1 - t1
-    disc = _discriminant(t1, t2)
+    disc = discriminant(t1, t2)
     degenerate = quad <= DEGENERATE_TOL
     with np.errstate(divide="ignore", invalid="ignore"):  # only where unused
         root = np.sqrt(disc)
@@ -232,22 +229,6 @@ def v3(m: MomentSet, v: float) -> float:
     return float(v3_stack(*_one(m), v)[0])
 
 
-def moment_statistics(
-    criterion: str, t1: np.ndarray, t2: np.ndarray, weight: float, bounds: AdmissibleBounds | None
-) -> np.ndarray:
-    """Statistic of "v1", "v2" or "v3" at `weight` for each state of a stack.
-
-    v1 and v2 are NaN where `weight` is outside the state's range in
-    `bounds`, the stack's admissible bounds; v3 does not read them.
-    """
-    if not CRITERIA[criterion].gated:
-        return v3_stack(t1, t2, weight)
-    ok = bounds.admits(weight)
-    stats = np.full(np.shape(t1), np.nan)
-    stats[ok] = v1_stack(t1[ok], t2[ok], weight)  # a bad weight raises even if none is admitted
-    return stats
-
-
 def entangled(criterion: str, statistic):
     """Whether a statistic (float or array) flags entanglement.
 
@@ -260,13 +241,38 @@ def entangled(criterion: str, statistic):
     return statistic > row.threshold + DETECTION_SLACK
 
 
+class Spectrum(NamedTuple):
+    """Per state: realignment trace norms, T1, T2 and bounds, or partial-transpose minimum eigenvalues."""
+
+    values: np.ndarray
+    t1: np.ndarray | None = None
+    t2: np.ndarray | None = None
+    bounds: AdmissibleBounds | None = None
+
+
+def _gated_v1(sp: Spectrum, a: float) -> np.ndarray:
+    """v1 at `a` where it is admissible by `sp.bounds`, NaN elsewhere."""
+    ok = sp.bounds.admits(a)
+    stats = np.full(np.shape(sp.t1), np.nan)
+    stats[ok] = v1_stack(sp.t1[ok], sp.t2[ok], a)  # a bad weight raises even if none is admitted
+    return stats
+
+
+def _v3(sp: Spectrum, v: float) -> np.ndarray:
+    return v3_stack(sp.t1, sp.t2, v)
+
+
+def _values(sp: Spectrum, weight: float | None) -> np.ndarray:
+    return sp.values
+
+
 class _Row(NamedTuple):
     """What one criterion needs; see :data:`CRITERIA`."""
 
     flag: str | None  # the weight's CLI flag without "--", or None when unweighted
     reads: str  # "pair": the 1|2 realignment; "split": a split's; "party": a partial transpose
-    gated: bool  # the weight must lie in the admissible range
-    positive: bool  # the weight must be > 0 (otherwise >= 0)
+    gated: bool  # the weight must be > 0 and lie in the admissible range (otherwise >= 0)
+    statistic: Callable[[Spectrum, float | None], np.ndarray]  # each state's, at a weight
     threshold: float = 1.0  # the value the statistic is compared with
     below: bool = False  # a statistic below the threshold flags entanglement, not one above
 
@@ -274,11 +280,11 @@ class _Row(NamedTuple):
 # v1 and v2 share one formula and differ only in which realignment the
 # moments come from; v3 holds for every weight >= 0, with no gate.
 CRITERIA = {
-    "v1": _Row("a", "pair", gated=True, positive=True),
-    "v2": _Row("u", "split", gated=True, positive=True),
-    "v3": _Row("v", "split", gated=False, positive=False),
-    "realign": _Row(None, "split", gated=False, positive=False),
-    "ppt": _Row(None, "party", gated=False, positive=False, threshold=0.0, below=True),
+    "v1": _Row("a", "pair", gated=True, statistic=_gated_v1),
+    "v2": _Row("u", "split", gated=True, statistic=_gated_v1),
+    "v3": _Row("v", "split", gated=False, statistic=_v3),
+    "realign": _Row(None, "split", gated=False, statistic=_values),
+    "ppt": _Row(None, "party", gated=False, statistic=_values, threshold=0.0, below=True),
 }
 
 
@@ -289,37 +295,19 @@ def criterion_row(name: str) -> _Row:
     return CRITERIA[name]
 
 
-class Spectrum(NamedTuple):
-    """Per state: realignment trace norms, T1, T2 and bounds, or partial-transpose minimum eigenvalues."""
-
-    values: np.ndarray
-    t1: np.ndarray | None = None
-    t2: np.ndarray | None = None
-    bounds: AdmissibleBounds | None = None
-
-
 def spectrum(
     matrices: np.ndarray, dims: tuple[int, ...], spec: RealignSpec | None = None,
     party: int | None = None, gated: bool = False,
 ) -> Spectrum:
-    """One eigensolve of a stack's partial transpose over `party`, or else one
-    `singular_values` call on its `spec` realignment, with bounds when `gated`.
+    """The :class:`Spectrum` every row's `statistic` reads: one eigensolve of a
+    stack's partial transpose over `party`, or else one `singular_values` call
+    on its `spec` realignment, with the admissible bounds when `gated`.
     """
     if party is not None:
         return Spectrum(hermitian_eigenvalues(transpose_party(matrices, dims, party))[:, -1])
     sv = singular_values(realign_array(matrices, dims, spec))
     t1, t2 = power_sums(sv)
     return Spectrum(sv.sum(axis=-1), t1, t2, admissible_bounds(t1, t2) if gated else None)
-
-
-def statistics(criterion: str, sp: Spectrum, weight: float | None = None) -> np.ndarray:
-    """Each state's statistic: the values unweighted, else :func:`moment_statistics` at `weight`.
-
-    v1 and v2 read `sp.bounds`, so their spectrum is taken with `gated=True`.
-    """
-    if not CRITERIA[criterion].flag:
-        return sp.values
-    return moment_statistics(criterion, sp.t1, sp.t2, weight, sp.bounds)
 
 
 class Evaluation(NamedTuple):
@@ -350,10 +338,10 @@ def evaluate(
 
     v1 reads the 1|2 realignment of a two-party state, v2, v3 and realign
     that of `spec`, and ppt the partial transpose over `party`; v1, v2 and
-    v3 take `weight`.  After the checks this is one :func:`spectrum` and
-    one :func:`statistics` call.  A criterion without a row, a missing party,
-    split or weight, a non-finite or out-of-domain weight, or a state,
-    split or party that does not fit, raises ValueError.
+    v3 take `weight`.  After the checks this is one :func:`spectrum` call
+    and the row's `statistic` on it.  A criterion without a row, a missing
+    party, split or weight, a non-finite or out-of-domain weight, or a
+    state, split or party that does not fit, raises ValueError.
     """
     row = criterion_row(criterion)
     if row.reads == "party" and party is None:
@@ -374,7 +362,7 @@ def evaluate(
             raise ValueError(f"--{row.flag} must be finite, got {weight!r}")
     party = party if row.reads == "party" else None
     sp = spectrum(matrices, dims, spec, party, row.gated)
-    stats = statistics(criterion, sp, weight)
+    stats = row.statistic(sp, weight)
     if not row.flag:
         return Evaluation(criterion, None if party is None else float(party), stats)
     return Evaluation(criterion, weight, stats, sp.t1, sp.t2, sp.bounds)

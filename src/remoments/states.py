@@ -182,16 +182,21 @@ def rho_eps(eps: float) -> DensityMatrix:
 
 
 def _rho_eps_stack(eps: np.ndarray) -> np.ndarray:
-    e2 = eps * eps
-    norm = 3.0 * (1.0 + e2 + 1.0 / e2)
+    # Entries 1, 1/eps^2 and eps^2 over 3 (1 + eps^2 + 1/eps^2), as t^2, 1 and t^4 over
+    # 3 (1 + t^2 + t^4) with t = min(eps, 1/eps) (mirrored for eps > 1): nothing overflows, and
+    # a power of t underflows only where its entry does.  eps = inf is no state: NaN entries.
+    t = np.where(eps < math.inf, np.minimum(eps, 1.0 / eps), np.nan)
+    t2 = t * t
+    t4 = t2 * t2
+    low = (eps <= 1.0)[:, None]
     m = np.zeros((eps.size, 9, 9), dtype=complex)
     for r in (0, 4, 8):
         for c in (0, 4, 8):
-            m[:, r, c] = 1.0
-    m[:, [1, 6, 5], [1, 6, 5]] = (1.0 / e2)[:, None]
-    m[:, [3, 2, 7], [3, 2, 7]] = e2[:, None]
-    m[:, [1, 3, 2, 6, 5, 7], [3, 1, 6, 2, 7, 5]] = 1.0
-    return m / norm[:, None, None]
+            m[:, r, c] = t2
+    m[:, [1, 6, 5], [1, 6, 5]] = np.where(low, 1.0, t4[:, None])
+    m[:, [3, 2, 7], [3, 2, 7]] = np.where(low, t4[:, None], 1.0)
+    m[:, [1, 3, 2, 6, 5, 7], [3, 1, 6, 2, 7, 5]] = t2[:, None]
+    return m / (3.0 * (1.0 + t2 + t4))[:, None, None]
 
 
 def _rho_pq_kets() -> list[np.ndarray]:
@@ -268,8 +273,7 @@ _FAMILY_SPECS = {
     "rho_d": (
         (3, 3),
         lambda d: not (RHO_D_MIN <= d <= RHO_D_MAX),
-        f"rho_d is not positive semidefinite for d={{!r}}; "
-        f"valid range is [{RHO_D_MIN!r}, {RHO_D_MAX!r}]",
+        f"rho_d requires {RHO_D_MIN!r} <= d <= {RHO_D_MAX!r}, got {{!r}}",
         _rho_d_stack,
     ),
     "rho_eps": ((3, 3), lambda eps: eps <= 0.0, "rho_eps requires eps > 0, got {!r}", _rho_eps_stack),

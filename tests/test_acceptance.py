@@ -49,7 +49,7 @@ Q0 = (math.sqrt(2) - 1) / 2
 def test_criterion_01_golden_values_and_watch_range():
     dm = rho_pq(Q0)
     m = moments(realign_bipartite(dm))
-    delta = discriminant(m)
+    delta = discriminant(m.t1, m.t2)
     assert delta == pytest.approx(0.0188, abs=5e-4)
 
     v = verdict_v1(dm, 0.2)

@@ -265,6 +265,16 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == f"error: cannot read state file {str(path)!r}: {message}\n"
 
+    @pytest.mark.parametrize("dims, terms", [("2,2", 17), ("2,2", 10**12), ("2,3,2", 145)])
+    def test_audit_num_terms_above_d_squared_exit_2(self, dims, terms):
+        # Caratheodory: every separable state mixes at most D^2 pure products.  At
+        # 10^12 terms the sample stack alone would take 7.28 TiB.
+        d = math.prod(int(x) for x in dims.split(","))
+        argv = ("audit", "--dims", dims, "--num-states", "1")
+        code, out, err = run_cli(*argv, "--num-terms", str(terms))
+        assert (code, out, err) == (2, "", f"error: --num-terms must be at most D^2 = {d * d}, got {terms}\n")
+        assert run_cli(*argv, "--num-terms", str(d * d))[0] == 0
+
     def test_state_file_nested_too_deep_exit_2(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000)

@@ -6,6 +6,7 @@ a failing argv.  Exit code, stdout and stderr must be equal, help texts
 and argparse errors included.  A value that starts with a minus sign and
 a digit, as in an exponent form or a bracket, is read as a value.
 """
+import argparse
 import contextlib
 import io
 
@@ -15,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from remoments import cli
 from test_cli_fuzz import analyze_argv, audit_argv, sweep_argv, threshold_argv
 
+COMMANDS = ("analyze", "sweep", "threshold", "audit")
 FULL_USAGE = "usage: remoments [-h] {analyze,sweep,threshold,audit} ...\n"
 THRESHOLD = ("threshold", "--family", "noisy_ghz4", "--bracket", "0:1", "--criterion", "v3",
              "--v", "0.01", "--split", "1|2")
@@ -45,7 +47,7 @@ def assert_same(argv):
     return got
 
 
-@pytest.mark.parametrize("command", list(cli.SUBCOMMANDS))
+@pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("flag", ["-h", "--help"])
 def test_subcommand_help(command, flag):
     code, out, err = assert_same([command, flag])
@@ -100,18 +102,16 @@ def test_missing_and_invalid_flags(argv):
 
 def test_one_process_builds_the_parser_once():
     built = []
+    add_parser = argparse._SubParsersAction.add_parser
 
-    def recording(name, add_flags):
-        def add(sp):
-            built.append(name)
-            add_flags(sp)
-        return add
+    def recording(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
 
-    subcommands = {name: (text, recording(name, add)) for name, (text, add) in cli.SUBCOMMANDS.items()}
     cli.build_parser.cache_clear()
     try:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "SUBCOMMANDS", subcommands)
+            mp.setattr(argparse._SubParsersAction, "add_parser", recording)
             assert run(THRESHOLD) == (0, "0.642671108246\n", "")
             assert run([*THRESHOLD, "extra"])[0] == 2
             assert run(["--help"])[0] == 0
@@ -119,7 +119,7 @@ def test_one_process_builds_the_parser_once():
             assert run(THRESHOLD) == (0, "0.642671108246\n", "")
     finally:
         cli.build_parser.cache_clear()
-    assert built == list(cli.SUBCOMMANDS)  # every subparser, built for the first request only
+    assert built == list(COMMANDS)  # every subparser, built for the first request only
 
 
 def test_negative_weight_in_exponent_form_is_a_value():

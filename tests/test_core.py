@@ -59,7 +59,8 @@ def test_table_rows():
     weighted = {name: row.flag for name, row in CRITERIA.items() if row.flag}
     assert weighted == {"v1": "a", "v2": "u", "v3": "v"}
     assert [name for name, row in CRITERIA.items() if row.gated] == ["v1", "v2"]
-    assert [name for name, row in CRITERIA.items() if row.positive] == ["v1", "v2"]
+    assert CRITERIA["v1"].statistic is CRITERIA["v2"].statistic
+    assert CRITERIA["realign"].statistic is CRITERIA["ppt"].statistic
     assert {name: row.reads for name, row in CRITERIA.items()} == {
         "v1": "pair", "v2": "split", "v3": "split", "realign": "split", "ppt": "party",
     }
@@ -106,7 +107,7 @@ def test_public_verdicts_equal_the_stacked_core(case, seed):
     criterion, dims, members, public, args = case
     states, stack = mixed(dims, members, seed)
     for w in WEIGHTS if CRITERIA[criterion].flag else (None,):
-        if w == 0.0 and CRITERIA[criterion].positive:
+        if w == 0.0 and CRITERIA[criterion].gated:
             continue  # a weight <= 0 raises for v1 and v2
         ev = evaluate(stack, dims, criterion, *args(w))
         for i, dm in enumerate(states):

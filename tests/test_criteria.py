@@ -58,18 +58,19 @@ def bounds_of(m):
 
 class TestDiscriminant:
     def test_unit_moments(self):
-        assert discriminant(MomentSet(t1=1.0, t2=1.0)) == 0.0
+        assert discriminant(1.0, 1.0) == 0.0
 
     def test_bell(self):
-        assert discriminant(bell_moments()) == pytest.approx(-1.5, abs=1e-12)
+        m = bell_moments()
+        assert discriminant(m.t1, m.t2) == pytest.approx(-1.5, abs=1e-12)
 
     def test_pq_golden(self):
-        assert discriminant(pq_moments()) == pytest.approx(0.01882146863844181, abs=1e-12)
+        m = pq_moments()
+        assert discriminant(m.t1, m.t2) == pytest.approx(0.01882146863844181, abs=1e-12)
 
     def test_formula(self):
-        m = MomentSet(t1=0.7, t2=0.3)
         expected = (0.49 - 0.7) ** 2 - 2 * (0.49 - 0.3) * 0.49
-        assert discriminant(m) == pytest.approx(expected, abs=1e-15)
+        assert discriminant(0.7, 0.3) == pytest.approx(expected, abs=1e-15)
 
 
 class TestAdmissibleRange:

@@ -1,6 +1,7 @@
 """State constructors, validation, families, sampler, JSON format."""
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from remoments import (
     validate,
 )
 from remoments.states import RHO_D_MAX, RHO_D_MIN
+from test_cli import run_cli
 
 Q0 = (math.sqrt(2) - 1) / 2
 
@@ -146,10 +148,19 @@ class TestRhoD:
             assert abs(ev[-1]) <= 1e-9
 
     def test_domain_gate(self):
-        with pytest.raises(ValueError, match="range"):
+        with pytest.raises(ValueError, match=r"^rho_d requires 0\.2625\d* <= d <= 0\.3687\d*, got 0\.25$"):
             rho_d(0.25)
-        with pytest.raises(ValueError, match="range"):
+        with pytest.raises(ValueError, match=r"^rho_d requires .*, got 0\.37$"):
             rho_d(0.37)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_nonfinite_parameter_reports_the_domain(self, text):
+        want = f"rho_d requires {RHO_D_MIN!r} <= d <= {RHO_D_MAX!r}, got {float(text)!r}"
+        with pytest.raises(ValueError) as exc:
+            rho_d(float(text))
+        assert type(exc.value) is ValueError and str(exc.value) == want
+        argv = ("analyze", "--family", "rho_d", f"--param={text}", "--criterion", "realign", "--split", "1|2")
+        assert run_cli(*argv) == (3, "", f"validation failure: {want}\n")
 
 
 class TestRhoEps:
@@ -177,6 +188,42 @@ class TestRhoEps:
             rho_eps(0.0)
         with pytest.raises(ValueError):
             rho_eps(-1.0)
+
+    @pytest.mark.parametrize("eps", [1e-300, 1e-160, 1e-154, 1e154, 1e160, 1e300])
+    def test_extreme_eps_entries_equal_their_closed_forms(self, eps):
+        """Entries 1, 1/eps^2 and eps^2 over 3 (1 + eps^2 + 1/eps^2), in exact arithmetic.
+
+        Each is compared with its correctly rounded value: to 1e-15 relative
+        where that is a normal float, otherwise to one subnormal spacing.
+        """
+        e2 = Fraction(eps) ** 2
+        norm = 3 * (1 + e2 + 1 / e2)
+        ones = [(r, c) for r in (0, 4, 8) for c in (0, 4, 8)]
+        ones += [(1, 3), (3, 1), (2, 6), (6, 2), (5, 7), (7, 5)]
+        want = np.zeros((9, 9))
+        for r, c in ones:
+            want[r, c] = float(1 / norm)
+        for i in (1, 6, 5):
+            want[i, i] = float(1 / e2 / norm)
+        for i in (3, 2, 7):
+            want[i, i] = float(e2 / norm)
+        got = rho_eps(eps).matrix  # validated
+        assert not got.imag.any()
+        normal = np.abs(want) >= np.finfo(float).tiny
+        assert np.all(np.abs(got.real - want)[normal] <= 1e-15 * np.abs(want)[normal])
+        assert np.all(np.abs(got.real - want)[~normal] <= 2.0 ** -1074)
+        argv = ("analyze", "--family", "rho_eps", "--param", repr(eps), "--criterion", "realign",
+                "--split", "1|2")
+        assert run_cli(*argv)[0] == 0
+
+    @pytest.mark.parametrize("text", ["nan", "inf"])
+    def test_nonfinite_eps_fails_validation(self, text):
+        with pytest.raises(StateValidationError) as exc:
+            rho_eps(float(text))
+        assert exc.value.code == "NON_FINITE"
+        argv = ("analyze", "--family", "rho_eps", "--param", text, "--criterion", "realign", "--split", "1|2")
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (3, "") and err.startswith("validation failure: NON_FINITE: ")
 
 
 class TestRhoPq:

@@ -21,13 +21,12 @@ from remoments.criteria import (
     PT_NEGATIVITY_TOL,
     Evaluation,
     admissible_bounds,
-    moment_statistics,
     spectrum,
     v3_stack,
 )
 from remoments.realign import RealignSpec
 from remoments.states import RHO_D_MIN, family_stack
-from test_arrays import CASES, WEIGHTS, moment_stacks
+from test_arrays import CASES, WEIGHTS, moment_stacks, row_statistic
 
 
 def moment_verdicts(criterion, t1, t2, weight):
@@ -40,7 +39,7 @@ def moment_verdicts(criterion, t1, t2, weight):
     if criterion == "v3":
         return [verdict(x) for x in v3_stack(t1, t2, weight).tolist()]
     bounds = admissible_bounds(t1, t2)
-    stats = moment_statistics(criterion, t1, t2, weight, bounds).tolist()
+    stats = row_statistic(criterion, t1, t2, weight, bounds).tolist()
     return [verdict(stat, bounds.at(i), None if ok else "parameter outside admissible range")
             for i, (stat, ok) in enumerate(zip(stats, bounds.admits(weight).tolist()))]
 
@@ -177,7 +176,7 @@ def check_moment_rows(t1, t2, weight):
     except ValueError:
         return  # a radicand error; the sweep raises it before any row is built
     bounds = admissible_bounds(t1, t2)
-    ev = Evaluation("v1", weight, moment_statistics("v1", t1, t2, weight, bounds), t1, t2, bounds)
+    ev = Evaluation("v1", weight, row_statistic("v1", t1, t2, weight, bounds), t1, t2, bounds)
     got = cli._sweep_rows(xs, ev)
     assert new_csv(got) == frozen_csv(want)
     assert exact(got) == exact(want)
