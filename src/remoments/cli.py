@@ -60,6 +60,8 @@ _TREE_DEPTH = 3
 
 # Audit samples realigned and decomposed together; bounds the stack at
 # AUDIT_CHUNK * D^2 complex entries however many states are requested.
+# With more than D terms per sample the chunk shrinks by num_terms / D, so
+# the sampler's (chunk, num_terms, D) kets keep that bound too.
 AUDIT_CHUNK = 256
 # Sweep points built, validated and evaluated together.  Narrower than an
 # audit stack: a sweep takes one spectrum per stack, not one per split and
@@ -471,13 +473,13 @@ def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
     largest statistic seen (smallest for ppt), with the seed that made it.
     A criterion or weight listed twice is evaluated once.
 
-    Up to AUDIT_CHUNK samples are drawn and validated as one stack
-    (`separable_stack`).  Each split and party takes one :func:`spectrum`
-    per chunk, with the admissible bounds when a gated criterion is
-    requested, and every (criterion, weight) reads its statistics array
-    from it with its row's `statistic`.  Each cell is tallied from that
-    array with masks, the worst sample being the first index of the
-    extreme value.
+    Up to AUDIT_CHUNK samples, fewer when `num_terms` exceeds D, are
+    drawn and validated as one stack (`separable_stack`).  Each split and
+    party takes one :func:`spectrum` per chunk, with the admissible bounds
+    when a gated criterion is requested, and every (criterion, weight)
+    reads its statistics array from it with its row's `statistic`.  Each
+    cell is tallied from that array with masks, the worst sample being the
+    first index of the extreme value.
     """
     params = tuple(dict.fromkeys(cfg.params))
     try:
@@ -510,8 +512,9 @@ def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
             ent.worst_statistic, ent.worst_seed = stat, seeds[i]
 
     gated = any(row.gated for row in rows.values())
-    for start in range(0, cfg.num_states, AUDIT_CHUNK):
-        seeds = range(cfg.seed + start, cfg.seed + min(cfg.num_states, start + AUDIT_CHUNK))
+    chunk = min(AUDIT_CHUNK, max(1, AUDIT_CHUNK * math.prod(cfg.dims) // max(cfg.num_terms, 1)))
+    for start in range(0, cfg.num_states, chunk):
+        seeds = range(cfg.seed + start, cfg.seed + min(cfg.num_states, start + chunk))
         stack = separable_stack(cfg.dims, cfg.num_terms, seeds)
         spectra: dict[RealignSpec | int, Spectrum] = {}
 
@@ -666,8 +669,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     for sp in sub.choices.values():
         # argparse's hook for values that look like options; its default pattern has no
-        # exponent form, so "--v -1e-3" and "--bracket -1:1" were read as unknown options.
-        sp._negative_number_matcher = re.compile(r"^-\.?\d")
+        # exponent or non-finite form, so "--v -1e-3", "--bracket -1:1" and "--param -inf"
+        # were read as unknown options.
+        sp._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
     return parser
 
 

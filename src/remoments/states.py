@@ -90,6 +90,16 @@ def validate_stack(matrices: np.ndarray) -> np.ndarray:
     the first failed invariant (finite entries, Hermiticity, unit trace,
     positivity, each to 1e-10) of the first bad matrix, with the code and
     deviation :func:`validate` reports for that matrix on its own.
+
+    Positivity is certified by a Cholesky factorization of H + (tol/2) I,
+    with H = (rho + rho^dagger)/2, over the matrices before the first one
+    that fails another invariant.  It gives a finite factor only if every
+    eigenvalue of H is above -tol/2 - delta, where the backward error delta
+    is of order D eps ||H|| (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 10), far below tol/2; so then no eigenvalue is below
+    -tol.  Only if it fails or its factor is not finite are the minimum
+    eigenvalues of H computed, which decide the verdict and name the first
+    NOT_PSD matrix and its deviation.
     """
     m = np.asarray(matrices, dtype=complex)
     adj = dagger(m)
@@ -100,12 +110,24 @@ def validate_stack(matrices: np.ndarray) -> np.ndarray:
     ok = np.maximum(herm_dev, trace_dev) <= VALIDATION_TOL
     n_ok = len(m) if ok.all() else int(ok.argmin())
     # Only the matrices before the first non-ok one can fail first as NOT_PSD.
-    # hermitian_eigenvalues' arithmetic; its Hermiticity check is herm_dev.
-    min_eig = np.linalg.eigvalsh((m[:n_ok] + adj[:n_ok]) / 2.0)[:, 0]
-    negative = np.flatnonzero(min_eig < -VALIDATION_TOL)
-    if negative.size:
-        e = min_eig[negative[0]]
-        raise StateValidationError("NOT_PSD", float(-e), f"minimum eigenvalue {e:.3e} is negative")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the certificate
+        shifted = m[:n_ok] + adj[:n_ok]
+        shifted /= 2.0
+    del adj  # at most two stack-sized temporaries alive at once: `shifted` and the factor
+    diag = np.arange(m.shape[-1])
+    shifted[:, diag, diag] += VALIDATION_TOL / 2.0
+    try:
+        # LAPACK passes a NaN pivot, so only a finite factor certifies.
+        certified = bool(np.isfinite(np.linalg.cholesky(shifted)).all())
+    except np.linalg.LinAlgError:
+        certified = False
+    if not certified:
+        # hermitian_eigenvalues' arithmetic; its Hermiticity check is herm_dev.
+        min_eig = np.linalg.eigvalsh((m[:n_ok] + dagger(m[:n_ok])) / 2.0)[:, 0]
+        negative = np.flatnonzero(min_eig < -VALIDATION_TOL)
+        if negative.size:
+            e = min_eig[negative[0]]
+            raise StateValidationError("NOT_PSD", float(-e), f"minimum eigenvalue {e:.3e} is negative")
     if n_ok == len(m):
         return matrices
     bad = int(np.count_nonzero(~np.isfinite(m[n_ok])))
@@ -333,11 +355,13 @@ def sample_separable(dims: Sequence[int], num_terms: int, seed: int) -> DensityM
 def separable_stack(dims: Sequence[int], num_terms: int, seeds: Sequence[int]) -> np.ndarray:
     """The separable samples of `seeds` as one validated (N, D, D) stack.
 
-    Seed s draws from its own ``default_rng(s)``: `num_terms` exponential
+    Seed s draws from its own ``Generator(PCG64(s))``, the generator and
+    stream ``default_rng(s)`` returns: `num_terms` standard exponential
     weights, then per term the real and imaginary Gaussian parts of each
     party's factor in party order, as one ``(num_terms, 2 * sum(dims))``
-    block.  Normalizing, tensoring and mixing the kets then run on the
-    whole stack with the arithmetic of a one-seed loop: each factor divided
+    block.  Normalizing the weights, and normalizing, tensoring and mixing
+    the kets, then run on the whole stack with the arithmetic of a
+    one-seed loop: the weights divided by their sum, each factor divided
     by its ``np.linalg.norm``, the factors tensored in party order, and the
     weighted outer products added in term order.  So each matrix is the
     same bit for bit whatever the other seeds are.  Raises
@@ -352,14 +376,14 @@ def separable_stack(dims: Sequence[int], num_terms: int, seeds: Sequence[int]) -
     weights = np.empty((n, num_terms))
     normals = np.empty((n, num_terms, 2 * width))
     for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
+        rng = np.random.Generator(np.random.PCG64(seed))  # default_rng(seed), without its dispatch
         if i == 0:  # errors a one-seed sampler raises after its seed check
             functools.reduce(kron_shape, [(dk,) for dk in dims], (1,))
             _factor_dims(dims)
-        w = rng.exponential(size=num_terms)
-        w /= w.sum()
-        weights[i] = w
+        rng.standard_exponential(out=weights[i])
         rng.standard_normal(out=normals[i])
+    # Each row's pairwise sum, as rng.exponential(size=num_terms).sum() gives it.
+    weights /= weights.sum(axis=1, keepdims=True)
     # Party p's real parts start at 2 * (its offset in the ket widths); its
     # imaginary parts follow them.
     offsets = np.cumsum((0,) + dims[:-1])

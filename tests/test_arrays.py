@@ -210,6 +210,14 @@ class TestSeparableStack:
         seeds=st.lists(st.integers(0, 2**63), min_size=1, max_size=6),
     )
     @example(dims=(2, 2, 2, 2), num_terms=3, seeds=[0, 1, 2])
+    # The weights of all seeds are normalized by one row sum; numpy sums 8 or
+    # more terms pairwise in unrolled blocks of up to 128.
+    @example(dims=(2, 2), num_terms=8, seeds=[3, 4])
+    @example(dims=(2, 2), num_terms=9, seeds=[0, 1, 2])
+    @example(dims=(2, 3), num_terms=17, seeds=[5])
+    @example(dims=(2, 2), num_terms=128, seeds=[6, 7])
+    @example(dims=(2, 2), num_terms=129, seeds=[0, 1, 2])
+    @example(dims=(2, 3), num_terms=300, seeds=[8, 9, 10, 11])
     def test_bit_for_bit_with_frozen_loop(self, dims, num_terms, seeds):
         stack = separable_stack(dims, num_terms, seeds)
         assert stack.shape == (len(seeds),) + (math.prod(dims),) * 2

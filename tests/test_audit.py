@@ -1,6 +1,7 @@
 """The stacked audit engine against a per-state loop over the scalar verdicts."""
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -119,6 +120,30 @@ def test_ties_across_chunks_keep_the_first_seed(monkeypatch, chunk):
     assert entry.worst_statistic == max(stats)
     assert entry.worst_seed == cfg.seed + tied[0]
     assert_same_report([entry], reference_audit(cfg))
+
+
+def test_many_terms_shrink_the_chunk(monkeypatch):
+    """With num_terms above D the chunk shrinks, so the sampler's kets stay within AUDIT_CHUNK * D^2.
+
+    The report equals the one-sample-per-chunk report, and the audit's
+    allocation peak is several times below that of sampling all its states
+    as one stack, as the audit did with a fixed chunk.
+    """
+    cfg = AuditConfig(
+        dims=(4, 4), num_states=128, num_terms=256, seed=3, criteria=ALL_CRITERIA, params=(0.5,),
+    )
+    tracemalloc.start()
+    try:
+        report = run_audit(cfg)
+        audit_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        separable_stack(cfg.dims, cfg.num_terms, range(cfg.seed, cfg.seed + cfg.num_states))
+        whole_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert audit_peak * 3 < whole_peak
+    monkeypatch.setattr(cli, "AUDIT_CHUNK", 1)
+    assert_same_report(report, run_audit(cfg))
 
 
 def per_party_min_eigenvalues(matrices, dims):

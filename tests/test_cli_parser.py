@@ -4,7 +4,8 @@ Every argv here runs through `main` with the shared parser, then through
 `main` with a freshly built one, then with the shared parser again after
 a failing argv.  Exit code, stdout and stderr must be equal, help texts
 and argparse errors included.  A value that starts with a minus sign and
-a digit, as in an exponent form or a bracket, is read as a value.
+a digit, as in an exponent form or a bracket, or with -inf or -nan in any
+case, is read as a value.
 """
 import argparse
 import contextlib
@@ -144,6 +145,30 @@ def test_negative_values_read_as_their_equals_form(argv, flag, value):
     spaced = run([*argv, flag, value])
     assert spaced == run([*argv, f"{flag}={value}"])
     assert spaced[0] == 3 and spaced[2].startswith("validation failure: ")
+
+
+V3 = ("analyze", "--family", "rho_eps", "--param", "1", "--criterion", "v3", "--split", "1|2")
+AUDIT = ("audit", "--dims", "2,2", "--num-states", "2")
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (NO_PARAM, "--param", "-inf"),
+        (NO_PARAM, "--param", "-nan"),
+        (NO_PARAM, "--param", "-Infinity"),
+        (V3, "--v", "-inf"),
+        (V3, "--v", "-NaN"),
+        (NO_BRACKET, "--bracket", "-inf:1"),
+        (NO_BRACKET, "--bracket", "-nan:1"),
+        (AUDIT, "--params", "-inf,1"),
+        (AUDIT, "--params", "-INF,1"),
+    ],
+)
+def test_non_finite_negative_values_read_as_their_equals_form(argv, flag, value):
+    spaced = run([*argv, flag, value])
+    assert spaced == run([*argv, f"{flag}={value}"])
+    assert spaced[0] in (2, 3) and "expected one argument" not in spaced[2]
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -162,6 +162,122 @@ class TestValidateStack:
         assert validate_stack(stack) is stack
 
 
+TOL = 1e-10
+
+
+def frozen_validate_stack(matrices):
+    """`validate_stack` as it was when every positivity check was an eigensolve."""
+    m = np.asarray(matrices, dtype=complex)
+    adj = m.conj().swapaxes(-1, -2)
+    with np.errstate(invalid="ignore"):
+        herm_dev = np.abs(m - adj).max(axis=(-2, -1))
+    trace_dev = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
+    ok = np.maximum(herm_dev, trace_dev) <= TOL
+    n_ok = len(m) if ok.all() else int(ok.argmin())
+    min_eig = np.linalg.eigvalsh((m[:n_ok] + adj[:n_ok]) / 2.0)[:, 0]
+    negative = np.flatnonzero(min_eig < -TOL)
+    if negative.size:
+        e = min_eig[negative[0]]
+        raise StateValidationError("NOT_PSD", float(-e), f"minimum eigenvalue {e:.3e} is negative")
+    if n_ok == len(m):
+        return matrices
+    bad = int(np.count_nonzero(~np.isfinite(m[n_ok])))
+    if bad:
+        raise StateValidationError(
+            "NON_FINITE", float(bad), f"{bad} of {m[n_ok].size} entries are NaN or infinite"
+        )
+    if herm_dev[n_ok] > TOL:
+        raise StateValidationError("NOT_HERMITIAN", float(herm_dev[n_ok]), "matrix is not Hermitian")
+    raise StateValidationError("TRACE_NOT_ONE", float(trace_dev[n_ok]), "trace differs from 1")
+
+
+def _unitary(d, rng):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def _with_min_eigenvalue(d, low, seed):
+    """U diag(low, rest) U^dag: Hermitian, unit trace, minimum eigenvalue `low`."""
+    rng = np.random.default_rng(seed)
+    rest = rng.uniform(0.1, 1.0, d - 1)
+    vals = np.concatenate([[low], rest * (1.0 - low) / rest.sum()])
+    u = _unitary(d, rng)
+    return (u * vals) @ u.conj().T
+
+
+def _rank(d, r, seed):
+    """A random rank-r density matrix: every other eigenvalue is 0."""
+    rng = np.random.default_rng(seed)
+    kets = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+    m = kets @ kets.conj().T
+    return m / np.trace(m).real
+
+
+def _verdict(check, stack):
+    try:
+        check(stack)
+    except StateValidationError as exc:
+        return exc.code, exc.deviation, str(exc)
+    return None
+
+
+MIN_EIGENVALUES = {
+    "beyond_tol": -TOL * (1 + 1e-3),
+    "within_tol": -TOL * (1 - 1e-3),
+    "beyond_half_tol": -TOL / 2 - 1e-13,
+    "within_half_tol": -TOL / 2 + 1e-13,
+    "small_negative": -1e-12,
+    "zero": 0.0,
+}
+
+
+class TestPositivityCheck:
+    """The Cholesky certificate with its eigensolve fallback against the eigensolve alone."""
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("d", [2, 4, 9, 16, 64])
+    @pytest.mark.parametrize("low", list(MIN_EIGENVALUES.values()), ids=list(MIN_EIGENVALUES))
+    def test_min_eigenvalue_near_the_tolerance(self, low, d, where):
+        stack = np.stack([_with_min_eigenvalue(d, 0.01, seed) for seed in range(5)])
+        pos = {"first": 0, "middle": 2, "last": 4}[where]
+        stack[pos] = _with_min_eigenvalue(d, low, 100 + d)
+        want = _verdict(frozen_validate_stack, stack)
+        assert (want is not None) == (low < -TOL)
+        assert _verdict(validate_stack, stack) == want
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_low_rank_states_pass(self, rank, where):
+        stack = np.stack([_rank(64, 5, seed) for seed in range(5)])
+        stack[{"first": 0, "middle": 2, "last": 4}[where]] = _rank(64, rank, 7)
+        assert _verdict(frozen_validate_stack, stack) is None
+        assert validate_stack(stack) is stack
+
+    @pytest.mark.parametrize("low", list(MIN_EIGENVALUES.values()), ids=list(MIN_EIGENVALUES))
+    def test_first_failure_before_and_after_another_defect(self, low):
+        """A NOT_PSD matrix ahead of a NOT_HERMITIAN one is reported; one behind it is not."""
+        good = [_with_min_eigenvalue(9, 0.02, seed) for seed in range(4)]
+        bad = _with_min_eigenvalue(9, low, 3)
+        non_hermitian = good[1].copy()
+        non_hermitian[0, 1] += 1e-3
+        for stack in ([good[0], bad, non_hermitian, good[2]], [good[0], non_hermitian, bad, good[3]]):
+            stack = np.stack(stack)
+            assert _verdict(validate_stack, stack) == _verdict(frozen_validate_stack, stack)
+
+    def test_overflowing_sum_is_decided_by_the_eigensolve(self):
+        """rho + rho^dagger overflows to inf: no finite factor certifies it, and the outcome is unchanged."""
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 1] = m[1, 0] = 1.5e308
+        outcomes = []
+        for check in (frozen_validate_stack, validate_stack):
+            with np.errstate(all="ignore"):
+                try:
+                    outcomes.append(_verdict(check, m[None]))
+                except np.linalg.LinAlgError as exc:
+                    outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+
 def _figure_series():
     path = ROOT / "scripts" / "make_figure_data.py"
     spec = importlib.util.spec_from_file_location("make_figure_data", path)
