@@ -185,11 +185,8 @@ def _family_evaluation(family: str, xs: list[float], criterion: str, **flags) ->
 
 
 def _format_admissible(verdict: CriterionVerdict) -> str:
-    rng = verdict.admissible
-    if rng is None:
-        return ""
     parts = []
-    for iv in rng.intervals:
+    for iv in verdict.admissible.intervals:
         left = "[" if iv.lo_closed else "("
         right = "]" if iv.hi_closed else ")"
         hi = "inf" if math.isinf(iv.hi) else _fmt(iv.hi)
@@ -471,7 +468,9 @@ def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
     published weighted criteria on near-pure samples that is expected,
     which is exactly what this measures.  `worst_statistic` is the
     largest statistic seen (smallest for ppt), with the seed that made it.
-    A criterion or weight listed twice is evaluated once.
+    A criterion or weight listed twice is evaluated once.  Before any
+    sampling, an unknown criterion, a non-finite weight, or a weight outside
+    the domain of a weighted row (``check_weight``) raises UsageError.
 
     Up to AUDIT_CHUNK samples, fewer when `num_terms` exceeds D, are
     drawn and validated as one stack (`separable_stack`).  Each split and
@@ -486,6 +485,15 @@ def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
         rows = {criterion: criterion_row(criterion) for criterion in cfg.criteria}
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    for w in params:
+        if not math.isfinite(w):
+            raise UsageError(f"weight {w!r} in --params is not finite")
+        for criterion, row in rows.items():
+            if row.flag:
+                try:
+                    row.check_weight(w)
+                except ValueError as exc:
+                    raise UsageError(f"{exc} (criterion {criterion})") from exc
     n = len(cfg.dims)
     splits = enumerate_splits(n)
     entries: dict[tuple, AuditEntry] = {}
@@ -547,10 +555,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
         raise UsageError("dims needs at least two parties of dimension >= 2")
     criteria = tuple(c.strip() for c in args.criteria.split(",") if c.strip())
     try:
-        weighted = [row for row in map(criterion_row, criteria) if row.flag]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    try:
         params = tuple(float(x) for x in args.params.split(",") if x.strip())
     except ValueError as exc:
         raise UsageError(f"params {args.params!r} must be comma-separated numbers") from exc
@@ -563,15 +567,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
         raise UsageError(f"dims {args.dims!r} give dimension {d}, above the cap {MAX_KRON_DIM}")
     if args.num_terms > d * d:  # Caratheodory: a separable state mixes at most D^2 pure products
         raise UsageError(f"--num-terms must be at most D^2 = {d * d}, got {args.num_terms}")
-    for w in params:
-        if not math.isfinite(w):
-            raise UsageError(f"weight {w!r} in --params is not finite")
-        if w * w == math.inf:
-            raise UsageError(f"weight {w!r} in --params is too large")
-        if w < 0.0 and any(not row.gated for row in weighted):
-            raise UsageError(f"v3 needs nonnegative weights, got {w!r}")
-        if w <= 0.0 and any(row.gated for row in weighted):
-            raise UsageError(f"v1 and v2 need positive weights, got {w!r}")
 
     cfg = AuditConfig(
         dims=dims,

@@ -132,16 +132,12 @@ class AdmissibleBounds:
     def at(self, i: int) -> AdmissibleRange:
         """State i's range as intervals."""
         low, high = float(self.low_end[i]), float(self.high_start[i])
-        degenerate = bool(self.degenerate[i])
-        if low == math.inf:
-            intervals = (Interval(0.0, math.inf, lo_closed=False, hi_closed=False),)
-        else:
-            intervals = ()
-            if low > 0.0 or degenerate:
-                intervals += (Interval(0.0, low, lo_closed=False, hi_closed=True),)
-            if high < math.inf:
-                intervals += (Interval(high, math.inf, lo_closed=True, hi_closed=False),)
-        return AdmissibleRange(intervals, float(self.discriminant[i]), degenerate)
+        intervals = ()
+        if low > 0.0:  # when degenerate, low_end is inf or a tail T1^2/(T1 - T1^2) > 0
+            intervals += (Interval(0.0, low, lo_closed=False, hi_closed=low < math.inf),)
+        if high < math.inf:
+            intervals += (Interval(high, math.inf, lo_closed=True, hi_closed=False),)
+        return AdmissibleRange(intervals, float(self.discriminant[i]), bool(self.degenerate[i]))
 
 
 def admissible_bounds(t1: np.ndarray, t2: np.ndarray) -> AdmissibleBounds:
@@ -179,13 +175,10 @@ def admissible_range(m: MomentSet) -> AdmissibleRange:
 def v1_stack(t1: np.ndarray, t2: np.ndarray, a: float) -> np.ndarray:
     """v1 of each state of a stack of moment sums; see :func:`v1`.
 
-    Raises the radicand ValueError of the first state whose radicand lies
-    below F_CLAMP.
+    Raises the ValueError of v1's ``check_weight`` for a weight outside its
+    domain, then that of the first state whose radicand lies below F_CLAMP.
     """
-    if a <= 0.0:
-        raise ValueError(f"weight must be positive, got {a!r}")
-    if a * a == math.inf:
-        raise ValueError(f"weight {a!r} is too large: its square overflows")
+    CRITERIA["v1"].check_weight(a)
     # F(a) = (T1^2 - T2) a^2 / 2 + (T1^2 - T1) a + T1^2
     f = (t1 * t1 - t2) * a * a / 2.0 + (t1 * t1 - t1) * a + t1 * t1
     negative = np.flatnonzero(f < F_CLAMP)
@@ -209,10 +202,7 @@ def v1(m: MomentSet, a: float) -> float:
 
 def v3_stack(t1: np.ndarray, t2: np.ndarray, v: float) -> np.ndarray:
     """v3 of each state of a stack of moment sums; see :func:`v3`."""
-    if v < 0.0:
-        raise ValueError(f"weight must be nonnegative, got {v!r}")
-    if v * v == math.inf:
-        raise ValueError(f"weight {v!r} is too large: its square overflows")
+    CRITERIA["v3"].check_weight(v)
     # sqrt(T1 + (v^2 + 2v) T2) - v sqrt(T2) without that difference, which cancels at large v
     inner = (t1 + 2.0 * v * t2) / (np.sqrt(t1 + (v * v + 2.0 * v) * t2) + v * np.sqrt(t2))
     spread = np.maximum(2.0 * (t1 * t1 - t2), 0.0)
@@ -275,6 +265,18 @@ class _Row(NamedTuple):
     statistic: Callable[[Spectrum, float | None], np.ndarray]  # each state's, at a weight
     threshold: float = 1.0  # the value the statistic is compared with
     below: bool = False  # a statistic below the threshold flags entanglement, not one above
+
+    def check_weight(self, weight: float) -> None:
+        """Raise ValueError unless `weight` is > 0 (gated) or >= 0 (not gated) with a finite square.
+
+        NaN passes: the front ends reject a non-finite weight before this.
+        """
+        if self.gated and weight <= 0.0:
+            raise ValueError(f"weight must be positive, got {weight!r}")
+        if weight < 0.0:
+            raise ValueError(f"weight must be nonnegative, got {weight!r}")
+        if weight * weight == math.inf:
+            raise ValueError(f"weight {weight!r} is too large: its square overflows")
 
 
 # v1 and v2 share one formula and differ only in which realignment the

@@ -51,8 +51,9 @@ def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, sorted descending.
 
     Also takes a (..., n, n) stack and returns one descending row per
-    matrix.  The input is symmetrized to (a + a^dagger)/2 before solving;
-    a max-abs deviation from Hermiticity beyond HERMITICITY_TOL, in any
+    matrix.  The input is symmetrized to a/2 + a^dagger/2 before solving,
+    which is (a + a^dagger)/2 for normal floats, without its overflow; a
+    max-abs deviation from Hermiticity beyond HERMITICITY_TOL, in any
     matrix of a stack, is rejected instead of hidden.
     """
     a = np.asarray(a, dtype=complex)
@@ -62,7 +63,10 @@ def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     dev = float(np.abs(a - adj).max()) if a.size else 0.0
     if dev > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: deviation {dev:.3e} exceeds {HERMITICITY_TOL:.1e}")
-    return np.linalg.eigvalsh((a + adj) / 2.0)[..., ::-1].copy()
+    adj *= 0.5  # dagger's own conjugate copy; halving first is exact for normal floats and cannot overflow
+    sym = a * 0.5
+    sym += adj
+    return np.linalg.eigvalsh(sym)[..., ::-1].copy()
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import MAX_KRON_DIM, dagger, kron_shape
+from .linalg import MAX_KRON_DIM, dagger, hermitian_eigenvalues, kron_shape
 
 VALIDATION_TOL = 1e-10
 
@@ -98,12 +98,12 @@ def validate_stack(matrices: np.ndarray) -> np.ndarray:
     is of order D eps ||H|| (Higham, Accuracy and Stability of Numerical
     Algorithms, ch. 10), far below tol/2; so then no eigenvalue is below
     -tol.  Only if it fails or its factor is not finite are the minimum
-    eigenvalues of H computed, which decide the verdict and name the first
-    NOT_PSD matrix and its deviation.
+    eigenvalues of H computed (:func:`hermitian_eigenvalues`), which decide
+    the verdict and name the first NOT_PSD matrix and its deviation.
     """
     m = np.asarray(matrices, dtype=complex)
     adj = dagger(m)
-    with np.errstate(invalid="ignore"):  # inf - inf: such matrices fail as NON_FINITE
+    with np.errstate(over="ignore", invalid="ignore"):  # such matrices fail as NON_FINITE or NOT_HERMITIAN
         herm_dev = np.abs(m - adj).max(axis=(-2, -1))
     trace_dev = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
     # A NaN or infinite entry makes herm_dev NaN or infinite, so `ok` is False.
@@ -122,8 +122,7 @@ def validate_stack(matrices: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         certified = False
     if not certified:
-        # hermitian_eigenvalues' arithmetic; its Hermiticity check is herm_dev.
-        min_eig = np.linalg.eigvalsh((m[:n_ok] + dagger(m[:n_ok])) / 2.0)[:, 0]
+        min_eig = hermitian_eigenvalues(m[:n_ok])[:, -1]
         negative = np.flatnonzero(min_eig < -VALIDATION_TOL)
         if negative.size:
             e = min_eig[negative[0]]

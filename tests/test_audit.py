@@ -24,6 +24,31 @@ from test_cli import run_cli
 ALL_CRITERIA = ("v1", "v2", "v3", "realign", "ppt")
 
 
+@pytest.mark.parametrize(
+    "criteria, params, message",
+    [
+        (("v1",), (1.0, math.nan), "weight nan in --params is not finite"),
+        (("realign",), (math.inf,), "weight inf in --params is not finite"),
+        (("v3",), (-1.0,), "weight must be nonnegative, got -1.0 (criterion v3)"),
+        (("realign", "v2"), (0.0,), "weight must be positive, got 0.0 (criterion v2)"),
+        (("v1", "nope"), (1.0,), "unknown criterion 'nope'; choose from ('v1', 'v2', 'v3', 'realign', 'ppt')"),
+    ],
+)
+def test_run_audit_checks_its_config_before_sampling(monkeypatch, criteria, params, message):
+    """A bad criterion or weight raises UsageError before any sample is drawn.
+
+    A NaN weight used to give cells with `evaluated 0`, and a negative v3 weight a bare
+    ValueError after sampling.
+    """
+    def no_sampling(*args):
+        raise AssertionError("sampled before the config was checked")
+
+    monkeypatch.setattr(cli, "separable_stack", no_sampling)
+    with pytest.raises(cli.UsageError) as info:
+        run_audit(AuditConfig(dims=(2, 2), num_states=3, criteria=criteria, params=params))
+    assert str(info.value) == message
+
+
 def reference_audit(cfg):
     """One state at a time, every cell through the public scalar verdicts."""
     n = len(cfg.dims)

@@ -275,6 +275,72 @@ class TestExitCodes:
         assert (code, out, err) == (2, "", f"error: --num-terms must be at most D^2 = {d * d}, got {terms}\n")
         assert run_cli(*argv, "--num-terms", str(d * d))[0] == 0
 
+    CRITERION_FLAGS = {
+        "v1": ("--a", "1"), "v2": ("--u", "1", "--split", "1|2"), "v3": ("--v", "1", "--split", "1|2"),
+        "realign": ("--split", "1|2"), "ppt": ("--party", "1"),
+    }
+
+    @pytest.mark.parametrize("criterion", list(CRITERION_FLAGS))
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 2, 2)])
+    @pytest.mark.parametrize(
+        "sign, message",
+        [
+            (1.0, "NOT_PSD: minimum eigenvalue -1.500e+308 is negative (deviation 1.500e+308)"),
+            (-1.0, "NOT_HERMITIAN: matrix is not Hermitian (deviation inf)"),
+        ],
+        ids=["symmetric", "antisymmetric"],
+    )
+    def test_overflowing_state_file_exit_3(self, tmp_path, criterion, dims, sign, message):
+        """Finite entries whose rho + rho^dagger or rho - rho^dagger overflows: exit 3, no warning."""
+        d = math.prod(dims)
+        matrix = [[[1.0 / d if i == j else 0.0, 0.0] for j in range(d)] for i in range(d)]
+        matrix[0][1][0], matrix[1][0][0] = 1.5e308, sign * 1.5e308
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"dims": list(dims), "matrix": matrix}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_cli("analyze", "--state", str(path), "--criterion", criterion,
+                             *self.CRITERION_FLAGS[criterion])
+        assert result == (3, "", f"validation failure: {message}\n")
+
+    UNKNOWN = "unknown criterion 'nope'; choose from ('v1', 'v2', 'v3', 'realign', 'ppt')"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--dims", "2,x"), "dims '2,x' must be comma-separated integers"),
+            (("--dims", "2"), "dims needs at least two parties of dimension >= 2"),
+            (("--dims", "2,1"), "dims needs at least two parties of dimension >= 2"),
+            (("--dims", "2,2", "--criteria", "v3,nope"), UNKNOWN),
+            (("--dims", "2,2", "--params", "1,x"), "params '1,x' must be comma-separated numbers"),
+            (("--dims", "2,2", "--num-states", "0"), "--num-states and --num-terms must be >= 1"),
+            (("--dims", "2,2", "--num-terms", "0"), "--num-states and --num-terms must be >= 1"),
+            (("--dims", "2,2", "--seed", "-1"), "--seed must be >= 0, got -1"),
+            (("--dims", "9,9"), "dims '9,9' give dimension 81, above the cap 64"),
+            (("--dims", "2,2", "--num-terms", "17"), "--num-terms must be at most D^2 = 16, got 17"),
+            (("--dims", "2,2", "--params", "0.5,nan"), "weight nan in --params is not finite"),
+            (("--dims", "2,2", "--params", "-inf", "--criteria", "v3"), "weight -inf in --params is not finite"),
+            (("--dims", "2,2", "--params", "inf", "--criteria", "realign"), "weight inf in --params is not finite"),
+            # The row rule of each weighted criterion, named from its row.
+            (("--dims", "2,2", "--criteria", "v1", "--params", "0"), "weight must be positive, got 0.0 (criterion v1)"),
+            (("--dims", "2,2", "--criteria", "v1", "--params", "1e160"),
+             "weight 1e+160 is too large: its square overflows (criterion v1)"),
+            (("--dims", "2,2", "--criteria", "v2", "--params", "-1"), "weight must be positive, got -1.0 (criterion v2)"),
+            (("--dims", "2,2", "--criteria", "v2", "--params", "1e300"),
+             "weight 1e+300 is too large: its square overflows (criterion v2)"),
+            (("--dims", "2,2", "--criteria", "v3", "--params", "-0.5"),
+             "weight must be nonnegative, got -0.5 (criterion v3)"),
+            (("--dims", "2,2", "--criteria", "v3", "--params", "1e160"),
+             "weight 1e+160 is too large: its square overflows (criterion v3)"),
+            (("--dims", "2,2", "--criteria", "ppt,v3,v2", "--params", "1,0"),
+             "weight must be positive, got 0.0 (criterion v2)"),
+            (("--dims", "2,2,2", "--criteria", "v1", "--params", "0"), "weight must be positive, got 0.0 (criterion v1)"),
+        ],
+    )
+    def test_audit_input_errors(self, argv, message):
+        """Each audit input check, in order, with its exact message: exit 2 and nothing on stdout."""
+        assert run_cli("audit", "--num-states", "3", *argv) == (2, "", f"error: {message}\n")
+
     def test_state_file_nested_too_deep_exit_2(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000)

@@ -129,6 +129,24 @@ class TestAdmissibleRange:
             f = quad * a * a / 2 + lin * a + m.t1**2
             assert abs(f) <= 1e-9
 
+    @given(st.lists(
+        st.tuples(st.floats(1e-150, 1e3), st.one_of(st.just(0.0), st.floats(0.0, 2e-12))),
+        min_size=1, max_size=8,
+    ))
+    def test_degenerate_low_end_is_positive(self, cases):
+        """A degenerate row's low_end is T1^2/(T1 - T1^2) > 0 or inf, so (0, low_end] is never empty.
+
+        Genuine moment sums have T1 = tr rho^2 >= 1/D; any T1 whose square is
+        nonzero keeps the tail positive.
+        """
+        t1 = np.array([a for a, _ in cases])
+        t2 = np.maximum(t1 * t1 - np.array([d for _, d in cases]), 0.0)
+        bounds = admissible_bounds(t1, t2)
+        assert (bounds.low_end[bounds.degenerate] > 0.0).all()
+        for i in np.flatnonzero(bounds.degenerate):
+            first = bounds.at(i).intervals[0]
+            assert (first.lo, first.hi, first.lo_closed) == (0.0, bounds.low_end[i], False)
+
     def test_eps_family_watch_range(self):
         # extreme admissible endpoints across the family parameter
         lows, highs = [], []

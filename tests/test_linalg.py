@@ -37,6 +37,13 @@ class TestKron:
         with pytest.raises(ValueError, match="too large"):
             kron(np.eye(16), np.eye(8))
 
+    @pytest.mark.parametrize("a, b", [(np.ones(2), np.eye(2)), (np.eye(2), np.ones(2)),
+                                      (np.ones((2, 2, 2)), np.ones((2, 2, 2)))])
+    def test_operands_must_both_be_vectors_or_matrices(self, a, b):
+        with pytest.raises(ValueError) as info:
+            kron(a, b)
+        assert str(info.value) == "kron operands must both be vectors or both be matrices"
+
 
 class TestDagger:
     def test_identity(self):

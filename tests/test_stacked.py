@@ -8,6 +8,7 @@ exit codes as the point-by-point bisection printed them.
 import importlib.util
 import io
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -174,7 +175,9 @@ def frozen_validate_stack(matrices):
     trace_dev = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
     ok = np.maximum(herm_dev, trace_dev) <= TOL
     n_ok = len(m) if ok.all() else int(ok.argmin())
-    min_eig = np.linalg.eigvalsh((m[:n_ok] + adj[:n_ok]) / 2.0)[:, 0]
+    # Halved before adding, as in hermitian_eigenvalues: equal to (m + adj)/2 for normal
+    # floats, and finite where that sum overflows.
+    min_eig = np.linalg.eigvalsh(m[:n_ok] / 2.0 + adj[:n_ok] / 2.0)[:, 0]
     negative = np.flatnonzero(min_eig < -TOL)
     if negative.size:
         e = min_eig[negative[0]]
@@ -265,17 +268,14 @@ class TestPositivityCheck:
             assert _verdict(validate_stack, stack) == _verdict(frozen_validate_stack, stack)
 
     def test_overflowing_sum_is_decided_by_the_eigensolve(self):
-        """rho + rho^dagger overflows to inf: no finite factor certifies it, and the outcome is unchanged."""
+        """rho + rho^dagger overflows to inf: no finite factor certifies it, and the eigensolve says NOT_PSD."""
         m = np.eye(4, dtype=complex) / 4
         m[0, 1] = m[1, 0] = 1.5e308
-        outcomes = []
-        for check in (frozen_validate_stack, validate_stack):
-            with np.errstate(all="ignore"):
-                try:
-                    outcomes.append(_verdict(check, m[None]))
-                except np.linalg.LinAlgError as exc:
-                    outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1]
+        want = ("NOT_PSD", 1.5e308, "NOT_PSD: minimum eigenvalue -1.500e+308 is negative (deviation 1.500e+308)")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _verdict(validate_stack, m[None]) == want
+        assert _verdict(frozen_validate_stack, m[None]) == want
 
 
 def _figure_series():

@@ -59,6 +59,13 @@ class TestValidate:
         with pytest.raises(StateValidationError, match="DIMENSION_MISMATCH"):
             validate(DensityMatrix(dims=(2, 2), matrix=np.eye(3, dtype=complex) / 3))
 
+    @pytest.mark.parametrize("dims", [(2, 0), (-2, 2), ()])
+    def test_non_positive_dims(self, dims):
+        with pytest.raises(StateValidationError) as info:
+            validate(DensityMatrix(dims=dims, matrix=np.eye(2, dtype=complex) / 2))
+        assert info.value.code == "DIMENSION_MISMATCH" and math.isnan(info.value.deviation)
+        assert str(info.value) == f"DIMENSION_MISMATCH: invalid factor dimensions {dims} (deviation nan)"
+
     @pytest.mark.parametrize(
         "entries",
         [
@@ -121,6 +128,13 @@ class TestMixture:
         dm = random_density((2,), 2)
         with pytest.raises(ValueError, match="weight"):
             mixture([1.5, -0.5], [dm, dm])
+
+    @pytest.mark.parametrize("weights, count", [([0.5], 2), ([0.5, 0.5], 1), ([], 0)])
+    def test_one_weight_per_state(self, weights, count):
+        dm = random_density((2,), 5)
+        with pytest.raises(ValueError) as info:
+            mixture(weights, [dm] * count)
+        assert str(info.value) == "need one weight per state and at least one state"
 
     def test_dims_must_match(self):
         a = random_density((2,), 3)
@@ -380,6 +394,20 @@ class TestJsonFormat:
     def test_malformed_rejected(self, payload):
         with pytest.raises(ValueError):
             from_json_dict(payload)
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([2, 2], "state JSON must be an object with 'dims' and 'matrix'"),
+            ("state", "state JSON must be an object with 'dims' and 'matrix'"),
+            ({"dims": [2], "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]}, "row 1 has 1 entries, expected 2"),
+            ({"dims": [2], "matrix": [[[1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}, "row 0 has 1 entries, expected 2"),
+        ],
+    )
+    def test_malformed_messages(self, payload, message):
+        with pytest.raises(ValueError) as info:
+            from_json_dict(payload)
+        assert str(info.value) == message
 
 
 def test_families_registry():
