@@ -178,6 +178,11 @@ def evaluate_criterion(
     return verdict(ev), ev
 
 
+def _criterion_flags(args: argparse.Namespace) -> dict[str, float | str | None]:
+    """The five criterion flags of a parsed command, as keywords of :func:`evaluate_stack`."""
+    return {name: getattr(args, name) for name in ("a", "u", "v", "split", "party")}
+
+
 def _family_evaluation(family: str, xs: list[float], criterion: str, **flags) -> Evaluation:
     """Family members at `xs` built as one stack and evaluated together, all or nothing."""
     dims, matrices = _family_stack(family, xs)
@@ -205,9 +210,7 @@ def _write_out(path: str, write) -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     dm = _build_state(args)
-    result, ev = evaluate_criterion(
-        dm, args.criterion, a=args.a, u=args.u, v=args.v, split=args.split, party=args.party
-    )
+    result, ev = evaluate_criterion(dm, args.criterion, **_criterion_flags(args))
     reads = CRITERIA[args.criterion].reads
 
     if args.family is not None:
@@ -311,24 +314,13 @@ def _sweep_rows(xs: list[float], ev: Evaluation) -> list[SweepRow]:
     ]
 
 
-def sweep_rows(
-    family: str,
-    grid: list[float],
-    criterion: str,
-    *,
-    a: float | None = None,
-    u: float | None = None,
-    v: float | None = None,
-    split: str | None = None,
-    party: int | None = None,
-) -> list[SweepRow]:
-    """Evaluate one criterion across a family grid, ascending order.
+def sweep_rows(family: str, grid: list[float], criterion: str, **flags: float | str | None) -> list[SweepRow]:
+    """Evaluate one criterion, with :func:`evaluate_stack`'s flags, across a family grid, ascending order.
 
     Up to SWEEP_CHUNK grid points are built, validated and evaluated as one
     stack.  A chunk that fails is redone point by point, so the error raised
     is the one the point-by-point loop raises first.
     """
-    flags = dict(a=a, u=u, v=v, split=split, party=party)
     rows = []
     for start in range(0, len(grid), SWEEP_CHUNK):
         chunk = grid[start:start + SWEEP_CHUNK]
@@ -352,10 +344,7 @@ def write_sweep_csv(fh, rows: list[SweepRow]) -> None:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.range_spec)
-    rows = sweep_rows(
-        args.family, grid, args.criterion, a=args.a, u=args.u, v=args.v,
-        split=args.split, party=args.party,
-    )
+    rows = sweep_rows(args.family, grid, args.criterion, **_criterion_flags(args))
     if args.out:
         _write_out(args.out, lambda fh: write_sweep_csv(fh, rows))
     else:
@@ -386,7 +375,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     lo, hi = _parse_floats(args.bracket, "bracket", ("LO", "HI"))
     if hi <= lo:
         raise UsageError("bracket requires HI > LO")
-    flags = dict(a=args.a, u=args.u, v=args.v, split=args.split, party=args.party)
+    flags = _criterion_flags(args)
     # State parameter -> offset from the threshold; NaN where the statistic is undefined.
     table: dict[float, float] = {}
 
@@ -437,7 +426,10 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 
 @dataclass(frozen=True)
 class AuditConfig:
-    """Settings for one audit run over seeded separable samples."""
+    """Settings for one audit run over seeded separable samples.
+
+    Building one checks every audit rule; the first one broken raises UsageError.
+    """
 
     dims: tuple[int, ...]
     num_states: int = 200
@@ -445,6 +437,32 @@ class AuditConfig:
     seed: int = 0
     criteria: tuple[str, ...] = ("realign", "v3", "ppt")
     params: tuple[float, ...] = (0.01, 0.5, 1.0, 5.0)
+
+    def __post_init__(self) -> None:
+        if len(self.dims) < 2 or any(d < 2 for d in self.dims):
+            raise UsageError("dims needs at least two parties of dimension >= 2")
+        if self.num_states < 1 or self.num_terms < 1:
+            raise UsageError("--num-states and --num-terms must be >= 1")
+        if self.seed < 0:
+            raise UsageError(f"--seed must be >= 0, got {self.seed}")
+        d = math.prod(self.dims)
+        if d > MAX_KRON_DIM:
+            raise UsageError(f"dims {','.join(map(str, self.dims))!r} give dimension {d}, above the cap {MAX_KRON_DIM}")
+        if self.num_terms > d * d:  # Caratheodory: a separable state mixes at most D^2 pure products
+            raise UsageError(f"--num-terms must be at most D^2 = {d * d}, got {self.num_terms}")
+        try:
+            rows = [criterion_row(criterion) for criterion in self.criteria]
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+        for w in self.params:
+            if not math.isfinite(w):
+                raise UsageError(f"weight {w!r} in --params is not finite")
+            for criterion, row in zip(self.criteria, rows):
+                if row.flag:
+                    try:
+                        row.check_weight(w)
+                    except ValueError as exc:
+                        raise UsageError(f"{exc} (criterion {criterion})") from exc
 
 
 @dataclass
@@ -468,9 +486,8 @@ def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
     published weighted criteria on near-pure samples that is expected,
     which is exactly what this measures.  `worst_statistic` is the
     largest statistic seen (smallest for ppt), with the seed that made it.
-    A criterion or weight listed twice is evaluated once.  Before any
-    sampling, an unknown criterion, a non-finite weight, or a weight outside
-    the domain of a weighted row (``check_weight``) raises UsageError.
+    A criterion or weight listed twice is evaluated once.  `cfg` was
+    checked when it was built (:class:`AuditConfig`).
 
     Up to AUDIT_CHUNK samples, fewer when `num_terms` exceeds D, are
     drawn and validated as one stack (`separable_stack`).  Each split and
@@ -481,19 +498,7 @@ def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
     first index of the extreme value.
     """
     params = tuple(dict.fromkeys(cfg.params))
-    try:
-        rows = {criterion: criterion_row(criterion) for criterion in cfg.criteria}
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    for w in params:
-        if not math.isfinite(w):
-            raise UsageError(f"weight {w!r} in --params is not finite")
-        for criterion, row in rows.items():
-            if row.flag:
-                try:
-                    row.check_weight(w)
-                except ValueError as exc:
-                    raise UsageError(f"{exc} (criterion {criterion})") from exc
+    rows = {criterion: CRITERIA[criterion] for criterion in cfg.criteria}
     n = len(cfg.dims)
     splits = enumerate_splits(n)
     entries: dict[tuple, AuditEntry] = {}
@@ -520,7 +525,7 @@ def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
             ent.worst_statistic, ent.worst_seed = stat, seeds[i]
 
     gated = any(row.gated for row in rows.values())
-    chunk = min(AUDIT_CHUNK, max(1, AUDIT_CHUNK * math.prod(cfg.dims) // max(cfg.num_terms, 1)))
+    chunk = min(AUDIT_CHUNK, max(1, AUDIT_CHUNK * math.prod(cfg.dims) // cfg.num_terms))
     for start in range(0, cfg.num_states, chunk):
         seeds = range(cfg.seed + start, cfg.seed + min(cfg.num_states, start + chunk))
         stack = separable_stack(cfg.dims, cfg.num_terms, seeds)
@@ -551,24 +556,12 @@ def cmd_audit(args: argparse.Namespace) -> int:
         dims = tuple(int(x) for x in args.dims.split(","))
     except ValueError as exc:
         raise UsageError(f"dims {args.dims!r} must be comma-separated integers") from exc
-    if len(dims) < 2 or any(d < 2 for d in dims):
-        raise UsageError("dims needs at least two parties of dimension >= 2")
-    criteria = tuple(c.strip() for c in args.criteria.split(",") if c.strip())
     try:
         params = tuple(float(x) for x in args.params.split(",") if x.strip())
     except ValueError as exc:
         raise UsageError(f"params {args.params!r} must be comma-separated numbers") from exc
-    if args.num_states < 1 or args.num_terms < 1:
-        raise UsageError("--num-states and --num-terms must be >= 1")
-    if args.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {args.seed}")
-    d = math.prod(dims)
-    if d > MAX_KRON_DIM:
-        raise UsageError(f"dims {args.dims!r} give dimension {d}, above the cap {MAX_KRON_DIM}")
-    if args.num_terms > d * d:  # Caratheodory: a separable state mixes at most D^2 pure products
-        raise UsageError(f"--num-terms must be at most D^2 = {d * d}, got {args.num_terms}")
-
-    cfg = AuditConfig(
+    criteria = tuple(c.strip() for c in args.criteria.split(",") if c.strip())
+    cfg = AuditConfig(  # checks every audit rule
         dims=dims,
         num_states=args.num_states,
         num_terms=args.num_terms,

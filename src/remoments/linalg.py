@@ -54,14 +54,15 @@ def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     matrix.  The input is symmetrized to a/2 + a^dagger/2 before solving,
     which is (a + a^dagger)/2 for normal floats, without its overflow; a
     max-abs deviation from Hermiticity beyond HERMITICITY_TOL, in any
-    matrix of a stack, is rejected instead of hidden.
+    matrix of a stack, is rejected instead of hidden, and so is a NaN.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     adj = dagger(a)
-    dev = float(np.abs(a - adj).max()) if a.size else 0.0
-    if dev > HERMITICITY_TOL:
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf deviation is rejected below
+        dev = float(np.abs(a - adj).max()) if a.size else 0.0
+    if not dev <= HERMITICITY_TOL:  # NaN compares False
         raise ValueError(f"matrix is not Hermitian: deviation {dev:.3e} exceeds {HERMITICITY_TOL:.1e}")
     adj *= 0.5  # dagger's own conjugate copy; halving first is exact for normal floats and cannot overflow
     sym = a * 0.5

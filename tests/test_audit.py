@@ -22,30 +22,36 @@ from remoments.states import separable_stack
 from test_cli import run_cli
 
 ALL_CRITERIA = ("v1", "v2", "v3", "realign", "ppt")
+PARTIES = "dims needs at least two parties of dimension >= 2"
+COUNTS = "--num-states and --num-terms must be >= 1"
 
 
 @pytest.mark.parametrize(
-    "criteria, params, message",
+    "criteria, params, message, settings",
     [
-        (("v1",), (1.0, math.nan), "weight nan in --params is not finite"),
-        (("realign",), (math.inf,), "weight inf in --params is not finite"),
-        (("v3",), (-1.0,), "weight must be nonnegative, got -1.0 (criterion v3)"),
-        (("realign", "v2"), (0.0,), "weight must be positive, got 0.0 (criterion v2)"),
-        (("v1", "nope"), (1.0,), "unknown criterion 'nope'; choose from ('v1', 'v2', 'v3', 'realign', 'ppt')"),
+        (("v1",), (1.0, math.nan), "weight nan in --params is not finite", {}),
+        (("realign",), (math.inf,), "weight inf in --params is not finite", {}),
+        (("v3",), (-1.0,), "weight must be nonnegative, got -1.0 (criterion v3)", {}),
+        (("realign", "v2"), (0.0,), "weight must be positive, got 0.0 (criterion v2)", {}),
+        (("v1", "nope"), (1.0,), "unknown criterion 'nope'; choose from ('v1', 'v2', 'v3', 'realign', 'ppt')", {}),
+        # The dims, count, seed and size rules, each with the text test_audit_input_errors pins.
+        (("v3",), (0.5,), PARTIES, {"dims": (2,)}),
+        (("v3",), (0.5,), PARTIES, {"dims": (2, 1)}),
+        (("v3",), (0.5,), "dims '9,9' give dimension 81, above the cap 64", {"dims": (9, 9)}),
+        (("v3",), (0.5,), COUNTS, {"num_states": 0}),
+        (("v3",), (0.5,), COUNTS, {"num_terms": 0}),
+        (("v3",), (0.5,), "--seed must be >= 0, got -1", {"seed": -1}),
+        (("v3",), (0.5,), "--num-terms must be at most D^2 = 16, got 17", {"num_terms": 17}),
     ],
 )
-def test_run_audit_checks_its_config_before_sampling(monkeypatch, criteria, params, message):
-    """A bad criterion or weight raises UsageError before any sample is drawn.
-
-    A NaN weight used to give cells with `evaluated 0`, and a negative v3 weight a bare
-    ValueError after sampling.
-    """
+def test_run_audit_checks_its_config_before_sampling(monkeypatch, criteria, params, message, settings):
+    """Every broken audit rule raises UsageError, with the CLI's message, before any sample is drawn."""
     def no_sampling(*args):
         raise AssertionError("sampled before the config was checked")
 
     monkeypatch.setattr(cli, "separable_stack", no_sampling)
     with pytest.raises(cli.UsageError) as info:
-        run_audit(AuditConfig(dims=(2, 2), num_states=3, criteria=criteria, params=params))
+        run_audit(AuditConfig(**{"dims": (2, 2), "num_states": 3, **settings}, criteria=criteria, params=params))
     assert str(info.value) == message
 
 

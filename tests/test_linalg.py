@@ -1,4 +1,7 @@
 """Dense complex linear algebra primitives."""
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -97,6 +100,18 @@ class TestHermitianEigenvalues:
         m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(ValueError, match="[Hh]ermitian"):
             hermitian_eigenvalues(m)
+
+    @pytest.mark.parametrize(
+        "m",
+        [np.array([[math.nan, 0.0], [0.0, 1.0]]), np.array([[0.25, 1.5e308], [-1.5e308, 0.25]])],
+        ids=["nan", "overflow"],
+    )
+    def test_rejects_nan_and_overflow_without_warning(self, m):
+        """A NaN entry and a deviation that overflows both raise ValueError, with no RuntimeWarning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="matrix is not Hermitian"):
+                hermitian_eigenvalues(m)
 
     @pytest.mark.parametrize("n", [1, 2, 4, 9, 16])
     def test_stack_equals_per_matrix(self, n):
