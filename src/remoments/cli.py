@@ -55,7 +55,9 @@ EXIT_INPUT = 2
 EXIT_VALIDATION = 3
 
 BISECTION_TOL = 1e-6
-# Bisection levels whose midpoints one threshold round evaluates as a stack.
+# Bisection levels whose every midpoint a threshold round evaluates, whichever
+# way the bisection turns; rounds after the first add the predicted path.
+# Deeper trees double in size per level and cost more than the rounds they save.
 _TREE_DEPTH = 3
 
 # Audit samples realigned and decomposed together; bounds the stack at
@@ -63,11 +65,12 @@ _TREE_DEPTH = 3
 # With more than D terms per sample the chunk shrinks by num_terms / D, so
 # the sampler's (chunk, num_terms, D) kets keep that bound too.
 AUDIT_CHUNK = 256
-# Sweep points built, validated and evaluated together.  Narrower than an
-# audit stack: a sweep takes one spectrum per stack, not one per split and
-# criterion, so wide stacks save little time but hold several stack-sized
-# temporaries at once (256-point stacks raised the peak RSS of the four
-# figure-data sweeps by 2.3 MB; 32-point stacks by 0.6 MB).
+# Sweep points, and threshold round points, built, validated and evaluated
+# together.  Narrower than an audit stack: a sweep or round takes one
+# spectrum per stack, not one per split and criterion, so wide stacks save
+# little time but hold several stack-sized temporaries at once (256-point
+# stacks raised the peak RSS of the four figure-data sweeps by 2.3 MB;
+# 32-point stacks by 0.6 MB).
 SWEEP_CHUNK = 32
 
 # A sweep grid with more points than this is rejected before any is built.
@@ -371,6 +374,32 @@ def _midpoint_tree(lo: float, hi: float) -> list[float]:
     return mids
 
 
+def _predicted_path(lo: float, f_lo: float, hi: float, f_hi: float) -> list[float]:
+    """Up to SWEEP_CHUNK midpoints the bisection visits from [lo, hi] if it crosses at the regula-falsi point.
+
+    That point is where the line through (lo, f_lo) and (hi, f_hi) crosses
+    zero; where it is undefined (f_lo == f_hi) or falls outside [lo, hi],
+    the path aims at the midpoint instead.  Built with the loop's own
+    `0.5 * (lo + hi)` and stop rules, so each midpoint equals, bit for bit,
+    the `mid` the loop computes if its turns match the prediction.
+    """
+    span = f_hi - f_lo
+    guess = lo - f_lo * (hi - lo) / span if span else math.nan
+    if not lo <= guess <= hi:  # also NaN, from inf / inf
+        guess = 0.5 * (lo + hi)
+    path: list[float] = []
+    while hi - lo > BISECTION_TOL and len(path) < SWEEP_CHUNK:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        path.append(mid)
+        if mid < guess:
+            lo = mid
+        else:
+            hi = mid
+    return path
+
+
 def cmd_threshold(args: argparse.Namespace) -> int:
     lo, hi = _parse_floats(args.bracket, "bracket", ("LO", "HI"))
     if hi <= lo:
@@ -398,9 +427,11 @@ def cmd_threshold(args: argparse.Namespace) -> int:
             )
         return value
 
-    # Each round evaluates the midpoints of the next _TREE_DEPTH steps as
-    # one stack; the sequential bisection below then reads them from the
-    # table, so errors surface only at points it visits, in its order.
+    # Each round evaluates as one stack the midpoints of the next _TREE_DEPTH
+    # steps and, once both end offsets are known, the path predicted from
+    # them; the sequential bisection below then reads them from the table,
+    # so errors surface only at points it visits, in its order, and a wrong
+    # prediction costs only one more round.
     prefetch([lo, hi, *_midpoint_tree(lo, hi)])
     f_lo = offset(lo)
     f_hi = offset(hi)
@@ -414,7 +445,8 @@ def cmd_threshold(args: argparse.Namespace) -> int:
         if not lo < mid < hi:
             break  # adjacent floats wider than the tolerance: mid is lo or hi
         if mid not in table:
-            prefetch(_midpoint_tree(lo, hi))
+            predicted = _predicted_path(lo, f_lo, hi, f_hi)
+            prefetch(list(dict.fromkeys(_midpoint_tree(lo, hi) + predicted))[:SWEEP_CHUNK])
         f_mid = offset(mid)
         if (f_mid < 0.0) == (f_lo < 0.0):
             lo, f_lo = mid, f_mid

@@ -8,7 +8,7 @@ import json
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from test_cli import run_cli
 
@@ -117,6 +117,9 @@ def audit_argv(draw):
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.one_of(analyze_argv(), sweep_argv(), threshold_argv(), audit_argv()))
+# Both end offsets 0.0: no regula-falsi point to predict the bisection's path from.
+@example(["threshold", "--family", "rho_eps", "--bracket", "1e12:1e13", "--criterion", "realign",
+          "--split", "1|2"])
 def test_exit_code_is_0_2_or_3(tmp, argv):
     argv = [a.replace("TMP", str(tmp), 1) if a.startswith("TMP/") else a for a in argv]
     code, _, err = run_cli(*argv)

@@ -5,11 +5,13 @@ bit for bit, validation errors code for code, sweep CSVs byte for byte
 against the committed reference series, and threshold roots, messages and
 exit codes as the point-by-point bisection printed them.
 """
+import contextlib
 import importlib.util
 import io
 import math
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from conftest import random_density
 from remoments import FAMILIES, DensityMatrix, StateValidationError, validate
 from remoments import cli
 from remoments.cli import _parse_grid, sweep_rows, write_sweep_csv
+from remoments.criteria import CRITERIA
 from remoments.states import RHO_D_MAX, RHO_D_MIN, family_stack, validate_stack
 from test_cli import run_cli
 
@@ -377,6 +380,153 @@ def test_threshold_stops_between_adjacent_floats():
     argv = ("--family", "rho_eps", "--bracket", f"3e10:{hi!r}", "--criterion", "realign",
             "--split", "1|2")
     assert run_cli("threshold", *argv) == (0, "30000000000\n", "")
+
+
+def reference_threshold(family, lo, hi, criterion, flags):
+    """(exit code, stdout, stderr) of `threshold` as a point-by-point bisection.
+
+    Each point the bisection visits, LO, HI, then each midpoint, is built
+    and evaluated on its own with a one-point `cli.evaluate_stack`.
+    """
+    def offset(x):
+        dims, matrices = cli._family_stack(family, [x])
+        ev = cli.evaluate_stack(matrices, dims, criterion, **flags)
+        value = (ev.statistic - CRITERIA[criterion].threshold).tolist()[0]
+        if math.isnan(value):
+            raise cli.UsageError(f"statistic undefined at state parameter {cli._fmt(x)} "
+                                 "(criterion parameter outside admissible range)")
+        return value
+
+    try:
+        f_lo, f_hi = offset(lo), offset(hi)
+        if f_lo * f_hi > 0.0:
+            raise cli.UsageError(f"bracket [{cli._fmt(lo)}, {cli._fmt(hi)}] does not straddle the "
+                                 f"threshold (offsets {cli._fmt(f_lo)} and {cli._fmt(f_hi)})")
+        while hi - lo > cli.BISECTION_TOL:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            f_mid = offset(mid)
+            if (f_mid < 0.0) == (f_lo < 0.0):
+                lo, f_lo = mid, f_mid
+            else:
+                hi = mid
+    except cli.UsageError as exc:
+        return 2, "", f"error: {exc}\n"
+    except cli.ValidationFailure as exc:
+        return 3, "", f"validation failure: {exc}\n"
+    return 0, cli._fmt(0.5 * (lo + hi)) + "\n", ""
+
+
+def threshold_argv(family, lo, hi, criterion, flags):
+    argv = ["--family", family, "--bracket", f"{lo!r}:{hi!r}", "--criterion", criterion]
+    for name, value in flags.items():
+        argv += [f"--{name}", value if isinstance(value, str) else repr(value)]
+    return argv
+
+
+@contextlib.contextmanager
+def stack_sizes():
+    """The size of each stack `cli.evaluate_stack` evaluates inside the block, in call order."""
+    sizes = []
+    evaluate_stack = cli.evaluate_stack
+
+    def counting(matrices, *args, **flags):
+        sizes.append(len(matrices))
+        return evaluate_stack(matrices, *args, **flags)
+
+    with mock.patch.object(cli, "evaluate_stack", counting):
+        yield sizes
+
+
+PARTIES = {"rho_d": 2, "rho_eps": 2, "rho_pq": 2, "ghz_w": 3, "noisy_ghz4": 4}
+# The first 2n - 3 split a state of n parties.
+SPLITS = ("1|2", "12|3", "1|23", "12|34", "1|234")
+
+
+def _criterion_flags(draw, parties, criterion):
+    """Valid flags of `criterion` on a state of `parties` parties; weights include NaN regions."""
+    row = CRITERIA[criterion]
+    flags = {}
+    if row.flag:
+        flags[row.flag] = draw(st.one_of(st.floats(0.0, 20.0),
+                                         st.sampled_from([0.01, 2.5, 11.849, 15.196, 17.765])))
+    if row.reads == "split":
+        flags["split"] = draw(st.sampled_from(SPLITS[:2 * parties - 3]))
+    if row.reads == "party":
+        flags["party"] = draw(st.integers(1, parties))
+    return flags
+
+
+@st.composite
+def threshold_cases(draw):
+    """(family, LO, HI, criterion, flags) with ends in and out of the family's domain."""
+    family = draw(st.sampled_from(sorted(DOMAINS)))
+    parties = PARTIES[family]
+    criterion = draw(st.sampled_from([c for c in CRITERIA if parties == 2 or CRITERIA[c].reads != "pair"]))
+    low, high = DOMAINS[family]
+    margin = (high - low) / 4
+    lo = draw(st.one_of(st.floats(low, low + margin), st.floats(low - margin, high)))
+    hi = draw(st.one_of(st.floats(high - margin, high), st.floats(lo, high + margin)).filter(lambda x: x > lo))
+    return family, lo, hi, criterion, _criterion_flags(draw, parties, criterion)
+
+
+@st.composite
+def crossing_cases(draw):
+    """Brackets around known crossings: noisy_ghz4's ppt, realign and v3 ones (1/9 to 0.81),
+    and rho_pq's v2 one near 0.46, with NaN regions below it."""
+    if draw(st.booleans()):
+        family, criterion = "noisy_ghz4", draw(st.sampled_from(["v3", "realign", "ppt"]))
+        lo, hi = draw(st.floats(0.0, 0.1)), draw(st.floats(0.85, 1.0))
+    else:
+        family, criterion = "rho_pq", "v2"
+        lo, hi = draw(st.floats(0.0, 0.3)), draw(st.floats(0.47, 0.5))
+    return family, lo, hi, criterion, _criterion_flags(draw, PARTIES[family], criterion)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(threshold_cases(), crossing_cases()))
+@example(("rho_pq", 0.0668, 0.491, "v2", {"u": 11.849, "split": "1|2"}))  # NaN unvisited midpoints
+@example(("rho_pq", 0.2, 0.47, "v2", {"u": 11.849, "split": "1|2"}))  # NaN at LO
+@example(("noisy_ghz4", 0.0, 1.5, "v3", {"v": 0.01, "split": "1|2"}))  # HI off the domain
+@example(("rho_eps", 1e12, 1e13, "realign", {"split": "1|2"}))  # equal offsets at both ends
+def test_threshold_matches_point_by_point_bisection(case):
+    """Exit code, stdout and stderr as the point-by-point loop's; no more rounds than the tree alone."""
+    argv = threshold_argv(*case)
+    with stack_sizes() as sizes:
+        got = run_cli("threshold", *argv)
+    assert got == reference_threshold(*case)
+    with stack_sizes() as tree_only, mock.patch.object(cli, "_predicted_path", lambda *ends: []):
+        assert run_cli("threshold", *argv) == got
+    assert len(sizes) <= len(tree_only)
+    assert max(sizes, default=0) <= cli.SWEEP_CHUNK
+
+
+@pytest.mark.parametrize("case", [
+    ("noisy_ghz4", 0.0, 1.0, "v3", {"v": 0.01, "split": "1|2"}),
+    ("rho_eps", 1e12, 1e13, "realign", {"split": "1|2"}),
+])
+def test_equal_end_offsets_fall_back_to_the_midpoint(monkeypatch, case):
+    """Every statistic on its threshold: f_lo == f_hi == 0 leave no regula-falsi point."""
+    evaluate_stack = cli.evaluate_stack
+
+    def on_threshold(matrices, dims, criterion, **flags):
+        ev = evaluate_stack(matrices, dims, criterion, **flags)
+        return ev._replace(statistic=np.full_like(ev.statistic, CRITERIA[criterion].threshold))
+
+    monkeypatch.setattr(cli, "evaluate_stack", on_threshold)
+    want = reference_threshold(*case)
+    assert want[0] == 0
+    assert run_cli("threshold", *threshold_argv(*case)) == want
+
+
+@pytest.mark.parametrize("golden, rounds", [(0, 3), (1, 3), (2, 3), (3, 3), (4, 3), (7, 2), (8, 2)])
+def test_threshold_rounds(golden, rounds):
+    """The benchmark's v3 solves on 0:1 take at most three stacks, the realign and ppt ones two."""
+    with stack_sizes() as sizes:
+        assert run_cli("threshold", *THRESHOLD_GOLDEN[golden][0])[0] == 0
+    assert len(sizes) <= rounds
+    assert max(sizes) <= cli.SWEEP_CHUNK
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 7])
