@@ -355,11 +355,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _mid(lo: float, hi: float) -> float:
+    """The bisection's midpoint: 0.5 * (lo + hi), or 0.5 * lo + 0.5 * hi where that sum overflows."""
+    total = lo + hi
+    return 0.5 * total if math.isfinite(total) else 0.5 * lo + 0.5 * hi
+
+
 def _midpoint_tree(lo: float, hi: float) -> list[float]:
     """Every midpoint the bisection can visit in its next _TREE_DEPTH steps from [lo, hi].
 
-    Built with the loop's own `0.5 * (lo + hi)` and width test, so each
-    one equals, bit for bit, the `mid` the loop computes when it gets there.
+    Built with the loop's own `_mid` and width test, so each one equals,
+    bit for bit, the `mid` the loop computes when it gets there.
     """
     mids: list[float] = []
     level = [(lo, hi)]
@@ -367,7 +373,7 @@ def _midpoint_tree(lo: float, hi: float) -> list[float]:
         below = []
         for left, right in level:
             if right - left > BISECTION_TOL:
-                mid = 0.5 * (left + right)
+                mid = _mid(left, right)
                 mids.append(mid)
                 below += [(left, mid), (mid, right)]
         level = below
@@ -380,16 +386,16 @@ def _predicted_path(lo: float, f_lo: float, hi: float, f_hi: float) -> list[floa
     That point is where the line through (lo, f_lo) and (hi, f_hi) crosses
     zero; where it is undefined (f_lo == f_hi) or falls outside [lo, hi],
     the path aims at the midpoint instead.  Built with the loop's own
-    `0.5 * (lo + hi)` and stop rules, so each midpoint equals, bit for bit,
-    the `mid` the loop computes if its turns match the prediction.
+    `_mid` and stop rules, so each midpoint equals, bit for bit, the `mid`
+    the loop computes if its turns match the prediction.
     """
     span = f_hi - f_lo
     guess = lo - f_lo * (hi - lo) / span if span else math.nan
     if not lo <= guess <= hi:  # also NaN, from inf / inf
-        guess = 0.5 * (lo + hi)
+        guess = _mid(lo, hi)
     path: list[float] = []
     while hi - lo > BISECTION_TOL and len(path) < SWEEP_CHUNK:
-        mid = 0.5 * (lo + hi)
+        mid = _mid(lo, hi)
         if not lo < mid < hi:
             break
         path.append(mid)
@@ -441,7 +447,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
             f"(offsets {_fmt(f_lo)} and {_fmt(f_hi)})"
         )
     while hi - lo > BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
+        mid = _mid(lo, hi)
         if not lo < mid < hi:
             break  # adjacent floats wider than the tolerance: mid is lo or hi
         if mid not in table:
@@ -452,7 +458,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
             lo, f_lo = mid, f_mid
         else:
             hi, f_hi = mid, f_mid
-    print(_fmt(0.5 * (lo + hi)))
+    print(_fmt(_mid(lo, hi)))
     return EXIT_OK
 
 

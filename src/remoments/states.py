@@ -340,6 +340,69 @@ def _family_member(name: str, x: float) -> DensityMatrix:
     return DensityMatrix(dims=dims, matrix=matrices[0])
 
 
+# numpy's SeedSequence hash (NEP 19): its pool of uint32 words and hash
+# constants, then PCG64's 128-bit LCG multiplier, with which
+# np.random.PCG64(seed) seeds itself.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = (2549297995355413924 << 64) | 4865540595714422341
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _pcg64_states(seeds: Sequence[int]) -> list[tuple[int, int]]:
+    """Each non-negative int seed's PCG64 ``(state, inc)``, as ``np.random.PCG64(seed)`` sets them.
+
+    SeedSequence's hash constants do not depend on the seed, so one pass over
+    uint32 arrays, word k of every seed in row k, hashes the whole stack.  A
+    seed is split into little-endian words and zero-padded to the pool size,
+    which hashes as SeedSequence's run-out of the pool; words past the pool
+    mix in only for the seeds that have them.
+    """
+    lengths = [max(1, (s.bit_length() + 31) // 32) for s in seeds]
+    width = max([_POOL_SIZE, *lengths])
+    words = np.frombuffer(b"".join(s.to_bytes(4 * width, "little") for s in seeds), dtype="<u4")
+    words = words.reshape(len(seeds), width).T
+
+    def hasher(const: int, mult: int):
+        """SeedSequence's hash step; its constant starts at `const`, times `mult` per call."""
+        def step(value: np.ndarray) -> np.ndarray:
+            nonlocal const
+            value = value ^ np.uint32(const)
+            const = const * mult & _MASK32
+            value = value * np.uint32(const)
+            return value ^ (value >> np.uint32(16))
+        return step
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        value = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return value ^ (value >> np.uint32(16))
+
+    hashmix = hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for k in range(_POOL_SIZE, width):
+        longer = np.array(lengths) > k
+        for dst in range(_POOL_SIZE):
+            pool[dst] = np.where(longer, mix(pool[dst], hashmix(words[k])), pool[dst])
+    # generate_state(4, np.uint64): 8 words from the cycled pool, paired little-endian.
+    generate = hasher(_INIT_B, _MULT_B)
+    out = [generate(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+    halves = [(out[2 * j] | out[2 * j + 1] << np.uint64(32)).tolist() for j in range(4)]
+    # pcg64_set_seed: the first two uint64 are the initial state, high word
+    # first, the last two the sequence; then PCG's srandom: state = 0,
+    # inc = 2 seq + 1, one step, add the initial state, one step.
+    states = []
+    for init_hi, init_lo, seq_hi, seq_lo in zip(*halves):
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        states.append((((inc + (init_hi << 64 | init_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
+
+
 def sample_separable(dims: Sequence[int], num_terms: int, seed: int) -> DensityMatrix:
     """Random separable state: a convex mixture of `num_terms` product kets.
 
@@ -354,31 +417,44 @@ def sample_separable(dims: Sequence[int], num_terms: int, seed: int) -> DensityM
 def separable_stack(dims: Sequence[int], num_terms: int, seeds: Sequence[int]) -> np.ndarray:
     """The separable samples of `seeds` as one validated (N, D, D) stack.
 
-    Seed s draws from its own ``Generator(PCG64(s))``, the generator and
-    stream ``default_rng(s)`` returns: `num_terms` standard exponential
-    weights, then per term the real and imaginary Gaussian parts of each
-    party's factor in party order, as one ``(num_terms, 2 * sum(dims))``
-    block.  Normalizing the weights, and normalizing, tensoring and mixing
-    the kets, then run on the whole stack with the arithmetic of a
-    one-seed loop: the weights divided by their sum, each factor divided
-    by its ``np.linalg.norm``, the factors tensored in party order, and the
-    weighted outer products added in term order.  So each matrix is the
-    same bit for bit whatever the other seeds are.  Raises
-    what sampling the seeds one at a time raises first: the num_terms
-    ValueError, a negative seed's ValueError, or the kron "input too
-    large" ValueError when the dims product exceeds MAX_KRON_DIM.
+    Seed s draws the stream ``default_rng(s)`` returns, from ``PCG64(s)``'s
+    state; the PCG64 states of all seeds are hashed together in one array
+    pass, and one reused generator is set to each in turn.  Per seed it
+    draws `num_terms` standard exponential weights, then per term the real
+    and imaginary Gaussian parts of each party's factor in party order, as
+    one ``(num_terms, 2 * sum(dims))`` block.  Normalizing the weights,
+    and normalizing, tensoring and mixing the kets, then run on the whole
+    stack with the arithmetic of a one-seed loop: the weights divided by
+    their sum, each factor divided by its ``np.linalg.norm``, the factors
+    tensored in party order, and the weighted outer products added in term
+    order.  So each matrix is the same bit for bit whatever the other seeds
+    are.  Raises what sampling the seeds one at a time raises first: the
+    num_terms ValueError, numpy's error for a negative or non-integer seed,
+    or the kron "input too large" ValueError when the dims product exceeds
+    MAX_KRON_DIM.  A seed numpy would take that is not an integer (None, a
+    sequence) raises TypeError.
     """
     dims = tuple(int(d) for d in dims)
     if num_terms < 1:
         raise ValueError(f"num_terms must be >= 1, got {num_terms!r}")
-    n, width = len(seeds), sum(dims)
-    weights = np.empty((n, num_terms))
-    normals = np.empty((n, num_terms, 2 * width))
-    for i, seed in enumerate(seeds):
-        rng = np.random.Generator(np.random.PCG64(seed))  # default_rng(seed), without its dispatch
-        if i == 0:  # errors a one-seed sampler raises after its seed check
+    values: list[int] = []
+    for seed in seeds:
+        if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+            np.random.PCG64(seed)  # raises numpy's own error for a negative or non-integer seed
+            raise TypeError(f"seed must be a non-negative integer, got {seed!r}")
+        if not values:  # errors a one-seed sampler raises after its seed check
             functools.reduce(kron_shape, [(dk,) for dk in dims], (1,))
             _factor_dims(dims)
+        values.append(int(seed))
+    n, width = len(values), sum(dims)
+    weights = np.empty((n, num_terms))
+    normals = np.empty((n, num_terms, 2 * width))
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for i, (state, inc) in enumerate(_pcg64_states(values)):
+        bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0,
+        }
         rng.standard_exponential(out=weights[i])
         rng.standard_normal(out=normals[i])
     # Each row's pairwise sum, as rng.exponential(size=num_terms).sum() gives it.

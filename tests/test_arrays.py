@@ -171,13 +171,13 @@ def first_error(fn, args_list):
     for args in args_list:
         try:
             out.append(fn(*args))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             return None, exc
     return out, None
 
 
 def assert_raises_same(expected, call):
-    with pytest.raises(ValueError) as exc:
+    with pytest.raises(type(expected)) as exc:
         call()
     assert type(exc.value) is type(expected)
     assert str(exc.value) == str(expected)
@@ -207,9 +207,13 @@ class TestSeparableStack:
     @given(
         dims=st.sampled_from(SAMPLER_DIMS),
         num_terms=st.integers(1, 3),
-        seeds=st.lists(st.integers(0, 2**63), min_size=1, max_size=6),
+        seeds=st.lists(st.integers(0, 2**200), min_size=1, max_size=6),
     )
     @example(dims=(2, 2, 2, 2), num_terms=3, seeds=[0, 1, 2])
+    # Seeds of one to five uint32 words: the fifth word mixes into the hash
+    # pool for 2**128 only, not for the four-word seeds beside it.
+    @example(dims=(2, 2), num_terms=1, seeds=[2**32 - 1, 2**32, 2**128 - 1, 2**128])
+    @example(dims=(2, 3), num_terms=2, seeds=[2**128, 7, 2**128 - 1])
     # The weights of all seeds are normalized by one row sum; numpy sums 8 or
     # more terms pairwise in unrolled blocks of up to 128.
     @example(dims=(2, 2), num_terms=8, seeds=[3, 4])
@@ -240,6 +244,9 @@ class TestSeparableStack:
             ((2, 3), 2, [5, -3, 7]),  # the negative seed fails after a good one
             ((8, 9), 1, [-1, 4]),  # the negative seed fails before the size
             ((8, 9), 1, [4, -1]),  # the size fails at the first seed
+            ((2, 2), 1, [1.5]),  # numpy's TypeError for a float seed
+            ((2, 3), 2, [5, 2.0]),
+            ((8, 9), 1, [0.5, 4]),  # the float seed fails before the size
         ],
     )
     def test_errors_match_frozen_loop(self, dims, num_terms, seeds):

@@ -512,6 +512,17 @@ class TestThreshold:
         assert code == 2
         assert "straddle" in err
 
+    # The ends sum past the largest float, so the midpoint halves each end first.
+    @pytest.mark.parametrize("bracket", ["1e308:1.7e308", "1e-300:1e308"])
+    def test_bracket_near_float_max_gives_a_finite_root(self, bracket):
+        code, out, err = run_cli(
+            "threshold", "--family", "rho_eps", "--bracket", bracket,
+            "--criterion", "realign", "--split", "1|2",
+        )
+        assert (code, err) == (0, "")
+        lo, hi = (float(end) for end in bracket.split(":"))
+        assert lo <= float(out) <= hi
+
 
 class TestAudit:
     def test_product_states_expose_formula(self):

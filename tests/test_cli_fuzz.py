@@ -120,6 +120,11 @@ def audit_argv(draw):
 # Both end offsets 0.0: no regula-falsi point to predict the bisection's path from.
 @example(["threshold", "--family", "rho_eps", "--bracket", "1e12:1e13", "--criterion", "realign",
           "--split", "1|2"])
+# Ends that sum past the largest float.
+@example(["threshold", "--family", "rho_eps", "--bracket", "1e308:1.7e308", "--criterion", "realign",
+          "--split", "1|2"])
+@example(["threshold", "--family", "rho_eps", "--bracket", "1e-300:1e308", "--criterion", "realign",
+          "--split", "1|2"])
 def test_exit_code_is_0_2_or_3(tmp, argv):
     argv = [a.replace("TMP", str(tmp), 1) if a.startswith("TMP/") else a for a in argv]
     code, _, err = run_cli(*argv)

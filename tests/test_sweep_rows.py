@@ -63,10 +63,10 @@ def frozen_verdicts(matrices, dims, criterion, a=None, u=None, v=None, split=Non
         spec, weight = RealignSpec((1,), (2,)), a
     else:
         spec, weight = RealignSpec.parse(split), (u if criterion == "v2" else v)
-    norms, t1, t2, _ = spectrum(matrices, dims, spec)
+    sp = spectrum(matrices, dims, spec)
     if criterion == "realign":
-        return [norm_verdict(x) for x in norms.tolist()]
-    return moment_verdicts(criterion, t1, t2, weight)
+        return [norm_verdict(x) for x in sp.values.tolist()]
+    return moment_verdicts(criterion, sp.t1, sp.t2, weight)
 
 
 def finite_endpoints(admissible):
