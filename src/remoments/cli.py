@@ -529,8 +529,8 @@ def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
 
     Up to AUDIT_CHUNK samples, fewer when `num_terms` exceeds D, are
     drawn and validated as one stack (`separable_stack`).  Each split and
-    party takes one :func:`spectrum` per chunk, with the admissible bounds
-    when a gated criterion is requested, and every (criterion, weight)
+    party takes one :func:`spectrum` per chunk, which serves every requested
+    criterion at once, and every (criterion, weight)
     reads its statistics array from it with its row's `statistic`.  Each
     cell is tallied from that array with masks, the worst sample being the
     first index of the extreme value.
@@ -562,7 +562,6 @@ def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
         ):
             ent.worst_statistic, ent.worst_seed = stat, seeds[i]
 
-    gated = any(row.gated for row in rows.values())
     chunk = min(AUDIT_CHUNK, max(1, AUDIT_CHUNK * math.prod(cfg.dims) // cfg.num_terms))
     for start in range(0, cfg.num_states, chunk):
         seeds = range(cfg.seed + start, cfg.seed + min(cfg.num_states, start + chunk))
@@ -574,7 +573,7 @@ def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
                 target = 1
             if target not in spectra:
                 spectra[target] = (spectrum(stack, cfg.dims, party=target) if isinstance(target, int)
-                                   else spectrum(stack, cfg.dims, target, gated=gated))
+                                   else spectrum(stack, cfg.dims, target, criteria=rows))
             return spectra[target]
 
         for criterion, row in rows.items():

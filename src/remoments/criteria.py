@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .linalg import hermitian_eigenvalues, singular_values
-from .realign import MomentSet, RealignSpec, power_sums, realign_array
+from .linalg import gram, gram_singular_values, hermitian_eigenvalues
+from .realign import MomentSet, RealignSpec, gram_moments, realign_array
 from .states import DensityMatrix
 
 ENTANGLED = "ENTANGLED"
@@ -232,9 +232,9 @@ def entangled(criterion: str, statistic):
 
 
 class Spectrum(NamedTuple):
-    """Per state: realignment trace norms, T1, T2 and bounds, or partial-transpose minimum eigenvalues."""
+    """Per state: ppt minimum eigenvalues, or trace norms (realign only), T1, T2 and bounds (v1/v2 only)."""
 
-    values: np.ndarray
+    values: np.ndarray | None
     t1: np.ndarray | None = None
     t2: np.ndarray | None = None
     bounds: AdmissibleBounds | None = None
@@ -299,17 +299,21 @@ def criterion_row(name: str) -> _Row:
 
 def spectrum(
     matrices: np.ndarray, dims: tuple[int, ...], spec: RealignSpec | None = None,
-    party: int | None = None, gated: bool = False,
+    party: int | None = None, criteria: Iterable[str] = tuple(CRITERIA),
 ) -> Spectrum:
-    """The :class:`Spectrum` every row's `statistic` reads: one eigensolve of a
-    stack's partial transpose over `party`, or else one `singular_values` call
-    on its `spec` realignment, with the admissible bounds when `gated`.
+    """The :class:`Spectrum` the rows of `criteria` read: one eigensolve of a stack's
+    partial transpose over `party`, or else the :func:`gram` stack G of its `spec`
+    realignment, read as T1 = tr G and T2 = ||G||_F^2 with no eigensolve.  Only a
+    trace-norm row (realign) eigensolves G, and only v1/v2 take the bounds.
     """
     if party is not None:
         return Spectrum(hermitian_eigenvalues(transpose_party(matrices, dims, party))[:, -1])
-    sv = singular_values(realign_array(matrices, dims, spec))
-    t1, t2 = power_sums(sv)
-    return Spectrum(sv.sum(axis=-1), t1, t2, admissible_bounds(t1, t2) if gated else None)
+    rows = [criterion_row(c) for c in criteria]
+    g = gram(realign_array(matrices, dims, spec))
+    t1, t2 = gram_moments(g)
+    reads_norms = any(r.reads == "split" and not r.flag for r in rows)  # realign
+    return Spectrum(gram_singular_values(g).sum(axis=-1) if reads_norms else None, t1, t2,
+                    admissible_bounds(t1, t2) if any(r.gated for r in rows) else None)
 
 
 class Evaluation(NamedTuple):
@@ -341,7 +345,8 @@ def evaluate(
     v1 reads the 1|2 realignment of a two-party state, v2, v3 and realign
     that of `spec`, and ppt the partial transpose over `party`; v1, v2 and
     v3 take `weight`.  After the checks this is one :func:`spectrum` call
-    and the row's `statistic` on it.  A criterion without a row, a missing
+    serving this criterion alone, so v1/v2/v3 take no eigensolve, and the
+    row's `statistic` on it.  A criterion without a row, a missing
     party, split or weight, a non-finite or out-of-domain weight, or a
     state, split or party that does not fit, raises ValueError.
     """
@@ -363,7 +368,7 @@ def evaluate(
         if not math.isfinite(weight):
             raise ValueError(f"--{row.flag} must be finite, got {weight!r}")
     party = party if row.reads == "party" else None
-    sp = spectrum(matrices, dims, spec, party, row.gated)
+    sp = spectrum(matrices, dims, spec, party, (criterion,))
     stats = row.statistic(sp, weight)
     if not row.flag:
         return Evaluation(criterion, None if party is None else float(party), stats)

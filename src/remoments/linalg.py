@@ -2,8 +2,8 @@
 
 Everything here works on plain complex ndarrays and is sized for
 desk-scale problems: Kronecker products are capped at dimension 64 per
-axis, and singular values go through the smaller-side Gram matrix so a
-p x q rectangle only ever costs a min(p, q)-sized eigenproblem.
+axis, and singular values go through the smaller-side :func:`gram`
+matrix, so a p x q rectangle only ever costs a min(p, q)-sized eigenproblem.
 """
 from __future__ import annotations
 
@@ -70,25 +70,31 @@ def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(sym)[..., ::-1].copy()
 
 
-def singular_values(a: np.ndarray) -> np.ndarray:
-    """All min(rows, cols) singular values, sorted descending.
+def gram(a: np.ndarray) -> np.ndarray:
+    """The smaller-side Gram matrix G of `a` (a^dagger a or a a^dagger), or of each matrix of a stack.
 
-    Also takes a (..., rows, cols) stack and returns one descending row per
-    matrix, equal bit for bit to the per-matrix call.  Computed as square
-    roots of the eigenvalues of the smaller-side Gram matrix; the Gram
-    matrix is positive semidefinite, so a negative eigenvalue is rounding
-    noise and clamps to zero.
+    Symmetrized to be Hermitian bit for bit; its eigenvalues are the squared
+    singular values of `a`, so tr G and ||G||_F^2 are T1 and T2.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2:
         raise ValueError(f"expected a matrix, got ndim {a.ndim}")
-    if a.shape[-1] <= a.shape[-2]:
-        gram = dagger(a) @ a
-    else:
-        gram = a @ dagger(a)
-    gram += dagger(gram)  # symmetrize in place: one stack-sized temporary fewer
-    gram /= 2.0
-    return np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None))[..., ::-1].copy()
+    g = dagger(a) @ a if a.shape[-1] <= a.shape[-2] else a @ dagger(a)
+    g += dagger(g)  # symmetrize in place: one stack-sized temporary fewer
+    g /= 2.0
+    return g
+
+
+def gram_singular_values(g: np.ndarray) -> np.ndarray:
+    """Singular values of `a`, descending, from g = gram(a); G is PSD, so a negative eigenvalue clamps to 0."""
+    return np.sqrt(np.clip(np.linalg.eigvalsh(g), 0.0, None))[..., ::-1].copy()
+
+
+def singular_values(a: np.ndarray) -> np.ndarray:
+    """All min(rows, cols) singular values, sorted descending, of a matrix or of
+    each matrix of a (..., rows, cols) stack, equal bit for bit to the per-matrix call.
+    """
+    return gram_singular_values(gram(a))
 
 
 def trace_norm(a: np.ndarray) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import singular_values
+from .linalg import gram
 from .states import DensityMatrix
 
 
@@ -151,9 +151,15 @@ def power_sums(sv: np.ndarray, max_k: int = 2) -> list[np.ndarray]:
     return [np.sum(s2**k, axis=-1) for k in range(1, max_k + 1)]
 
 
+def gram_moments(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`power_sums` T1 and T2 without an eigensolve: tr G and ||G||_F^2 of a Gram stack G."""
+    flat = g.view(np.float64)  # real and imaginary parts side by side
+    return np.einsum("...ii->...", g).real, np.einsum("...ij,...ij->...", flat, flat)
+
+
 def moments(realigned: np.ndarray) -> MomentSet:
-    """Moment sums T1 and T2 of one realigned matrix; see :func:`power_sums` for T_k, k > 2."""
-    t1, t2 = power_sums(singular_values(realigned))
+    """Moment sums T1 and T2 of one realigned matrix, from its Gram matrix (:func:`gram_moments`)."""
+    t1, t2 = gram_moments(gram(realigned))
     return MomentSet(t1=float(t1), t2=float(t2))
 
 

@@ -35,9 +35,12 @@ from remoments import (
     verdict_v2,
     verdict_v3,
 )
-from remoments.criteria import admissible_bounds, spectrum, v1_stack, v3_stack
+from remoments import cli, criteria
+from remoments.cli import AuditConfig, run_audit
+from remoments.criteria import admissible_bounds, evaluate, spectrum, v1_stack, v3_stack
 from remoments.realign import MomentSet
 from remoments.states import separable_stack
+from test_cli import run_cli
 
 Q0 = (math.sqrt(2) - 1) / 2
 BELL = pure_state(np.array([1, 0, 0, 1]) / math.sqrt(2), (2, 2))
@@ -460,3 +463,119 @@ class TestWeightOverflow:
         t1, t2 = np.array([0.5]), np.array([0.2])
         assert np.isfinite(v1_stack(t1, t2, w)).all()
         assert np.isfinite(v3_stack(t1, t2, w)).all()
+
+
+def weight_collapse_stacks():
+    """(T1, T2) of every split of mixed states, pure products and 2- and 3-term product mixtures."""
+    for dims in ((2, 2), (3, 3), (2, 4), (2, 2, 2), (2, 2, 2, 2)):
+        stack = np.concatenate([separable_stack(dims, k, range(40)) for k in (1, 2, 3)]
+                               + [np.stack([random_density(dims, s).matrix for s in range(10)])])
+        for spec in enumerate_splits(len(dims)):
+            sp = spectrum(stack, dims, spec, criteria=("v3",))
+            yield sp.t1, sp.t2
+
+
+class TestWeightCollapse:
+    """v3 is largest at v = 0, and v1 tends to v3(0) as a grows (ROADMAP item 3)."""
+
+    def test_v3_does_not_increase_in_v(self):
+        # d/dv of the inner term is <= 0 exactly when T2 <= T1.  A pure product
+        # has T1 = 1 and T2 = T1^2, so its computed T2 can exceed T1 by a few
+        # ulp of rounding; then the inner term tends to sqrt(T2), not sqrt(T1).
+        grid = np.concatenate([np.linspace(0.0, 1e4, 101), np.geomspace(1e-6, 1e4, 61)])
+        for t1, t2 in weight_collapse_stacks():
+            top = v3_stack(t1, t2, 0.0)
+            top = top + np.maximum(np.sqrt(t2) - np.sqrt(t1), 0.0) + 4.0 * np.spacing(top)
+            for v in grid:
+                assert (v3_stack(t1, t2, v) <= top).all(), v
+
+    @pytest.mark.parametrize("a", [1e2, 1e4, 1e6])
+    def test_v1_tends_to_v3_at_zero(self, a):
+        # With x = 1/a and q = T1^2 - T2 > 0, v1(a)^2 = T1 + 2x T1 + sqrt(2q + D)
+        # with D = 4x (T1^2 - T1) + 4x^2 T1^2, and v3(0)^2 = T1 + sqrt(2q).  So
+        # |v1(a) - v3(0)| <= (2 T1 + |D| / (x sqrt(2q))) x / sqrt(T1): O(1/a),
+        # at most 1/a where q is not small, and larger as q -> 0.
+        checked = 0
+        for t1, t2 in weight_collapse_stacks():
+            q = t1 * t1 - t2
+            ok = (q > 1e-6) & admissible_bounds(t1, t2).admits(a)
+            t1, q = t1[ok], q[ok]
+            x = 1.0 / a
+            d = np.abs(4.0 * x * (t1 * t1 - t1) + 4.0 * x * x * t1 * t1)
+            bound = (2.0 * t1 + d / (x * np.sqrt(2.0 * q))) * x / np.sqrt(t1)
+            base = v3_stack(t1, t2[ok], 0.0)
+            gap = np.abs(v1_stack(t1, t2[ok], a) - base)
+            assert (gap <= bound + 4.0 * np.spacing(base)).all()
+            assert (gap[bound <= x] <= x).all()
+            checked += int(ok.sum())
+        assert checked > 1000
+
+
+class TestMomentRowsSkipEigensolve:
+    """v1/v2/v3 read T1 = tr G and T2 = ||G||_F^2; only realign and ppt eigensolve in `spectrum`."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        # Count Hermitian eigensolves (and SVDs, in case singular values move
+        # to one) while criteria.spectrum runs, not elsewhere: validation may
+        # eigensolve legitimately.
+        count = {"depth": 0, "solves": 0}
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                count["solves"] += count["depth"] > 0
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("eigvalsh", "eigh", "svd"):
+            monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+        inner = criteria.spectrum
+
+        def spectrum_(*args, **kwargs):
+            count["depth"] += 1
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                count["depth"] -= 1
+
+        monkeypatch.setattr(criteria, "spectrum", spectrum_)
+        monkeypatch.setattr(cli, "spectrum", spectrum_)
+        return count
+
+    def rho_pq_stack(self):
+        return np.stack([rho_pq(p).matrix for p in (0.1, Q0, 0.4)])
+
+    @pytest.mark.parametrize("criterion,weight", [("v1", 0.2), ("v2", 0.2), ("v3", 0.01)])
+    def test_evaluate_moment_rows(self, solves, criterion, weight):
+        ev = evaluate(self.rho_pq_stack(), (4, 4), criterion, weight, RealignSpec.parse("1|2"))
+        assert np.isfinite(ev.t2).all()
+        assert solves["solves"] == 0
+
+    @pytest.mark.parametrize("criterion,kw", [("realign", {"spec": RealignSpec.parse("1|2")}),
+                                              ("ppt", {"party": 1})])
+    def test_evaluate_comparators(self, solves, criterion, kw):
+        evaluate(self.rho_pq_stack(), (4, 4), criterion, **kw)
+        assert solves["solves"] >= 1
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--family", "rho_pq", "--range", "0:0.5:0.05", "--criterion", "v1", "--a", "0.2"],
+        ["sweep", "--family", "ghz_w", "--range", "0:1:0.1", "--criterion", "v2", "--u", "5",
+         "--split", "1|2"],
+        ["threshold", "--family", "noisy_ghz4", "--bracket", "0:1", "--criterion", "v3",
+         "--v", "0.01", "--split", "12|34"],
+    ])
+    def test_sweep_and_threshold(self, solves, argv):
+        assert run_cli(*argv)[0] == 0
+        assert solves["solves"] == 0
+
+    @pytest.mark.parametrize("dims", [(2, 3), (2, 2, 2)])
+    def test_audit_moment_rows(self, solves, dims):
+        run_audit(AuditConfig(dims=dims, num_states=20, criteria=("v1", "v2", "v3")))
+        assert solves["solves"] == 0
+
+    @pytest.mark.parametrize("names,per_chunk", [(("v3", "realign"), 6), (("v3", "ppt"), 3)])
+    def test_audit_eigensolves_once_per_split_or_party_and_chunk(self, solves, monkeypatch, names, per_chunk):
+        # (2, 2, 2) has 6 splits and 3 parties; only realign eigensolves a split's Gram matrix
+        monkeypatch.setattr(cli, "AUDIT_CHUNK", 8)
+        run_audit(AuditConfig(dims=(2, 2, 2), num_states=20, num_terms=1, criteria=names))
+        assert solves["solves"] == per_chunk * 3  # chunks of 8, 8 and 4 states

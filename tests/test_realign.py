@@ -22,7 +22,9 @@ from remoments import (
     singular_values,
     trace_norm,
 )
+from remoments.criteria import spectrum
 from remoments.realign import power_sums, realign_array
+from remoments.states import separable_stack
 
 
 def gram_power_traces(a, max_k=2):
@@ -320,6 +322,31 @@ class TestMoments:
         assert a.t1 == pytest.approx(b[0], rel=1e-9)
         assert a.t2 == pytest.approx(b[1], rel=1e-9)
         assert power_sums(singular_values(r), 3)[2] == pytest.approx(b[2], rel=1e-9)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 4), (2, 2, 2), (2, 2, 2, 2)])
+    def test_spectrum_moments_agree_with_svd(self, dims):
+        # criteria.spectrum reads T1 = tr G and T2 = ||G||_F^2 off the Gram
+        # stack; they must be the power sums of a direct SVD, for every split
+        # of mixed states, pure products and two-term product mixtures.
+        stack = np.concatenate([
+            np.stack([random_density(dims, seed).matrix for seed in range(4)]),
+            separable_stack(dims, 1, range(4)),
+            separable_stack(dims, 2, range(4)),
+        ])
+        eps = np.finfo(float).eps
+        for spec in enumerate_splits(len(dims)):
+            sp = spectrum(stack, dims, spec)
+            for i, matrix in enumerate(stack):
+                dm = DensityMatrix(dims=dims, matrix=matrix)
+                r = realign_partial(dm, spec)
+                s2 = np.linalg.svd(r, compute_uv=False) ** 2
+                assert sp.t1[i] == pytest.approx(dm.purity(), rel=1e-12), (spec, i)
+                assert sp.t1[i] == pytest.approx(s2.sum(), rel=1e-12), (spec, i)
+                assert sp.t2[i] == pytest.approx((s2 * s2).sum(), rel=1e-12), (spec, i)
+                # T2 <= T1^2 up to G's rounding: each entry of G sums m = max(r.shape)
+                # products, so T2 / T1^2 can exceed 1 by up to about 4 m eps.  Pure
+                # products (T2 = T1^2 in exact arithmetic) reach 18 eps on (2, 2, 2, 2).
+                assert sp.t2[i] <= sp.t1[i] ** 2 * (1.0 + 4.0 * max(r.shape) * eps), (spec, i)
 
     def test_higher_moments_decreasing(self):
         dm = random_density((3, 3), 50)
