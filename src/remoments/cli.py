@@ -515,6 +515,22 @@ class AuditEntry:
     worst_statistic: float = float("nan")
     worst_seed: int | None = None
 
+    def tally(self, stats: np.ndarray, seeds: range) -> None:
+        """Count one stack's statistics, made from `seeds`, NaN where the weight is not admissible."""
+        evaluated = np.flatnonzero(~np.isnan(stats))
+        if not evaluated.size:
+            return
+        self.evaluated += int(evaluated.size)
+        self.violations += int(np.count_nonzero(entangled(self.criterion, stats)))
+        values = stats[evaluated]
+        lowest = CRITERIA[self.criterion].below
+        i = int(evaluated[values.argmin() if lowest else values.argmax()])
+        stat = float(stats[i])
+        if math.isnan(self.worst_statistic) or (
+            stat < self.worst_statistic if lowest else stat > self.worst_statistic
+        ):
+            self.worst_statistic, self.worst_seed = stat, seeds[i]
+
 
 def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
     """Evaluate the requested criteria on seeded separable samples.
@@ -527,65 +543,36 @@ def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
     A criterion or weight listed twice is evaluated once.  `cfg` was
     checked when it was built (:class:`AuditConfig`).
 
-    Up to AUDIT_CHUNK samples, fewer when `num_terms` exceeds D, are
-    drawn and validated as one stack (`separable_stack`).  Each split and
-    party takes one :func:`spectrum` per chunk, which serves every requested
-    criterion at once, and every (criterion, weight)
-    reads its statistics array from it with its row's `statistic`.  Each
-    cell is tallied from that array with masks, the worst sample being the
-    first index of the extreme value.
+    The plan, built once, pairs each cell's entry with the split or party
+    whose :func:`spectrum` it reads, in report order.  Up to AUDIT_CHUNK
+    samples, fewer when `num_terms` exceeds D, are drawn and validated as
+    one stack (`separable_stack`); each distinct target takes one spectrum
+    per stack, which serves every criterion and weight reading it, and
+    each cell tallies the array its row's `statistic` reads from that,
+    the worst sample being the first index of the extreme value.
     """
     params = tuple(dict.fromkeys(cfg.params))
-    rows = {criterion: CRITERIA[criterion] for criterion in cfg.criteria}
     n = len(cfg.dims)
-    splits = enumerate_splits(n)
-    entries: dict[tuple, AuditEntry] = {}
-
-    def tally(
-        criterion: str, parameter: float | None, split: str | None, stats: np.ndarray, seeds: range
-    ) -> None:
-        key = (criterion, parameter, split)
-        if key not in entries:
-            entries[key] = AuditEntry(criterion=criterion, parameter=parameter, split=split)
-        ent = entries[key]
-        evaluated = np.flatnonzero(~np.isnan(stats))  # NaN: weight outside the admissible range
-        if not evaluated.size:
-            return
-        ent.evaluated += int(evaluated.size)
-        ent.violations += int(np.count_nonzero(entangled(criterion, stats)))
-        values = stats[evaluated]
-        lowest = rows[criterion].below
-        i = int(evaluated[values.argmin() if lowest else values.argmax()])
-        stat = float(stats[i])
-        if math.isnan(ent.worst_statistic) or (
-            stat < ent.worst_statistic if lowest else stat > ent.worst_statistic
-        ):
-            ent.worst_statistic, ent.worst_seed = stat, seeds[i]
+    plan: list[tuple[AuditEntry, RealignSpec | int]] = []
+    for criterion in dict.fromkeys(cfg.criteria):
+        row = CRITERIA[criterion]
+        if row.reads == "party":
+            # For two parties, party 2 reads party 1's spectrum: rho^T2 = (rho^T1)^T, bit for bit.
+            plan += [(AuditEntry(criterion, float(p), None), 1 if n == 2 else p) for p in range(1, n + 1)]
+        elif row.reads == "split" or n == 2:  # v1: the 1|2 realignment, a two-party state's one split
+            plan += [(AuditEntry(criterion, w, str(sp)), sp)
+                     for sp in enumerate_splits(n) for w in (params if row.flag else (None,))]
 
     chunk = min(AUDIT_CHUNK, max(1, AUDIT_CHUNK * math.prod(cfg.dims) // cfg.num_terms))
     for start in range(0, cfg.num_states, chunk):
         seeds = range(cfg.seed + start, cfg.seed + min(cfg.num_states, start + chunk))
         stack = separable_stack(cfg.dims, cfg.num_terms, seeds)
         spectra: dict[RealignSpec | int, Spectrum] = {}
-
-        def spectrum_of(target: RealignSpec | int) -> Spectrum:
-            if n == 2 and target == 2:  # rho^T2 = (rho^T1)^T: rho^T1's spectrum, bit for bit
-                target = 1
+        for entry, target in plan:
             if target not in spectra:
-                spectra[target] = (spectrum(stack, cfg.dims, party=target) if isinstance(target, int)
-                                   else spectrum(stack, cfg.dims, target, criteria=rows))
-            return spectra[target]
-
-        for criterion, row in rows.items():
-            if row.reads == "pair" and n != 2:
-                continue  # the 1|2 realignment of a two-party state, whose one split is 1|2
-            # (parameter, split label, spectrum target) of each cell, in report order
-            cells = ([(float(p), None, p) for p in range(1, n + 1)] if row.reads == "party" else
-                     [(w, str(sp), sp) for sp in splits for w in (params if row.flag else (None,))])
-            for parameter, split, target in cells:
-                stats = row.statistic(spectrum_of(target), parameter)
-                tally(criterion, parameter, split, stats, seeds)
-    return list(entries.values())
+                spectra[target] = spectrum(stack, cfg.dims, target, cfg.criteria)
+            entry.tally(CRITERIA[entry.criterion].statistic(spectra[target], entry.parameter), seeds)
+    return [entry for entry, _ in plan]
 
 
 def cmd_audit(args: argparse.Namespace) -> int:

@@ -298,18 +298,18 @@ def criterion_row(name: str) -> _Row:
 
 
 def spectrum(
-    matrices: np.ndarray, dims: tuple[int, ...], spec: RealignSpec | None = None,
-    party: int | None = None, criteria: Iterable[str] = tuple(CRITERIA),
+    matrices: np.ndarray, dims: tuple[int, ...], target: RealignSpec | int,
+    criteria: Iterable[str] = tuple(CRITERIA),
 ) -> Spectrum:
-    """The :class:`Spectrum` the rows of `criteria` read: one eigensolve of a stack's
-    partial transpose over `party`, or else the :func:`gram` stack G of its `spec`
-    realignment, read as T1 = tr G and T2 = ||G||_F^2 with no eigensolve.  Only a
-    trace-norm row (realign) eigensolves G, and only v1/v2 take the bounds.
+    """The :class:`Spectrum` the rows of `criteria` read off `target`: for a 1-based party,
+    one eigensolve of a stack's partial transpose over it; for a split, the :func:`gram`
+    stack G of its realignment, read as T1 = tr G and T2 = ||G||_F^2 with no eigensolve.
+    Only a trace-norm row (realign) eigensolves G, and only v1/v2 take the bounds.
     """
-    if party is not None:
-        return Spectrum(hermitian_eigenvalues(transpose_party(matrices, dims, party))[:, -1])
+    if not isinstance(target, RealignSpec):
+        return Spectrum(hermitian_eigenvalues(transpose_party(matrices, dims, target))[:, -1])
     rows = [criterion_row(c) for c in criteria]
-    g = gram(realign_array(matrices, dims, spec))
+    g = gram(realign_array(matrices, dims, target))
     t1, t2 = gram_moments(g)
     reads_norms = any(r.reads == "split" and not r.flag for r in rows)  # realign
     return Spectrum(gram_singular_values(g).sum(axis=-1) if reads_norms else None, t1, t2,
@@ -345,10 +345,10 @@ def evaluate(
     v1 reads the 1|2 realignment of a two-party state, v2, v3 and realign
     that of `spec`, and ppt the partial transpose over `party`; v1, v2 and
     v3 take `weight`.  After the checks this is one :func:`spectrum` call
-    serving this criterion alone, so v1/v2/v3 take no eigensolve, and the
-    row's `statistic` on it.  A criterion without a row, a missing
-    party, split or weight, a non-finite or out-of-domain weight, or a
-    state, split or party that does not fit, raises ValueError.
+    at that target, serving this criterion alone, so v1/v2/v3 take no
+    eigensolve, and the row's `statistic` on it.  A criterion without a
+    row, a missing party, split or weight, a non-finite or out-of-domain
+    weight, or a state, split or party that does not fit, raises ValueError.
     """
     row = criterion_row(criterion)
     if row.reads == "party" and party is None:
@@ -367,11 +367,11 @@ def evaluate(
         weight = float(weight)
         if not math.isfinite(weight):
             raise ValueError(f"--{row.flag} must be finite, got {weight!r}")
-    party = party if row.reads == "party" else None
-    sp = spectrum(matrices, dims, spec, party, (criterion,))
+    target = party if row.reads == "party" else spec
+    sp = spectrum(matrices, dims, target, (criterion,))
     stats = row.statistic(sp, weight)
     if not row.flag:
-        return Evaluation(criterion, None if party is None else float(party), stats)
+        return Evaluation(criterion, float(party) if row.reads == "party" else None, stats)
     return Evaluation(criterion, weight, stats, sp.t1, sp.t2, sp.bounds)
 
 

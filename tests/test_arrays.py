@@ -261,6 +261,13 @@ class TestSeparableStack:
     def test_no_seeds(self):
         assert separable_stack((2, 3), 2, []).shape == (0, 6, 6)
 
+    @pytest.mark.parametrize("seeds, bad", [([None], "None"), ([3, [1, 2]], "[1, 2]")])
+    def test_seeds_numpy_takes_that_are_not_integers(self, seeds, bad):
+        """numpy seeds a generator from None or a sequence; the sampler's own check rejects both."""
+        with pytest.raises(TypeError) as exc:
+            separable_stack((2, 2), 1, seeds)
+        assert str(exc.value) == f"seed must be a non-negative integer, got {bad}"
+
 
 # Named cases: degenerate (T2 = T1^2) with T1^2 - T1 >= 0 and < 0, a
 # nonpositive discriminant, a positive one whose lower root is not positive

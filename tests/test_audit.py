@@ -133,6 +133,28 @@ def test_chunk_boundaries(monkeypatch):
     assert_same_report(chunked, reference_audit(cfg))
 
 
+@pytest.mark.parametrize(
+    "dims, per_chunk",
+    [
+        ((2, 2), ["1|2", 1]),  # party 2 reads party 1's spectrum
+        ((2, 2, 2), [*map(str, enumerate_splits(3)), 1, 2, 3]),
+    ],
+)
+@pytest.mark.parametrize("chunks", [1, 2])
+def test_one_spectrum_per_target_and_chunk(monkeypatch, dims, per_chunk, chunks):
+    """Each chunk takes exactly one spectrum per distinct split or party of the plan, in report order."""
+    calls = []
+
+    def counting_spectrum(stack, stack_dims, target, *rest):
+        calls.append(target if isinstance(target, int) else str(target))
+        return spectrum(stack, stack_dims, target, *rest)
+
+    monkeypatch.setattr(cli, "spectrum", counting_spectrum)
+    monkeypatch.setattr(cli, "AUDIT_CHUNK", 8 // chunks)
+    run_audit(AuditConfig(dims=dims, num_states=8, num_terms=2, criteria=("realign", "v3", "ppt")))
+    assert calls == per_chunk * chunks
+
+
 @pytest.mark.parametrize("chunk", [4, 5])
 def test_ties_across_chunks_keep_the_first_seed(monkeypatch, chunk):
     """Pure products tie exactly on v1; the worst seed is the first sample to reach the maximum.
@@ -179,7 +201,7 @@ def test_many_terms_shrink_the_chunk(monkeypatch):
 
 def per_party_min_eigenvalues(matrices, dims):
     """One eigensolve per party, as two-party audits made before they shared one."""
-    return [spectrum(matrices, dims, party=p).values for p in range(1, len(dims) + 1)]
+    return [spectrum(matrices, dims, p).values for p in range(1, len(dims) + 1)]
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (4, 4)])

@@ -187,6 +187,19 @@ class TestRealignSpec:
         with pytest.raises(ValueError):
             spec.validate_for(2)
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            # Built directly: `parse` rejects both groups before a spec exists.
+            (RealignSpec((), (1,)), "both groups must be nonempty"),
+            (RealignSpec((1, 1), (2,)), "a group may not repeat a party"),
+        ],
+    )
+    def test_validate_for_messages(self, spec, message):
+        with pytest.raises(ValueError) as exc:
+            spec.validate_for(2)
+        assert str(exc.value) == message
+
     def test_untouched(self):
         assert RealignSpec.parse("1|3").untouched(4) == (2, 4)
         assert RealignSpec.parse("1|2").untouched(2) == ()

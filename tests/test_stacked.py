@@ -349,6 +349,12 @@ THRESHOLD_GOLDEN = [
     # a missing flag at LO wins over the out-of-domain HI
     (("--family", "noisy_ghz4", "--bracket", "0:1.5", "--criterion", "v3", "--v", "0.01"),
      2, "", "error: criterion v3 requires --split\n"),
+    # Two more splits of the first solve, printed at 679ace7 (T1 and T2 read off the
+    # Gram matrix), not by the point-by-point loop.
+    (("--family", "noisy_ghz4", "--bracket", "0:1", "--criterion", "v3", "--v", "0.01",
+      "--split", "12|34"), 0, "0.643637180328\n", ""),
+    (("--family", "noisy_ghz4", "--bracket", "0:1", "--criterion", "v3", "--v", "0.01",
+      "--split", "1|234"), 0, "0.643915653229\n", ""),
 ]
 
 
@@ -541,6 +547,13 @@ def test_sweep_chunk_boundaries(monkeypatch, chunk):
                              "--criterion", "v3", "--v", "0.5", "--split", "12|3")
     assert (code, out) == (3, "")
     assert err == "validation failure: ghz_w requires 0 <= q <= 1, got 1.1\n"
+
+
+def test_sweep_rows_unknown_family():
+    """The CLI's --family choices stop an unknown name; called directly, sweep_rows raises UsageError."""
+    with pytest.raises(cli.UsageError) as exc:
+        sweep_rows("nope", [0.1], "realign", split="1|2")
+    assert str(exc.value) == "unknown family 'nope'; choose from ['ghz_w', 'noisy_ghz4', 'rho_d', 'rho_eps', 'rho_pq']"
 
 
 def test_sweep_usage_error_before_later_domain_error():

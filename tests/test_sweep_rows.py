@@ -58,7 +58,7 @@ def frozen_verdicts(matrices, dims, criterion, a=None, u=None, v=None, split=Non
     """The per-point verdicts of a successful stack evaluation."""
     if criterion == "ppt":
         return [min_eigenvalue_verdict(party, x)
-                for x in spectrum(matrices, dims, party=party).values.tolist()]
+                for x in spectrum(matrices, dims, party).values.tolist()]
     if criterion == "v1":
         spec, weight = RealignSpec((1,), (2,)), a
     else:
