@@ -18,7 +18,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -38,7 +38,7 @@ from .criteria import (
     spectrum,
     verdict,
 )
-from .linalg import MAX_KRON_DIM
+from .linalg import MAX_KRON_DIM, Scratch
 from .realign import RealignSpec, enumerate_splits
 from .states import (
     FAMILIES,
@@ -564,13 +564,14 @@ def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
                      for sp in enumerate_splits(n) for w in (params if row.flag else (None,))]
 
     chunk = min(AUDIT_CHUNK, max(1, AUDIT_CHUNK * math.prod(cfg.dims) // cfg.num_terms))
+    scratch = Scratch()  # every spectrum of the run reuses its stack-sized temporaries
     for start in range(0, cfg.num_states, chunk):
         seeds = range(cfg.seed + start, cfg.seed + min(cfg.num_states, start + chunk))
         stack = separable_stack(cfg.dims, cfg.num_terms, seeds)
         spectra: dict[RealignSpec | int, Spectrum] = {}
         for entry, target in plan:
             if target not in spectra:
-                spectra[target] = spectrum(stack, cfg.dims, target, cfg.criteria)
+                spectra[target] = spectrum(stack, cfg.dims, target, cfg.criteria, scratch)
             entry.tally(CRITERIA[entry.criterion].statistic(spectra[target], entry.parameter), seeds)
     return [entry for entry, _ in plan]
 
@@ -612,7 +613,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         )
 
     if args.out:
-        payload = json_safe({"config": asdict(cfg), "entries": [asdict(e) for e in report]})
+        payload = json_safe({"config": vars(cfg), "entries": [vars(e) for e in report]})  # json_safe copies
         _write_out(args.out, lambda fh: fh.write(json.dumps(payload, indent=2) + "\n"))
     return EXIT_OK
 

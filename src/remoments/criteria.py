@@ -27,7 +27,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .linalg import gram, gram_singular_values, hermitian_eigenvalues
+from .linalg import Scratch, gram, gram_singular_values, hermitian_eigenvalues, permuted_copy
 from .realign import MomentSet, RealignSpec, gram_moments, realign_array
 from .states import DensityMatrix
 
@@ -299,17 +299,19 @@ def criterion_row(name: str) -> _Row:
 
 def spectrum(
     matrices: np.ndarray, dims: tuple[int, ...], target: RealignSpec | int,
-    criteria: Iterable[str] = tuple(CRITERIA),
+    criteria: Iterable[str] = tuple(CRITERIA), scratch: Scratch | None = None,
 ) -> Spectrum:
     """The :class:`Spectrum` the rows of `criteria` read off `target`: for a 1-based party,
     one eigensolve of a stack's partial transpose over it; for a split, the :func:`gram`
     stack G of its realignment, read as T1 = tr G and T2 = ||G||_F^2 with no eigensolve.
-    Only a trace-norm row (realign) eigensolves G, and only v1/v2 take the bounds.
+    Only realign eigensolves G and only v1/v2 take bounds; temporaries live in `scratch`, results are fresh.
     """
+    scratch = scratch or Scratch()
+    moved = scratch.take("moved", matrices.shape)
     if not isinstance(target, RealignSpec):
-        return Spectrum(hermitian_eigenvalues(transpose_party(matrices, dims, target))[:, -1])
+        return Spectrum(hermitian_eigenvalues(transpose_party(matrices, dims, target, moved), scratch)[:, -1])
     rows = [criterion_row(c) for c in criteria]
-    g = gram(realign_array(matrices, dims, target))
+    g = gram(realign_array(matrices, dims, target, moved), scratch)
     t1, t2 = gram_moments(g)
     reads_norms = any(r.reads == "split" and not r.flag for r in rows)  # realign
     return Spectrum(gram_singular_values(g).sum(axis=-1) if reads_norms else None, t1, t2,
@@ -418,11 +420,13 @@ def realignment_norm_verdict(dm: DensityMatrix, spec: RealignSpec) -> CriterionV
     return verdict(evaluate(dm.matrix[None], dm.dims, "realign", spec=spec))
 
 
-def transpose_party(matrix: np.ndarray, dims: tuple[int, ...], party: int) -> np.ndarray:
+def transpose_party(matrix: np.ndarray, dims: tuple[int, ...], party: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """The axis swap behind :func:`partial_transpose`, on raw arrays.
 
     `matrix` is one D x D matrix or a (..., D, D) stack of them; every
-    matrix of a stack is transposed by the same single permutation.
+    matrix of a stack is transposed by the same single permutation, into
+    `out` (see :func:`~remoments.linalg.permuted_copy`).
     """
     n = len(dims)
     if not (1 <= party <= n):
@@ -432,7 +436,7 @@ def transpose_party(matrix: np.ndarray, dims: tuple[int, ...], party: int) -> np
     k = len(lead)
     axes = list(range(k + 2 * n))
     axes[k + party - 1], axes[k + n + party - 1] = axes[k + n + party - 1], axes[k + party - 1]
-    return np.ascontiguousarray(tensor.transpose(axes).reshape(matrix.shape))
+    return permuted_copy(tensor.transpose(axes), out).reshape(matrix.shape)
 
 
 def partial_transpose(dm: DensityMatrix, party: int) -> np.ndarray:

@@ -4,8 +4,14 @@ Everything here works on plain complex ndarrays and is sized for
 desk-scale problems: Kronecker products are capped at dimension 64 per
 axis, and singular values go through the smaller-side :func:`gram`
 matrix, so a p x q rectangle only ever costs a min(p, q)-sized eigenproblem.
+
+An audit takes a spectrum of every split and party per chunk of states.  Fresh
+stack-sized temporaries would be faulted in, zeroed and trimmed back each time,
+so they come from one :class:`Scratch` per run; a call without one makes its own.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -42,46 +48,76 @@ def kron_shape(a_shape: tuple[int, ...], b_shape: tuple[int, ...]) -> tuple[int,
     return out_shape
 
 
+class Scratch:
+    """Named buffers that live from call to call, each grown only when a request outgrows it."""
+
+    def __init__(self) -> None:
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...], dtype=complex) -> np.ndarray:
+        """A C-contiguous array of `shape` over buffer `name`: garbage, and valid until `name`'s next take."""
+        size = math.prod(shape)
+        buf = self.buffers.get(name)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self.buffers[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
+def permuted_copy(view: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """`view` copied into `out`, any C-contiguous array of as many entries (fresh when None)."""
+    out = np.empty(view.shape, view.dtype) if out is None else out
+    np.copyto(out.reshape(view.shape), view)
+    return out
+
+
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose; of each matrix, for a (..., m, n) stack."""
     return np.asarray(a).conj().swapaxes(-1, -2)
 
 
-def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
+def hermitian_eigenvalues(a: np.ndarray, scratch: Scratch | None = None) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, sorted descending.
 
     Also takes a (..., n, n) stack and returns one descending row per
     matrix.  The input is symmetrized to a/2 + a^dagger/2 before solving,
     which is (a + a^dagger)/2 for normal floats, without its overflow; a
     max-abs deviation from Hermiticity beyond HERMITICITY_TOL, in any
-    matrix of a stack, is rejected instead of hidden, and so is a NaN.
+    matrix of a stack, is rejected instead of hidden, and so is a NaN
+    (temporaries: `scratch` "conj", "sym" and "abs").
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    adj = dagger(a)
+    scratch = scratch or Scratch()
+    adj = np.conjugate(a, out=scratch.take("conj", a.shape)).swapaxes(-1, -2)
     with np.errstate(over="ignore", invalid="ignore"):  # an inf deviation is rejected below
-        dev = float(np.abs(a - adj).max()) if a.size else 0.0
+        sym = np.subtract(a, adj, out=scratch.take("sym", a.shape))
+        dev = float(np.abs(sym, out=scratch.take("abs", a.shape, float)).max()) if a.size else 0.0
     if not dev <= HERMITICITY_TOL:  # NaN compares False
         raise ValueError(f"matrix is not Hermitian: deviation {dev:.3e} exceeds {HERMITICITY_TOL:.1e}")
-    adj *= 0.5  # dagger's own conjugate copy; halving first is exact for normal floats and cannot overflow
-    sym = a * 0.5
+    adj *= 0.5  # halving first is exact for normal floats and cannot overflow
+    np.multiply(a, 0.5, out=sym)
     sym += adj
     return np.linalg.eigvalsh(sym)[..., ::-1].copy()
 
 
-def gram(a: np.ndarray) -> np.ndarray:
+def gram(a: np.ndarray, scratch: Scratch | None = None) -> np.ndarray:
     """The smaller-side Gram matrix G of `a` (a^dagger a or a a^dagger), or of each matrix of a stack.
 
     Symmetrized to be Hermitian bit for bit; its eigenvalues are the squared
-    singular values of `a`, so tr G and ||G||_F^2 are T1 and T2.
+    singular values of `a`, so tr G and ||G||_F^2 are T1 and T2.  G lives in
+    `scratch` "sym", the buffer :func:`hermitian_eigenvalues` symmetrizes into.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2:
         raise ValueError(f"expected a matrix, got ndim {a.ndim}")
-    g = dagger(a) @ a if a.shape[-1] <= a.shape[-2] else a @ dagger(a)
-    g += dagger(g)  # symmetrize in place: one stack-sized temporary fewer
-    g /= 2.0
+    scratch = scratch or Scratch()
+    adj = np.conjugate(a, out=scratch.take("conj", a.shape)).swapaxes(-1, -2)
+    g = scratch.take("sym", a.shape[:-2] + (min(a.shape[-2:]),) * 2)
+    left, right = (adj, a) if a.shape[-1] <= a.shape[-2] else (a, adj)
+    np.matmul(left, right, out=g)
+    g += np.conjugate(g, out=scratch.take("conj", g.shape)).swapaxes(-1, -2)  # adj is spent: reuse it
+    g *= 0.5
     return g
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import gram
+from .linalg import gram, permuted_copy
 from .states import DensityMatrix
 
 
@@ -88,12 +88,13 @@ class MomentSet:
     t2: float
 
 
-def realign_array(matrix: np.ndarray, dims: tuple[int, ...], spec: RealignSpec) -> np.ndarray:
+def realign_array(matrix: np.ndarray, dims: tuple[int, ...], spec: RealignSpec,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """The axis permutation behind :func:`realign_partial`, on raw arrays.
 
     `matrix` is one D x D matrix or a (..., D, D) stack of them over the
     factor dimensions `dims`; every matrix of a stack is realigned by the
-    same single transpose.
+    same single transpose, into `out` (see :func:`permuted_copy`).
     """
     n = len(dims)
     spec.validate_for(n)
@@ -108,8 +109,7 @@ def realign_array(matrix: np.ndarray, dims: tuple[int, ...], spec: RealignSpec) 
     d1 = math.prod(dims[p] for p in g1)
     d2 = math.prod(dims[p] for p in g2)
     dc = math.prod(dims[p] for p in comp)
-    out = tensor.transpose(axes).reshape(lead + (d1 * d1 * dc, d2 * d2 * dc))
-    return np.ascontiguousarray(out)
+    return permuted_copy(tensor.transpose(axes), out).reshape(lead + (d1 * d1 * dc, d2 * d2 * dc))
 
 
 def realign_bipartite(dm: DensityMatrix) -> np.ndarray:

@@ -112,7 +112,7 @@ def validate_stack(matrices: np.ndarray) -> np.ndarray:
     # Only the matrices before the first non-ok one can fail first as NOT_PSD.
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the certificate
         shifted = m[:n_ok] + adj[:n_ok]
-        shifted /= 2.0
+        shifted *= 0.5
     del adj  # at most two stack-sized temporaries alive at once: `shifted` and the factor
     diag = np.arange(m.shape[-1])
     shifted[:, diag, diag] += VALIDATION_TOL / 2.0

@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from remoments import (
@@ -18,10 +19,12 @@ from remoments import (
 from remoments import cli
 from remoments.cli import AuditConfig, AuditEntry, run_audit
 from remoments.criteria import PT_NEGATIVITY_TOL, spectrum
+from remoments.linalg import Scratch
 from remoments.states import separable_stack
 from test_cli import run_cli
 
 ALL_CRITERIA = ("v1", "v2", "v3", "realign", "ppt")
+AUDIT_DIMS = [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 2, 2), (4, 4), (3, 2, 2)]
 PARTIES = "dims needs at least two parties of dimension >= 2"
 COUNTS = "--num-states and --num-terms must be >= 1"
 
@@ -99,7 +102,7 @@ def assert_same_report(got, want):
             assert abs(g.worst_statistic - w.worst_statistic) <= 1e-12
 
 
-@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 2, 2), (4, 4), (3, 2, 2)])
+@pytest.mark.parametrize("dims", AUDIT_DIMS)
 @pytest.mark.parametrize("num_terms", [1, 2, 3])
 @pytest.mark.parametrize("seed", [0, 4242])
 def test_matches_scalar_loop(dims, num_terms, seed):
@@ -153,6 +156,58 @@ def test_one_spectrum_per_target_and_chunk(monkeypatch, dims, per_chunk, chunks)
     monkeypatch.setattr(cli, "AUDIT_CHUNK", 8 // chunks)
     run_audit(AuditConfig(dims=dims, num_states=8, num_terms=2, criteria=("realign", "v3", "ppt")))
     assert calls == per_chunk * chunks
+
+
+def spectrum_arrays(sp):
+    """Every array of a Spectrum, its admissible bounds' included."""
+    return [a for a in (sp.values, sp.t1, sp.t2, *(vars(sp.bounds).values() if sp.bounds else ())) if a is not None]
+
+
+@pytest.mark.parametrize("dims", AUDIT_DIMS)
+def test_shared_scratch_spectra_equal_fresh_ones_bit_for_bit(dims):
+    """Spectra of every split and party taken in turn through one Scratch equal, bit for bit,
+    those taken without one, and none of their arrays shares memory with a scratch buffer."""
+    stack = separable_stack(dims, 2, range(12))
+    targets = [*enumerate_splits(len(dims)), *range(1, len(dims) + 1)]
+    scratch = Scratch()
+    shared = [spectrum(stack, dims, targets[0], ALL_CRITERIA, scratch)]
+    first = [a.tobytes() for a in spectrum_arrays(shared[0])]
+    shared += [spectrum(stack, dims, target, ALL_CRITERIA, scratch) for target in targets[1:]]
+    assert [a.tobytes() for a in spectrum_arrays(shared[0])] == first  # no later target wrote into them
+    for target, sp in zip(targets, shared):
+        fresh = spectrum(stack, dims, target, ALL_CRITERIA)
+        assert [a.tobytes() for a in spectrum_arrays(sp)] == [a.tobytes() for a in spectrum_arrays(fresh)]
+        for a in spectrum_arrays(sp):
+            assert not any(np.shares_memory(a, buf) for buf in scratch.buffers.values())
+    assert set(scratch.buffers) == {"moved", "conj", "sym", "abs"}
+
+
+@pytest.mark.parametrize("dims", AUDIT_DIMS)
+def test_scratch_allocates_only_in_the_first_chunk(monkeypatch, dims):
+    """One audit run takes every spectrum through one Scratch, which allocates no buffer after the first chunk."""
+    chunks, allocations = [], []
+
+    class CountingScratch(Scratch):
+        def take(self, name, shape, dtype=complex):
+            before = self.buffers.get(name)
+            out = super().take(name, shape, dtype)
+            if self.buffers[name] is not before:
+                allocations.append((len(chunks), name))
+            return out
+
+    def counting_stack(*args):
+        chunks.append(args)
+        return separable_stack(*args)
+
+    monkeypatch.setattr(cli, "Scratch", CountingScratch)
+    monkeypatch.setattr(cli, "separable_stack", counting_stack)
+    monkeypatch.setattr(cli, "AUDIT_CHUNK", 4)
+    cfg = AuditConfig(dims=dims, num_states=12, num_terms=2, criteria=ALL_CRITERIA, params=(0.5, 5.0))
+    report = run_audit(cfg)
+    assert len(chunks) == 3
+    assert {name for _, name in allocations} == {"moved", "conj", "sym", "abs"}
+    assert all(chunk == 1 for chunk, _ in allocations)
+    assert_same_report(report, reference_audit(cfg))
 
 
 @pytest.mark.parametrize("chunk", [4, 5])
