@@ -27,8 +27,8 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .linalg import Scratch, gram, gram_singular_values, hermitian_eigenvalues, permuted_copy
-from .realign import MomentSet, RealignSpec, gram_moments, realign_array
+from .linalg import Scratch, gram, gram_moments, gram_singular_values, hermitian_eigenvalues
+from .realign import MomentSet, RealignSpec, realign_array, transpose_party
 from .states import DensityMatrix
 
 ENTANGLED = "ENTANGLED"
@@ -418,25 +418,6 @@ def verdict_v3(dm: DensityMatrix, spec: RealignSpec, v: float) -> CriterionVerdi
 def realignment_norm_verdict(dm: DensityMatrix, spec: RealignSpec) -> CriterionVerdict:
     """Trace norm of the realigned rectangle; above 1 flags entanglement."""
     return verdict(evaluate(dm.matrix[None], dm.dims, "realign", spec=spec))
-
-
-def transpose_party(matrix: np.ndarray, dims: tuple[int, ...], party: int,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """The axis swap behind :func:`partial_transpose`, on raw arrays.
-
-    `matrix` is one D x D matrix or a (..., D, D) stack of them; every
-    matrix of a stack is transposed by the same single permutation, into
-    `out` (see :func:`~remoments.linalg.permuted_copy`).
-    """
-    n = len(dims)
-    if not (1 <= party <= n):
-        raise ValueError(f"party {party!r} out of range for {n} parties")
-    lead = matrix.shape[:-2]
-    tensor = matrix.reshape(lead + dims + dims)
-    k = len(lead)
-    axes = list(range(k + 2 * n))
-    axes[k + party - 1], axes[k + n + party - 1] = axes[k + n + party - 1], axes[k + party - 1]
-    return permuted_copy(tensor.transpose(axes), out).reshape(matrix.shape)
 
 
 def partial_transpose(dm: DensityMatrix, party: int) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 Everything here works on plain complex ndarrays and is sized for
 desk-scale problems: Kronecker products are capped at dimension 64 per
-axis, and singular values go through the smaller-side :func:`gram`
-matrix, so a p x q rectangle only ever costs a min(p, q)-sized eigenproblem.
+axis.  It owns the Gram route, the smaller-side :func:`gram` matrix and
+the moments and singular values read off it, and the Hermitian part
+(:func:`hermitian_part`) that eigensolves and state validation take.
 
 An audit takes a spectrum of every split and party per chunk of states.  Fresh
 stack-sized temporaries would be faulted in, zeroed and trimmed back each time,
@@ -63,42 +64,44 @@ class Scratch:
         return buf[:size].reshape(shape)
 
 
-def permuted_copy(view: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """`view` copied into `out`, any C-contiguous array of as many entries (fresh when None)."""
-    out = np.empty(view.shape, view.dtype) if out is None else out
-    np.copyto(out.reshape(view.shape), view)
-    return out
-
-
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose; of each matrix, for a (..., m, n) stack."""
     return np.asarray(a).conj().swapaxes(-1, -2)
+
+
+def hermitian_part(a: np.ndarray, scratch: Scratch | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """a/2 + a^dagger/2 (in `scratch` "sym") and the max |a - a^dagger| of each matrix of a (..., n, n) stack.
+
+    Halving first equals (a + a^dagger)/2 for normal floats but cannot
+    overflow; inf and NaN entries raise no warning.
+    """
+    scratch = scratch or Scratch()
+    adj = np.conjugate(a.swapaxes(-1, -2), out=scratch.take("conj", a.shape))
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = np.subtract(a, adj, out=scratch.take("sym", a.shape))
+        dev = np.abs(h, out=scratch.take("abs", a.shape, float)).max(axis=(-2, -1), initial=0.0)
+        adj *= 0.5
+        np.multiply(a, 0.5, out=h)
+        h += adj
+    return h, dev
 
 
 def hermitian_eigenvalues(a: np.ndarray, scratch: Scratch | None = None) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, sorted descending.
 
     Also takes a (..., n, n) stack and returns one descending row per
-    matrix.  The input is symmetrized to a/2 + a^dagger/2 before solving,
-    which is (a + a^dagger)/2 for normal floats, without its overflow; a
-    max-abs deviation from Hermiticity beyond HERMITICITY_TOL, in any
-    matrix of a stack, is rejected instead of hidden, and so is a NaN
-    (temporaries: `scratch` "conj", "sym" and "abs").
+    matrix.  The input's :func:`hermitian_part` is solved; a max-abs deviation
+    from Hermiticity beyond HERMITICITY_TOL, in any matrix of a stack, is
+    rejected instead of hidden, and so is a NaN (temporaries in `scratch`).
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scratch = scratch or Scratch()
-    adj = np.conjugate(a, out=scratch.take("conj", a.shape)).swapaxes(-1, -2)
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf deviation is rejected below
-        sym = np.subtract(a, adj, out=scratch.take("sym", a.shape))
-        dev = float(np.abs(sym, out=scratch.take("abs", a.shape, float)).max()) if a.size else 0.0
+    h, dev = hermitian_part(a, scratch)
+    dev = float(np.max(dev, initial=0.0))
     if not dev <= HERMITICITY_TOL:  # NaN compares False
         raise ValueError(f"matrix is not Hermitian: deviation {dev:.3e} exceeds {HERMITICITY_TOL:.1e}")
-    adj *= 0.5  # halving first is exact for normal floats and cannot overflow
-    np.multiply(a, 0.5, out=sym)
-    sym += adj
-    return np.linalg.eigvalsh(sym)[..., ::-1].copy()
+    return np.linalg.eigvalsh(h)[..., ::-1].copy()
 
 
 def gram(a: np.ndarray, scratch: Scratch | None = None) -> np.ndarray:
@@ -119,6 +122,13 @@ def gram(a: np.ndarray, scratch: Scratch | None = None) -> np.ndarray:
     g += np.conjugate(g, out=scratch.take("conj", g.shape)).swapaxes(-1, -2)  # adj is spent: reuse it
     g *= 0.5
     return g
+
+
+def gram_moments(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """T1 = tr G and T2 = ||G||_F^2 of g = gram(a), T2 clamped to T1^2 (a theorem rounding can break)."""
+    flat = g.view(np.float64)  # real and imaginary parts side by side
+    t1 = np.einsum("...ii->...", g).real
+    return t1, np.minimum(np.einsum("...ij,...ij->...", flat, flat), t1 * t1)
 
 
 def gram_singular_values(g: np.ndarray) -> np.ndarray:

@@ -11,8 +11,9 @@ T_k = sum_i sigma_i^(2k) feed the moment criteria in
 The partial variant realigns only a chosen pair of party groups and
 carries every untouched party along rows and columns unchanged; with two
 parties and the groups "1|2" it reduces exactly to the bipartite map.
-Both maps are pure index permutations: applying the bipartite map twice
-on equal dims returns the input bit for bit.
+Every party-index rearrangement, the partial transpose too, is one call of
+:func:`permute_parties`, a pure index permutation: the bipartite map
+applied twice on equal dims returns the input bit for bit.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import gram, permuted_copy
+from .linalg import gram, gram_moments
 from .states import DensityMatrix
 
 
@@ -88,28 +89,43 @@ class MomentSet:
     t2: float
 
 
+def permute_parties(matrix: np.ndarray, dims: tuple[int, ...], row_axes: list[int],
+                    col_axes: list[int], out: np.ndarray | None = None) -> np.ndarray:
+    """`matrix`, or each matrix of a (..., D, D) stack over `dims`, with its 2n party axes rearranged.
+
+    Axes 0..n-1 are the parties' bras, n..2n-1 their kets; rows run over `row_axes`, columns over
+    `col_axes`, earlier axes major.  One transpose, copied into `out` (C-contiguous) or a fresh array.
+    """
+    lead = matrix.shape[:-2]
+    k = len(lead)
+    view = matrix.reshape(lead + dims + dims).transpose([*range(k), *(k + a for a in row_axes + col_axes)])
+    out = np.empty(view.shape, view.dtype) if out is None else out
+    np.copyto(out.reshape(view.shape), view)
+    rows = k + len(row_axes)
+    return out.reshape(lead + (math.prod(view.shape[k:rows]), math.prod(view.shape[rows:])))
+
+
 def realign_array(matrix: np.ndarray, dims: tuple[int, ...], spec: RealignSpec,
                   out: np.ndarray | None = None) -> np.ndarray:
-    """The axis permutation behind :func:`realign_partial`, on raw arrays.
-
-    `matrix` is one D x D matrix or a (..., D, D) stack of them over the
-    factor dimensions `dims`; every matrix of a stack is realigned by the
-    same single transpose, into `out` (see :func:`permuted_copy`).
-    """
+    """The :func:`permute_parties` call behind :func:`realign_partial`, on raw arrays."""
     n = len(dims)
     spec.validate_for(n)
     g1 = [p - 1 for p in spec.group1]
     g2 = [p - 1 for p in spec.group2]
     comp = [p - 1 for p in spec.untouched(n)]
-    lead = matrix.shape[:-2]
-    tensor = matrix.reshape(lead + dims + dims)
-    row_axes = g1 + [n + p for p in g1] + comp
-    col_axes = g2 + [n + p for p in g2] + [n + p for p in comp]
-    axes = list(range(len(lead))) + [len(lead) + p for p in row_axes + col_axes]
-    d1 = math.prod(dims[p] for p in g1)
-    d2 = math.prod(dims[p] for p in g2)
-    dc = math.prod(dims[p] for p in comp)
-    return permuted_copy(tensor.transpose(axes), out).reshape(lead + (d1 * d1 * dc, d2 * d2 * dc))
+    return permute_parties(matrix, dims, g1 + [n + p for p in g1] + comp,
+                           g2 + [n + p for p in g2] + [n + p for p in comp], out)
+
+
+def transpose_party(matrix: np.ndarray, dims: tuple[int, ...], party: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """`partial_transpose` on raw arrays: :func:`permute_parties` swaps `party`'s bra and ket axes."""
+    n = len(dims)
+    if not (1 <= party <= n):
+        raise ValueError(f"party {party!r} out of range for {n} parties")
+    axes = list(range(2 * n))
+    axes[party - 1], axes[n + party - 1] = axes[n + party - 1], axes[party - 1]
+    return permute_parties(matrix, dims, axes[:n], axes[n:], out)
 
 
 def realign_bipartite(dm: DensityMatrix) -> np.ndarray:
@@ -149,12 +165,6 @@ def power_sums(sv: np.ndarray, max_k: int = 2) -> list[np.ndarray]:
         raise ValueError(f"max_k must be >= 2, got {max_k!r}")
     s2 = np.asarray(sv) ** 2
     return [np.sum(s2**k, axis=-1) for k in range(1, max_k + 1)]
-
-
-def gram_moments(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`power_sums` T1 and T2 without an eigensolve: tr G and ||G||_F^2 of a Gram stack G."""
-    flat = g.view(np.float64)  # real and imaginary parts side by side
-    return np.einsum("...ii->...", g).real, np.einsum("...ij,...ij->...", flat, flat)
 
 
 def moments(realigned: np.ndarray) -> MomentSet:

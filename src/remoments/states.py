@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import MAX_KRON_DIM, dagger, hermitian_eigenvalues, kron_shape
+from .linalg import MAX_KRON_DIM, hermitian_eigenvalues, hermitian_part, kron_shape
 
 VALIDATION_TOL = 1e-10
 
@@ -92,7 +92,7 @@ def validate_stack(matrices: np.ndarray) -> np.ndarray:
     deviation :func:`validate` reports for that matrix on its own.
 
     Positivity is certified by a Cholesky factorization of H + (tol/2) I,
-    with H = (rho + rho^dagger)/2, over the matrices before the first one
+    with H = rho/2 + rho^dagger/2, over the matrices before the first one
     that fails another invariant.  It gives a finite factor only if every
     eigenvalue of H is above -tol/2 - delta, where the backward error delta
     is of order D eps ||H|| (Higham, Accuracy and Stability of Numerical
@@ -102,23 +102,17 @@ def validate_stack(matrices: np.ndarray) -> np.ndarray:
     the verdict and name the first NOT_PSD matrix and its deviation.
     """
     m = np.asarray(matrices, dtype=complex)
-    adj = dagger(m)
-    with np.errstate(over="ignore", invalid="ignore"):  # such matrices fail as NON_FINITE or NOT_HERMITIAN
-        herm_dev = np.abs(m - adj).max(axis=(-2, -1))
+    h, herm_dev = hermitian_part(m)  # at most two stack-sized temporaries alive at once: `h` and the factor
     trace_dev = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
     # A NaN or infinite entry makes herm_dev NaN or infinite, so `ok` is False.
     ok = np.maximum(herm_dev, trace_dev) <= VALIDATION_TOL
     n_ok = len(m) if ok.all() else int(ok.argmin())
     # Only the matrices before the first non-ok one can fail first as NOT_PSD.
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the certificate
-        shifted = m[:n_ok] + adj[:n_ok]
-        shifted *= 0.5
-    del adj  # at most two stack-sized temporaries alive at once: `shifted` and the factor
     diag = np.arange(m.shape[-1])
-    shifted[:, diag, diag] += VALIDATION_TOL / 2.0
+    h[:n_ok, diag, diag] += VALIDATION_TOL / 2.0
     try:
         # LAPACK passes a NaN pivot, so only a finite factor certifies.
-        certified = bool(np.isfinite(np.linalg.cholesky(shifted)).all())
+        certified = bool(np.isfinite(np.linalg.cholesky(h[:n_ok])).all())
     except np.linalg.LinAlgError:
         certified = False
     if not certified:

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from remoments import DensityMatrix, pure_state, save_state
+from remoments import DensityMatrix, pure_state, sample_separable, save_state
 from remoments.cli import AuditConfig, main
 
 Q0 = (math.sqrt(2) - 1) / 2
@@ -617,6 +617,21 @@ class TestWeightOverflow:
         assert (code, err) == (0, "")
         if argv[0] == "analyze":
             assert math.isfinite(float(parse_report(out)["statistic"]))
+
+
+class TestPureProductsAtLargeWeights:
+    """A pure product's T2 computed a few ulp above T1^2 made v1/v2 raise a negative radicand at a >= 1e8."""
+
+    def test_audit_exits_0(self):
+        code, out, err = run_cli("audit", "--dims", "2,2", "--num-terms", "1", "--criteria", "v1", "--params", "1e8")
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("flags", [("v1", "--a", "1e8"), ("v2", "--u", "1e8", "--split", "1|2")])
+    def test_analyze_exits_0(self, tmp_path, flags):
+        path = tmp_path / "product.json"
+        save_state(str(path), sample_separable((3, 3), 1, 7))
+        code, out, err = run_cli("analyze", "--state", str(path), "--criterion", *flags)
+        assert (code, err) == (0, "")
 
 
 def test_module_entry_point():

@@ -16,7 +16,7 @@ FAMILY_NAMES = ("rho_d", "rho_eps", "rho_pq", "ghz_w", "noisy_ghz4")
 
 NUMBERS = st.one_of(
     st.floats(-2.0, 2.0),
-    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-300, 1e308, 0.5, 1.0]),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-300, 1e308, 0.5, 1.0, 1e8, 1e10]),
 )
 SPLITS = st.sampled_from(
     ["1|2", "12|3", "1|23", "12|34", "1|234", "13|24", "1|1", "1|5", "|2", "0|1", "1|2|3", "a|b"]
@@ -125,6 +125,8 @@ def audit_argv(draw):
           "--split", "1|2"])
 @example(["threshold", "--family", "rho_eps", "--bracket", "1e-300:1e308", "--criterion", "realign",
           "--split", "1|2"])
+# A pure product whose T2 is computed a few ulp above T1^2, at a weight that amplifies it.
+@example(["audit", "--dims", "2,2", "--num-terms", "1", "--criteria", "v1", "--params", "1e8"])
 def test_exit_code_is_0_2_or_3(tmp, argv):
     argv = [a.replace("TMP", str(tmp), 1) if a.startswith("TMP/") else a for a in argv]
     code, _, err = run_cli(*argv)

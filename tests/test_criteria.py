@@ -37,9 +37,10 @@ from remoments import (
 )
 from remoments import cli, criteria
 from remoments.cli import AuditConfig, run_audit
-from remoments.criteria import admissible_bounds, evaluate, spectrum, v1_stack, v3_stack
+from remoments.criteria import CRITERIA, admissible_bounds, evaluate, spectrum, v1_stack, v3_stack
 from remoments.realign import MomentSet
 from remoments.states import separable_stack
+from test_audit import AUDIT_DIMS
 from test_cli import run_cli
 
 Q0 = (math.sqrt(2) - 1) / 2
@@ -463,6 +464,20 @@ class TestWeightOverflow:
         t1, t2 = np.array([0.5]), np.array([0.2])
         assert np.isfinite(v1_stack(t1, t2, w)).all()
         assert np.isfinite(v3_stack(t1, t2, w)).all()
+
+
+@pytest.mark.parametrize("dims", AUDIT_DIMS)
+def test_pure_products_keep_t2_at_most_t1_squared(dims):
+    """T2 <= T1^2 holds exactly on every split, so v1/v2 never find a negative radicand at any weight."""
+    stack = separable_stack(dims, 1, range(100))
+    largest = math.sqrt(np.finfo(float).max)  # the largest weight with a finite square
+    weights = [*np.geomspace(1e-3, largest, 60)[:-1].tolist(), largest]
+    for spec in enumerate_splits(len(dims)):
+        sp = spectrum(stack, dims, spec, ("v1", "v2"))
+        assert (sp.t2 <= sp.t1 * sp.t1).all()
+        for name in ("v1", "v2") if len(dims) == 2 else ("v2",):
+            for w in weights:
+                CRITERIA[name].statistic(sp, w)
 
 
 def weight_collapse_stacks():

@@ -15,6 +15,7 @@ from remoments import (
     ghz_w,
     kron,
     moments,
+    partial_transpose,
     pure_state,
     realign_bipartite,
     realign_partial,
@@ -23,7 +24,7 @@ from remoments import (
     trace_norm,
 )
 from remoments.criteria import spectrum
-from remoments.realign import power_sums, realign_array
+from remoments.realign import power_sums, realign_array, transpose_party
 from remoments.states import separable_stack
 
 
@@ -279,6 +280,30 @@ class TestRealignPartial:
         out = realign_partial(g, spec)
         assert np.array_equal(out, realign_array(g.matrix, g.dims, spec))
         assert out.shape == (2 * 2 * 2, 2 * 2 * 2)  # d1^2 dC x d2^2 dC over dims (2, 2, 2)
+
+
+def loop_partial_transpose(matrix, dims, party):
+    """rho^T_party entry by entry: the party's row and column digits trade places."""
+    out = np.empty_like(matrix)
+    for row in np.ndindex(*dims):
+        for col in np.ndindex(*dims):
+            r, c = list(row), list(col)
+            r[party - 1], c[party - 1] = col[party - 1], row[party - 1]
+            out[np.ravel_multi_index(row, dims), np.ravel_multi_index(col, dims)] = \
+                matrix[np.ravel_multi_index(r, dims), np.ravel_multi_index(c, dims)]
+    return out
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2), (2, 2, 2, 2)])
+def test_partial_transpose_matches_loop_oracle_exactly(dims):
+    stack = np.stack([random_density(dims, seed).matrix for seed in range(3)])
+    buf = np.empty(stack.size, dtype=complex)
+    for party in range(1, len(dims) + 1):
+        want = np.stack([loop_partial_transpose(m, dims, party) for m in stack])
+        assert np.array_equal(partial_transpose(DensityMatrix(dims, stack[0]), party), want[0])
+        got = transpose_party(stack, dims, party, out=buf)
+        assert np.shares_memory(got, buf)
+        assert np.array_equal(got, want)
 
 
 class TestMoments:
