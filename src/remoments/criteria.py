@@ -28,7 +28,7 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from .linalg import Scratch, gram, gram_moments, gram_singular_values, hermitian_eigenvalues
-from .realign import MomentSet, RealignSpec, realign_array, transpose_party
+from .realign import RealignSpec, realign_array, transpose_party
 from .states import DensityMatrix
 
 ENTANGLED = "ENTANGLED"
@@ -104,10 +104,6 @@ def discriminant(t1, t2):
     return lin * lin - 2.0 * (t1 * t1 - t2) * t1 * t1
 
 
-def _one(m: MomentSet) -> tuple[np.ndarray, np.ndarray]:
-    return np.array([m.t1]), np.array([m.t2])
-
-
 @dataclass(frozen=True)
 class AdmissibleBounds:
     """The v1/v2 admissible ranges of a stack of moment sums, as arrays.
@@ -167,16 +163,17 @@ def admissible_bounds(t1: np.ndarray, t2: np.ndarray) -> AdmissibleBounds:
     return AdmissibleBounds(disc, degenerate, low_end, high_start)
 
 
-def admissible_range(m: MomentSet) -> AdmissibleRange:
-    """One state's admissible weights: :func:`admissible_bounds` with N = 1."""
-    return admissible_bounds(*_one(m)).at(0)
+def admissible_range(t1: float, t2: float) -> AdmissibleRange:
+    """One state's admissible weights: its :func:`admissible_bounds` as intervals."""
+    return admissible_bounds(np.array([t1]), np.array([t2])).at(0)
 
 
-def v1_stack(t1: np.ndarray, t2: np.ndarray, a: float) -> np.ndarray:
-    """v1 of each state of a stack of moment sums; see :func:`v1`.
+def v1(t1, t2, a: float):
+    """Weighted moment statistic sqrt((2/a)((1 + a/2) T1 + sqrt(F(a)))), of floats or of arrays alike.
 
-    Raises the ValueError of v1's ``check_weight`` for a weight outside its
-    domain, then that of the first state whose radicand lies below F_CLAMP.
+    A radicand F(a) in [F_CLAMP, 0) is endpoint rounding and clamps to 0.  Raises the ValueError of
+    v1's ``check_weight`` for a weight outside its domain, then that of the first state whose
+    radicand lies lower, where `a` sits outside the admissible range.
     """
     CRITERIA["v1"].check_weight(a)
     # F(a) = (T1^2 - T2) a^2 / 2 + (T1^2 - T1) a + T1^2
@@ -184,39 +181,24 @@ def v1_stack(t1: np.ndarray, t2: np.ndarray, a: float) -> np.ndarray:
     negative = np.flatnonzero(f < F_CLAMP)
     if negative.size:
         raise ValueError(
-            f"radicand {float(f[negative[0]]):.3e} is negative: "
+            f"radicand {float(np.ravel(f)[negative[0]]):.3e} is negative: "
             f"weight {a!r} lies outside the admissible range"
         )
     return np.sqrt((2.0 / a) * ((1.0 + a / 2.0) * t1 + np.sqrt(np.maximum(f, 0.0))))
 
 
-def v1(m: MomentSet, a: float) -> float:
-    """Weighted moment statistic sqrt((2/a)((1 + a/2) T1 + sqrt(F(a)))).
-
-    Defined where the radicand F(a) is nonnegative; values in
-    [-1e-12, 0) are endpoint rounding and clamp to zero, anything lower
-    means `a` sits outside the admissible range and is an error.
-    """
-    return float(v1_stack(*_one(m), a)[0])
-
-
-def v3_stack(t1: np.ndarray, t2: np.ndarray, v: float) -> np.ndarray:
-    """v3 of each state of a stack of moment sums; see :func:`v3`."""
-    CRITERIA["v3"].check_weight(v)
-    # sqrt(T1 + (v^2 + 2v) T2) - v sqrt(T2) without that difference, which cancels at large v
-    inner = (t1 + 2.0 * v * t2) / (np.sqrt(t1 + (v * v + 2.0 * v) * t2) + v * np.sqrt(t2))
-    spread = np.maximum(2.0 * (t1 * t1 - t2), 0.0)
-    return np.sqrt(inner * inner + np.sqrt(spread))
-
-
-def v3(m: MomentSet, v: float) -> float:
-    """Unconditional moment statistic, valid for every weight v >= 0.
+def v3(t1, t2, v: float):
+    """Unconditional moment statistic, valid for every weight v >= 0, of floats or of arrays alike.
 
     sqrt((sqrt(T1 + (v^2 + 2v) T2) - v sqrt(T2))^2 + sqrt(2 (T1^2 - T2))).
     No admissible-range gate; separable states stay at or below 1.  At
     v = 0 this is the limit value sqrt(T1 + sqrt(2 (T1^2 - T2))).
     """
-    return float(v3_stack(*_one(m), v)[0])
+    CRITERIA["v3"].check_weight(v)
+    # sqrt(T1 + (v^2 + 2v) T2) - v sqrt(T2) without that difference, which cancels at large v
+    inner = (t1 + 2.0 * v * t2) / (np.sqrt(t1 + (v * v + 2.0 * v) * t2) + v * np.sqrt(t2))
+    spread = np.maximum(2.0 * (t1 * t1 - t2), 0.0)
+    return np.sqrt(inner * inner + np.sqrt(spread))
 
 
 def entangled(criterion: str, statistic):
@@ -244,12 +226,12 @@ def _gated_v1(sp: Spectrum, a: float) -> np.ndarray:
     """v1 at `a` where it is admissible by `sp.bounds`, NaN elsewhere."""
     ok = sp.bounds.admits(a)
     stats = np.full(np.shape(sp.t1), np.nan)
-    stats[ok] = v1_stack(sp.t1[ok], sp.t2[ok], a)  # a bad weight raises even if none is admitted
+    stats[ok] = v1(sp.t1[ok], sp.t2[ok], a)  # a bad weight raises even if none is admitted
     return stats
 
 
 def _v3(sp: Spectrum, v: float) -> np.ndarray:
-    return v3_stack(sp.t1, sp.t2, v)
+    return v3(sp.t1, sp.t2, v)
 
 
 def _values(sp: Spectrum, weight: float | None) -> np.ndarray:

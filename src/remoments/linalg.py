@@ -143,6 +143,6 @@ def singular_values(a: np.ndarray) -> np.ndarray:
     return gram_singular_values(gram(a))
 
 
-def trace_norm(a: np.ndarray) -> float:
-    """Sum of singular values."""
-    return float(singular_values(a).sum())
+def trace_norm(a: np.ndarray) -> np.ndarray:
+    """Sum of singular values: one value for a matrix, one per matrix of a (..., rows, cols) stack."""
+    return singular_values(a).sum(axis=-1)

@@ -5,7 +5,7 @@ an m^2 x n^2 rectangle whose entries are the same numbers in a different
 layout: entry [(i,j),(k,l)] of the output is rho[(i,k),(j,l)], with the
 bra index major in each composite pair.  Separable states keep the trace
 norm of this rectangle at or below 1, and its singular-value power sums
-T_k = sum_i sigma_i^(2k) feed the moment criteria in
+T1 and T2 (T_k = sum_i sigma_i^(2k)) feed the moment criteria in
 :mod:`remoments.criteria`.
 
 The partial variant realigns only a chosen pair of party groups and
@@ -77,18 +77,6 @@ class RealignSpec:
         return "".join(str(p) for p in self.group1) + "|" + "".join(str(p) for p in self.group2)
 
 
-@dataclass(frozen=True)
-class MomentSet:
-    """Singular-value power sums T1 and T2 of a realigned matrix.
-
-    t1 equals trace(rho^2) for any density matrix (the rearrangement
-    preserves the squared Frobenius norm), and t2 <= t1^2 always.
-    """
-
-    t1: float
-    t2: float
-
-
 def permute_parties(matrix: np.ndarray, dims: tuple[int, ...], row_axes: list[int],
                     col_axes: list[int], out: np.ndarray | None = None) -> np.ndarray:
     """`matrix`, or each matrix of a (..., D, D) stack over `dims`, with its 2n party axes rearranged.
@@ -155,22 +143,12 @@ def realign_partial(dm: DensityMatrix, spec: RealignSpec) -> np.ndarray:
     return realign_array(dm.matrix, dm.dims, spec)
 
 
-def power_sums(sv: np.ndarray, max_k: int = 2) -> list[np.ndarray]:
-    """T_k = sum_i sigma_i^(2k) over the last axis of `sv`, k = 1 .. max_k.
+def moments(realigned: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """T1 and T2 of one realigned matrix, or of each matrix of a stack: :func:`gram_moments` of its :func:`gram`.
 
-    `sv` is one spectrum or a stack of them (one row per matrix); the sums
-    come back with the stack's leading shape.
+    T1 equals trace(rho^2) for any density matrix (realignment keeps the Frobenius norm); T2 <= T1^2.
     """
-    if max_k < 2:
-        raise ValueError(f"max_k must be >= 2, got {max_k!r}")
-    s2 = np.asarray(sv) ** 2
-    return [np.sum(s2**k, axis=-1) for k in range(1, max_k + 1)]
-
-
-def moments(realigned: np.ndarray) -> MomentSet:
-    """Moment sums T1 and T2 of one realigned matrix, from its Gram matrix (:func:`gram_moments`)."""
-    t1, t2 = gram_moments(gram(realigned))
-    return MomentSet(t1=float(t1), t2=float(t2))
+    return gram_moments(gram(realigned))
 
 
 def enumerate_splits(n_parties: int) -> list[RealignSpec]:

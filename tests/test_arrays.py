@@ -18,17 +18,20 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import random_density
 from remoments import (
     INCONCLUSIVE,
     AdmissibleRange,
     CriterionVerdict,
     DensityMatrix,
     Interval,
-    MomentSet,
     admissible_range,
     discriminant,
+    enumerate_splits,
     kron,
+    moments,
     sample_separable,
+    trace_norm,
     v1,
     v3,
     validate,
@@ -41,10 +44,9 @@ from remoments.criteria import (
     Spectrum,
     admissible_bounds,
     entangled,
-    v1_stack,
-    v3_stack,
     verdict,
 )
+from remoments.realign import realign_array
 from remoments.states import separable_stack
 
 SAMPLER_DIMS = [(2, 2), (2, 3), (3, 3), (4, 4), (2, 2, 2), (3, 2, 2), (2, 2, 2, 2)]
@@ -70,18 +72,18 @@ def frozen_sample_separable(dims, num_terms, seed):
 
 
 def frozen_discriminant(m):
-    t1, t2 = m.t1, m.t2
+    t1, t2 = m
     lin = t1 * t1 - t1
     return lin * lin - 2.0 * (t1 * t1 - t2) * t1 * t1
 
 
 def frozen_radicand(m, a):
-    t1, t2 = m.t1, m.t2
+    t1, t2 = m
     return (t1 * t1 - t2) * a * a / 2.0 + (t1 * t1 - t1) * a + t1 * t1
 
 
 def frozen_admissible_range(m):
-    t1, t2 = m.t1, m.t2
+    t1, t2 = m
     quad = t1 * t1 - t2
     lin = t1 * t1 - t1
     const = t1 * t1
@@ -131,13 +133,13 @@ def frozen_v1(m, a):
             f"radicand {f:.3e} is negative: weight {a!r} lies outside the admissible range"
         )
     f = max(f, 0.0)
-    return math.sqrt((2.0 / a) * ((1.0 + a / 2.0) * m.t1 + math.sqrt(f)))
+    return math.sqrt((2.0 / a) * ((1.0 + a / 2.0) * m[0] + math.sqrt(f)))
 
 
 def frozen_v3(m, v):
     if v < 0.0:
         raise ValueError(f"weight must be nonnegative, got {v!r}")
-    t1, t2 = m.t1, m.t2
+    t1, t2 = m
     inner = (t1 + 2.0 * v * t2) / (math.sqrt(t1 + (v * v + 2.0 * v) * t2) + v * math.sqrt(t2))
     spread = max(2.0 * (t1 * t1 - t2), 0.0)
     return math.sqrt(inner * inner + math.sqrt(spread))
@@ -304,7 +306,7 @@ def root_weights(t1, t2):
     """The finite interval ends of each state's frozen range, and their neighbours."""
     out = []
     for a, b in zip(t1.tolist(), t2.tolist()):
-        for e in frozen_finite_endpoints(frozen_admissible_range(MomentSet(a, b))):
+        for e in frozen_finite_endpoints(frozen_admissible_range((a, b))):
             out += [e, math.nextafter(e, 0.0), math.nextafter(e, math.inf)]
     return out
 
@@ -316,12 +318,12 @@ def row_statistic(criterion, t1, t2, weight, bounds):
 
 class TestMomentArrays:
     def check(self, t1, t2, weight):
-        msets = [MomentSet(a, b) for a, b in zip(t1.tolist(), t2.tolist())]
+        msets = list(zip(t1.tolist(), t2.tolist()))
         bounds = admissible_bounds(t1, t2)
         for i, m in enumerate(msets):
             assert bounds.at(i) == frozen_admissible_range(m)
-            assert admissible_range(m) == frozen_admissible_range(m)
-            assert bits(discriminant(m.t1, m.t2)) == bits(frozen_discriminant(m))
+            assert admissible_range(*m) == frozen_admissible_range(m)
+            assert bits(discriminant(*m)) == bits(frozen_discriminant(m))
         for criterion in ("v1", "v2", "v3"):
             want, error = first_error(frozen_moment_verdict, [(criterion, m, weight) for m in msets])
             if error is not None:
@@ -335,18 +337,18 @@ class TestMomentArrays:
             ev = Evaluation(criterion, weight, stats, t1, t2, None if criterion == "v3" else bounds)
             for i, w in enumerate(want):
                 assert_same_verdict(verdict(ev, i), w)
-        for stack_fn, fn, frozen in ((v1_stack, v1, frozen_v1), (v3_stack, v3, frozen_v3)):
+        for fn, frozen in ((v1, frozen_v1), (v3, frozen_v3)):
             want, error = first_error(frozen, [(m, weight) for m in msets])
             if error is not None:
-                assert_raises_same(error, lambda: stack_fn(t1, t2, weight))
+                assert_raises_same(error, lambda: fn(t1, t2, weight))
                 _, one_error = first_error(frozen, [(msets[0], weight)])
                 if one_error is not None:
-                    assert_raises_same(one_error, lambda: fn(msets[0], weight))
+                    assert_raises_same(one_error, lambda: fn(*msets[0], weight))
                 continue
-            for got, w in zip(stack_fn(t1, t2, weight).tolist(), want):
+            for got, w in zip(fn(t1, t2, weight).tolist(), want):
                 assert bits(got) == bits(w)
             for m, w in zip(msets, want):
-                assert bits(fn(m, weight)) == bits(w)
+                assert bits(fn(*m, weight)) == bits(w)
 
     @settings(max_examples=300, deadline=None)
     @given(moment_stacks())
@@ -367,7 +369,7 @@ class TestMomentArrays:
 
     def test_case_kinds(self):
         """The named cases reach every branch of the frozen range."""
-        ranges = {k: frozen_admissible_range(MomentSet(*v)) for k, v in CASES.items()}
+        ranges = {k: frozen_admissible_range(v) for k, v in CASES.items()}
         assert ranges["degenerate_lin_nonneg"].degenerate
         assert frozen_finite_endpoints(ranges["degenerate_lin_neg"]) == (1.0,)
         assert ranges["degenerate_rounding"].degenerate
@@ -381,10 +383,41 @@ class TestMomentArrays:
         good, bad = (1.0, 1.0), CASES["disc_positive_two_roots"]
         t1 = np.array([good[0], bad[0], good[0], 0.5])
         t2 = np.array([good[1], bad[1], good[1], 0.21])
-        msets = [MomentSet(a, b) for a, b in zip(t1.tolist(), t2.tolist())]
+        msets = list(zip(t1.tolist(), t2.tolist()))
         _, error = first_error(frozen_v1, [(m, 4.0) for m in msets])
         assert error is not None and "radicand" in str(error)
-        assert_raises_same(error, lambda: v1_stack(t1, t2, 4.0))
+        assert_raises_same(error, lambda: v1(t1, t2, 4.0))
+        assert_raises_same(error, lambda: v1(*msets[1], 4.0))  # the first bad state's own float call
         # Gated, those states are inadmissible instead.
         stats = row_statistic("v1", t1, t2, 4.0, admissible_bounds(t1, t2))
         assert np.isnan(stats).tolist() == [False, True, False, True]
+
+
+class TestStackIsEachState:
+    """moments, v1, v3, discriminant and trace_norm on a stack give each state's own call bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dims=st.sampled_from([(2, 2), (3, 3), (2, 4), (2, 2, 2), (2, 3, 2)]),
+        num_terms=st.integers(1, 3),
+        seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=5),
+        mixed=st.lists(st.integers(0, 10_000), max_size=3),
+        weight=st.one_of(st.sampled_from(WEIGHTS), st.floats(1e-4, 1e4)),
+        data=st.data(),
+    )
+    def test_bit_for_bit(self, dims, num_terms, seeds, mixed, weight, data):
+        stack = np.concatenate([separable_stack(dims, num_terms, seeds)]
+                               + [random_density(dims, s).matrix[None] for s in mixed])
+        realigned = realign_array(stack, dims, data.draw(st.sampled_from(enumerate_splits(len(dims)))))
+        t1, t2 = moments(realigned)
+        pairs = [tuple(float(t) for t in moments(r)) for r in realigned]
+        assert [(bits(a), bits(b)) for a, b in zip(t1.tolist(), t2.tolist())] == \
+            [(bits(a), bits(b)) for a, b in pairs]
+        assert [bits(x) for x in trace_norm(realigned).tolist()] == [bits(trace_norm(r)) for r in realigned]
+        assert [bits(x) for x in discriminant(t1, t2).tolist()] == [bits(discriminant(*p)) for p in pairs]
+        for fn in (v1, v3):
+            want, error = first_error(fn, [(a, b, weight) for a, b in pairs])
+            if error is not None:
+                assert_raises_same(error, lambda: fn(t1, t2, weight))
+                continue
+            assert [bits(x) for x in fn(t1, t2, weight).tolist()] == [bits(x) for x in want]

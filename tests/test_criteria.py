@@ -37,8 +37,7 @@ from remoments import (
 )
 from remoments import cli, criteria
 from remoments.cli import AuditConfig, run_audit
-from remoments.criteria import CRITERIA, admissible_bounds, evaluate, spectrum, v1_stack, v3_stack
-from remoments.realign import MomentSet
+from remoments.criteria import CRITERIA, admissible_bounds, evaluate, spectrum
 from remoments.states import separable_stack
 from test_audit import AUDIT_DIMS
 from test_cli import run_cli
@@ -55,9 +54,9 @@ def pq_moments():
     return moments(realign_bipartite(rho_pq(Q0)))
 
 
-def bounds_of(m):
+def bounds_of(t1, t2):
     """The admissible bounds of one state's moment sums; `admits(w)[0]` is the gate."""
-    return admissible_bounds(np.array([m.t1]), np.array([m.t2]))
+    return admissible_bounds(np.array([t1]), np.array([t2]))
 
 
 class TestDiscriminant:
@@ -65,12 +64,10 @@ class TestDiscriminant:
         assert discriminant(1.0, 1.0) == 0.0
 
     def test_bell(self):
-        m = bell_moments()
-        assert discriminant(m.t1, m.t2) == pytest.approx(-1.5, abs=1e-12)
+        assert discriminant(*bell_moments()) == pytest.approx(-1.5, abs=1e-12)
 
     def test_pq_golden(self):
-        m = pq_moments()
-        assert discriminant(m.t1, m.t2) == pytest.approx(0.01882146863844181, abs=1e-12)
+        assert discriminant(*pq_moments()) == pytest.approx(0.01882146863844181, abs=1e-12)
 
     def test_formula(self):
         expected = (0.49 - 0.7) ** 2 - 2 * (0.49 - 0.3) * 0.49
@@ -80,18 +77,18 @@ class TestDiscriminant:
 class TestAdmissibleRange:
     def test_negative_discriminant_is_all_positive(self):
         m = moments(realign_bipartite(rho_d(0.3)))
-        ar = admissible_range(m)
+        ar = admissible_range(*m)
         assert ar.discriminant < 0
         assert not ar.degenerate
         assert len(ar.intervals) == 1
         iv = ar.intervals[0]
         assert iv.lo == 0.0 and not iv.lo_closed and math.isinf(iv.hi)
-        assert bounds_of(m).admits(1e-9)[0] and bounds_of(m).admits(1e9)[0]
-        assert not bounds_of(m).admits(0.0)[0]
+        assert bounds_of(*m).admits(1e-9)[0] and bounds_of(*m).admits(1e9)[0]
+        assert not bounds_of(*m).admits(0.0)[0]
 
     def test_pq_two_intervals(self):
-        ar = admissible_range(pq_moments())
-        bounds = bounds_of(pq_moments())
+        ar = admissible_range(*pq_moments())
+        bounds = bounds_of(*pq_moments())
         assert len(ar.intervals) == 2
         lo_iv, hi_iv = ar.intervals
         assert lo_iv.hi == pytest.approx(0.21077270350240235, abs=1e-10)
@@ -102,7 +99,7 @@ class TestAdmissibleRange:
         assert (bounds.low_end[0], bounds.high_start[0]) == (lo_iv.hi, hi_iv.lo)
 
     def test_degenerate_rank_one(self):
-        ar = admissible_range(MomentSet(t1=0.5, t2=0.25))
+        ar = admissible_range(0.5, 0.25)
         assert ar.degenerate
         assert len(ar.intervals) == 1
         iv = ar.intervals[0]
@@ -110,27 +107,27 @@ class TestAdmissibleRange:
 
     def test_degenerate_pure(self):
         # T1 = T2 = 1: linear term vanishes, every positive weight stays valid
-        ar = admissible_range(MomentSet(t1=1.0, t2=1.0))
+        ar = admissible_range(1.0, 1.0)
         assert ar.degenerate
         assert math.isinf(ar.intervals[0].hi)
 
     def test_radicand_nonnegative_inside(self):
-        m = pq_moments()
-        ar = admissible_range(m)
-        quad = m.t1**2 - m.t2
-        lin = m.t1**2 - m.t1
+        t1, t2 = pq_moments()
+        ar = admissible_range(t1, t2)
+        quad = t1**2 - t2
+        lin = t1**2 - t1
         for a in [0.01, 0.05, 0.1, 0.2, ar.intervals[0].hi, ar.intervals[1].lo, 12.0, 50.0]:
-            assert bounds_of(m).admits(a)[0]
-            f = quad * a * a / 2 + lin * a + m.t1**2
+            assert bounds_of(t1, t2).admits(a)[0]
+            f = quad * a * a / 2 + lin * a + t1**2
             assert f >= -1e-12
 
     def test_radicand_vanishes_at_endpoints(self):
-        m = pq_moments()
-        bounds = bounds_of(m)
-        quad = m.t1**2 - m.t2
-        lin = m.t1**2 - m.t1
+        t1, t2 = pq_moments()
+        bounds = bounds_of(t1, t2)
+        quad = t1**2 - t2
+        lin = t1**2 - t1
         for a in (bounds.low_end[0], bounds.high_start[0]):
-            f = quad * a * a / 2 + lin * a + m.t1**2
+            f = quad * a * a / 2 + lin * a + t1**2
             assert abs(f) <= 1e-9
 
     @given(st.lists(
@@ -155,7 +152,7 @@ class TestAdmissibleRange:
         # extreme admissible endpoints across the family parameter
         lows, highs = [], []
         for eps in np.linspace(0.3, 3.5, 161):
-            ar = admissible_range(moments(realign_bipartite(rho_eps(float(eps)))))
+            ar = admissible_range(*moments(realign_bipartite(rho_eps(float(eps)))))
             assert ar.discriminant > 0
             lows.append(ar.intervals[0].hi)
             highs.append(ar.intervals[1].lo)
@@ -165,58 +162,56 @@ class TestAdmissibleRange:
 
 class TestV1:
     def test_closed_form_unit_moments(self):
-        m = MomentSet(t1=1.0, t2=1.0)
-        assert v1(m, 4.0) == pytest.approx(math.sqrt(2.0), rel=1e-12)
+        assert v1(1.0, 1.0, 4.0) == pytest.approx(math.sqrt(2.0), rel=1e-12)
         for a in (0.5, 2.0, 10.0):
-            assert v1(m, a) == pytest.approx(math.sqrt(1 + 4 / a), rel=1e-12)
+            assert v1(1.0, 1.0, a) == pytest.approx(math.sqrt(1 + 4 / a), rel=1e-12)
 
     def test_bell(self):
-        assert v1(bell_moments(), 2.0) == pytest.approx(1.8923897141139263, abs=1e-12)
+        assert v1(*bell_moments(), 2.0) == pytest.approx(1.8923897141139263, abs=1e-12)
         # closed form sqrt(2 + sqrt(2.5))
-        assert v1(bell_moments(), 2.0) == pytest.approx(math.sqrt(2 + math.sqrt(2.5)), rel=1e-12)
+        assert v1(*bell_moments(), 2.0) == pytest.approx(math.sqrt(2 + math.sqrt(2.5)), rel=1e-12)
 
     def test_pq_golden(self):
-        assert v1(pq_moments(), 0.2) == pytest.approx(1.5072876654986822, abs=1e-9)
+        assert v1(*pq_moments(), 0.2) == pytest.approx(1.5072876654986822, abs=1e-9)
 
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ValueError, match="positive"):
-            v1(bell_moments(), 0.0)
+            v1(*bell_moments(), 0.0)
 
     def test_rejects_weight_outside_range(self):
         with pytest.raises(ValueError, match="admissible"):
-            v1(pq_moments(), 1.0)
+            v1(*pq_moments(), 1.0)
 
     def test_clamps_tiny_negative_radicand(self):
         m = pq_moments()
-        edge = bounds_of(m).low_end[0]
-        assert v1(m, edge) > 0  # |F| <= 1e-9 at the root, clamp handles sign noise
+        edge = bounds_of(*m).low_end[0]
+        assert v1(*m, edge) > 0  # |F| <= 1e-9 at the root, clamp handles sign noise
 
 
 class TestV3:
     def test_unit_moments_exactly_one(self):
-        m = MomentSet(t1=1.0, t2=1.0)
         for v in (0.0, 0.01, 1.0, 5.0, 100.0):
-            assert v3(m, v) == pytest.approx(1.0, abs=1e-12)
+            assert v3(1.0, 1.0, v) == pytest.approx(1.0, abs=1e-12)
 
     def test_bell(self):
-        assert v3(bell_moments(), 0.01) == pytest.approx(1.4898891830857135, abs=1e-12)
+        assert v3(*bell_moments(), 0.01) == pytest.approx(1.4898891830857135, abs=1e-12)
 
     def test_zero_weight_limit(self):
-        m = bell_moments()
-        limit = math.sqrt(m.t1 + math.sqrt(2 * (m.t1**2 - m.t2)))
-        assert v3(m, 0.0) == pytest.approx(limit, rel=1e-12)
+        t1, t2 = bell_moments()
+        limit = math.sqrt(t1 + math.sqrt(2 * (t1**2 - t2)))
+        assert v3(t1, t2, 0.0) == pytest.approx(limit, rel=1e-12)
 
     def test_rejects_negative_weight(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            v3(bell_moments(), -0.1)
+            v3(*bell_moments(), -0.1)
 
     @given(st.integers(0, 10_000))
     def test_dominated_by_zero_weight_limit(self, seed):
         dm = random_density((2, 2), seed)
-        m = moments(realign_bipartite(dm))
-        cap = m.t1 + math.sqrt(2 * max(m.t1**2 - m.t2, 0.0))
-        assert v3(m, 1e-6) ** 2 <= cap + 1e-12
-        assert v3(m, 1e-6) ** 2 == pytest.approx(cap, abs=1e-6)
+        t1, t2 = moments(realign_bipartite(dm))
+        cap = t1 + math.sqrt(2 * max(t1**2 - t2, 0.0))
+        assert v3(t1, t2, 1e-6) ** 2 <= cap + 1e-12
+        assert v3(t1, t2, 1e-6) ** 2 == pytest.approx(cap, abs=1e-6)
 
 
 class TestVerdictV1:
@@ -240,7 +235,7 @@ class TestVerdictV1:
 
     def test_never_entangled_outside_range(self):
         dm = rho_pq(Q0)
-        bounds = bounds_of(pq_moments())
+        bounds = bounds_of(*pq_moments())
         for a in np.geomspace(0.25, 11.0, 25):
             if not bounds.admits(float(a))[0]:
                 assert verdict_v1(dm, float(a)).outcome == INCONCLUSIVE
@@ -275,7 +270,7 @@ class TestVerdictV2:
 
     def test_split_choice_changes_moments(self):
         dm = random_density((2, 2, 2), 77)
-        t2 = {str(spec): moments(realign_partial(dm, spec)).t2 for spec in enumerate_splits(3)}
+        t2 = {str(spec): moments(realign_partial(dm, spec))[1] for spec in enumerate_splits(3)}
         assert len({round(x, 9) for x in t2.values()}) > 1
         # out-of-range weight on a mixed state stays gated for every split
         for spec in enumerate_splits(3):
@@ -438,7 +433,7 @@ class TestV3AtLargeWeights:
     @pytest.mark.parametrize("v", LARGE_WEIGHTS)
     def test_matches_decimal_formula(self, v):
         for sp in self.moment_sums():
-            got = v3_stack(sp.t1, sp.t2, v)
+            got = v3(sp.t1, sp.t2, v)
             for stat, a, b in zip(got.tolist(), sp.t1.tolist(), sp.t2.tolist()):
                 want = decimal_v3(a, b, v)
                 assert abs(stat - want) <= 1e-12 * want, (v, a, b)
@@ -455,15 +450,15 @@ class TestWeightOverflow:
     @pytest.mark.parametrize("w", [1e160, 1e200, 1.7e308, math.inf])
     def test_square_overflow_raises(self, w):
         t1, t2 = np.array([0.5]), np.array([0.2])
-        for fn in (v1_stack, v3_stack):
+        for fn in (v1, v3):
             with pytest.raises(ValueError, match="is too large: its square overflows"):
                 fn(t1, t2, w)
 
     def test_largest_weight_whose_square_is_finite_evaluates(self):
         w = math.sqrt(np.finfo(float).max)
         t1, t2 = np.array([0.5]), np.array([0.2])
-        assert np.isfinite(v1_stack(t1, t2, w)).all()
-        assert np.isfinite(v3_stack(t1, t2, w)).all()
+        assert np.isfinite(v1(t1, t2, w)).all()
+        assert np.isfinite(v3(t1, t2, w)).all()
 
 
 @pytest.mark.parametrize("dims", AUDIT_DIMS)
@@ -499,10 +494,10 @@ class TestWeightCollapse:
         # ulp of rounding; then the inner term tends to sqrt(T2), not sqrt(T1).
         grid = np.concatenate([np.linspace(0.0, 1e4, 101), np.geomspace(1e-6, 1e4, 61)])
         for t1, t2 in weight_collapse_stacks():
-            top = v3_stack(t1, t2, 0.0)
+            top = v3(t1, t2, 0.0)
             top = top + np.maximum(np.sqrt(t2) - np.sqrt(t1), 0.0) + 4.0 * np.spacing(top)
             for v in grid:
-                assert (v3_stack(t1, t2, v) <= top).all(), v
+                assert (v3(t1, t2, v) <= top).all(), v
 
     @pytest.mark.parametrize("a", [1e2, 1e4, 1e6])
     def test_v1_tends_to_v3_at_zero(self, a):
@@ -518,8 +513,8 @@ class TestWeightCollapse:
             x = 1.0 / a
             d = np.abs(4.0 * x * (t1 * t1 - t1) + 4.0 * x * x * t1 * t1)
             bound = (2.0 * t1 + d / (x * np.sqrt(2.0 * q))) * x / np.sqrt(t1)
-            base = v3_stack(t1, t2[ok], 0.0)
-            gap = np.abs(v1_stack(t1, t2[ok], a) - base)
+            base = v3(t1, t2[ok], 0.0)
+            gap = np.abs(v1(t1, t2[ok], a) - base)
             assert (gap <= bound + 4.0 * np.spacing(base)).all()
             assert (gap[bound <= x] <= x).all()
             checked += int(ok.sum())

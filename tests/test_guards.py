@@ -1,9 +1,10 @@
 """Names and examples that other files rely on, checked where tier-1 sees them.
 
 The benchmark tracer looks every name of `bench/tracing.py`'s TRACED up
-with `getattr`, and README's Quick start promises printed values in its
-comments; a rename or a changed number otherwise shows up only in the
-traced benchmark run or in a reader's terminal.
+with `getattr`, `from remoments import *` reads `__all__`, and README's
+Quick start promises printed values in its comments; a rename or a
+changed number otherwise shows up only in the traced benchmark run, an
+import error or a reader's terminal.
 """
 import contextlib
 import importlib
@@ -30,6 +31,12 @@ def load_tracing():
 def test_traced_names_resolve(name):
     mod, fn = name.split(".")
     assert callable(getattr(importlib.import_module(f"remoments.{mod}"), fn))
+
+
+@pytest.mark.parametrize("name", importlib.import_module("remoments").__all__)
+def test_exported_names_resolve(name):
+    """Every name `remoments.__all__` lists exists, so a deleted export cannot stay listed."""
+    assert hasattr(importlib.import_module("remoments"), name)
 
 
 def readme_python_blocks():

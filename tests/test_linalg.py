@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_matrix
-from remoments import dagger, hermitian_eigenvalues, kron, singular_values, trace_norm
+from remoments import (
+    dagger,
+    hermitian_eigenvalues,
+    kron,
+    realign_bipartite,
+    sample_separable,
+    singular_values,
+    trace_norm,
+)
 
 
 class TestKron:
@@ -222,3 +230,11 @@ class TestTraceNorm:
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         q, _ = np.linalg.qr(g)
         assert trace_norm(q) == pytest.approx(4.0, rel=1e-10)
+
+    def test_stack_gives_one_norm_per_matrix(self):
+        stack = np.stack([realign_bipartite(sample_separable((2, 2), 2, seed)) for seed in range(3)])
+        norms = trace_norm(stack)
+        assert norms.shape == (3,)
+        assert norms.tolist() == [trace_norm(r) for r in stack]
+        assert norms == pytest.approx([0.9988, 0.9968, 0.9233], abs=1e-4)
+        assert np.ndim(trace_norm(stack[0])) == 0

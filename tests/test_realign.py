@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from conftest import random_density
 from remoments import (
     DensityMatrix,
-    MomentSet,
     RealignSpec,
     dagger,
     enumerate_splits,
@@ -24,7 +23,7 @@ from remoments import (
     trace_norm,
 )
 from remoments.criteria import spectrum
-from remoments.realign import power_sums, realign_array, transpose_party
+from remoments.realign import realign_array, transpose_party
 from remoments.states import separable_stack
 
 
@@ -32,8 +31,7 @@ def gram_power_traces(a, max_k=2):
     """T_1 .. T_max_k of a realigned matrix as traces of Gram-matrix powers.
 
     An arithmetic path independent of the singular values, kept as the
-    oracle that :func:`moments` and :func:`power_sums` must agree with to
-    1e-9 relative.
+    oracle that :func:`moments` must agree with to 1e-9 relative.
     """
     gram = a @ dagger(a) if a.shape[0] <= a.shape[1] else dagger(a) @ a
     vals = []
@@ -306,17 +304,33 @@ def test_partial_transpose_matches_loop_oracle_exactly(dims):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 4), (4, 4), (2, 2, 2), (2, 2, 2, 2), (8, 8)])
+def test_t1_is_the_purity_on_every_split(dims):
+    """Realignment permutes entries, so T1 = tr G = ||R||_F^2 = tr rho^2 on every split, to D eps."""
+    stack = np.concatenate([
+        separable_stack(dims, 1, range(20)),
+        separable_stack(dims, 3, range(20)),
+        np.stack([random_density(dims, seed).matrix for seed in range(20)]),
+    ])
+    purity = np.array([np.vdot(m, m).real for m in stack])
+    tol = math.prod(dims) * np.finfo(float).eps
+    for spec in enumerate_splits(len(dims)):
+        t1, _ = moments(realign_array(stack, dims, spec))
+        assert (np.abs(t1 - purity) <= tol * purity).all(), spec
+
+
 class TestMoments:
     def test_product_state_all_one(self):
-        dm = sample_separable((2, 2), 1, 3)
-        sums = power_sums(singular_values(realign_bipartite(dm)), 4)
-        for k in (1, 2, 3, 4):
-            assert sums[k - 1] == pytest.approx(1.0, abs=1e-10)
+        r = realign_bipartite(sample_separable((2, 2), 1, 3))
+        s = singular_values(r)
+        for k, t in zip((1, 2), moments(r)):
+            assert t == pytest.approx(1.0, abs=1e-10)
+            assert np.sum(s ** (2 * k), axis=-1) == pytest.approx(1.0, abs=1e-10)
 
     def test_bell(self):
-        m = moments(realign_bipartite(BELL))
-        assert m.t1 == pytest.approx(1.0, abs=1e-12)
-        assert m.t2 == pytest.approx(0.25, abs=1e-12)
+        t1, t2 = moments(realign_bipartite(BELL))
+        assert t1 == pytest.approx(1.0, abs=1e-12)
+        assert t2 == pytest.approx(0.25, abs=1e-12)
 
     def test_w_state_singular_values(self):
         w = realign_partial(ghz_w(0.0), RealignSpec.parse("1|2"))
@@ -326,40 +340,39 @@ class TestMoments:
 
     def test_ghz_w_frozen_moments(self):
         spec = RealignSpec.parse("1|2")
-        m_w = moments(realign_partial(ghz_w(0.0), spec))
-        assert m_w.t1 == pytest.approx(1.0, abs=1e-12)
-        assert m_w.t2 == pytest.approx(25.0 / 81.0, abs=1e-12)
-        m_g = moments(realign_partial(ghz_w(1.0), spec))
-        assert m_g.t1 == pytest.approx(1.0, abs=1e-12)
-        assert m_g.t2 == pytest.approx(0.25, abs=1e-12)
+        t1, t2 = moments(realign_partial(ghz_w(0.0), spec))
+        assert t1 == pytest.approx(1.0, abs=1e-12)
+        assert t2 == pytest.approx(25.0 / 81.0, abs=1e-12)
+        t1, t2 = moments(realign_partial(ghz_w(1.0), spec))
+        assert t1 == pytest.approx(1.0, abs=1e-12)
+        assert t2 == pytest.approx(0.25, abs=1e-12)
 
     @given(st.integers(0, 10_000))
     def test_t1_is_purity(self, seed):
         dm = random_density((2, 2, 2), seed)
         for spec in enumerate_splits(3):
-            m = moments(realign_partial(dm, spec))
-            assert m.t1 == pytest.approx(dm.purity(), rel=1e-10)
+            t1, _ = moments(realign_partial(dm, spec))
+            assert t1 == pytest.approx(dm.purity(), rel=1e-10)
 
     @given(st.integers(0, 10_000))
     def test_t2_below_t1_squared(self, seed):
         dm = random_density((3, 3), seed)
-        m = moments(realign_bipartite(dm))
-        assert m.t2 <= m.t1**2 + 1e-12
+        t1, t2 = moments(realign_bipartite(dm))
+        assert t2 <= t1**2 + 1e-12
 
     def test_t2_equality_on_rank_one(self):
         dm = sample_separable((3, 3), 1, 9)
-        m = moments(realign_bipartite(dm))
-        assert m.t2 == pytest.approx(m.t1**2, abs=1e-12)
+        t1, t2 = moments(realign_bipartite(dm))
+        assert t2 == pytest.approx(t1**2, abs=1e-12)
 
     @given(st.integers(0, 10_000))
     def test_gram_route_agrees(self, seed):
         dm = random_density((2, 3), seed)
         r = realign_bipartite(dm)
-        a = moments(r)
-        b = gram_power_traces(r, max_k=3)
-        assert a.t1 == pytest.approx(b[0], rel=1e-9)
-        assert a.t2 == pytest.approx(b[1], rel=1e-9)
-        assert power_sums(singular_values(r), 3)[2] == pytest.approx(b[2], rel=1e-9)
+        s = singular_values(r)
+        for k, t, want in zip((1, 2), moments(r), gram_power_traces(r)):
+            assert t == pytest.approx(want, rel=1e-9)
+            assert np.sum(s ** (2 * k), axis=-1) == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 4), (2, 2, 2), (2, 2, 2, 2)])
     def test_spectrum_moments_agree_with_svd(self, dims):
@@ -385,21 +398,3 @@ class TestMoments:
                 # products, so T2 / T1^2 can exceed 1 by up to about 4 m eps.  Pure
                 # products (T2 = T1^2 in exact arithmetic) reach 18 eps on (2, 2, 2, 2).
                 assert sp.t2[i] <= sp.t1[i] ** 2 * (1.0 + 4.0 * max(r.shape) * eps), (spec, i)
-
-    def test_higher_moments_decreasing(self):
-        dm = random_density((3, 3), 50)
-        vals = power_sums(singular_values(realign_bipartite(dm)), 5)
-        assert all(vals[i + 1] <= vals[i] + 1e-12 for i in range(4))
-
-    def test_max_k_guard(self):
-        r = realign_bipartite(BELL)
-        with pytest.raises(ValueError):
-            power_sums(singular_values(r), 1)
-
-    def test_moment_accessor(self):
-        m = MomentSet(t1=1.0, t2=0.25)
-        assert m.t1 == 1.0
-        assert m.t2 == 0.25
-        sums = power_sums(np.array([1.0, 0.5]), 3)
-        assert sums[2] == 1.015625  # T3 of sigma = (1, 1/2)
-        assert len(sums) == 3  # T_k past max_k is not computed

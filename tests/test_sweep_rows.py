@@ -22,7 +22,7 @@ from remoments.criteria import (
     Evaluation,
     admissible_bounds,
     spectrum,
-    v3_stack,
+    v3,
 )
 from remoments.realign import RealignSpec
 from remoments.states import RHO_D_MIN, family_stack
@@ -37,7 +37,7 @@ def moment_verdicts(criterion, t1, t2, weight):
         return CriterionVerdict(criterion, weight, stat, 1.0, outcome, admissible, note)
 
     if criterion == "v3":
-        return [verdict(x) for x in v3_stack(t1, t2, weight).tolist()]
+        return [verdict(x) for x in v3(t1, t2, weight).tolist()]
     bounds = admissible_bounds(t1, t2)
     stats = row_statistic(criterion, t1, t2, weight, bounds).tolist()
     return [verdict(stat, bounds.at(i), None if ok else "parameter outside admissible range")
