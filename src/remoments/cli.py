@@ -18,6 +18,7 @@ import json
 import math
 import re
 import sys
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -55,10 +56,12 @@ EXIT_INPUT = 2
 EXIT_VALIDATION = 3
 
 BISECTION_TOL = 1e-6
-# Bisection levels whose every midpoint a threshold round evaluates, whichever
-# way the bisection turns; rounds after the first add the predicted path.
-# Deeper trees double in size per level and cost more than the rounds they save.
+# Bisection levels whose every midpoint the first threshold round evaluates, whichever
+# way the bisection turns: points on both sides of the crossing, within 1/8 of the
+# bracket, for the predictor that alone picks the points of later rounds.
 _TREE_DEPTH = 3
+_PREDICTOR_POINTS = 7  # known offsets nearest the bracket, interpolated
+_NEWTON_STEPS = 12  # on that polynomial
 
 # Audit samples realigned and decomposed together; bounds the stack at
 # AUDIT_CHUNK * D^2 complex entries however many states are requested.
@@ -75,6 +78,19 @@ SWEEP_CHUNK = 32
 
 # A sweep grid with more points than this is rejected before any is built.
 MAX_GRID_POINTS = 100_000
+
+
+class _PerThread(threading.local):
+    """`scratch`: this thread's temporaries of family stacks (sweep chunks, threshold rounds), kept
+    from command to command.  Made fresh, a 16 x 16 family's 32-point buffers (128 KiB, glibc's
+    mmap threshold) were faulted in anew whenever the heap layout shifted.  Stacks have at most
+    SWEEP_CHUNK points, so each buffer holds at most SWEEP_CHUNK * D^2 entries."""
+
+    def __init__(self) -> None:
+        self.scratch = Scratch()
+
+
+_thread = _PerThread()
 
 
 class UsageError(ValueError):
@@ -127,14 +143,14 @@ def _build_state(args: argparse.Namespace) -> DensityMatrix:
     return DensityMatrix(dims=dims, matrix=matrices[0])
 
 
-def _family_stack(family: str, xs: list[float]) -> tuple[tuple[int, ...], np.ndarray]:
+def _family_stack(family: str, xs: list[float], scratch: Scratch | None = None) -> tuple[tuple[int, ...], np.ndarray]:
     """:func:`family_stack`, all or nothing, with CLI errors.
 
     An unknown family raises UsageError; a member outside the family's
     domain or failing validation raises ValidationFailure.
     """
     try:
-        return family_stack(family, xs)
+        return family_stack(family, xs, scratch)
     except KeyError:
         raise UsageError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}") from None
     except ValueError as exc:
@@ -151,8 +167,9 @@ def evaluate_stack(
     v: float | None = None,
     split: str | None = None,
     party: int | None = None,
+    scratch: Scratch | None = None,
 ) -> Evaluation:
-    """:func:`evaluate` with the criterion's flags, on a (N, D, D) stack over `dims`.
+    """:func:`evaluate` with the criterion's flags, on a (N, D, D) stack over `dims`, temporaries in `scratch`.
 
     The split text is parsed where the criterion reads one.  Every
     ValueError of that parse and of :func:`evaluate` (a criterion without a
@@ -163,7 +180,7 @@ def evaluate_stack(
         row = criterion_row(criterion)
         spec = RealignSpec.parse(split) if row.reads == "split" and split is not None else None
         weight = {"a": a, "u": u, "v": v}.get(row.flag)
-        return evaluate(matrices, dims, criterion, weight, spec, party)
+        return evaluate(matrices, dims, criterion, weight, spec, party, scratch)
     except ValueError as exc:
         # Flags, splits and parties versus dims: input problems, not state ones.
         raise UsageError(str(exc)) from exc
@@ -187,9 +204,10 @@ def _criterion_flags(args: argparse.Namespace) -> dict[str, float | str | None]:
 
 
 def _family_evaluation(family: str, xs: list[float], criterion: str, **flags) -> Evaluation:
-    """Family members at `xs` built as one stack and evaluated together, all or nothing."""
-    dims, matrices = _family_stack(family, xs)
-    return evaluate_stack(matrices, dims, criterion, **flags)
+    """Family members at `xs` built as one stack and evaluated together, all or nothing, in this thread's scratch."""
+    scratch = _thread.scratch
+    dims, matrices = _family_stack(family, xs, scratch)
+    return evaluate_stack(matrices, dims, criterion, scratch=scratch, **flags)
 
 
 def _format_admissible(verdict: CriterionVerdict) -> str:
@@ -361,38 +379,48 @@ def _mid(lo: float, hi: float) -> float:
     return 0.5 * total if math.isfinite(total) else 0.5 * lo + 0.5 * hi
 
 
-def _midpoint_tree(lo: float, hi: float) -> list[float]:
-    """Every midpoint the bisection can visit in its next _TREE_DEPTH steps from [lo, hi].
+def _midpoint_tree(lo: float, hi: float, depth: int = _TREE_DEPTH) -> list[float]:
+    """Every midpoint the bisection can visit in its next `depth` steps from [lo, hi].
 
     Built with the loop's own `_mid` and width test, so each one equals,
     bit for bit, the `mid` the loop computes when it gets there.
     """
-    mids: list[float] = []
-    level = [(lo, hi)]
-    for _ in range(_TREE_DEPTH):
-        below = []
-        for left, right in level:
-            if right - left > BISECTION_TOL:
-                mid = _mid(left, right)
-                mids.append(mid)
-                below += [(left, mid), (mid, right)]
-        level = below
-    return mids
+    if not depth or not hi - lo > BISECTION_TOL:
+        return []
+    mid = _mid(lo, hi)
+    return [mid, *_midpoint_tree(lo, mid, depth - 1), *_midpoint_tree(mid, hi, depth - 1)]
 
 
-def _predicted_path(lo: float, f_lo: float, hi: float, f_hi: float) -> list[float]:
-    """Up to SWEEP_CHUNK midpoints the bisection visits from [lo, hi] if it crosses at the regula-falsi point.
+def _predicted_path(lo: float, hi: float, table: dict[float, float]) -> list[float]:
+    """Up to SWEEP_CHUNK midpoints the bisection visits from [lo, hi] if it crosses where predicted.
 
-    That point is where the line through (lo, f_lo) and (hi, f_hi) crosses
-    zero; where it is undefined (f_lo == f_hi) or falls outside [lo, hi],
-    the path aims at the midpoint instead.  Built with the loop's own
-    `_mid` and stop rules, so each midpoint equals, bit for bit, the `mid`
-    the loop computes if its turns match the prediction.
+    The prediction is a root of the polynomial, in Newton's divided-difference form, through the
+    _PREDICTOR_POINTS finite offsets of `table` nearest the bracket's midpoint: _NEWTON_STEPS Newton
+    steps, each clamped to [lo, hi], from the regula-falsi point of (lo, f_lo) and (hi, f_hi), or from
+    the midpoint where that is undefined or off the bracket.  With fewer than two points, or a NaN
+    step, the path aims at that start.  Built with the loop's own `_mid` and stop rules, so each
+    midpoint equals, bit for bit, the `mid` the loop computes if its turns match the prediction.
     """
-    span = f_hi - f_lo
-    guess = lo - f_lo * (hi - lo) / span if span else math.nan
-    if not lo <= guess <= hi:  # also NaN, from inf / inf
-        guess = _mid(lo, hi)
+    f_lo, f_hi, centre = table[lo], table[hi], _mid(lo, hi)
+    start = lo - f_lo * (hi - lo) / (f_hi - f_lo) if f_hi != f_lo else math.nan
+    if not lo <= start <= hi:  # also NaN, from inf / inf
+        start = centre
+    xs = sorted((x for x, f in table.items() if math.isfinite(f)), key=lambda x: abs(x - centre))
+    xs = xs[:_PREDICTOR_POINTS]
+    coef = [table[x] for x in xs]
+    for k in range(1, len(xs)):  # coef[i] becomes the divided difference f[xs[0], ..., xs[i]]
+        for i in range(len(xs) - 1, k - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - k])
+    guess = start
+    for _ in range(_NEWTON_STEPS if len(xs) > 1 else 0):
+        p, dp = coef[-1], 0.0
+        for c, x in zip(coef[-2::-1], xs[-2::-1]):  # Horner's rule on the Newton form, with p'
+            p, dp = p * (guess - x) + c, dp * (guess - x) + p
+        if not dp:
+            break
+        guess = min(max(guess - p / dp, lo), hi)  # NaN stays NaN
+    if not lo <= guess <= hi:
+        guess = start
     path: list[float] = []
     while hi - lo > BISECTION_TOL and len(path) < SWEEP_CHUNK:
         mid = _mid(lo, hi)
@@ -425,7 +453,9 @@ def cmd_threshold(args: argparse.Namespace) -> int:
             pass  # offset() evaluates each visited point on its own instead
 
     def offset(x: float) -> float:
-        value = table[x] if x in table else offsets([x])[x]
+        if x not in table:
+            table.update(offsets([x]))
+        value = table[x]
         if math.isnan(value):
             raise UsageError(
                 f"statistic undefined at state parameter {_fmt(x)} "
@@ -433,11 +463,11 @@ def cmd_threshold(args: argparse.Namespace) -> int:
             )
         return value
 
-    # Each round evaluates as one stack the midpoints of the next _TREE_DEPTH
-    # steps and, once both end offsets are known, the path predicted from
-    # them; the sequential bisection below then reads them from the table,
-    # so errors surface only at points it visits, in its order, and a wrong
-    # prediction costs only one more round.
+    # The first round evaluates as one stack LO, HI and the midpoints of the
+    # first _TREE_DEPTH steps; each later round, the path predicted from every
+    # offset known by then.  The sequential bisection below reads them from
+    # the table, so errors surface only at points it visits, in its order,
+    # and a wrong prediction costs only one more round.
     prefetch([lo, hi, *_midpoint_tree(lo, hi)])
     f_lo = offset(lo)
     f_hi = offset(hi)
@@ -451,8 +481,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
         if not lo < mid < hi:
             break  # adjacent floats wider than the tolerance: mid is lo or hi
         if mid not in table:
-            predicted = _predicted_path(lo, f_lo, hi, f_hi)
-            prefetch(list(dict.fromkeys(_midpoint_tree(lo, hi) + predicted))[:SWEEP_CHUNK])
+            prefetch(_predicted_path(lo, hi, table))
         f_mid = offset(mid)
         if (f_mid < 0.0) == (f_lo < 0.0):
             lo, f_lo = mid, f_mid

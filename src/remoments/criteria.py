@@ -323,14 +323,16 @@ def evaluate(
     weight: float | None = None,
     spec: RealignSpec | None = None,
     party: int | None = None,
+    scratch: Scratch | None = None,
 ) -> Evaluation:
     """Evaluate one criterion on every matrix of a (N, D, D) stack over `dims`.
 
     v1 reads the 1|2 realignment of a two-party state, v2, v3 and realign
     that of `spec`, and ppt the partial transpose over `party`; v1, v2 and
     v3 take `weight`.  After the checks this is one :func:`spectrum` call
-    at that target, serving this criterion alone, so v1/v2/v3 take no
-    eigensolve, and the row's `statistic` on it.  A criterion without a
+    at that target, serving this criterion alone, with its temporaries in
+    `scratch`, so v1/v2/v3 take no eigensolve, and the row's `statistic`
+    on it.  A criterion without a
     row, a missing party, split or weight, a non-finite or out-of-domain
     weight, or a state, split or party that does not fit, raises ValueError.
     """
@@ -352,7 +354,7 @@ def evaluate(
         if not math.isfinite(weight):
             raise ValueError(f"--{row.flag} must be finite, got {weight!r}")
     target = party if row.reads == "party" else spec
-    sp = spectrum(matrices, dims, target, (criterion,))
+    sp = spectrum(matrices, dims, target, (criterion,), scratch)
     stats = row.statistic(sp, weight)
     if not row.flag:
         return Evaluation(criterion, float(party) if row.reads == "party" else None, stats)

@@ -6,9 +6,12 @@ axis.  It owns the Gram route, the smaller-side :func:`gram` matrix and
 the moments and singular values read off it, and the Hermitian part
 (:func:`hermitian_part`) that eigensolves and state validation take.
 
-An audit takes a spectrum of every split and party per chunk of states.  Fresh
-stack-sized temporaries would be faulted in, zeroed and trimmed back each time,
-so they come from one :class:`Scratch` per run; a call without one makes its own.
+Fresh stack-sized temporaries would be faulted in, zeroed and trimmed back on
+every call, so they come from a :class:`Scratch` that outlives it: one per audit
+run, sized to its chunks and dropped with it, and one per thread for the CLI's
+family stacks (sweep chunks, threshold rounds), kept across commands as their
+32 points of dimension <= 16 bound it to 0.5 MB.  A call without one makes its
+own, so a Python caller's large stack is never retained.
 """
 from __future__ import annotations
 
@@ -69,6 +72,16 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().swapaxes(-1, -2)
 
 
+def _adjoint(a: np.ndarray, scratch: Scratch) -> np.ndarray:
+    """The conjugate transpose of each matrix of a (..., n, n) stack, contiguous, in `scratch` "conj".
+
+    Copied, then conjugated in place: a ufunc reading the transposed view buffers it outside the scratch.
+    """
+    adj = scratch.take("conj", a.shape)
+    np.copyto(adj, a.swapaxes(-1, -2))
+    return np.conjugate(adj, out=adj)
+
+
 def hermitian_part(a: np.ndarray, scratch: Scratch | None = None) -> tuple[np.ndarray, np.ndarray]:
     """a/2 + a^dagger/2 (in `scratch` "sym") and the max |a - a^dagger| of each matrix of a (..., n, n) stack.
 
@@ -76,7 +89,7 @@ def hermitian_part(a: np.ndarray, scratch: Scratch | None = None) -> tuple[np.nd
     overflow; inf and NaN entries raise no warning.
     """
     scratch = scratch or Scratch()
-    adj = np.conjugate(a.swapaxes(-1, -2), out=scratch.take("conj", a.shape))
+    adj = _adjoint(a, scratch)
     with np.errstate(over="ignore", invalid="ignore"):
         h = np.subtract(a, adj, out=scratch.take("sym", a.shape))
         dev = np.abs(h, out=scratch.take("abs", a.shape, float)).max(axis=(-2, -1), initial=0.0)
@@ -119,7 +132,7 @@ def gram(a: np.ndarray, scratch: Scratch | None = None) -> np.ndarray:
     g = scratch.take("sym", a.shape[:-2] + (min(a.shape[-2:]),) * 2)
     left, right = (adj, a) if a.shape[-1] <= a.shape[-2] else (a, adj)
     np.matmul(left, right, out=g)
-    g += np.conjugate(g, out=scratch.take("conj", g.shape)).swapaxes(-1, -2)  # adj is spent: reuse it
+    g += _adjoint(g, scratch)  # adj is spent: its buffer is reused
     g *= 0.5
     return g
 

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import MAX_KRON_DIM, hermitian_eigenvalues, hermitian_part, kron_shape
+from .linalg import MAX_KRON_DIM, Scratch, hermitian_eigenvalues, hermitian_part, kron_shape
 
 VALIDATION_TOL = 1e-10
 
@@ -83,7 +83,7 @@ def _factor_dims(dims: Sequence[int]) -> tuple[int, ...]:
     return out
 
 
-def validate_stack(matrices: np.ndarray) -> np.ndarray:
+def validate_stack(matrices: np.ndarray, scratch: Scratch | None = None) -> np.ndarray:
     """Check every matrix of a (N, D, D) stack; returns the stack unchanged.
 
     Raises what a :func:`validate` loop over the stack would raise first:
@@ -100,10 +100,12 @@ def validate_stack(matrices: np.ndarray) -> np.ndarray:
     -tol.  Only if it fails or its factor is not finite are the minimum
     eigenvalues of H computed (:func:`hermitian_eigenvalues`), which decide
     the verdict and name the first NOT_PSD matrix and its deviation.
+    H and its temporaries live in `scratch`.
     """
     m = np.asarray(matrices, dtype=complex)
-    h, herm_dev = hermitian_part(m)  # at most two stack-sized temporaries alive at once: `h` and the factor
-    trace_dev = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
+    h, herm_dev = hermitian_part(m, scratch)  # at most two stack-sized temporaries alive at once: `h` and the factor
+    with np.errstate(over="ignore", invalid="ignore"):  # finite diagonals may sum to +-inf or NaN: TRACE_NOT_ONE
+        trace_dev = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
     # A NaN or infinite entry makes herm_dev NaN or infinite, so `ok` is False.
     ok = np.maximum(herm_dev, trace_dev) <= VALIDATION_TOL
     n_ok = len(m) if ok.all() else int(ok.argmin())
@@ -307,7 +309,7 @@ _FAMILY_SPECS = {
 }
 
 
-def family_stack(name: str, params: Sequence[float]) -> tuple[tuple[int, ...], np.ndarray]:
+def family_stack(name: str, params: Sequence[float], scratch: Scratch | None = None) -> tuple[tuple[int, ...], np.ndarray]:
     """Build and validate family `name` at every parameter as one stack.
 
     Returns the factor dims and the (N, D, D) stack.  All or nothing: raises
@@ -315,7 +317,8 @@ def family_stack(name: str, params: Sequence[float]) -> tuple[tuple[int, ...], n
     first, the domain ValueError or a StateValidationError, and KeyError
     for an unknown family name.  The scalar constructors (`rho_d(x)` and
     the rest) are the one-parameter case of this, so a member of a stack
-    equals the scalar constructor's matrix bit for bit.
+    equals the scalar constructor's matrix bit for bit.  Validation's
+    temporaries live in `scratch`; the stack is fresh.
     """
     dims, outside, message, formula = _FAMILY_SPECS[name]
     xs = [float(x) for x in params]
@@ -323,7 +326,7 @@ def family_stack(name: str, params: Sequence[float]) -> tuple[tuple[int, ...], n
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # Off-scale parameters give inf or NaN entries, which fail as NON_FINITE.
         matrices = formula(np.array(xs[:n], dtype=float))
-    validate_stack(matrices)
+    validate_stack(matrices, scratch)
     if n < len(xs):
         raise ValueError(message.format(xs[n]))
     return dims, matrices

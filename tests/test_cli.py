@@ -303,7 +303,23 @@ class TestExitCodes:
                              *self.CRITERION_FLAGS[criterion])
         assert result == (3, "", f"validation failure: {message}\n")
 
-    UNKNOWN = "unknown criterion 'nope'; choose from ('v1', 'v2', 'v3', 'realign', 'ppt')"
+    @pytest.mark.parametrize(
+        "diagonal, deviation",
+        [((1e308,) * 4, "inf"), ((1.7e308, 1.7e308, -1.7e308, -1.7e308), "nan")],
+        ids=["overflow", "inf-minus-inf"],
+    )
+    def test_trace_past_the_largest_float_exit_3(self, tmp_path, diagonal, deviation):
+        """A finite diagonal whose sum overflows, or whose partial sums overflow with both signs:
+        TRACE_NOT_ONE, with no warning from the trace."""
+        matrix = [[[diagonal[i] if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"dims": [2, 2], "matrix": matrix}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_cli("analyze", "--state", str(path), "--criterion", "realign", "--split", "1|2")
+        assert result == (3, "", f"validation failure: TRACE_NOT_ONE: trace differs from 1 (deviation {deviation})\n")
+
+    UNKNOWN ="unknown criterion 'nope'; choose from ('v1', 'v2', 'v3', 'realign', 'ppt')"
 
     @pytest.mark.parametrize(
         "argv, message",
