@@ -397,9 +397,10 @@ def _predicted_path(lo: float, hi: float, table: dict[float, float]) -> list[flo
     The prediction is a root of the polynomial, in Newton's divided-difference form, through the
     _PREDICTOR_POINTS finite offsets of `table` nearest the bracket's midpoint: _NEWTON_STEPS Newton
     steps, each clamped to [lo, hi], from the regula-falsi point of (lo, f_lo) and (hi, f_hi), or from
-    the midpoint where that is undefined or off the bracket.  With fewer than two points, or a NaN
-    step, the path aims at that start.  Built with the loop's own `_mid` and stop rules, so each
-    midpoint equals, bit for bit, the `mid` the loop computes if its turns match the prediction.
+    the midpoint where that is undefined or off the bracket; with fewer than two points, or a NaN step,
+    the path aims at that start.  A path shorter than SWEEP_CHUNK ends with the far child of its
+    second-to-last midpoint, where the loop goes if it turns the other way there.  Built with the
+    loop's own `_mid` and stop rules, so each midpoint equals, bit for bit, the `mid` the loop computes there.
     """
     f_lo, f_hi, centre = table[lo], table[hi], _mid(lo, hi)
     start = lo - f_lo * (hi - lo) / (f_hi - f_lo) if f_hi != f_lo else math.nan
@@ -422,15 +423,21 @@ def _predicted_path(lo: float, hi: float, table: dict[float, float]) -> list[flo
     if not lo <= guess <= hi:
         guess = start
     path: list[float] = []
+    left: list[tuple[float, float]] = []  # the half each step leaves
     while hi - lo > BISECTION_TOL and len(path) < SWEEP_CHUNK:
         mid = _mid(lo, hi)
         if not lo < mid < hi:
             break
         path.append(mid)
         if mid < guess:
-            lo = mid
+            lo, other = mid, (lo, mid)
         else:
-            hi = mid
+            hi, other = mid, (mid, hi)
+        left.append(other)
+    if 2 <= len(path) < SWEEP_CHUNK:
+        lo, hi = left[-2]
+        if hi - lo > BISECTION_TOL and lo < _mid(lo, hi) < hi:
+            path.append(_mid(lo, hi))
     return path
 
 

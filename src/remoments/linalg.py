@@ -4,14 +4,18 @@ Everything here works on plain complex ndarrays and is sized for
 desk-scale problems: Kronecker products are capped at dimension 64 per
 axis.  It owns the Gram route, the smaller-side :func:`gram` matrix and
 the moments and singular values read off it, and the Hermitian part
-(:func:`hermitian_part`) that eigensolves and state validation take.
+(:func:`hermitian_part`, real for a real stack) that eigensolves and state
+validation take.
 
 Fresh stack-sized temporaries would be faulted in, zeroed and trimmed back on
 every call, so they come from a :class:`Scratch` that outlives it: one per audit
 run, sized to its chunks and dropped with it, and one per thread for the CLI's
 family stacks (sweep chunks, threshold rounds), kept across commands as their
-32 points of dimension <= 16 bound it to 0.5 MB.  A call without one makes its
-own, so a Python caller's large stack is never retained.
+32 points of dimension <= 16 bound it to 0.5 MB.  Buffers are complex and a
+float take views one as float, so a real family stack's validation and its
+complex spectrum share them once the first complex take has sized them.  A
+call without one makes its own, so a Python caller's large stack is never
+retained.
 """
 from __future__ import annotations
 
@@ -53,18 +57,19 @@ def kron_shape(a_shape: tuple[int, ...], b_shape: tuple[int, ...]) -> tuple[int,
 
 
 class Scratch:
-    """Named buffers that live from call to call, each grown only when a request outgrows it."""
+    """Named complex buffers that live from call to call, each grown only when a request outgrows it."""
 
     def __init__(self) -> None:
         self.buffers: dict[str, np.ndarray] = {}
 
     def take(self, name: str, shape: tuple[int, ...], dtype=complex) -> np.ndarray:
-        """A C-contiguous array of `shape` over buffer `name`: garbage, and valid until `name`'s next take."""
+        """A C-contiguous `dtype` view of `shape` over buffer `name`: garbage, and valid until `name`'s next take."""
         size = math.prod(shape)
+        units = -(-size * np.dtype(dtype).itemsize // 16)  # the complex entries it spans
         buf = self.buffers.get(name)
-        if buf is None or buf.size < size or buf.dtype != dtype:
-            buf = self.buffers[name] = np.empty(size, dtype)
-        return buf[:size].reshape(shape)
+        if buf is None or buf.size < units:
+            buf = self.buffers[name] = np.empty(units, complex)
+        return buf.view(dtype)[:size].reshape(shape)
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -73,17 +78,17 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def _adjoint(a: np.ndarray, scratch: Scratch) -> np.ndarray:
-    """The conjugate transpose of each matrix of a (..., n, n) stack, contiguous, in `scratch` "conj".
+    """The conjugate transpose of each matrix of a (..., n, n) stack, contiguous, in `scratch` "conj" of its dtype.
 
     Copied, then conjugated in place: a ufunc reading the transposed view buffers it outside the scratch.
     """
-    adj = scratch.take("conj", a.shape)
+    adj = scratch.take("conj", a.shape, a.dtype)
     np.copyto(adj, a.swapaxes(-1, -2))
     return np.conjugate(adj, out=adj)
 
 
 def hermitian_part(a: np.ndarray, scratch: Scratch | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """a/2 + a^dagger/2 (in `scratch` "sym") and the max |a - a^dagger| of each matrix of a (..., n, n) stack.
+    """a/2 + a^dagger/2 (in `scratch` "sym", as a's dtype) and each matrix's max |a - a^dagger|, of a (..., n, n) stack.
 
     Halving first equals (a + a^dagger)/2 for normal floats but cannot
     overflow; inf and NaN entries raise no warning.
@@ -91,7 +96,7 @@ def hermitian_part(a: np.ndarray, scratch: Scratch | None = None) -> tuple[np.nd
     scratch = scratch or Scratch()
     adj = _adjoint(a, scratch)
     with np.errstate(over="ignore", invalid="ignore"):
-        h = np.subtract(a, adj, out=scratch.take("sym", a.shape))
+        h = np.subtract(a, adj, out=scratch.take("sym", a.shape, a.dtype))
         dev = np.abs(h, out=scratch.take("abs", a.shape, float)).max(axis=(-2, -1), initial=0.0)
         adj *= 0.5
         np.multiply(a, 0.5, out=h)

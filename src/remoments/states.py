@@ -1,11 +1,11 @@
 """Density matrices: validation, benchmark families, sampling, JSON I/O.
 
-A state is a :class:`DensityMatrix`: a D x D complex matrix plus the
-tuple of tensor-factor dimensions whose product is D.  The benchmark
-families here cover the standard detection regimes: NPT entanglement
-(`rho_d`, `rho_pq` away from its symmetric point), bound entanglement
-that partial transposition cannot see (`rho_eps`, `rho_pq` at the
-symmetric point), mixtures of inequivalent three-qubit classes
+A state is a :class:`DensityMatrix`: a D x D complex matrix (float64 for
+the real families) plus the tuple of tensor-factor dimensions whose product
+is D.  The benchmark families here cover the standard detection regimes:
+NPT entanglement (`rho_d`, `rho_pq` away from its symmetric point), bound
+entanglement that partial transposition cannot see (`rho_eps`, `rho_pq` at
+the symmetric point), mixtures of inequivalent three-qubit classes
 (`ghz_w`), and a noisy four-qubit benchmark with a known detection
 threshold (`noisy_ghz4`).
 """
@@ -100,12 +100,15 @@ def validate_stack(matrices: np.ndarray, scratch: Scratch | None = None) -> np.n
     -tol.  Only if it fails or its factor is not finite are the minimum
     eigenvalues of H computed (:func:`hermitian_eigenvalues`), which decide
     the verdict and name the first NOT_PSD matrix and its deviation.
-    H and its temporaries live in `scratch`.
+    H and its temporaries live in `scratch`.  A float64 stack is checked in
+    real arithmetic, any other as complex, with the same verdicts, codes,
+    deviations and messages: the trace is summed as complex either way.
     """
-    m = np.asarray(matrices, dtype=complex)
+    m = np.asarray(matrices)
+    m = m if m.dtype == np.float64 else m.astype(complex, copy=False)
     h, herm_dev = hermitian_part(m, scratch)  # at most two stack-sized temporaries alive at once: `h` and the factor
     with np.errstate(over="ignore", invalid="ignore"):  # finite diagonals may sum to +-inf or NaN: TRACE_NOT_ONE
-        trace_dev = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
+        trace_dev = np.abs(np.trace(m, axis1=-2, axis2=-1, dtype=complex) - 1.0)
     # A NaN or infinite entry makes herm_dev NaN or infinite, so `ok` is False.
     ok = np.maximum(herm_dev, trace_dev) <= VALIDATION_TOL
     n_ok = len(m) if ok.all() else int(ok.argmin())
@@ -117,7 +120,7 @@ def validate_stack(matrices: np.ndarray, scratch: Scratch | None = None) -> np.n
         certified = bool(np.isfinite(np.linalg.cholesky(h[:n_ok])).all())
     except np.linalg.LinAlgError:
         certified = False
-    if not certified:
+    if not certified:  # solved as complex, real stacks too
         min_eig = hermitian_eigenvalues(m[:n_ok])[:, -1]
         negative = np.flatnonzero(min_eig < -VALIDATION_TOL)
         if negative.size:
@@ -178,7 +181,7 @@ def rho_d(d: float) -> DensityMatrix:
 
 
 def _rho_d_stack(d: np.ndarray) -> np.ndarray:
-    m = np.zeros((d.size, 9, 9), dtype=complex)
+    m = np.zeros((d.size, 9, 9))
     m[:, 0, 0] = (1.0 - d) / 2.0
     m[:, 4, 4] = 0.5 - d
     m[:, 5, 5] = d
@@ -206,18 +209,19 @@ def _rho_eps_stack(eps: np.ndarray) -> np.ndarray:
     t2 = t * t
     t4 = t2 * t2
     low = (eps <= 1.0)[:, None]
-    m = np.zeros((eps.size, 9, 9), dtype=complex)
+    m = np.zeros((eps.size, 9, 9))
     for r in (0, 4, 8):
         for c in (0, 4, 8):
             m[:, r, c] = t2
     m[:, [1, 6, 5], [1, 6, 5]] = np.where(low, 1.0, t4[:, None])
     m[:, [3, 2, 7], [3, 2, 7]] = np.where(low, t4[:, None], 1.0)
     m[:, [1, 3, 2, 6, 5, 7], [3, 1, 6, 2, 7, 5]] = t2[:, None]
-    return m / (3.0 * (1.0 + t2 + t4))[:, None, None]
+    return m * (1.0 / (3.0 * (1.0 + t2 + t4)))[:, None, None]  # as numpy's complex division rounds
 
 
-def _rho_pq_kets() -> list[np.ndarray]:
-    # Six orthonormal kets on 4 x 4; indices are 4*i + j for |ij>.
+def _rho_pq_projectors() -> tuple[np.ndarray, np.ndarray]:
+    # Projector sums of six orthonormal kets on 4 x 4, the first four and the last two (disjoint
+    # supports); indices are 4*i + j for |ij>.
     s2 = 1.0 / math.sqrt(2.0)
     specs = [
         {1: s2, 11: s2},            # (|01> + |23>)/sqrt2
@@ -227,13 +231,13 @@ def _rho_pq_kets() -> list[np.ndarray]:
         {3: 0.5, 6: 0.5, 9: s2},    # (|03> + |12>)/2 + |21>/sqrt2
         {3: -0.5, 6: 0.5, 12: s2},  # (-|03> + |12>)/2 + |30>/sqrt2
     ]
-    kets = []
-    for spec in specs:
-        v = np.zeros(16, dtype=complex)
-        for idx, amp in spec.items():
-            v[idx] = amp
-        kets.append(v)
-    return kets
+    kets = [np.zeros(16) for _ in specs]
+    for v, spec in zip(kets, specs):
+        v[list(spec)] = list(spec.values())
+    return sum(np.outer(k, k) for k in kets[:4]), sum(np.outer(k, k) for k in kets[4:])
+
+
+_RHO_PQ_P, _RHO_PQ_Q = _rho_pq_projectors()
 
 
 def rho_pq(q: float) -> DensityMatrix:
@@ -249,12 +253,8 @@ def rho_pq(q: float) -> DensityMatrix:
 
 def _rho_pq_stack(q: np.ndarray) -> np.ndarray:
     p = ((1.0 - 2.0 * q) / 4.0)[:, None, None]
-    kets = _rho_pq_kets()
-    m = np.zeros((q.size, 16, 16), dtype=complex)
-    for ket in kets[:4]:
-        m += p * np.outer(ket, ket.conj())
-    for ket in kets[4:]:
-        m += q[:, None, None] * np.outer(ket, ket.conj())
+    m = p * _RHO_PQ_P + q[:, None, None] * _RHO_PQ_Q
+    m[:, [3, 6], [3, 6]] = (q * 0.25 + q * 0.25)[:, None]  # the last two kets overlap: not q/2 for subnormal q/4
     return m
 
 
@@ -264,12 +264,12 @@ def ghz_w(q: float) -> DensityMatrix:
 
 
 def _ghz_w_stack(q: np.ndarray) -> np.ndarray:
-    ghz = np.zeros(8, dtype=complex)
+    ghz = np.zeros(8)
     ghz[0] = ghz[7] = 1.0 / math.sqrt(2.0)
-    w = np.zeros(8, dtype=complex)
+    w = np.zeros(8)
     w[1] = w[2] = w[4] = 1.0 / math.sqrt(3.0)
     q = q[:, None, None]
-    return q * np.outer(ghz, ghz.conj()) + (1.0 - q) * np.outer(w, w.conj())
+    return q * np.outer(ghz, ghz) + (1.0 - q) * np.outer(w, w)
 
 
 def noisy_ghz4(x: float) -> DensityMatrix:
@@ -278,14 +278,14 @@ def noisy_ghz4(x: float) -> DensityMatrix:
 
 
 def _noisy_ghz4_stack(x: np.ndarray) -> np.ndarray:
-    psi = np.zeros(16, dtype=complex)
+    psi = np.zeros(16)
     psi[0] = psi[15] = 1.0 / math.sqrt(2.0)
     x = x[:, None, None]
-    return (1.0 - x) / 16.0 * np.eye(16, dtype=complex) + x * np.outer(psi, psi.conj())
+    return (1.0 - x) / 16.0 * np.eye(16) + x * np.outer(psi, psi)
 
 
 # name -> (dims, outside(x): parameter off the domain, its error message,
-# matrix formula taking a 1-D parameter array to an (N, D, D) stack).
+# matrix formula taking a 1-D parameter array to a float64 (N, D, D) stack).
 _FAMILY_SPECS = {
     "rho_d": (
         (3, 3),
@@ -312,7 +312,7 @@ _FAMILY_SPECS = {
 def family_stack(name: str, params: Sequence[float], scratch: Scratch | None = None) -> tuple[tuple[int, ...], np.ndarray]:
     """Build and validate family `name` at every parameter as one stack.
 
-    Returns the factor dims and the (N, D, D) stack.  All or nothing: raises
+    Returns the factor dims and the float64 (N, D, D) stack.  All or nothing: raises
     what calling the scalar constructor at each parameter in turn raises
     first, the domain ValueError or a StateValidationError, and KeyError
     for an unknown family name.  The scalar constructors (`rho_d(x)` and

@@ -23,7 +23,9 @@ from conftest import random_density
 from remoments import FAMILIES, DensityMatrix, StateValidationError, validate
 from remoments import cli
 from remoments.cli import _parse_grid, sweep_rows, write_sweep_csv
-from remoments.criteria import CRITERIA
+from remoments.criteria import CRITERIA, evaluate, spectrum
+from remoments.linalg import Scratch
+from remoments.realign import RealignSpec, enumerate_splits
 from remoments.states import RHO_D_MAX, RHO_D_MIN, family_stack, validate_stack
 from test_cli import run_cli
 
@@ -499,15 +501,19 @@ def crossing_cases(draw):
 @example(("noisy_ghz4", 0.0, 1.5, "v3", {"v": 0.01, "split": "1|2"}))  # HI off the domain
 @example(("rho_eps", 1e12, 1e13, "realign", {"split": "1|2"}))  # equal offsets at both ends
 def test_threshold_matches_point_by_point_bisection(case):
-    """Exit code, stdout and stderr as the point-by-point loop's; no more rounds than the tree alone."""
-    argv = threshold_argv(*case)
+    """Exit code, stdout and stderr as the point-by-point loop's.  With both ends in the family's
+    domain, the first stack is LO, HI and the midpoint tree.  A v3, realign or ppt solve then takes
+    at most 3 stacks, which a predictor that misses its paths exceeds; v1/v2 are NaN outside their
+    admissible range, which leaves the predictor fewer offsets (rho_pq v2 brackets took up to 5)."""
+    family, lo, hi = case[:3]
     with stack_sizes() as sizes:
-        got = run_cli("threshold", *argv)
+        got = run_cli("threshold", *threshold_argv(*case))
     assert got == reference_threshold(*case)
-    with stack_sizes() as tree_only, mock.patch.object(cli, "_predicted_path", lambda *ends: []):
-        assert run_cli("threshold", *argv) == got
-    assert len(sizes) <= len(tree_only)
     assert max(sizes, default=0) <= cli.SWEEP_CHUNK
+    low, high = DOMAINS[family]
+    if low <= lo and hi <= high:
+        assert sizes[0] == 2 + len(cli._midpoint_tree(lo, hi))
+        assert CRITERIA[case[3]].gated or len(sizes) <= 3
 
 
 @pytest.mark.parametrize("case", [
@@ -539,8 +545,8 @@ def test_threshold_rounds(golden, rounds):
 
 def test_threshold_budget_on_benchmark_draws():
     """40 solves drawn as the benchmark's curves workload draws them: the point-by-point roots,
-    in at most 2.5 stacks and 28 points per solve on average (3.06 and 44.1 when every later
-    round added the 3-level midpoint tree to a regula-falsi path)."""
+    in at most 83 stacks, 2.08 per solve, and 28 points per solve on average (3.06 stacks and
+    44.1 points when every later round added the 3-level midpoint tree to a regula-falsi path)."""
     rng = np.random.default_rng(20261019)
     rounds = points = 0
     for _ in range(40):
@@ -550,7 +556,7 @@ def test_threshold_budget_on_benchmark_draws():
             got = run_cli("threshold", *threshold_argv(*case))
         assert got == reference_threshold(*case)
         rounds, points = rounds + len(sizes), points + sum(sizes)
-    assert rounds <= 100
+    assert rounds <= 83
     assert points <= 1120
 
 
@@ -597,6 +603,40 @@ class TestFamilyScratch:
         cli.evaluate(stack, dims, "v3", 0.01, cli.RealignSpec.parse("1|2"))
         assert cli._thread.scratch.buffers.keys() == buffers.keys()
         assert all(cli._thread.scratch.buffers[name] is buf for name, buf in buffers.items())
+
+    def test_float_and_complex_takes_share_one_buffer(self):
+        """A float take spans half the complex entries; once a complex take of the shape has grown
+        the buffer, float and complex takes of it view the same memory and allocate nothing."""
+        scratch = Scratch()
+        shape = (cli.SWEEP_CHUNK, 16, 16)
+        scratch.take("sym", shape, float)
+        assert scratch.buffers["sym"].size == math.prod(shape) // 2
+        scratch.take("sym", shape)
+        buf = scratch.buffers["sym"]
+        real, cplx = scratch.take("sym", shape, float), scratch.take("sym", shape)
+        assert scratch.buffers["sym"] is buf and buf.size == math.prod(shape)
+        assert (real.dtype, cplx.dtype) == (np.float64, np.complex128)
+        assert real.flags.c_contiguous and np.shares_memory(real, cplx)
+
+    def test_real_validation_and_complex_spectrum_share_buffers(self):
+        """Validating float64 family stacks and taking their complex spectra through one Scratch
+        allocates only in the first chunk."""
+        allocations = []
+
+        class CountingScratch(Scratch):
+            def take(self, name, shape, dtype=complex):
+                before = self.buffers.get(name)
+                out = super().take(name, shape, dtype)
+                if self.buffers[name] is not before:
+                    allocations.append((chunk, name))
+                return out
+
+        scratch = CountingScratch()
+        for chunk in range(3):
+            dims, stack = family_stack("noisy_ghz4", np.linspace(0.0, 1.0, cli.SWEEP_CHUNK), scratch)
+            spectrum(stack, dims, RealignSpec.parse("1|2"), ("realign",), scratch)
+        assert {name for _, name in allocations} == {"abs", "conj", "moved", "sym"}
+        assert all(chunk == 0 for chunk, _ in allocations)
 
     def test_threads_get_distinct_buffers(self):
         self.sweep(*self.SWEEPS[0])
@@ -649,3 +689,57 @@ def test_sweep_usage_error_before_later_domain_error():
     code, out, err = run_cli("sweep", "--family", "ghz_w", "--range", "0.5:1.3:0.1",
                              "--criterion", "v3", "--v", "0.5")
     assert (code, out, err) == (2, "", "error: criterion v3 requires --split\n")
+
+
+class TestRealFamilies:
+    """Families are built and validated in float64, and every spectrum is complex: a real stack
+    evaluates, and fails validation, exactly as its complex copy does."""
+
+    @staticmethod
+    def members(name):
+        lo, hi = DOMAINS[name]
+        space = np.geomspace if name == "rho_eps" else np.linspace
+        return family_stack(name, space(lo, hi, cli.SWEEP_CHUNK))
+
+    @staticmethod
+    def fields(ev):
+        arrays = (ev.statistic, ev.t1, ev.t2, *(vars(ev.bounds).values() if ev.bounds else ()))
+        return [ev.criterion, ev.parameter, *(a.tobytes() for a in arrays if a is not None)]
+
+    @pytest.mark.parametrize("name", sorted(DOMAINS))
+    def test_real_stack_evaluates_as_its_complex_copy(self, name):
+        dims, stack = self.members(name)
+        assert stack.dtype == np.float64
+        n = len(dims)
+        for criterion, row in CRITERIA.items():
+            if row.reads == "pair" and n != 2:
+                continue
+            targets = {"pair": [{}], "split": [{"spec": s} for s in enumerate_splits(n)],
+                       "party": [{"party": p} for p in range(1, n + 1)]}[row.reads]
+            for target in targets:
+                for weight in cli.AuditConfig.params if row.flag else [None]:
+                    real = evaluate(stack, dims, criterion, weight, **target)
+                    cplx = evaluate(stack.astype(complex), dims, criterion, weight, **target)
+                    assert self.fields(real) == self.fields(cplx), (criterion, target, weight)
+
+    @pytest.mark.parametrize("code", ["NON_FINITE", "NOT_HERMITIAN", "TRACE_NOT_ONE", "NOT_PSD"])
+    @pytest.mark.parametrize("name", sorted(DOMAINS))
+    def test_real_stack_fails_as_its_complex_copy(self, name, code):
+        _, stack = self.members(name)
+        m = stack[:8].copy()
+        if code == "NON_FINITE":
+            m[5, 1, 0] = np.nan
+        elif code == "NOT_HERMITIAN":
+            m[5, 0, 1] += 1e-6
+        elif code == "TRACE_NOT_ONE":
+            m[5] *= 1.5
+        else:  # the 2x2 principal minor on rows 0 and 1 turns negative
+            m[5, 0, 1] += 1.0
+            m[5, 1, 0] += 1.0
+        raised = []
+        for matrices in (m, m.astype(complex)):
+            with pytest.raises(StateValidationError) as exc:
+                validate_stack(matrices)
+            raised.append((exc.value.code, repr(exc.value.deviation), str(exc.value)))
+        assert raised[0] == raised[1]
+        assert raised[0][0] == code
