@@ -18,7 +18,6 @@ import json
 import math
 import re
 import sys
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,7 +38,7 @@ from .criteria import (
     spectrum,
     verdict,
 )
-from .linalg import MAX_KRON_DIM, Scratch
+from .linalg import MAX_KRON_DIM
 from .realign import RealignSpec, enumerate_splits
 from .states import (
     FAMILIES,
@@ -69,28 +68,13 @@ _NEWTON_STEPS = 12  # on that polynomial
 # the sampler's (chunk, num_terms, D) kets keep that bound too.
 AUDIT_CHUNK = 256
 # Sweep points, and threshold round points, built, validated and evaluated
-# together.  Narrower than an audit stack: a sweep or round takes one
-# spectrum per stack, not one per split and criterion, so wide stacks save
-# little time but hold several stack-sized temporaries at once (256-point
-# stacks raised the peak RSS of the four figure-data sweeps by 2.3 MB;
-# 32-point stacks by 0.6 MB).
+# together: one spectrum per stack, so wider stacks save little time but
+# hold more stack-sized temporaries (256-point stacks raised the peak RSS
+# of the four figure-data sweeps by 2.3 MB; 32-point stacks by 0.6 MB).
 SWEEP_CHUNK = 32
 
 # A sweep grid with more points than this is rejected before any is built.
 MAX_GRID_POINTS = 100_000
-
-
-class _PerThread(threading.local):
-    """`scratch`: this thread's temporaries of family stacks (sweep chunks, threshold rounds), kept
-    from command to command.  Made fresh, a 16 x 16 family's 32-point buffers (128 KiB, glibc's
-    mmap threshold) were faulted in anew whenever the heap layout shifted.  Stacks have at most
-    SWEEP_CHUNK points, so each buffer holds at most SWEEP_CHUNK * D^2 entries."""
-
-    def __init__(self) -> None:
-        self.scratch = Scratch()
-
-
-_thread = _PerThread()
 
 
 class UsageError(ValueError):
@@ -143,14 +127,14 @@ def _build_state(args: argparse.Namespace) -> DensityMatrix:
     return DensityMatrix(dims=dims, matrix=matrices[0])
 
 
-def _family_stack(family: str, xs: list[float], scratch: Scratch | None = None) -> tuple[tuple[int, ...], np.ndarray]:
+def _family_stack(family: str, xs: list[float]) -> tuple[tuple[int, ...], np.ndarray]:
     """:func:`family_stack`, all or nothing, with CLI errors.
 
     An unknown family raises UsageError; a member outside the family's
     domain or failing validation raises ValidationFailure.
     """
     try:
-        return family_stack(family, xs, scratch)
+        return family_stack(family, xs)
     except KeyError:
         raise UsageError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}") from None
     except ValueError as exc:
@@ -167,9 +151,8 @@ def evaluate_stack(
     v: float | None = None,
     split: str | None = None,
     party: int | None = None,
-    scratch: Scratch | None = None,
 ) -> Evaluation:
-    """:func:`evaluate` with the criterion's flags, on a (N, D, D) stack over `dims`, temporaries in `scratch`.
+    """:func:`evaluate` with the criterion's flags, on a (N, D, D) stack over `dims`.
 
     The split text is parsed where the criterion reads one.  Every
     ValueError of that parse and of :func:`evaluate` (a criterion without a
@@ -180,7 +163,7 @@ def evaluate_stack(
         row = criterion_row(criterion)
         spec = RealignSpec.parse(split) if row.reads == "split" and split is not None else None
         weight = {"a": a, "u": u, "v": v}.get(row.flag)
-        return evaluate(matrices, dims, criterion, weight, spec, party, scratch)
+        return evaluate(matrices, dims, criterion, weight, spec, party)
     except ValueError as exc:
         # Flags, splits and parties versus dims: input problems, not state ones.
         raise UsageError(str(exc)) from exc
@@ -204,10 +187,9 @@ def _criterion_flags(args: argparse.Namespace) -> dict[str, float | str | None]:
 
 
 def _family_evaluation(family: str, xs: list[float], criterion: str, **flags) -> Evaluation:
-    """Family members at `xs` built as one stack and evaluated together, all or nothing, in this thread's scratch."""
-    scratch = _thread.scratch
-    dims, matrices = _family_stack(family, xs, scratch)
-    return evaluate_stack(matrices, dims, criterion, scratch=scratch, **flags)
+    """Family members at `xs` built as one stack and evaluated together, all or nothing."""
+    dims, matrices = _family_stack(family, xs)
+    return evaluate_stack(matrices, dims, criterion, **flags)
 
 
 def _format_admissible(verdict: CriterionVerdict) -> str:
@@ -524,10 +506,15 @@ class AuditConfig:
             raise UsageError(f"dims {','.join(map(str, self.dims))!r} give dimension {d}, above the cap {MAX_KRON_DIM}")
         if self.num_terms > d * d:  # Caratheodory: a separable state mixes at most D^2 pure products
             raise UsageError(f"--num-terms must be at most D^2 = {d * d}, got {self.num_terms}")
+        if not self.criteria:
+            raise UsageError("--criteria requires at least one criterion")
         try:
             rows = [criterion_row(criterion) for criterion in self.criteria]
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
+        for criterion, row in zip(self.criteria, rows):
+            if row.flag and not self.params:
+                raise UsageError(f"criterion {criterion} requires a weight in --params")
         for w in self.params:
             if not math.isfinite(w):
                 raise UsageError(f"weight {w!r} in --params is not finite")
@@ -600,14 +587,13 @@ def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
                      for sp in enumerate_splits(n) for w in (params if row.flag else (None,))]
 
     chunk = min(AUDIT_CHUNK, max(1, AUDIT_CHUNK * math.prod(cfg.dims) // cfg.num_terms))
-    scratch = Scratch()  # every spectrum of the run reuses its stack-sized temporaries
     for start in range(0, cfg.num_states, chunk):
         seeds = range(cfg.seed + start, cfg.seed + min(cfg.num_states, start + chunk))
         stack = separable_stack(cfg.dims, cfg.num_terms, seeds)
         spectra: dict[RealignSpec | int, Spectrum] = {}
         for entry, target in plan:
             if target not in spectra:
-                spectra[target] = spectrum(stack, cfg.dims, target, cfg.criteria, scratch)
+                spectra[target] = spectrum(stack, cfg.dims, target, cfg.criteria)
             entry.tally(CRITERIA[entry.criterion].statistic(spectra[target], entry.parameter), seeds)
     return [entry for entry, _ in plan]
 

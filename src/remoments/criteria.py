@@ -27,7 +27,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .linalg import Scratch, gram, gram_moments, gram_singular_values, hermitian_eigenvalues
+from .linalg import SCRATCH, gram, gram_moments, gram_singular_values, hermitian_eigenvalues
 from .realign import RealignSpec, realign_array, transpose_party
 from .states import DensityMatrix
 
@@ -281,19 +281,18 @@ def criterion_row(name: str) -> _Row:
 
 def spectrum(
     matrices: np.ndarray, dims: tuple[int, ...], target: RealignSpec | int,
-    criteria: Iterable[str] = tuple(CRITERIA), scratch: Scratch | None = None,
+    criteria: Iterable[str] = tuple(CRITERIA),
 ) -> Spectrum:
     """The :class:`Spectrum` the rows of `criteria` read off `target`: for a 1-based party,
     one eigensolve of a stack's partial transpose over it; for a split, the :func:`gram`
     stack G of its realignment, read as T1 = tr G and T2 = ||G||_F^2 with no eigensolve.
-    Only realign eigensolves G and only v1/v2 take bounds; temporaries live in `scratch`, results are fresh.
+    Only realign eigensolves G and only v1/v2 take bounds; temporaries live in :data:`SCRATCH`, results are fresh.
     """
-    scratch = scratch or Scratch()
-    moved = scratch.take("moved", matrices.shape)
+    moved = SCRATCH.take("moved", matrices.shape)
     if not isinstance(target, RealignSpec):
-        return Spectrum(hermitian_eigenvalues(transpose_party(matrices, dims, target, moved), scratch)[:, -1])
+        return Spectrum(hermitian_eigenvalues(transpose_party(matrices, dims, target, moved))[:, -1])
     rows = [criterion_row(c) for c in criteria]
-    g = gram(realign_array(matrices, dims, target, moved), scratch)
+    g = gram(realign_array(matrices, dims, target, moved))
     t1, t2 = gram_moments(g)
     reads_norms = any(r.reads == "split" and not r.flag for r in rows)  # realign
     return Spectrum(gram_singular_values(g).sum(axis=-1) if reads_norms else None, t1, t2,
@@ -323,16 +322,14 @@ def evaluate(
     weight: float | None = None,
     spec: RealignSpec | None = None,
     party: int | None = None,
-    scratch: Scratch | None = None,
 ) -> Evaluation:
     """Evaluate one criterion on every matrix of a (N, D, D) stack over `dims`.
 
     v1 reads the 1|2 realignment of a two-party state, v2, v3 and realign
     that of `spec`, and ppt the partial transpose over `party`; v1, v2 and
     v3 take `weight`.  After the checks this is one :func:`spectrum` call
-    at that target, serving this criterion alone, with its temporaries in
-    `scratch`, so v1/v2/v3 take no eigensolve, and the row's `statistic`
-    on it.  A criterion without a
+    at that target, serving this criterion alone, so v1/v2/v3 take no
+    eigensolve, and the row's `statistic` on it.  A criterion without a
     row, a missing party, split or weight, a non-finite or out-of-domain
     weight, or a state, split or party that does not fit, raises ValueError.
     """
@@ -354,7 +351,7 @@ def evaluate(
         if not math.isfinite(weight):
             raise ValueError(f"--{row.flag} must be finite, got {weight!r}")
     target = party if row.reads == "party" else spec
-    sp = spectrum(matrices, dims, target, (criterion,), scratch)
+    sp = spectrum(matrices, dims, target, (criterion,))
     stats = row.statistic(sp, weight)
     if not row.flag:
         return Evaluation(criterion, float(party) if row.reads == "party" else None, stats)

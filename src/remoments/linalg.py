@@ -7,19 +7,16 @@ the moments and singular values read off it, and the Hermitian part
 (:func:`hermitian_part`, real for a real stack) that eigensolves and state
 validation take.
 
-Fresh stack-sized temporaries would be faulted in, zeroed and trimmed back on
-every call, so they come from a :class:`Scratch` that outlives it: one per audit
-run, sized to its chunks and dropped with it, and one per thread for the CLI's
-family stacks (sweep chunks, threshold rounds), kept across commands as their
-32 points of dimension <= 16 bound it to 0.5 MB.  Buffers are complex and a
-float take views one as float, so a real family stack's validation and its
-complex spectrum share them once the first complex take has sized them.  A
-call without one makes its own, so a Python caller's large stack is never
-retained.
+Stack-sized temporaries come from :data:`SCRATCH`, named buffers kept per
+thread, not faulted in anew on every call.  A thread keeps each named buffer
+as large as the largest stack it has taken: for the CLI at most 256 * D^2
+complex entries (an audit chunk).  A float take views a complex buffer as
+float, so a real stack's validation and its complex spectrum share it.
 """
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -56,8 +53,8 @@ def kron_shape(a_shape: tuple[int, ...], b_shape: tuple[int, ...]) -> tuple[int,
     return out_shape
 
 
-class Scratch:
-    """Named complex buffers that live from call to call, each grown only when a request outgrows it."""
+class Scratch(threading.local):
+    """Named complex buffers, one set per thread, each grown only when a request outgrows it."""
 
     def __init__(self) -> None:
         self.buffers: dict[str, np.ndarray] = {}
@@ -72,72 +69,75 @@ class Scratch:
         return buf.view(dtype)[:size].reshape(shape)
 
 
+SCRATCH = Scratch()
+
+
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose; of each matrix, for a (..., m, n) stack."""
     return np.asarray(a).conj().swapaxes(-1, -2)
 
 
-def _adjoint(a: np.ndarray, scratch: Scratch) -> np.ndarray:
-    """The conjugate transpose of each matrix of a (..., n, n) stack, contiguous, in `scratch` "conj" of its dtype.
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of each matrix of a (..., n, n) stack, contiguous, in :data:`SCRATCH` "conj" of its dtype.
 
     Copied, then conjugated in place: a ufunc reading the transposed view buffers it outside the scratch.
     """
-    adj = scratch.take("conj", a.shape, a.dtype)
+    adj = SCRATCH.take("conj", a.shape, a.dtype)
     np.copyto(adj, a.swapaxes(-1, -2))
     return np.conjugate(adj, out=adj)
 
 
-def hermitian_part(a: np.ndarray, scratch: Scratch | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """a/2 + a^dagger/2 (in `scratch` "sym", as a's dtype) and each matrix's max |a - a^dagger|, of a (..., n, n) stack.
+def hermitian_part(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a/2 + a^dagger/2 and each matrix's max |a - a^dagger|, of a (..., n, n) stack.
 
-    Halving first equals (a + a^dagger)/2 for normal floats but cannot
-    overflow; inf and NaN entries raise no warning.
+    The part is a view of :data:`SCRATCH` "sym" in a's dtype, valid only
+    until this thread's next take; the deviations are fresh.  Halving first
+    equals (a + a^dagger)/2 for normal floats but cannot overflow; inf and
+    NaN entries raise no warning.
     """
-    scratch = scratch or Scratch()
-    adj = _adjoint(a, scratch)
+    adj = _adjoint(a)
     with np.errstate(over="ignore", invalid="ignore"):
-        h = np.subtract(a, adj, out=scratch.take("sym", a.shape, a.dtype))
-        dev = np.abs(h, out=scratch.take("abs", a.shape, float)).max(axis=(-2, -1), initial=0.0)
+        h = np.subtract(a, adj, out=SCRATCH.take("sym", a.shape, a.dtype))
+        dev = np.abs(h, out=SCRATCH.take("abs", a.shape, float)).max(axis=(-2, -1), initial=0.0)
         adj *= 0.5
         np.multiply(a, 0.5, out=h)
         h += adj
     return h, dev
 
 
-def hermitian_eigenvalues(a: np.ndarray, scratch: Scratch | None = None) -> np.ndarray:
+def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, sorted descending.
 
     Also takes a (..., n, n) stack and returns one descending row per
     matrix.  The input's :func:`hermitian_part` is solved; a max-abs deviation
     from Hermiticity beyond HERMITICITY_TOL, in any matrix of a stack, is
-    rejected instead of hidden, and so is a NaN (temporaries in `scratch`).
+    rejected instead of hidden, and so is a NaN.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    h, dev = hermitian_part(a, scratch)
+    h, dev = hermitian_part(a)
     dev = float(np.max(dev, initial=0.0))
     if not dev <= HERMITICITY_TOL:  # NaN compares False
         raise ValueError(f"matrix is not Hermitian: deviation {dev:.3e} exceeds {HERMITICITY_TOL:.1e}")
     return np.linalg.eigvalsh(h)[..., ::-1].copy()
 
 
-def gram(a: np.ndarray, scratch: Scratch | None = None) -> np.ndarray:
+def gram(a: np.ndarray) -> np.ndarray:
     """The smaller-side Gram matrix G of `a` (a^dagger a or a a^dagger), or of each matrix of a stack.
 
     Symmetrized to be Hermitian bit for bit; its eigenvalues are the squared
-    singular values of `a`, so tr G and ||G||_F^2 are T1 and T2.  G lives in
-    `scratch` "sym", the buffer :func:`hermitian_eigenvalues` symmetrizes into.
+    singular values of `a`, so tr G and ||G||_F^2 are T1 and T2.  G is a view
+    of :data:`SCRATCH` "sym", valid only until this thread's next take.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2:
         raise ValueError(f"expected a matrix, got ndim {a.ndim}")
-    scratch = scratch or Scratch()
-    adj = np.conjugate(a, out=scratch.take("conj", a.shape)).swapaxes(-1, -2)
-    g = scratch.take("sym", a.shape[:-2] + (min(a.shape[-2:]),) * 2)
+    adj = np.conjugate(a, out=SCRATCH.take("conj", a.shape)).swapaxes(-1, -2)
+    g = SCRATCH.take("sym", a.shape[:-2] + (min(a.shape[-2:]),) * 2)
     left, right = (adj, a) if a.shape[-1] <= a.shape[-2] else (a, adj)
     np.matmul(left, right, out=g)
-    g += _adjoint(g, scratch)  # adj is spent: its buffer is reused
+    g += _adjoint(g)  # adj is spent: its buffer is reused
     g *= 0.5
     return g
 

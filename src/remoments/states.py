@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import MAX_KRON_DIM, Scratch, hermitian_eigenvalues, hermitian_part, kron_shape
+from .linalg import MAX_KRON_DIM, hermitian_eigenvalues, hermitian_part, kron_shape
 
 VALIDATION_TOL = 1e-10
 
@@ -83,7 +83,7 @@ def _factor_dims(dims: Sequence[int]) -> tuple[int, ...]:
     return out
 
 
-def validate_stack(matrices: np.ndarray, scratch: Scratch | None = None) -> np.ndarray:
+def validate_stack(matrices: np.ndarray) -> np.ndarray:
     """Check every matrix of a (N, D, D) stack; returns the stack unchanged.
 
     Raises what a :func:`validate` loop over the stack would raise first:
@@ -99,14 +99,14 @@ def validate_stack(matrices: np.ndarray, scratch: Scratch | None = None) -> np.n
     Algorithms, ch. 10), far below tol/2; so then no eigenvalue is below
     -tol.  Only if it fails or its factor is not finite are the minimum
     eigenvalues of H computed (:func:`hermitian_eigenvalues`), which decide
-    the verdict and name the first NOT_PSD matrix and its deviation.
-    H and its temporaries live in `scratch`.  A float64 stack is checked in
-    real arithmetic, any other as complex, with the same verdicts, codes,
-    deviations and messages: the trace is summed as complex either way.
+    the verdict and name the first NOT_PSD matrix and its deviation.  A
+    float64 stack is checked in real arithmetic, any other as complex, with
+    the same verdicts, codes, deviations and messages: the trace is summed
+    as complex either way.
     """
     m = np.asarray(matrices)
     m = m if m.dtype == np.float64 else m.astype(complex, copy=False)
-    h, herm_dev = hermitian_part(m, scratch)  # at most two stack-sized temporaries alive at once: `h` and the factor
+    h, herm_dev = hermitian_part(m)  # at most two stack-sized temporaries alive at once: `h` and the factor
     with np.errstate(over="ignore", invalid="ignore"):  # finite diagonals may sum to +-inf or NaN: TRACE_NOT_ONE
         trace_dev = np.abs(np.trace(m, axis1=-2, axis2=-1, dtype=complex) - 1.0)
     # A NaN or infinite entry makes herm_dev NaN or infinite, so `ok` is False.
@@ -309,7 +309,7 @@ _FAMILY_SPECS = {
 }
 
 
-def family_stack(name: str, params: Sequence[float], scratch: Scratch | None = None) -> tuple[tuple[int, ...], np.ndarray]:
+def family_stack(name: str, params: Sequence[float]) -> tuple[tuple[int, ...], np.ndarray]:
     """Build and validate family `name` at every parameter as one stack.
 
     Returns the factor dims and the float64 (N, D, D) stack.  All or nothing: raises
@@ -317,8 +317,7 @@ def family_stack(name: str, params: Sequence[float], scratch: Scratch | None = N
     first, the domain ValueError or a StateValidationError, and KeyError
     for an unknown family name.  The scalar constructors (`rho_d(x)` and
     the rest) are the one-parameter case of this, so a member of a stack
-    equals the scalar constructor's matrix bit for bit.  Validation's
-    temporaries live in `scratch`; the stack is fresh.
+    equals the scalar constructor's matrix bit for bit.
     """
     dims, outside, message, formula = _FAMILY_SPECS[name]
     xs = [float(x) for x in params]
@@ -326,7 +325,7 @@ def family_stack(name: str, params: Sequence[float], scratch: Scratch | None = N
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # Off-scale parameters give inf or NaN entries, which fail as NON_FINITE.
         matrices = formula(np.array(xs[:n], dtype=float))
-    validate_stack(matrices, scratch)
+    validate_stack(matrices)
     if n < len(xs):
         raise ValueError(message.format(xs[n]))
     return dims, matrices

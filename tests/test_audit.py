@@ -1,6 +1,8 @@
 """The stacked audit engine against a per-state loop over the scalar verdicts."""
 import json
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -19,7 +21,7 @@ from remoments import (
 from remoments import cli
 from remoments.cli import AuditConfig, AuditEntry, run_audit
 from remoments.criteria import PT_NEGATIVITY_TOL, spectrum
-from remoments.linalg import Scratch
+from remoments.linalg import SCRATCH
 from remoments.states import separable_stack
 from test_cli import run_cli
 
@@ -45,6 +47,10 @@ COUNTS = "--num-states and --num-terms must be >= 1"
         (("v3",), (0.5,), COUNTS, {"num_terms": 0}),
         (("v3",), (0.5,), "--seed must be >= 0, got -1", {"seed": -1}),
         (("v3",), (0.5,), "--num-terms must be at most D^2 = 16, got 17", {"num_terms": 17}),
+        # Nothing, or not every criterion, would be evaluated.
+        ((), (0.5,), "--criteria requires at least one criterion", {}),
+        (("realign", "v3"), (), "criterion v3 requires a weight in --params", {}),
+        (("v1",), (), "criterion v1 requires a weight in --params", {"dims": (2, 2, 2)}),
     ],
 )
 def test_run_audit_checks_its_config_before_sampling(monkeypatch, criteria, params, message, settings):
@@ -165,49 +171,77 @@ def spectrum_arrays(sp):
 
 @pytest.mark.parametrize("dims", AUDIT_DIMS)
 def test_shared_scratch_spectra_equal_fresh_ones_bit_for_bit(dims):
-    """Spectra of every split and party taken in turn through one Scratch equal, bit for bit,
-    those taken without one, and none of their arrays shares memory with a scratch buffer."""
+    """Spectra of every split and party taken in turn through the thread's scratch equal, bit for bit,
+    those taken after its buffers are cleared, and none of their arrays shares memory with a buffer."""
     stack = separable_stack(dims, 2, range(12))
     targets = [*enumerate_splits(len(dims)), *range(1, len(dims) + 1)]
-    scratch = Scratch()
-    shared = [spectrum(stack, dims, targets[0], ALL_CRITERIA, scratch)]
+    shared = [spectrum(stack, dims, targets[0], ALL_CRITERIA)]
     first = [a.tobytes() for a in spectrum_arrays(shared[0])]
-    shared += [spectrum(stack, dims, target, ALL_CRITERIA, scratch) for target in targets[1:]]
+    shared += [spectrum(stack, dims, target, ALL_CRITERIA) for target in targets[1:]]
     assert [a.tobytes() for a in spectrum_arrays(shared[0])] == first  # no later target wrote into them
+    assert set(SCRATCH.buffers) == {"moved", "conj", "sym", "abs"}
     for target, sp in zip(targets, shared):
+        for a in spectrum_arrays(sp):
+            assert not any(np.shares_memory(a, buf) for buf in SCRATCH.buffers.values())
+        SCRATCH.buffers.clear()
         fresh = spectrum(stack, dims, target, ALL_CRITERIA)
         assert [a.tobytes() for a in spectrum_arrays(sp)] == [a.tobytes() for a in spectrum_arrays(fresh)]
-        for a in spectrum_arrays(sp):
-            assert not any(np.shares_memory(a, buf) for buf in scratch.buffers.values())
-    assert set(scratch.buffers) == {"moved", "conj", "sym", "abs"}
 
 
 @pytest.mark.parametrize("dims", AUDIT_DIMS)
-def test_scratch_allocates_only_in_the_first_chunk(monkeypatch, dims):
-    """One audit run takes every spectrum through one Scratch, which allocates no buffer after the first chunk."""
-    chunks, allocations = [], []
-
-    class CountingScratch(Scratch):
-        def take(self, name, shape, dtype=complex):
-            before = self.buffers.get(name)
-            out = super().take(name, shape, dtype)
-            if self.buffers[name] is not before:
-                allocations.append((len(chunks), name))
-            return out
+def test_scratch_allocates_only_in_the_first_chunk(monkeypatch, allocations, dims):
+    """An audit run, separable_stack's validation included, allocates no buffer after its first chunk."""
+    label, made = allocations
+    chunks = []
 
     def counting_stack(*args):
         chunks.append(args)
+        label[0] = len(chunks)
         return separable_stack(*args)
 
-    monkeypatch.setattr(cli, "Scratch", CountingScratch)
     monkeypatch.setattr(cli, "separable_stack", counting_stack)
     monkeypatch.setattr(cli, "AUDIT_CHUNK", 4)
     cfg = AuditConfig(dims=dims, num_states=12, num_terms=2, criteria=ALL_CRITERIA, params=(0.5, 5.0))
     report = run_audit(cfg)
     assert len(chunks) == 3
-    assert {name for _, name in allocations} == {"moved", "conj", "sym", "abs"}
-    assert all(chunk == 1 for chunk, _ in allocations)
+    assert {name for _, name in made} == {"moved", "conj", "sym", "abs"}
+    assert all(chunk == 1 for chunk, _ in made)
     assert_same_report(report, reference_audit(cfg))
+
+
+def test_second_audit_allocates_no_buffer(allocations):
+    """The thread keeps its buffers from one audit run to the next of the same shape."""
+    _, made = allocations
+    cfg = AuditConfig(dims=(2, 2, 2, 2), num_states=40, criteria=ALL_CRITERIA)
+    first = run_audit(cfg)
+    assert made
+    made.clear()
+    assert_same_report(run_audit(cfg), first)
+    assert made == []
+
+
+def test_concurrent_audits_give_the_serial_reports():
+    """Four threads, two per audit, switching every microsecond, each report what a serial run reports."""
+    configs = [AuditConfig(dims=(2, 2, 2, 2), num_states=24, criteria=ALL_CRITERIA),
+               AuditConfig(dims=(3, 3), num_states=40, num_terms=4, criteria=ALL_CRITERIA, seed=5)]
+    want = [run_audit(cfg) for cfg in configs]
+    got = [None] * 4
+
+    def run(k):
+        got[k] = run_audit(configs[k % 2])
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [[repr(e) for e in report] for report in got] == [[repr(e) for e in want[k % 2]] for k in range(4)]
 
 
 @pytest.mark.parametrize("chunk", [4, 5])

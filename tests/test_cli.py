@@ -193,6 +193,9 @@ class TestExitCodes:
             ("sweep", "--family", "rho_pq", "--range", "0:0.5:0.1", "--criterion", "v1", "--a", "inf"),
             ("sweep", "--family", "ghz_w", "--range", "0:1:0.25", "--criterion", "v2", "--u", "inf", "--split", "1|2"),
             ("threshold", "--family", "noisy_ghz4", "--bracket", "0:1", "--criterion", "v3", "--v", "inf", "--split", "1|2"),
+            ("audit", "--dims", "2,2", "--criteria", "v3", "--params", ""),  # nothing evaluated
+            ("audit", "--dims", "2,2", "--criteria", "v3,realign", "--params", ""),  # v3 was dropped
+            ("audit", "--dims", "2,2", "--criteria", ","),
         ],
     )
     def test_usage_errors_exit_2(self, args):

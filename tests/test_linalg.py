@@ -16,6 +16,10 @@ from remoments import (
     singular_values,
     trace_norm,
 )
+from remoments.criteria import evaluate, spectrum
+from remoments.linalg import SCRATCH
+from remoments.realign import RealignSpec, moments, realign_array
+from remoments.states import family_stack, separable_stack
 
 
 class TestKron:
@@ -238,3 +242,23 @@ class TestTraceNorm:
         assert norms.tolist() == [trace_norm(r) for r in stack]
         assert norms == pytest.approx([0.9988, 0.9968, 0.9233], abs=1e-4)
         assert np.ndim(trace_norm(stack[0])) == 0
+
+
+def test_results_never_share_memory_with_the_scratch():
+    """Every array the public stack functions return is fresh, never a view of a scratch buffer."""
+    dims, spec = (2, 2, 2, 2), RealignSpec.parse("12|34")
+    stack = separable_stack(dims, 2, range(6))
+    realigned = realign_array(stack, dims, spec)
+    _, fam = family_stack("noisy_ghz4", [0.0, 0.5, 1.0])
+    results = [*moments(realigned), singular_values(realigned), trace_norm(realigned),
+               hermitian_eigenvalues(stack), fam]
+    for target in (spec, 2):
+        sp = spectrum(stack, dims, target)
+        results += [sp.values, sp.t1, sp.t2, *(vars(sp.bounds).values() if sp.bounds else ())]
+    for criterion, weight, party in (("v2", 0.5, None), ("v3", 0.5, None), ("realign", None, None), ("ppt", None, 1)):
+        ev = evaluate(stack, dims, criterion, weight, spec, party)
+        results += [ev.statistic, ev.t1, ev.t2, *(vars(ev.bounds).values() if ev.bounds else ())]
+    arrays = [a for a in results if isinstance(a, np.ndarray)]
+    assert len(arrays) > 20
+    assert {"moved", "conj", "sym", "abs"} <= SCRATCH.buffers.keys()
+    assert not any(np.shares_memory(a, buf) for a in arrays for buf in SCRATCH.buffers.values())

@@ -24,7 +24,7 @@ from remoments import FAMILIES, DensityMatrix, StateValidationError, validate
 from remoments import cli
 from remoments.cli import _parse_grid, sweep_rows, write_sweep_csv
 from remoments.criteria import CRITERIA, evaluate, spectrum
-from remoments.linalg import Scratch
+from remoments.linalg import SCRATCH, Scratch
 from remoments.realign import RealignSpec, enumerate_splits
 from remoments.states import RHO_D_MAX, RHO_D_MIN, family_stack, validate_stack
 from test_cli import run_cli
@@ -575,7 +575,7 @@ def test_sweep_chunk_boundaries(monkeypatch, chunk):
 
 
 class TestFamilyScratch:
-    """Family stacks of the CLI take their temporaries from one Scratch per thread, kept between commands."""
+    """Family stacks of the CLI take their temporaries from the thread's scratch, kept between commands."""
 
     SWEEPS = [("noisy_ghz4", "0:1:0.01", "v3", {"v": 0.01, "split": "1|2"}),
               ("rho_pq", "0:0.5:0.005", "v1", {"a": 0.2}),
@@ -590,19 +590,17 @@ class TestFamilyScratch:
         return fh.getvalue()
 
     def test_one_thread_reuses_its_buffers(self):
-        """A second sweep allocates no buffer; each holds at most SWEEP_CHUNK * D^2 entries, and
-        criteria.evaluate called without a scratch leaves them alone."""
+        """A second sweep and a threshold solve allocate no buffer; each holds at most SWEEP_CHUNK * D^2 entries."""
+        SCRATCH.buffers.clear()
         self.sweep(*self.SWEEPS[0])
-        buffers = dict(cli._thread.scratch.buffers)
+        buffers = dict(SCRATCH.buffers)
         assert set(buffers) == {"moved", "conj", "sym", "abs"}
         assert all(buf.size <= cli.SWEEP_CHUNK * 16 ** 2 for buf in buffers.values())
         self.sweep(*self.SWEEPS[0])
         assert run_cli("threshold", "--family", "noisy_ghz4", "--bracket", "0:1", "--criterion", "v3",
                        "--v", "0.01", "--split", "1|2")[0] == 0
-        dims, stack = family_stack("noisy_ghz4", np.linspace(0.0, 1.0, 4 * cli.SWEEP_CHUNK))
-        cli.evaluate(stack, dims, "v3", 0.01, cli.RealignSpec.parse("1|2"))
-        assert cli._thread.scratch.buffers.keys() == buffers.keys()
-        assert all(cli._thread.scratch.buffers[name] is buf for name, buf in buffers.items())
+        assert SCRATCH.buffers.keys() == buffers.keys()
+        assert all(SCRATCH.buffers[name] is buf for name, buf in buffers.items())
 
     def test_float_and_complex_takes_share_one_buffer(self):
         """A float take spans half the complex entries; once a complex take of the shape has grown
@@ -618,41 +616,32 @@ class TestFamilyScratch:
         assert (real.dtype, cplx.dtype) == (np.float64, np.complex128)
         assert real.flags.c_contiguous and np.shares_memory(real, cplx)
 
-    def test_real_validation_and_complex_spectrum_share_buffers(self):
-        """Validating float64 family stacks and taking their complex spectra through one Scratch
-        allocates only in the first chunk."""
-        allocations = []
-
-        class CountingScratch(Scratch):
-            def take(self, name, shape, dtype=complex):
-                before = self.buffers.get(name)
-                out = super().take(name, shape, dtype)
-                if self.buffers[name] is not before:
-                    allocations.append((chunk, name))
-                return out
-
-        scratch = CountingScratch()
-        for chunk in range(3):
-            dims, stack = family_stack("noisy_ghz4", np.linspace(0.0, 1.0, cli.SWEEP_CHUNK), scratch)
-            spectrum(stack, dims, RealignSpec.parse("1|2"), ("realign",), scratch)
-        assert {name for _, name in allocations} == {"abs", "conj", "moved", "sym"}
-        assert all(chunk == 0 for chunk, _ in allocations)
+    def test_real_validation_and_complex_spectrum_share_buffers(self, allocations):
+        """Validating float64 family stacks and taking their complex spectra through the thread's
+        scratch allocates only in the first chunk."""
+        label, made = allocations
+        for label[0] in range(3):
+            dims, stack = family_stack("noisy_ghz4", np.linspace(0.0, 1.0, cli.SWEEP_CHUNK))
+            spectrum(stack, dims, RealignSpec.parse("1|2"), ("realign",))
+        assert {name for _, name in made} == {"abs", "conj", "moved", "sym"}
+        assert all(chunk == 0 for chunk, _ in made)
 
     def test_threads_get_distinct_buffers(self):
         self.sweep(*self.SWEEPS[0])
-        mine = cli._thread.scratch
+        mine = dict(SCRATCH.buffers)
         theirs = []
 
         def run():
             self.sweep(*self.SWEEPS[0])
-            theirs.append(cli._thread.scratch)
+            theirs.append(dict(SCRATCH.buffers))
 
         thread = threading.Thread(target=run)
         thread.start()
         thread.join(timeout=60)
         assert not thread.is_alive() and len(theirs) == 1
-        assert theirs[0] is not mine
-        assert not any(np.shares_memory(a, b) for a in mine.buffers.values() for b in theirs[0].buffers.values())
+        assert theirs[0].keys() == mine.keys()
+        assert not any(np.shares_memory(a, b) for a in mine.values() for b in theirs[0].values())
+        assert all(SCRATCH.buffers[name] is buf for name, buf in mine.items())
 
     def test_concurrent_sweeps_give_the_serial_rows(self):
         """Eight threads, two per sweep, switching every microsecond, each write the serial CSV."""
