@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import re
@@ -361,16 +362,26 @@ def _mid(lo: float, hi: float) -> float:
     return 0.5 * total if math.isfinite(total) else 0.5 * lo + 0.5 * hi
 
 
-def _midpoint_tree(lo: float, hi: float, depth: int = _TREE_DEPTH) -> list[float]:
-    """Every midpoint the bisection can visit in its next `depth` steps from [lo, hi].
-
-    Built with the loop's own `_mid` and width test, so each one equals,
-    bit for bit, the `mid` the loop computes when it gets there.
+def _walk(lo: float, hi: float, right, steps: float) -> tuple[list[float], tuple[float, float]]:
+    """The midpoints of up to `steps` bisection steps from [lo, hi], and the bracket left: each step
+    moves lo to `_mid(lo, hi)` where `right(lo, hi, mid)`, hi otherwise.  The walk stops when the
+    bracket is no wider than BISECTION_TOL or the midpoint is not strictly inside (adjacent floats).
     """
-    if not depth or not hi - lo > BISECTION_TOL:
-        return []
-    mid = _mid(lo, hi)
-    return [mid, *_midpoint_tree(lo, mid, depth - 1), *_midpoint_tree(mid, hi, depth - 1)]
+    mids: list[float] = []
+    while len(mids) < steps and hi - lo > BISECTION_TOL and lo < (mid := _mid(lo, hi)) < hi:
+        mids.append(mid)
+        lo, hi = (mid, hi) if right(lo, hi, mid) else (lo, mid)
+    return mids, (lo, hi)
+
+
+def _midpoint_tree(lo: float, hi: float) -> list[float]:
+    """Every midpoint the bisection can visit in its next _TREE_DEPTH steps from [lo, hi], in preorder:
+    the walks that turn every way at their first _TREE_DEPTH - 1 steps, left first, each midpoint once."""
+    tree: dict[float, None] = {}
+    for turns in itertools.product((False, True), repeat=_TREE_DEPTH - 1):
+        turn = iter(turns)
+        tree.update(dict.fromkeys(_walk(lo, hi, lambda *_: next(turn, False), _TREE_DEPTH)[0]))
+    return list(tree)
 
 
 def _predicted_path(lo: float, hi: float, table: dict[float, float]) -> list[float]:
@@ -381,8 +392,7 @@ def _predicted_path(lo: float, hi: float, table: dict[float, float]) -> list[flo
     steps, each clamped to [lo, hi], from the regula-falsi point of (lo, f_lo) and (hi, f_hi), or from
     the midpoint where that is undefined or off the bracket; with fewer than two points, or a NaN step,
     the path aims at that start.  A path shorter than SWEEP_CHUNK ends with the far child of its
-    second-to-last midpoint, where the loop goes if it turns the other way there.  Built with the
-    loop's own `_mid` and stop rules, so each midpoint equals, bit for bit, the `mid` the loop computes there.
+    second-to-last midpoint, where the bisection goes if it turns the other way there.
     """
     f_lo, f_hi, centre = table[lo], table[hi], _mid(lo, hi)
     start = lo - f_lo * (hi - lo) / (f_hi - f_lo) if f_hi != f_lo else math.nan
@@ -404,22 +414,10 @@ def _predicted_path(lo: float, hi: float, table: dict[float, float]) -> list[flo
         guess = min(max(guess - p / dp, lo), hi)  # NaN stays NaN
     if not lo <= guess <= hi:
         guess = start
-    path: list[float] = []
-    left: list[tuple[float, float]] = []  # the half each step leaves
-    while hi - lo > BISECTION_TOL and len(path) < SWEEP_CHUNK:
-        mid = _mid(lo, hi)
-        if not lo < mid < hi:
-            break
-        path.append(mid)
-        if mid < guess:
-            lo, other = mid, (lo, mid)
-        else:
-            hi, other = mid, (mid, hi)
-        left.append(other)
-    if 2 <= len(path) < SWEEP_CHUNK:
-        lo, hi = left[-2]
-        if hi - lo > BISECTION_TOL and lo < _mid(lo, hi) < hi:
-            path.append(_mid(lo, hi))
+    path, _ = _walk(lo, hi, lambda lo, hi, mid: mid < guess, SWEEP_CHUNK)
+    if 2 <= len(path) < SWEEP_CHUNK:  # the same walk turned the other way at path[-2]
+        far, _ = _walk(lo, hi, lambda lo, hi, mid: (mid < guess) != (mid == path[-2]), len(path))
+        path += far[len(path) - 1:]
     return path
 
 
@@ -465,17 +463,13 @@ def cmd_threshold(args: argparse.Namespace) -> int:
             f"bracket [{_fmt(lo)}, {_fmt(hi)}] does not straddle the threshold "
             f"(offsets {_fmt(f_lo)} and {_fmt(f_hi)})"
         )
-    while hi - lo > BISECTION_TOL:
-        mid = _mid(lo, hi)
-        if not lo < mid < hi:
-            break  # adjacent floats wider than the tolerance: mid is lo or hi
+
+    def right(lo: float, hi: float, mid: float) -> bool:
         if mid not in table:
             prefetch(_predicted_path(lo, hi, table))
-        f_mid = offset(mid)
-        if (f_mid < 0.0) == (f_lo < 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
+        return (offset(mid) < 0.0) == (f_lo < 0.0)  # lo only moves to LO's sign, so f_lo keeps it
+
+    _, (lo, hi) = _walk(lo, hi, right, math.inf)
     print(_fmt(_mid(lo, hi)))
     return EXIT_OK
 
@@ -524,6 +518,11 @@ class AuditConfig:
                         row.check_weight(w)
                     except ValueError as exc:
                         raise UsageError(f"{exc} (criterion {criterion})") from exc
+        for criterion, row in zip(self.criteria, rows):
+            try:
+                row.check_parties(criterion, len(self.dims))
+            except ValueError as exc:
+                raise UsageError(str(exc)) from exc
 
 
 @dataclass
@@ -582,7 +581,7 @@ def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
         if row.reads == "party":
             # For two parties, party 2 reads party 1's spectrum: rho^T2 = (rho^T1)^T, bit for bit.
             plan += [(AuditEntry(criterion, float(p), None), 1 if n == 2 else p) for p in range(1, n + 1)]
-        elif row.reads == "split" or n == 2:  # v1: the 1|2 realignment, a two-party state's one split
+        else:  # v1 reads the 1|2 realignment, a two-party state's one split
             plan += [(AuditEntry(criterion, w, str(sp)), sp)
                      for sp in enumerate_splits(n) for w in (params if row.flag else (None,))]
 

@@ -260,6 +260,11 @@ class _Row(NamedTuple):
         if weight * weight == math.inf:
             raise ValueError(f"weight {weight!r} is too large: its square overflows")
 
+    def check_parties(self, criterion: str, parties: int) -> None:
+        """Raise ValueError where the row reads the 1|2 realignment (v1) of a state without two parties."""
+        if self.reads == "pair" and parties != 2:
+            raise ValueError(f"criterion {criterion} requires a two-party state (use v2 with --split instead)")
+
 
 # v1 and v2 share one formula and differ only in which realignment the
 # moments come from; v3 holds for every weight >= 0, with no gate.
@@ -340,11 +345,8 @@ def evaluate(
         raise ValueError(f"criterion {criterion} requires --split")
     if row.flag and weight is None:
         raise ValueError(f"criterion {criterion} requires --{row.flag}")
+    row.check_parties(criterion, len(dims))
     if row.reads == "pair":
-        if len(dims) != 2:
-            raise ValueError(
-                f"criterion {criterion} requires a two-party state (use v2 with --split instead)"
-            )
         spec = RealignSpec((1,), (2,))
     if row.flag:
         weight = float(weight)

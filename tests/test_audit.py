@@ -1,4 +1,5 @@
 """The stacked audit engine against a per-state loop over the scalar verdicts."""
+import itertools
 import json
 import math
 import sys
@@ -29,6 +30,12 @@ ALL_CRITERIA = ("v1", "v2", "v3", "realign", "ppt")
 AUDIT_DIMS = [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 2, 2), (4, 4), (3, 2, 2)]
 PARTIES = "dims needs at least two parties of dimension >= 2"
 COUNTS = "--num-states and --num-terms must be >= 1"
+TWO_PARTY = "criterion v1 requires a two-party state (use v2 with --split instead)"
+
+
+def two_party_criteria(dims, criteria=ALL_CRITERIA):
+    """`criteria` without v1 where `dims` has more than two parties: v1 reads a two-party state alone."""
+    return tuple(c for c in criteria if c != "v1" or len(dims) == 2)
 
 
 @pytest.mark.parametrize(
@@ -51,6 +58,9 @@ COUNTS = "--num-states and --num-terms must be >= 1"
         ((), (0.5,), "--criteria requires at least one criterion", {}),
         (("realign", "v3"), (), "criterion v3 requires a weight in --params", {}),
         (("v1",), (), "criterion v1 requires a weight in --params", {"dims": (2, 2, 2)}),
+        # v1 reads the 1|2 realignment, which only a two-party state has; checked last.
+        (("v1",), (0.5,), TWO_PARTY, {"dims": (2, 2, 2)}),
+        (("v1", "realign"), (0.5,), TWO_PARTY, {"dims": (2, 2, 2)}),
     ],
 )
 def test_run_audit_checks_its_config_before_sampling(monkeypatch, criteria, params, message, settings):
@@ -74,7 +84,7 @@ def reference_audit(cfg):
         dm = sample_separable(cfg.dims, cfg.num_terms, seed)
         cells = []
         for c in cfg.criteria:
-            if c == "v1" and n == 2:
+            if c == "v1":
                 cells += [((c, a, "1|2"), verdict_v1(dm, a)) for a in cfg.params]
             elif c == "v2":
                 cells += [((c, u, str(s)), verdict_v2(dm, s, u)) for s in splits for u in cfg.params]
@@ -114,7 +124,7 @@ def assert_same_report(got, want):
 def test_matches_scalar_loop(dims, num_terms, seed):
     cfg = AuditConfig(
         dims=dims, num_states=6 if len(dims) == 4 else 12, num_terms=num_terms, seed=seed,
-        criteria=ALL_CRITERIA, params=(0.01, 0.5, 1.0, 5.0, 30.0),
+        criteria=two_party_criteria(dims), params=(0.01, 0.5, 1.0, 5.0, 30.0),
     )
     assert_same_report(run_audit(cfg), reference_audit(cfg))
 
@@ -133,7 +143,7 @@ def test_chunk_boundaries(monkeypatch):
     """Stacks split across several chunks tally exactly like one stack."""
     cfg = AuditConfig(
         dims=(2, 2, 2), num_states=11, num_terms=2, seed=5,
-        criteria=ALL_CRITERIA, params=(0.5, 5.0),
+        criteria=two_party_criteria((2, 2, 2)), params=(0.5, 5.0),
     )
     whole = run_audit(cfg)
     monkeypatch.setattr(cli, "AUDIT_CHUNK", 4)
@@ -201,7 +211,7 @@ def test_scratch_allocates_only_in_the_first_chunk(monkeypatch, allocations, dim
 
     monkeypatch.setattr(cli, "separable_stack", counting_stack)
     monkeypatch.setattr(cli, "AUDIT_CHUNK", 4)
-    cfg = AuditConfig(dims=dims, num_states=12, num_terms=2, criteria=ALL_CRITERIA, params=(0.5, 5.0))
+    cfg = AuditConfig(dims=dims, num_states=12, num_terms=2, criteria=two_party_criteria(dims), params=(0.5, 5.0))
     report = run_audit(cfg)
     assert len(chunks) == 3
     assert {name for _, name in made} == {"moved", "conj", "sym", "abs"}
@@ -212,7 +222,7 @@ def test_scratch_allocates_only_in_the_first_chunk(monkeypatch, allocations, dim
 def test_second_audit_allocates_no_buffer(allocations):
     """The thread keeps its buffers from one audit run to the next of the same shape."""
     _, made = allocations
-    cfg = AuditConfig(dims=(2, 2, 2, 2), num_states=40, criteria=ALL_CRITERIA)
+    cfg = AuditConfig(dims=(2, 2, 2, 2), num_states=40, criteria=two_party_criteria((2, 2, 2, 2)))
     first = run_audit(cfg)
     assert made
     made.clear()
@@ -222,7 +232,7 @@ def test_second_audit_allocates_no_buffer(allocations):
 
 def test_concurrent_audits_give_the_serial_reports():
     """Four threads, two per audit, switching every microsecond, each report what a serial run reports."""
-    configs = [AuditConfig(dims=(2, 2, 2, 2), num_states=24, criteria=ALL_CRITERIA),
+    configs = [AuditConfig(dims=(2, 2, 2, 2), num_states=24, criteria=two_party_criteria((2, 2, 2, 2))),
                AuditConfig(dims=(3, 3), num_states=40, num_terms=4, criteria=ALL_CRITERIA, seed=5)]
     want = [run_audit(cfg) for cfg in configs]
     got = [None] * 4
@@ -332,16 +342,19 @@ def test_two_party_ppt_output_equals_per_party_eigensolves(tmp_path, dims, num_t
 def test_repeated_criteria_and_weights_count_once(tmp_path, repeated, once, dims):
     """Entries equal those of the list without repeats; the config keeps the lists as given."""
     base = ("audit", "--dims", dims, "--num-states", "10", "--num-terms", "2")
+    argvs = [dict(zip(argv[::2], argv[1::2])) for argv in (repeated, once)]
+    for flags in argvs:
+        flags["--criteria"] = ",".join(two_party_criteria(dims.split(","), flags["--criteria"].split(",")))
     reports = []
-    for name, flags in (("repeated", repeated), ("once", once)):
-        code, out, err = run_cli(*base, *flags, "--out", str(tmp_path / f"{name}.json"))
+    for name, flags in zip(("repeated", "once"), argvs):
+        code, out, err = run_cli(*base, *itertools.chain(*flags.items()), "--out", str(tmp_path / f"{name}.json"))
         assert (code, err) == (0, "")
         reports.append((out, json.loads((tmp_path / f"{name}.json").read_text())))
     (out_repeated, got), (out_once, want) = reports
     assert got["entries"] == want["entries"]
     assert all(e["evaluated"] <= 10 for e in got["entries"])
     assert out_repeated.splitlines()[1:] == out_once.splitlines()[1:]
-    flags = dict(zip(repeated[::2], repeated[1::2]))
+    flags = argvs[0]
     assert got["config"]["criteria"] == flags["--criteria"].split(",")
     if "--params" in flags:
         assert got["config"]["params"] == [float(x) for x in flags["--params"].split(",")]

@@ -196,6 +196,8 @@ class TestExitCodes:
             ("audit", "--dims", "2,2", "--criteria", "v3", "--params", ""),  # nothing evaluated
             ("audit", "--dims", "2,2", "--criteria", "v3,realign", "--params", ""),  # v3 was dropped
             ("audit", "--dims", "2,2", "--criteria", ","),
+            ("audit", "--dims", "2,2,2", "--criteria", "v1", "--params", "0.5"),  # v1 needs two parties
+            ("audit", "--dims", "2,2,2", "--criteria", "v1,realign", "--params", "0.5"),  # v1 was dropped
         ],
     )
     def test_usage_errors_exit_2(self, args):

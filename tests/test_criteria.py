@@ -39,7 +39,7 @@ from remoments import cli, criteria
 from remoments.cli import AuditConfig, run_audit
 from remoments.criteria import CRITERIA, admissible_bounds, evaluate, spectrum
 from remoments.states import separable_stack
-from test_audit import AUDIT_DIMS
+from test_audit import AUDIT_DIMS, two_party_criteria
 from test_cli import run_cli
 
 Q0 = (math.sqrt(2) - 1) / 2
@@ -580,7 +580,7 @@ class TestMomentRowsSkipEigensolve:
 
     @pytest.mark.parametrize("dims", [(2, 3), (2, 2, 2)])
     def test_audit_moment_rows(self, solves, dims):
-        run_audit(AuditConfig(dims=dims, num_states=20, criteria=("v1", "v2", "v3")))
+        run_audit(AuditConfig(dims=dims, num_states=20, criteria=two_party_criteria(dims, ("v1", "v2", "v3"))))
         assert solves["solves"] == 0
 
     @pytest.mark.parametrize("names,per_chunk", [(("v3", "realign"), 6), (("v3", "ppt"), 3)])

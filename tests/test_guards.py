@@ -1,19 +1,22 @@
 """Names and examples that other files rely on, checked where tier-1 sees them.
 
 The benchmark tracer looks every name of `bench/tracing.py`'s TRACED up
-with `getattr`, `from remoments import *` reads `__all__`, and README's
-Quick start promises printed values in its comments; a rename or a
-changed number otherwise shows up only in the traced benchmark run, an
-import error or a reader's terminal.
+with `getattr`, `from remoments import *` reads `__all__`, README's
+Quick start promises printed values in its comments, and its command
+examples promise exit 0; a rename or a changed number otherwise shows up
+only in the traced benchmark run, an import error or a reader's terminal.
 """
 import contextlib
 import importlib
 import importlib.util
 import io
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from test_cli import run_cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -65,3 +68,14 @@ def test_readme_examples_print_what_their_comments_say():
     assert len(printed) == len(expected)
     for want, got in zip(expected, printed):
         assert got.startswith(want), (want, got)
+
+
+def test_readme_commands_exit_0():
+    """README's ```sh block after "Examples:", read as CI's installed-script step reads it: at least
+    4 lines, each a `remoments` command; each one, run in-process, exits 0."""
+    text = (ROOT / "README.md").read_text()
+    lines = re.search(r"^Examples:\n.*?^```sh\n(.*?)^```", text, flags=re.S | re.M).group(1).splitlines()
+    assert len(lines) >= 4
+    assert all(line.startswith("remoments ") for line in lines), lines
+    for line in lines:
+        assert run_cli(*shlex.split(line)[1:])[0] == 0, line

@@ -359,6 +359,11 @@ THRESHOLD_GOLDEN = [
       "--split", "12|34"), 0, "0.643637180328\n", ""),
     (("--family", "noisy_ghz4", "--bracket", "0:1", "--criterion", "v3", "--v", "0.01",
       "--split", "1|234"), 0, "0.643915653229\n", ""),
+    # The roots CI pins for the installed console script on the last two splits.
+    (("--family", "noisy_ghz4", "--bracket", "0:1", "--criterion", "v3", "--v", "0.01",
+      "--split", "12|3"), 0, "0.643041133881\n", ""),
+    (("--family", "noisy_ghz4", "--bracket", "0:1", "--criterion", "v3", "--v", "0.01",
+      "--split", "1|23"), 0, "0.643041133881\n", ""),
 ]
 
 
@@ -558,6 +563,40 @@ def test_threshold_budget_on_benchmark_draws():
         rounds, points = rounds + len(sizes), points + sum(sizes)
     assert rounds <= 83
     assert points <= 1120
+
+
+def _ulps_above(x, k):
+    for _ in range(k):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+def _benchmark_draws():
+    """The 40 solves of test_threshold_budget_on_benchmark_draws."""
+    rng = np.random.default_rng(20261019)
+    for _ in range(40):
+        v = float(f"{rng.uniform(0.0, 10.0):.6f}")
+        yield ("noisy_ghz4", 0.0, 1.0, "v3", {"v": v, "split": SPLITS[rng.integers(len(SPLITS))]})
+
+
+@pytest.mark.parametrize("case", [
+    # Adjacent floats above 3e10 are wider than the tolerance: midpoints that round to an end.
+    *[("rho_eps", 3e10, _ulps_above(3e10, k), "realign", {"split": "1|2"}) for k in (1, 2, 3)],
+    *_benchmark_draws(),
+])
+def test_solve_builds_each_state_parameter_once(case):
+    """No point is built twice: not within the first stack, and not in a later round."""
+    points = []
+    family_stack = cli._family_stack
+
+    def recording(family, xs):
+        points.extend(xs)
+        return family_stack(family, xs)
+
+    with mock.patch.object(cli, "_family_stack", recording):
+        got = run_cli("threshold", *threshold_argv(*case))
+    assert got == reference_threshold(*case)
+    assert len(points) == len(set(points))
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 7])
