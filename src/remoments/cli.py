@@ -12,7 +12,6 @@ bad flags, 3 state validation failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import itertools
 import json
@@ -45,6 +44,7 @@ from .states import (
     FAMILIES,
     DensityMatrix,
     StateValidationError,
+    family_dims,
     family_stack,
     load_state,
     separable_stack,
@@ -68,11 +68,14 @@ _NEWTON_STEPS = 12  # on that polynomial
 # With more than D terms per sample the chunk shrinks by num_terms / D, so
 # the sampler's (chunk, num_terms, D) kets keep that bound too.
 AUDIT_CHUNK = 256
-# Sweep points, and threshold round points, built, validated and evaluated
-# together: one spectrum per stack, so wider stacks save little time but
-# hold more stack-sized temporaries (256-point stacks raised the peak RSS
-# of the four figure-data sweeps by 2.3 MB; 32-point stacks by 0.6 MB).
-SWEEP_CHUNK = 32
+# Matrix entries of a stack of sweep points, or of threshold round points, built,
+# validated and evaluated together: floor(STACK_ENTRIES / D^2) points of a D x D
+# family (_stack_points).  A stack costs a fixed time besides its entries, so fewer,
+# wider stacks are faster; but every stack-sized temporary grows with its entries
+# (256-point 16 x 16 stacks raised the peak RSS of the four figure-data sweeps by
+# 2.3 MB, 32-point ones by 0.6 MB).  So the budget is 32 points of the 16 x 16
+# families, and the 9 x 9 and 8 x 8 families take 101 and 128 points in the same bytes.
+STACK_ENTRIES = 32 * 16 * 16
 
 # A sweep grid with more points than this is rejected before any is built.
 MAX_GRID_POINTS = 100_000
@@ -128,6 +131,10 @@ def _build_state(args: argparse.Namespace) -> DensityMatrix:
     return DensityMatrix(dims=dims, matrix=matrices[0])
 
 
+def _unknown_family(family: str) -> UsageError:
+    return UsageError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
+
+
 def _family_stack(family: str, xs: list[float]) -> tuple[tuple[int, ...], np.ndarray]:
     """:func:`family_stack`, all or nothing, with CLI errors.
 
@@ -137,9 +144,18 @@ def _family_stack(family: str, xs: list[float]) -> tuple[tuple[int, ...], np.nda
     try:
         return family_stack(family, xs)
     except KeyError:
-        raise UsageError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}") from None
+        raise _unknown_family(family) from None
     except ValueError as exc:
         raise ValidationFailure(str(exc)) from exc
+
+
+def _stack_points(family: str) -> int:
+    """The most points of `family` one stack holds: STACK_ENTRIES // D^2; UsageError for an unknown family."""
+    try:
+        d = math.prod(family_dims(family))
+    except KeyError:
+        raise _unknown_family(family) from None
+    return STACK_ENTRIES // (d * d)
 
 
 def evaluate_stack(
@@ -321,13 +337,14 @@ def _sweep_rows(xs: list[float], ev: Evaluation) -> list[SweepRow]:
 def sweep_rows(family: str, grid: list[float], criterion: str, **flags: float | str | None) -> list[SweepRow]:
     """Evaluate one criterion, with :func:`evaluate_stack`'s flags, across a family grid, ascending order.
 
-    Up to SWEEP_CHUNK grid points are built, validated and evaluated as one
-    stack.  A chunk that fails is redone point by point, so the error raised
-    is the one the point-by-point loop raises first.
+    Up to :func:`_stack_points` grid points are built, validated and evaluated
+    as one stack.  A chunk that fails is redone point by point, so the error
+    raised is the one the point-by-point loop raises first.
     """
+    size = _stack_points(family)
     rows = []
-    for start in range(0, len(grid), SWEEP_CHUNK):
-        chunk = grid[start:start + SWEEP_CHUNK]
+    for start in range(0, len(grid), size):
+        chunk = grid[start:start + size]
         try:
             rows += _sweep_rows(chunk, _family_evaluation(family, chunk, criterion, **flags))
         except (UsageError, ValidationFailure):
@@ -337,13 +354,15 @@ def sweep_rows(family: str, grid: list[float], criterion: str, **flags: float | 
 
 
 def write_sweep_csv(fh, rows: list[SweepRow]) -> None:
-    """Fixed header, 12-significant-digit numbers, one row per grid point."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(SWEEP_HEADER)
-    writer.writerows(
-        (_fmt(r.state_param), r.criterion, _fmt(r.criterion_param), _fmt(r.statistic),
-         _fmt(r.admissible_low), _fmt(r.admissible_high), r.outcome) for r in rows
-    )
+    """Fixed header, 12-significant-digit numbers, one row per grid point.
+
+    No field needs CSV quoting: numbers, criterion names and outcomes hold no comma, quote or newline.
+    """
+    fh.write("".join([
+        ",".join(SWEEP_HEADER) + "\n",
+        *(f"{_fmt(r.state_param)},{r.criterion},{_fmt(r.criterion_param)},{_fmt(r.statistic)},"
+          f"{_fmt(r.admissible_low)},{_fmt(r.admissible_high)},{r.outcome}\n" for r in rows),
+    ]))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -384,14 +403,14 @@ def _midpoint_tree(lo: float, hi: float) -> list[float]:
     return list(tree)
 
 
-def _predicted_path(lo: float, hi: float, table: dict[float, float]) -> list[float]:
-    """Up to SWEEP_CHUNK midpoints the bisection visits from [lo, hi] if it crosses where predicted.
+def _predicted_path(lo: float, hi: float, table: dict[float, float], size: int) -> list[float]:
+    """Up to `size` midpoints the bisection visits from [lo, hi] if it crosses where predicted.
 
     The prediction is a root of the polynomial, in Newton's divided-difference form, through the
     _PREDICTOR_POINTS finite offsets of `table` nearest the bracket's midpoint: _NEWTON_STEPS Newton
     steps, each clamped to [lo, hi], from the regula-falsi point of (lo, f_lo) and (hi, f_hi), or from
     the midpoint where that is undefined or off the bracket; with fewer than two points, or a NaN step,
-    the path aims at that start.  A path shorter than SWEEP_CHUNK ends with the far child of its
+    the path aims at that start.  A path shorter than `size` ends with the far child of its
     second-to-last midpoint, where the bisection goes if it turns the other way there.
     """
     f_lo, f_hi, centre = table[lo], table[hi], _mid(lo, hi)
@@ -414,8 +433,8 @@ def _predicted_path(lo: float, hi: float, table: dict[float, float]) -> list[flo
         guess = min(max(guess - p / dp, lo), hi)  # NaN stays NaN
     if not lo <= guess <= hi:
         guess = start
-    path, _ = _walk(lo, hi, lambda lo, hi, mid: mid < guess, SWEEP_CHUNK)
-    if 2 <= len(path) < SWEEP_CHUNK:  # the same walk turned the other way at path[-2]
+    path, _ = _walk(lo, hi, lambda lo, hi, mid: mid < guess, size)
+    if 2 <= len(path) < size:  # the same walk turned the other way at path[-2]
         far, _ = _walk(lo, hi, lambda lo, hi, mid: (mid < guess) != (mid == path[-2]), len(path))
         path += far[len(path) - 1:]
     return path
@@ -426,6 +445,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     if hi <= lo:
         raise UsageError("bracket requires HI > LO")
     flags = _criterion_flags(args)
+    size = _stack_points(args.family)
     # State parameter -> offset from the threshold; NaN where the statistic is undefined.
     table: dict[float, float] = {}
 
@@ -466,7 +486,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 
     def right(lo: float, hi: float, mid: float) -> bool:
         if mid not in table:
-            prefetch(_predicted_path(lo, hi, table))
+            prefetch(_predicted_path(lo, hi, table, size))
         return (offset(mid) < 0.0) == (f_lo < 0.0)  # lo only moves to LO's sign, so f_lo keeps it
 
     _, (lo, hi) = _walk(lo, hi, right, math.inf)

@@ -263,13 +263,21 @@ def ghz_w(q: float) -> DensityMatrix:
     return _family_member("ghz_w", q)
 
 
+def _uniform_projector(d: int, support: list[int]) -> np.ndarray:
+    """|psi><psi| of the equal-weight superposition of the basis kets `support` in dimension d."""
+    psi = np.zeros(d)
+    psi[support] = 1.0 / math.sqrt(len(support))
+    return np.outer(psi, psi)
+
+
+# The constant terms of ghz_w (GHZ and W projectors) and noisy_ghz4 (identity and GHZ projector).
+_GHZ_W_GHZ, _GHZ_W_W = _uniform_projector(8, [0, 7]), _uniform_projector(8, [1, 2, 4])
+_NOISY_GHZ4_EYE, _NOISY_GHZ4_GHZ = np.eye(16), _uniform_projector(16, [0, 15])
+
+
 def _ghz_w_stack(q: np.ndarray) -> np.ndarray:
-    ghz = np.zeros(8)
-    ghz[0] = ghz[7] = 1.0 / math.sqrt(2.0)
-    w = np.zeros(8)
-    w[1] = w[2] = w[4] = 1.0 / math.sqrt(3.0)
     q = q[:, None, None]
-    return q * np.outer(ghz, ghz) + (1.0 - q) * np.outer(w, w)
+    return q * _GHZ_W_GHZ + (1.0 - q) * _GHZ_W_W
 
 
 def noisy_ghz4(x: float) -> DensityMatrix:
@@ -278,10 +286,8 @@ def noisy_ghz4(x: float) -> DensityMatrix:
 
 
 def _noisy_ghz4_stack(x: np.ndarray) -> np.ndarray:
-    psi = np.zeros(16)
-    psi[0] = psi[15] = 1.0 / math.sqrt(2.0)
     x = x[:, None, None]
-    return (1.0 - x) / 16.0 * np.eye(16) + x * np.outer(psi, psi)
+    return (1.0 - x) / 16.0 * _NOISY_GHZ4_EYE + x * _NOISY_GHZ4_GHZ
 
 
 # name -> (dims, outside(x): parameter off the domain, its error message,
@@ -307,6 +313,11 @@ _FAMILY_SPECS = {
         _noisy_ghz4_stack,
     ),
 }
+
+
+def family_dims(name: str) -> tuple[int, ...]:
+    """The factor dims of family `name`; KeyError for an unknown name."""
+    return _FAMILY_SPECS[name][0]
 
 
 def family_stack(name: str, params: Sequence[float]) -> tuple[tuple[int, ...], np.ndarray]:

@@ -16,11 +16,18 @@ itself; these compare it with formulas derived by hand.
   That is at most 1, and exactly 1 where fA = fB: such states sit on the threshold.
 - noisy_ghz4 crosses realign on 12|34 at x = 3/7 and ppt on party 1 at
   x = 1/9.
+- v1 at weight a against c(a, T1) = sqrt(max(1, (2 + 4/a) T1 - 1)): v1(a) > c(a, T1)
+  exactly when v3(0) > 1, and v1(a) <= c(a, T1) <= tau(a) = sqrt(1 + 4/a) on every
+  state with a realigned trace norm of at most 1, separable ones included (README,
+  "Which weight to use").
 """
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from remoments.cli import BISECTION_TOL
+from remoments.cli import BISECTION_TOL, AuditConfig, run_audit
 from remoments.criteria import entangled, evaluate
 from remoments.realign import RealignSpec
 from remoments.states import validate_stack
@@ -106,3 +113,55 @@ def test_noisy_ghz4_threshold(flags, root):
     code, out, err = run_cli("threshold", "--family", "noisy_ghz4", "--bracket", "0:1", *flags)
     assert (code, err) == (0, "")
     assert abs(float(out) - root) <= BISECTION_TOL
+
+
+def random_states(dims, rank, seed, n=8):
+    """n random states of `rank` on `dims`: G G^dag over its trace, G a complex Ginibre D x rank matrix."""
+    rng = np.random.default_rng(seed)
+    d = math.prod(dims)
+    g = rng.standard_normal((n, d, rank)) + 1j * rng.standard_normal((n, d, rank))
+    m = g @ g.conj().swapaxes(-1, -2)
+    return validate_stack(m / np.trace(m, axis1=1, axis2=2).real[:, None, None])
+
+
+@st.composite
+def weighted_states(draw):
+    dims = draw(st.sampled_from([(2, 2), (3, 3), (2, 4)]))
+    rank = draw(st.integers(1, math.prod(dims)))
+    return dims, rank, draw(st.integers(0, 2**32)), 10.0 ** draw(st.floats(-1.3, 3.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(weighted_states())
+@example(((2, 2), 1, 0, 2.0))  # rank 1: mostly entangled, v1 above its sound bound
+@example(((3, 3), 9, 0, 0.05))  # full rank: mostly separable
+def test_v1_above_its_sound_bound_exactly_when_v3_at_zero_is_above_one(case):
+    """v1(a) > c(a, T1) and v3(0) > 1 both have the sign of e2 - (1 - T1)^2/4, e2 = (T1^2 - T2)/2;
+    an inadmissible weight (NaN v1) has v3(0) < 1.  States within 1e-9 of either threshold are left out."""
+    dims, rank, seed, a = case
+    stack = random_states(dims, rank, seed)
+    ev = evaluate(stack, dims, "v1", a)
+    v30 = evaluate(stack, dims, "v3", 0.0, S12).statistic
+    bound = np.sqrt(np.maximum(1.0, (2.0 + 4.0 / a) * ev.t1 - 1.0))
+    clear = (np.abs(v30 - 1.0) > 1e-9) & ~(np.abs(ev.statistic - bound) <= 1e-9)
+    admitted = ~np.isnan(ev.statistic)
+    assert ((ev.statistic > bound) == (v30 > 1.0))[clear & admitted].all()
+    assert (v30 < 1.0)[clear & ~admitted].all()
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 4)])
+@pytest.mark.parametrize("num_terms", [1, 2, 3])
+def test_separable_v1_v2_stay_below_tau(dims, num_terms):
+    """On separable samples v1 and v2 reach at most tau(a) = sqrt(1 + 4/a), to 1e-12 relative for a <= 100.
+
+    Pure products (num_terms 1) reach it, up to float noise in T1^2 - T2 that grows as a does:
+    the worst v1/tau(a) - 1 was 1-3e-14 at a = 100, 1-3e-12 at a = 1e4."""
+    weights = (0.01, 0.5, 1.0, 5.0, 100.0)
+    report = run_audit(AuditConfig(dims=dims, num_states=200, num_terms=num_terms,
+                                   criteria=("v1", "v2"), params=weights))
+    assert len(report) == 2 * len(weights) and all(e.evaluated for e in report)
+    for entry in report:
+        tau = math.sqrt(1.0 + 4.0 / entry.parameter)
+        assert entry.worst_statistic <= tau * (1.0 + 1e-12), entry
+        if num_terms == 1:  # the bound is reached, and flagged: the documented gap
+            assert entry.worst_statistic >= tau * (1.0 - 1e-12) and entry.violations == entry.evaluated

@@ -26,7 +26,7 @@ from remoments.cli import _parse_grid, sweep_rows, write_sweep_csv
 from remoments.criteria import CRITERIA, evaluate, spectrum
 from remoments.linalg import SCRATCH, Scratch
 from remoments.realign import RealignSpec, enumerate_splits
-from remoments.states import RHO_D_MAX, RHO_D_MIN, family_stack, validate_stack
+from remoments.states import RHO_D_MAX, RHO_D_MIN, family_dims, family_stack, validate_stack
 from test_cli import run_cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -294,12 +294,26 @@ def _figure_series():
 
 
 @pytest.mark.parametrize("series", _figure_series(), ids=lambda s: s[0])
-def test_figure_series_match_reference_csv(series):
+def test_figure_series_match_reference_csv(tmp_path, series):
+    """Each figure CSV byte for byte: from `sweep_rows`, and from `remoments sweep` through --out and
+    through stdout, in one stack for rho_d (55 points) and ghz_w (101), and in four (32, 32, 32 and
+    5 points) for rho_pq and noisy_ghz4."""
     filename, family, range_spec, criterion, kwargs = series
+    want = (ROOT / "bench" / "ref" / filename).read_bytes()
     rows = sweep_rows(family, _parse_grid(range_spec), criterion, **kwargs)
     buf = io.StringIO(newline="")
     write_sweep_csv(buf, rows)
-    assert buf.getvalue().encode() == (ROOT / "bench" / "ref" / filename).read_bytes()
+    assert buf.getvalue().encode() == want
+    argv = ["sweep", "--family", family, "--range", range_spec, "--criterion", criterion]
+    for name, value in kwargs.items():
+        argv += [f"--{name}", str(value)]
+    with stack_sizes() as sizes:
+        assert run_cli(*argv) == (0, want.decode(), "")
+    assert len(sizes) == {"rho_d": 1, "ghz_w": 1, "rho_pq": 4, "noisy_ghz4": 4}[family]
+    assert max(sizes) * ENTRIES[family] <= cli.STACK_ENTRIES
+    out = tmp_path / filename
+    assert run_cli(*argv, "--out", str(out)) == (0, "", "")
+    assert out.read_bytes() == want
 
 
 # Unvisited midpoints of this bracket have NaN v2 statistics.
@@ -455,6 +469,8 @@ def stack_sizes():
 
 
 PARTIES = {"rho_d": 2, "rho_eps": 2, "rho_pq": 2, "ghz_w": 3, "noisy_ghz4": 4}
+# Matrix entries per state of each family: D^2.
+ENTRIES = {name: math.prod(family_dims(name)) ** 2 for name in DOMAINS}
 # The first 2n - 3 split a state of n parties.
 SPLITS = ("1|2", "12|3", "1|23", "12|34", "1|234")
 
@@ -514,7 +530,7 @@ def test_threshold_matches_point_by_point_bisection(case):
     with stack_sizes() as sizes:
         got = run_cli("threshold", *threshold_argv(*case))
     assert got == reference_threshold(*case)
-    assert max(sizes, default=0) <= cli.SWEEP_CHUNK
+    assert max(sizes, default=0) * ENTRIES[family] <= cli.STACK_ENTRIES
     low, high = DOMAINS[family]
     if low <= lo and hi <= high:
         assert sizes[0] == 2 + len(cli._midpoint_tree(lo, hi))
@@ -545,7 +561,7 @@ def test_threshold_rounds(golden, rounds):
     with stack_sizes() as sizes:
         assert run_cli("threshold", *THRESHOLD_GOLDEN[golden][0])[0] == 0
     assert len(sizes) <= rounds
-    assert max(sizes) <= cli.SWEEP_CHUNK
+    assert max(sizes) * ENTRIES[THRESHOLD_GOLDEN[golden][0][1]] <= cli.STACK_ENTRIES
 
 
 def test_threshold_budget_on_benchmark_draws():
@@ -604,13 +620,37 @@ def test_sweep_chunk_boundaries(monkeypatch, chunk):
     grid = _parse_grid("0:1:0.05")
     flags = dict(v=0.5, split="12|3")
     expected = sweep_rows("ghz_w", grid, "v3", **flags)
-    monkeypatch.setattr(cli, "SWEEP_CHUNK", chunk)
+    monkeypatch.setattr(cli, "STACK_ENTRIES", chunk * ENTRIES["ghz_w"])
+    assert cli._stack_points("ghz_w") == chunk
     assert sweep_rows("ghz_w", grid, "v3", **flags) == expected
     # the first failing point wins, whichever chunk it is in
     code, out, err = run_cli("sweep", "--family", "ghz_w", "--range", "0.5:1.3:0.1",
                              "--criterion", "v3", "--v", "0.5", "--split", "12|3")
     assert (code, out) == (3, "")
     assert err == "validation failure: ghz_w requires 0 <= q <= 1, got 1.1\n"
+
+
+@pytest.mark.parametrize("family, points", [
+    ("rho_d", 101), ("rho_eps", 101), ("rho_pq", 32), ("ghz_w", 128), ("noisy_ghz4", 32),
+])
+def test_sweep_stacks_hold_at_most_the_entry_budget(family, points):
+    """A stack holds floor(8192 / D^2) points: 32 of the 16 x 16 families, as many entries as 128 of ghz_w."""
+    assert cli.STACK_ENTRIES == 8192 and cli._stack_points(family) == points
+    assert points * ENTRIES[family] <= cli.STACK_ENTRIES < (points + 1) * ENTRIES[family]
+    lo, hi = DOMAINS[family]
+    grid = np.linspace(lo, hi, 2 * points + 5).tolist()
+    with stack_sizes() as sizes:
+        sweep_rows(family, grid, "realign", split="1|2")
+    assert sizes == [points, points, 5]
+
+
+@pytest.mark.parametrize("family", sorted(DOMAINS))
+def test_predicted_paths_hold_at_most_the_entry_budget(family):
+    """A threshold round's predicted path is capped by the family's stack points, not by 32 for every family."""
+    size = cli._stack_points(family)
+    path = cli._predicted_path(0.0, 1e9, {0.0: -1.0, 1e9: 1.0}, size)  # 50 bisection steps to 1e-6
+    assert len(path) == min(size, 51)  # the walk and the far child of its second-to-last midpoint
+    assert len(path) * ENTRIES[family] <= cli.STACK_ENTRIES
 
 
 class TestFamilyScratch:
@@ -629,12 +669,12 @@ class TestFamilyScratch:
         return fh.getvalue()
 
     def test_one_thread_reuses_its_buffers(self):
-        """A second sweep and a threshold solve allocate no buffer; each holds at most SWEEP_CHUNK * D^2 entries."""
+        """A second sweep and a threshold solve allocate no buffer; each holds at most STACK_ENTRIES entries."""
         SCRATCH.buffers.clear()
         self.sweep(*self.SWEEPS[0])
         buffers = dict(SCRATCH.buffers)
         assert set(buffers) == {"moved", "conj", "sym", "abs"}
-        assert all(buf.size <= cli.SWEEP_CHUNK * 16 ** 2 for buf in buffers.values())
+        assert all(buf.size <= cli.STACK_ENTRIES for buf in buffers.values())
         self.sweep(*self.SWEEPS[0])
         assert run_cli("threshold", "--family", "noisy_ghz4", "--bracket", "0:1", "--criterion", "v3",
                        "--v", "0.01", "--split", "1|2")[0] == 0
@@ -645,7 +685,7 @@ class TestFamilyScratch:
         """A float take spans half the complex entries; once a complex take of the shape has grown
         the buffer, float and complex takes of it view the same memory and allocate nothing."""
         scratch = Scratch()
-        shape = (cli.SWEEP_CHUNK, 16, 16)
+        shape = (cli._stack_points("noisy_ghz4"), 16, 16)
         scratch.take("sym", shape, float)
         assert scratch.buffers["sym"].size == math.prod(shape) // 2
         scratch.take("sym", shape)
@@ -660,7 +700,7 @@ class TestFamilyScratch:
         scratch allocates only in the first chunk."""
         label, made = allocations
         for label[0] in range(3):
-            dims, stack = family_stack("noisy_ghz4", np.linspace(0.0, 1.0, cli.SWEEP_CHUNK))
+            dims, stack = family_stack("noisy_ghz4", np.linspace(0.0, 1.0, cli._stack_points("noisy_ghz4")))
             spectrum(stack, dims, RealignSpec.parse("1|2"), ("realign",))
         assert {name for _, name in made} == {"abs", "conj", "moved", "sym"}
         assert all(chunk == 0 for chunk, _ in made)
@@ -727,7 +767,7 @@ class TestRealFamilies:
     def members(name):
         lo, hi = DOMAINS[name]
         space = np.geomspace if name == "rho_eps" else np.linspace
-        return family_stack(name, space(lo, hi, cli.SWEEP_CHUNK))
+        return family_stack(name, space(lo, hi, cli._stack_points(name)))
 
     @staticmethod
     def fields(ev):

@@ -101,10 +101,11 @@ def frozen_csv(rows):
 
 
 def frozen_sweep(family, grid, criterion, **flags):
-    """Rows and verdicts, one stack of cli.SWEEP_CHUNK points at a time."""
+    """Rows and verdicts, one stack of the family's cli._stack_points at a time."""
     rows, verdicts = [], []
-    for start in range(0, len(grid), cli.SWEEP_CHUNK):
-        chunk = grid[start:start + cli.SWEEP_CHUNK]
+    size = cli._stack_points(family)
+    for start in range(0, len(grid), size):
+        chunk = grid[start:start + size]
         dims, matrices = family_stack(family, chunk)
         got = frozen_verdicts(matrices, dims, criterion, **flags)
         verdicts += got
@@ -203,3 +204,18 @@ def test_edge_case_kinds():
 @given(moment_stacks())
 def test_random_moment_stacks(case):
     check_moment_rows(*case)
+
+
+def test_csv_rows_match_csv_writer():
+    """`write_sweep_csv`'s rows against csv.writer's, on fields no grid above reaches together: empty
+    admissible columns beside a weight, no weight, NaN and infinite statistics, and a subnormal parameter."""
+    rows = [
+        SweepRow(0.5, "v1", 2.0, math.nan, None, None, INCONCLUSIVE),
+        SweepRow(5e-324, "realign", None, math.inf, None, None, ENTANGLED),
+        SweepRow(-0.0, "ppt", 1.0, -math.inf, None, None, ENTANGLED),
+        SweepRow(1 / 3, "v2", 5.0, 1.5, 0.125, None, ENTANGLED),
+        SweepRow(0.25, "v2", 1e300, 0.75, 0.1, 3e7, INCONCLUSIVE),
+    ]
+    assert new_csv(rows) == frozen_csv(rows)
+    assert new_csv(rows).splitlines()[1:3] == ["0.5,v1,2,nan,,,INCONCLUSIVE", "4.94065645841e-324,realign,,inf,,,ENTANGLED"]
+    assert new_csv([]) == frozen_csv([])
