@@ -6,8 +6,8 @@ Subcommands:
   threshold  bisect a family parameter bracket for a statistic crossing
   audit      measure criterion behavior on random separable states
 
-Exit codes: 0 success (INCONCLUSIVE is a success), 2 malformed input or
-bad flags, 3 state validation failure.
+Exit codes: 0 success (INCONCLUSIVE is a success); :func:`main` maps an error by its
+type alone: 3 for a DomainError or StateValidationError, 2 for any other ValueError.
 """
 from __future__ import annotations
 
@@ -43,6 +43,7 @@ from .realign import RealignSpec, enumerate_splits
 from .states import (
     FAMILIES,
     DensityMatrix,
+    DomainError,
     StateValidationError,
     family_dims,
     family_stack,
@@ -81,14 +82,6 @@ STACK_ENTRIES = 32 * 16 * 16
 MAX_GRID_POINTS = 100_000
 
 
-class UsageError(ValueError):
-    """Bad flags or malformed input; maps to exit code 2."""
-
-
-class ValidationFailure(Exception):
-    """State failed an invariant or family domain check; exit code 3."""
-
-
 class SweepRow(NamedTuple):
     """One CSV row of a parameter sweep (a tuple: a sweep builds one per grid point)."""
 
@@ -113,48 +106,24 @@ def _fmt(x: float | None) -> str:
 def _build_state(args: argparse.Namespace) -> DensityMatrix:
     """State from --family/--param or --state; validates either way."""
     if args.state is not None and args.family is not None:
-        raise UsageError("give either --family or --state, not both")
+        raise ValueError("give either --family or --state, not both")
     if args.state is not None:
         try:
             dm = load_state(args.state)
         except (OSError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
-            raise UsageError(f"cannot read state file {args.state!r}: {exc}") from exc
-        try:
-            return validate(dm)
-        except StateValidationError as exc:
-            raise ValidationFailure(str(exc)) from exc
+            raise ValueError(f"cannot read state file {args.state!r}: {exc}") from exc
+        return validate(dm)
     if args.family is None:
-        raise UsageError("one of --family or --state is required")
+        raise ValueError("one of --family or --state is required")
     if args.param is None:
-        raise UsageError("--family requires --param")
-    dims, matrices = _family_stack(args.family, [args.param])
+        raise ValueError("--family requires --param")
+    dims, matrices = family_stack(args.family, [args.param])
     return DensityMatrix(dims=dims, matrix=matrices[0])
 
 
-def _unknown_family(family: str) -> UsageError:
-    return UsageError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
-
-
-def _family_stack(family: str, xs: list[float]) -> tuple[tuple[int, ...], np.ndarray]:
-    """:func:`family_stack`, all or nothing, with CLI errors.
-
-    An unknown family raises UsageError; a member outside the family's
-    domain or failing validation raises ValidationFailure.
-    """
-    try:
-        return family_stack(family, xs)
-    except KeyError:
-        raise _unknown_family(family) from None
-    except ValueError as exc:
-        raise ValidationFailure(str(exc)) from exc
-
-
 def _stack_points(family: str) -> int:
-    """The most points of `family` one stack holds: STACK_ENTRIES // D^2; UsageError for an unknown family."""
-    try:
-        d = math.prod(family_dims(family))
-    except KeyError:
-        raise _unknown_family(family) from None
+    """The most points of `family` one stack holds: STACK_ENTRIES // D^2; ValueError for an unknown family."""
+    d = math.prod(family_dims(family))
     return STACK_ENTRIES // (d * d)
 
 
@@ -171,19 +140,14 @@ def evaluate_stack(
 ) -> Evaluation:
     """:func:`evaluate` with the criterion's flags, on a (N, D, D) stack over `dims`.
 
-    The split text is parsed where the criterion reads one.  Every
-    ValueError of that parse and of :func:`evaluate` (a criterion without a
-    row, a missing flag, bad splits or parties, invalid or non-finite weights)
-    raises UsageError.
+    The split text is parsed where the criterion reads one.  That parse and
+    :func:`evaluate` raise ValueError for a criterion without a row, a missing
+    flag, bad splits or parties, and invalid or non-finite weights.
     """
-    try:
-        row = criterion_row(criterion)
-        spec = RealignSpec.parse(split) if row.reads == "split" and split is not None else None
-        weight = {"a": a, "u": u, "v": v}.get(row.flag)
-        return evaluate(matrices, dims, criterion, weight, spec, party)
-    except ValueError as exc:
-        # Flags, splits and parties versus dims: input problems, not state ones.
-        raise UsageError(str(exc)) from exc
+    row = criterion_row(criterion)
+    spec = RealignSpec.parse(split) if row.reads == "split" and split is not None else None
+    weight = {"a": a, "u": u, "v": v}.get(row.flag)
+    return evaluate(matrices, dims, criterion, weight, spec, party)
 
 
 def evaluate_criterion(
@@ -205,7 +169,7 @@ def _criterion_flags(args: argparse.Namespace) -> dict[str, float | str | None]:
 
 def _family_evaluation(family: str, xs: list[float], criterion: str, **flags) -> Evaluation:
     """Family members at `xs` built as one stack and evaluated together, all or nothing."""
-    dims, matrices = _family_stack(family, xs)
+    dims, matrices = family_stack(family, xs)
     return evaluate_stack(matrices, dims, criterion, **flags)
 
 
@@ -220,12 +184,12 @@ def _format_admissible(verdict: CriterionVerdict) -> str:
 
 
 def _write_out(path: str, write) -> None:
-    """Call `write` on `path` opened for text; a path that cannot be written is a UsageError."""
+    """Call `write` on `path` opened for text; a path that cannot be written is a ValueError."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             write(fh)
     except OSError as exc:
-        raise UsageError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -277,24 +241,24 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _parse_floats(text: str, what: str, names: tuple[str, ...]) -> list[float]:
-    """The finite numbers of a colon-separated `what` like "LO:HI", or UsageError."""
+    """The finite numbers of a colon-separated `what` like "LO:HI", or ValueError."""
     parts, form = text.split(":"), ":".join(names)
     if len(parts) != len(names):
-        raise UsageError(f"{what} {text!r} must be {form}")
+        raise ValueError(f"{what} {text!r} must be {form}")
     try:
         values = [float(x) for x in parts]
     except ValueError as exc:
-        raise UsageError(f"{what} {text!r} must be numeric {form}") from exc
+        raise ValueError(f"{what} {text!r} must be numeric {form}") from exc
     if not all(math.isfinite(x) for x in values):
         ends = f"{', '.join(names[:-1])} and {names[-1]}"
-        raise UsageError(f"{what} {text!r} must have finite {ends}")
+        raise ValueError(f"{what} {text!r} must have finite {ends}")
     return values
 
 
 def _parse_grid(text: str) -> list[float]:
     lo, hi, step = _parse_floats(text, "range", ("LO", "HI", "STEP"))
     if step <= 0.0 or hi < lo:
-        raise UsageError("range requires STEP > 0 and HI >= LO")
+        raise ValueError("range requires STEP > 0 and HI >= LO")
     pts = []
     k = 0
     while True:
@@ -302,7 +266,7 @@ def _parse_grid(text: str) -> list[float]:
         if x > hi + 1e-9 * step:
             break
         if len(pts) == MAX_GRID_POINTS:  # also ends a STEP too small to move x past LO
-            raise UsageError(f"range {text!r} has more than {MAX_GRID_POINTS} points")
+            raise ValueError(f"range {text!r} has more than {MAX_GRID_POINTS} points")
         pts.append(min(x, hi))
         k += 1
     if not pts or pts[-1] < hi - 1e-9 * step:
@@ -347,7 +311,7 @@ def sweep_rows(family: str, grid: list[float], criterion: str, **flags: float | 
         chunk = grid[start:start + size]
         try:
             rows += _sweep_rows(chunk, _family_evaluation(family, chunk, criterion, **flags))
-        except (UsageError, ValidationFailure):
+        except ValueError:
             for x in chunk:
                 rows += _sweep_rows([x], _family_evaluation(family, [x], criterion, **flags))
     return rows
@@ -443,7 +407,7 @@ def _predicted_path(lo: float, hi: float, table: dict[float, float], size: int) 
 def cmd_threshold(args: argparse.Namespace) -> int:
     lo, hi = _parse_floats(args.bracket, "bracket", ("LO", "HI"))
     if hi <= lo:
-        raise UsageError("bracket requires HI > LO")
+        raise ValueError("bracket requires HI > LO")
     flags = _criterion_flags(args)
     size = _stack_points(args.family)
     # State parameter -> offset from the threshold; NaN where the statistic is undefined.
@@ -456,7 +420,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     def prefetch(xs: list[float]) -> None:
         try:
             table.update(offsets(xs))
-        except (UsageError, ValidationFailure):
+        except ValueError:
             pass  # offset() evaluates each visited point on its own instead
 
     def offset(x: float) -> float:
@@ -464,7 +428,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
             table.update(offsets([x]))
         value = table[x]
         if math.isnan(value):
-            raise UsageError(
+            raise ValueError(
                 f"statistic undefined at state parameter {_fmt(x)} "
                 "(criterion parameter outside admissible range)"
             )
@@ -479,7 +443,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     f_lo = offset(lo)
     f_hi = offset(hi)
     if f_lo * f_hi > 0.0:
-        raise UsageError(
+        raise ValueError(
             f"bracket [{_fmt(lo)}, {_fmt(hi)}] does not straddle the threshold "
             f"(offsets {_fmt(f_lo)} and {_fmt(f_hi)})"
         )
@@ -498,7 +462,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 class AuditConfig:
     """Settings for one audit run over seeded separable samples.
 
-    Building one checks every audit rule; the first one broken raises UsageError.
+    Building one checks every audit rule; the first one broken raises ValueError.
     """
 
     dims: tuple[int, ...]
@@ -510,39 +474,33 @@ class AuditConfig:
 
     def __post_init__(self) -> None:
         if len(self.dims) < 2 or any(d < 2 for d in self.dims):
-            raise UsageError("dims needs at least two parties of dimension >= 2")
+            raise ValueError("dims needs at least two parties of dimension >= 2")
         if self.num_states < 1 or self.num_terms < 1:
-            raise UsageError("--num-states and --num-terms must be >= 1")
+            raise ValueError("--num-states and --num-terms must be >= 1")
         if self.seed < 0:
-            raise UsageError(f"--seed must be >= 0, got {self.seed}")
+            raise ValueError(f"--seed must be >= 0, got {self.seed}")
         d = math.prod(self.dims)
         if d > MAX_KRON_DIM:
-            raise UsageError(f"dims {','.join(map(str, self.dims))!r} give dimension {d}, above the cap {MAX_KRON_DIM}")
+            raise ValueError(f"dims {','.join(map(str, self.dims))!r} give dimension {d}, above the cap {MAX_KRON_DIM}")
         if self.num_terms > d * d:  # Caratheodory: a separable state mixes at most D^2 pure products
-            raise UsageError(f"--num-terms must be at most D^2 = {d * d}, got {self.num_terms}")
+            raise ValueError(f"--num-terms must be at most D^2 = {d * d}, got {self.num_terms}")
         if not self.criteria:
-            raise UsageError("--criteria requires at least one criterion")
-        try:
-            rows = [criterion_row(criterion) for criterion in self.criteria]
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+            raise ValueError("--criteria requires at least one criterion")
+        rows = [criterion_row(criterion) for criterion in self.criteria]
         for criterion, row in zip(self.criteria, rows):
             if row.flag and not self.params:
-                raise UsageError(f"criterion {criterion} requires a weight in --params")
+                raise ValueError(f"criterion {criterion} requires a weight in --params")
         for w in self.params:
             if not math.isfinite(w):
-                raise UsageError(f"weight {w!r} in --params is not finite")
+                raise ValueError(f"weight {w!r} in --params is not finite")
             for criterion, row in zip(self.criteria, rows):
                 if row.flag:
                     try:
                         row.check_weight(w)
                     except ValueError as exc:
-                        raise UsageError(f"{exc} (criterion {criterion})") from exc
+                        raise ValueError(f"{exc} (criterion {criterion})") from exc
         for criterion, row in zip(self.criteria, rows):
-            try:
-                row.check_parties(criterion, len(self.dims))
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
+            row.check_parties(criterion, len(self.dims))
 
 
 @dataclass
@@ -621,11 +579,11 @@ def cmd_audit(args: argparse.Namespace) -> int:
     try:
         dims = tuple(int(x) for x in args.dims.split(","))
     except ValueError as exc:
-        raise UsageError(f"dims {args.dims!r} must be comma-separated integers") from exc
+        raise ValueError(f"dims {args.dims!r} must be comma-separated integers") from exc
     try:
         params = tuple(float(x) for x in args.params.split(",") if x.strip())
     except ValueError as exc:
-        raise UsageError(f"params {args.params!r} must be comma-separated numbers") from exc
+        raise ValueError(f"params {args.params!r} must be comma-separated numbers") from exc
     criteria = tuple(c.strip() for c in args.criteria.split(",") if c.strip())
     cfg = AuditConfig(  # checks every audit rule
         dims=dims,
@@ -733,12 +691,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValidationFailure as exc:
+    except (DomainError, StateValidationError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 def entry() -> None:

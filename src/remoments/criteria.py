@@ -249,16 +249,18 @@ class _Row(NamedTuple):
     below: bool = False  # a statistic below the threshold flags entanglement, not one above
 
     def check_weight(self, weight: float) -> None:
-        """Raise ValueError unless `weight` is > 0 (gated) or >= 0 (not gated) with a finite square.
-
-        NaN passes: the front ends reject a non-finite weight before this.
+        """Raise ValueError unless `weight` is > 0 (gated) or >= 0 (not gated) with a finite square;
+        a gated weight also needs a finite 8/weight.  NaN passes: the front ends reject it before this.
         """
+        weight = float(weight)  # a numpy scalar would warn as its square or 8/weight overflows
         if self.gated and weight <= 0.0:
             raise ValueError(f"weight must be positive, got {weight!r}")
         if weight < 0.0:
             raise ValueError(f"weight must be nonnegative, got {weight!r}")
         if weight * weight == math.inf:
             raise ValueError(f"weight {weight!r} is too large: its square overflows")
+        if self.gated and 8.0 / weight == math.inf:  # v1^2 is about 4 T1 / a, and T1 may round above 1
+            raise ValueError(f"weight {weight!r} is too small: 8/weight overflows")
 
     def check_parties(self, criterion: str, parties: int) -> None:
         """Raise ValueError where the row reads the 1|2 realignment (v1) of a state without two parties."""

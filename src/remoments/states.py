@@ -43,6 +43,10 @@ class StateValidationError(ValueError):
         super().__init__(f"{code}: {detail} (deviation {deviation:.3e})")
 
 
+class DomainError(ValueError):
+    """A family parameter outside the family's domain."""
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A density matrix together with its tensor-factor dimensions."""
@@ -316,7 +320,9 @@ _FAMILY_SPECS = {
 
 
 def family_dims(name: str) -> tuple[int, ...]:
-    """The factor dims of family `name`; KeyError for an unknown name."""
+    """The factor dims of family `name`; ValueError for an unknown name."""
+    if name not in _FAMILY_SPECS:
+        raise ValueError(f"unknown family {name!r}; choose from {sorted(_FAMILY_SPECS)}")
     return _FAMILY_SPECS[name][0]
 
 
@@ -325,12 +331,13 @@ def family_stack(name: str, params: Sequence[float]) -> tuple[tuple[int, ...], n
 
     Returns the factor dims and the float64 (N, D, D) stack.  All or nothing: raises
     what calling the scalar constructor at each parameter in turn raises
-    first, the domain ValueError or a StateValidationError, and KeyError
-    for an unknown family name.  The scalar constructors (`rho_d(x)` and
+    first, a DomainError or a StateValidationError, and ValueError for an
+    unknown family name.  The scalar constructors (`rho_d(x)` and
     the rest) are the one-parameter case of this, so a member of a stack
     equals the scalar constructor's matrix bit for bit.
     """
-    dims, outside, message, formula = _FAMILY_SPECS[name]
+    dims = family_dims(name)
+    _, outside, message, formula = _FAMILY_SPECS[name]
     xs = [float(x) for x in params]
     n = next((k for k, x in enumerate(xs) if outside(x)), len(xs))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -338,7 +345,7 @@ def family_stack(name: str, params: Sequence[float]) -> tuple[tuple[int, ...], n
         matrices = formula(np.array(xs[:n], dtype=float))
     validate_stack(matrices)
     if n < len(xs):
-        raise ValueError(message.format(xs[n]))
+        raise DomainError(message.format(xs[n]))
     return dims, matrices
 
 

@@ -61,17 +61,20 @@ def two_party_criteria(dims, criteria=ALL_CRITERIA):
         # v1 reads the 1|2 realignment, which only a two-party state has; checked last.
         (("v1",), (0.5,), TWO_PARTY, {"dims": (2, 2, 2)}),
         (("v1", "realign"), (0.5,), TWO_PARTY, {"dims": (2, 2, 2)}),
+        # A v1/v2 weight whose 8/weight overflows, as a weight whose square overflows.
+        (("v1",), (1e-309,), "weight 1e-309 is too small: 8/weight overflows (criterion v1)", {}),
+        (("v3", "v2"), (0.5, 4e-308), "weight 4e-308 is too small: 8/weight overflows (criterion v2)", {}),
     ],
 )
 def test_run_audit_checks_its_config_before_sampling(monkeypatch, criteria, params, message, settings):
-    """Every broken audit rule raises UsageError, with the CLI's message, before any sample is drawn."""
+    """Every broken audit rule raises ValueError, with the CLI's message, before any sample is drawn."""
     def no_sampling(*args):
         raise AssertionError("sampled before the config was checked")
 
     monkeypatch.setattr(cli, "separable_stack", no_sampling)
-    with pytest.raises(cli.UsageError) as info:
+    with pytest.raises(ValueError) as info:
         run_audit(AuditConfig(**{"dims": (2, 2), "num_states": 3, **settings}, criteria=criteria, params=params))
-    assert str(info.value) == message
+    assert type(info.value) is ValueError and str(info.value) == message
 
 
 def reference_audit(cfg):

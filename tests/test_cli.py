@@ -12,8 +12,9 @@ import warnings
 import numpy as np
 import pytest
 
-from remoments import DensityMatrix, pure_state, sample_separable, save_state
+from remoments import DensityMatrix, StateValidationError, cli, pure_state, sample_separable, save_state
 from remoments.cli import AuditConfig, main
+from remoments.states import DomainError
 
 Q0 = (math.sqrt(2) - 1) / 2
 
@@ -198,12 +199,39 @@ class TestExitCodes:
             ("audit", "--dims", "2,2", "--criteria", ","),
             ("audit", "--dims", "2,2,2", "--criteria", "v1", "--params", "0.5"),  # v1 needs two parties
             ("audit", "--dims", "2,2,2", "--criteria", "v1,realign", "--params", "0.5"),  # v1 was dropped
+            # v1/v2 weights whose 8/weight overflows: their statistic would overflow to inf.
+            ("analyze", "--family", "ghz_w", "--param", "1", "--criterion", "v2", "--u", "2.2e-308", "--split", "1|2"),
+            ("analyze", "--family", "rho_d", "--param", "0.3", "--criterion", "v1", "--a", "4e-308"),
+            ("sweep", "--family", "rho_pq", "--range", "0:0.5:0.1", "--criterion", "v1", "--a", "5e-324"),
+            ("threshold", "--family", "rho_pq", "--bracket", "0:0.5", "--criterion", "v1", "--a", "1e-309"),
+            ("audit", "--dims", "2,2", "--num-terms", "1", "--criteria", "v1", "--params", "1e-309"),
         ],
     )
     def test_usage_errors_exit_2(self, args):
         code, _, err = run_cli(*args)
         assert code == 2
         assert err.strip() != ""
+
+    @pytest.mark.parametrize("exc, want", [
+        (ValueError("x"), (2, "", "error: x\n")),
+        (DomainError("y"), (3, "", "validation failure: y\n")),
+        (StateValidationError("NOT_PSD", 0.5, "z"), (3, "", "validation failure: NOT_PSD: z (deviation 5.000e-01)\n")),
+    ])
+    def test_exit_code_follows_the_exception_type(self, monkeypatch, exc, want):
+        """main maps an error to its exit code by type alone, whichever subcommand raised it."""
+        def raising(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "evaluate_stack", raising)
+        monkeypatch.setattr(cli, "spectrum", raising)
+        flags = ("--criterion", "realign", "--split", "1|2")
+        for argv in [
+            ("analyze", "--family", "rho_eps", "--param", "1", *flags),
+            ("sweep", "--family", "rho_eps", "--range", "1:2:0.5", *flags),
+            ("threshold", "--family", "rho_eps", "--bracket", "1:2", *flags),
+            ("audit", "--dims", "2,2", "--num-states", "2", "--criteria", "realign"),
+        ]:
+            assert run_cli(*argv) == want, argv
 
     def test_both_sources_exit_2(self, tmp_path):
         path = tmp_path / "s.json"

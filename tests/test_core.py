@@ -27,7 +27,7 @@ from remoments import (
     verdict_v2,
     verdict_v3,
 )
-from remoments.cli import UsageError, evaluate_stack
+from remoments.cli import evaluate_stack
 from remoments.criteria import CRITERIA, admissible_bounds, entangled, evaluate, verdict
 from test_arrays import moment_stacks
 from test_cli import run_cli
@@ -158,7 +158,7 @@ def test_admits_is_membership_in_the_intervals(case, weight):
         assert admitted == [in_intervals(bounds.at(i), w) for i in range(len(t1))], w
 
 
-# Each UsageError path of evaluate_stack, in the order the flags are checked.
+# Each ValueError of evaluate_stack, in the order the flags are checked: exit 2 under the CLI.
 USAGE_ERRORS = [
     ("v1", (2, 2), {}, "criterion v1 requires --a"),
     ("v2", (2, 2), {"split": "1|2"}, "criterion v2 requires --u"),
@@ -178,15 +178,17 @@ USAGE_ERRORS = [
     ("v3", (2, 2), {"v": -0.5, "split": "1|2"}, "weight must be nonnegative, got -0.5"),
     ("ppt", (2, 2), {"party": 3}, "party 3 out of range for 2 parties"),
     ("v9", (2, 2), {}, "unknown criterion 'v9'; choose from ('v1', 'v2', 'v3', 'realign', 'ppt')"),
+    ("v1", (2, 2), {"a": 2.2e-308}, "weight 2.2e-308 is too small: 8/weight overflows"),
+    ("v2", (2, 2), {"u": 2.0 ** -1021, "split": "1|2"}, "weight 4.450147717014403e-308 is too small: 8/weight overflows"),
 ]
 
 
 @pytest.mark.parametrize("criterion, dims, flags, message", USAGE_ERRORS)
 def test_evaluate_stack_usage_errors(criterion, dims, flags, message):
     matrices = np.eye(math.prod(dims), dtype=complex)[None] / math.prod(dims)
-    with pytest.raises(UsageError) as exc:
+    with pytest.raises(ValueError) as exc:
         evaluate_stack(matrices, dims, criterion, **flags)
-    assert str(exc.value) == message
+    assert type(exc.value) is ValueError and str(exc.value) == message
 
 
 # What `evaluate` itself checks, in its order: the row, then the party, split and weight it reads.

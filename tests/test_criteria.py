@@ -1,6 +1,7 @@
 """Detection criteria: weighted moment statistics, comparators, verdicts."""
 import decimal
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -447,7 +448,7 @@ class TestV3AtLargeWeights:
 
 
 class TestWeightOverflow:
-    @pytest.mark.parametrize("w", [1e160, 1e200, 1.7e308, math.inf])
+    @pytest.mark.parametrize("w", [1e160, 1e200, 1.7e308, math.inf, np.float64(1e250)])  # a numpy scalar: no warning
     def test_square_overflow_raises(self, w):
         t1, t2 = np.array([0.5]), np.array([0.2])
         for fn in (v1, v3):
@@ -459,6 +460,20 @@ class TestWeightOverflow:
         t1, t2 = np.array([0.5]), np.array([0.2])
         assert np.isfinite(v1(t1, t2, w)).all()
         assert np.isfinite(v3(t1, t2, w)).all()
+
+    def test_smallest_accepted_weight_is_finite_on_pure_products(self):
+        """v1^2 is about 4 T1 / a, and T1 of a pure product may round above 1: at the smallest weight
+        v1 and v2 accept, every statistic is still finite, near sqrt(4/a), with no RuntimeWarning."""
+        w = math.nextafter(2.0 ** -1021, 1.0)
+        stack = separable_stack((2, 2), 1, range(200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name, spec in (("v1", None), ("v2", RealignSpec.parse("1|2"))):
+                ev = evaluate(stack, (2, 2), name, w, spec)
+                assert (ev.t1 > 1.0).any()
+                assert np.allclose(ev.statistic, 2.0 * math.sqrt(1.0 / w), rtol=1e-12, atol=0.0)
+                with pytest.raises(ValueError, match=r"^weight 4\.450147717014403e-308 is too small"):
+                    evaluate(stack, (2, 2), name, math.nextafter(w, 0.0), spec)
 
 
 @pytest.mark.parametrize("dims", AUDIT_DIMS)

@@ -18,18 +18,39 @@ and eps = 2^-52 (the computed values are `criteria.spectrum`'s T1 and T2):
 
 e2 = (T1^2 - T2)/2 is returned exact too; its computed value cancels near
 e2 = 0, and that bound belongs with the refined e2 of ROADMAP item 1.
+
+The statistics of the exact moments, `exact_v3` and `exact_v1`, are taken
+in `decimal` at 50 digits.  Where the exact e2 >= 1e-6 (the band below it
+stays with item 1), the computed values (`criteria.v3` and the v1/v2 row's
+gated statistic) keep to:
+
+- |v3_computed - v3| <= (1/2) m eps T1 / sqrt(e2), for v = 0 to 100.
+  Measured at most 0.11 of it.  First order: sqrt(2 (T1^2 - T2)) is off
+  by at most about 2 m eps T1^2 / sqrt(e2) by the T1 and T2 bounds, and
+  v3 >= T1, so v3 is off by about m eps T1 / sqrt(e2).
+- |v1_computed - v1| <= m eps sqrt(T1) (1 + a)^2 / sqrt(F(a) a (a + 2)),
+  with F(a) = e2 a^2 + (T1^2 - T1) a + T1^2 the radicand, for a = 0.01 to
+  1e4 admitted with F(a) >= 1e-6, away from the ends of the range (F = 0).
+  Measured at most 0.25 of it.  First order: F is off by at most about
+  2 m eps T1 (1 + a)^2, and v1 >= sqrt(T1 (1 + 2/a)), which gives twice
+  this bound.
 """
+import decimal
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from remoments.criteria import spectrum
+from remoments.criteria import CRITERIA, spectrum, v3
 from remoments.realign import enumerate_splits, realign_array
 from remoments.states import family_stack, separable_stack
 
 EPS = np.finfo(float).eps
+V3_WEIGHTS = (0.0, 0.01, 0.5, 1.0, 5.0, 100.0)
+V1_WEIGHTS = (0.01, 0.5, 1.0, 5.0, 100.0, 1e4)
+E2_FLOOR = Fraction(1, 10**6)  # below it the computed e2 cancels
+F_FLOOR = Fraction(1, 10**6)  # below it v1's weight lies near an end of its admissible range
 
 
 def exact_moments(r: np.ndarray) -> tuple[Fraction, Fraction, Fraction]:
@@ -40,9 +61,9 @@ def exact_moments(r: np.ndarray) -> tuple[Fraction, Fraction, Fraction]:
     """
     if r.shape[0] > r.shape[1]:
         r = r.T  # the same singular values; G = r r^dagger is then the smaller side
-    parts = (r.real.tolist(), r.imag.tolist())
-    scale = max(Fraction(x).denominator for part in parts for row in part for x in row)
-    re, im = ([[int(Fraction(x) * scale) for x in row] for row in part] for part in parts)
+    parts = [[[x.as_integer_ratio() for x in row] for row in part] for part in (r.real.tolist(), r.imag.tolist())]
+    scale = max(d for part in parts for row in part for _, d in row)
+    re, im = ([[n * (scale // d) for n, d in row] for row in part] for part in parts)
     t1 = t2 = 0
     for i in range(len(re)):
         for j in range(len(re)):
@@ -53,6 +74,33 @@ def exact_moments(r: np.ndarray) -> tuple[Fraction, Fraction, Fraction]:
             t2 += g_re * g_re + g_im * g_im
     t1, t2 = Fraction(t1, scale**2), Fraction(t2, scale**4)
     return t1, t2, (t1 * t1 - t2) / 2
+
+
+def _decimal(x: Fraction) -> decimal.Decimal:
+    return decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)
+
+
+def exact_v3(t1: Fraction, t2: Fraction, e2: Fraction, v: float) -> decimal.Decimal:
+    """v3(v) of exact moments, sqrt(inner^2 + sqrt(4 e2)), with the inner difference as its quotient."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        t1, t2, v = _decimal(t1), _decimal(t2), decimal.Decimal(v)
+        inner = (t1 + 2 * v * t2) / ((t1 + (v * v + 2 * v) * t2).sqrt() + v * t2.sqrt())
+        return (inner * inner + (4 * _decimal(e2)).sqrt()).sqrt()
+
+
+def radicand(t1: Fraction, e2: Fraction, a: float) -> Fraction:
+    """v1's F(a) = e2 a^2 + (T1^2 - T1) a + T1^2, exact."""
+    a = Fraction(a)
+    return e2 * a * a + (t1 * t1 - t1) * a + t1 * t1
+
+
+def exact_v1(t1: Fraction, e2: Fraction, a: float) -> decimal.Decimal:
+    """v1(a) of exact moments, sqrt((2/a) ((1 + a/2) T1 + sqrt(F(a))))."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        f, t1, a = _decimal(radicand(t1, e2, a)), _decimal(t1), decimal.Decimal(a)
+        return ((2 / a) * ((1 + a / 2) * t1 + f.sqrt())).sqrt()
 
 
 def test_oracle_on_the_maximally_mixed_state():
@@ -84,27 +132,47 @@ FAMILY_PARAMS = {
 }
 
 
-def assert_moment_bounds(stack, dims):
-    """The computed T1 and T2 of every split of every state of `stack` keep to the module's bounds."""
+def assert_moment_bounds(stack, dims) -> int:
+    """The computed T1, T2, v3 and v1 of every split of every state of `stack` keep to the module's
+    bounds; returns how many v3 and v1 values were held to theirs."""
+    checked = 0
     for spec in enumerate_splits(len(dims)):
-        sp = spectrum(stack, dims, spec, ("v3",))
+        sp = spectrum(stack, dims, spec, ("v2", "v3"))
         realigned = realign_array(stack.astype(complex), dims, spec)  # a permutation: exact
         m = max(realigned.shape[1:])
-        for r, t1, t2 in zip(realigned, sp.t1.tolist(), sp.t2.tolist()):
+        v3s = {v: v3(sp.t1, sp.t2, v).tolist() for v in V3_WEIGHTS}
+        v1s = {a: CRITERIA["v2"].statistic(sp, a).tolist() for a in V1_WEIGHTS}  # NaN where not admitted
+        for i, (r, t1, t2) in enumerate(zip(realigned, sp.t1.tolist(), sp.t2.tolist())):
             exact_t1, exact_t2, e2 = exact_moments(r)
             assert e2 >= 0
             assert abs(Fraction(t1) - exact_t1) <= m * EPS * exact_t1, (spec, t1, float(exact_t1))
             bound = 2 * m * EPS * float(exact_t1) * math.sqrt(exact_t2)
             assert float(abs(Fraction(t2) - exact_t2)) <= bound, (spec, t2, float(exact_t2))
+            if e2 < E2_FLOOR:
+                continue
+            for v, got in v3s.items():
+                err = float(abs(decimal.Decimal(got[i]) - exact_v3(exact_t1, exact_t2, e2, v)))
+                assert err <= 0.5 * m * EPS * float(exact_t1) / math.sqrt(e2), (spec, i, v, err)
+                checked += 1
+            for a, got in v1s.items():
+                f = radicand(exact_t1, e2, a)
+                if math.isnan(got[i]) or f < F_FLOOR:
+                    continue
+                err = float(abs(decimal.Decimal(got[i]) - exact_v1(exact_t1, e2, a)))
+                bound = m * EPS * math.sqrt(exact_t1) * (1 + a) ** 2 / math.sqrt(f * a * (a + 2))
+                assert err <= bound, (spec, i, a, err)
+                checked += 1
+    return checked
 
 
 @pytest.mark.parametrize("name", sorted(FAMILY_PARAMS))
 def test_family_moments_at_rational_parameters(name):
     dims, stack = family_stack(name, [float(p) for p in FAMILY_PARAMS[name]])
-    assert_moment_bounds(stack, dims)
+    assert assert_moment_bounds(stack, dims) > 0
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 4), (4, 4), (2, 2, 2, 2)])
 @pytest.mark.parametrize("num_terms", [1, 2, 3])
 def test_audit_sample_moments(dims, num_terms):
-    assert_moment_bounds(separable_stack(dims, num_terms, range(4)), dims)
+    checked = assert_moment_bounds(separable_stack(dims, num_terms, range(4)), dims)
+    assert (checked > 0) == (num_terms > 1)  # a pure product realigns to rank 1: e2 = 0

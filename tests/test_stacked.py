@@ -26,7 +26,7 @@ from remoments.cli import _parse_grid, sweep_rows, write_sweep_csv
 from remoments.criteria import CRITERIA, evaluate, spectrum
 from remoments.linalg import SCRATCH, Scratch
 from remoments.realign import RealignSpec, enumerate_splits
-from remoments.states import RHO_D_MAX, RHO_D_MIN, family_dims, family_stack, validate_stack
+from remoments.states import RHO_D_MAX, RHO_D_MIN, DomainError, family_dims, family_stack, validate_stack
 from test_cli import run_cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,6 +49,9 @@ def family_params(draw):
     anywhere = st.one_of(inside, st.floats(-2.0, 2.0), st.just(math.nan), st.just(1e300))
     xs = draw(st.lists(st.one_of(inside, inside, anywhere), min_size=1, max_size=8))
     return name, xs
+
+
+UNKNOWN_FAMILY = "unknown family 'nope'; choose from ['ghz_w', 'noisy_ghz4', 'rho_d', 'rho_eps', 'rho_pq']"
 
 
 def _first_scalar_error(name, xs):
@@ -87,7 +90,7 @@ class TestFamilyStack:
         # The stack fails as a whole, with the first off-domain parameter's error.
         with pytest.raises(ValueError) as exc:
             family_stack("ghz_w", [0.5, 1.5, 0.25, -1.0])
-        assert type(exc.value) is ValueError
+        assert type(exc.value) is DomainError
         assert str(exc.value) == "ghz_w requires 0 <= q <= 1, got 1.5"
         dims, matrices = family_stack("ghz_w", [0.5, 0.25])
         assert matrices.shape == (2, 8, 8)
@@ -104,8 +107,10 @@ class TestFamilyStack:
         assert matrices.shape == (2, 9, 9)
 
     def test_unknown_family(self):
-        with pytest.raises(KeyError):
-            family_stack("nope", [0.5])
+        for build in (lambda: family_stack("nope", [0.5]), lambda: family_dims("nope")):
+            with pytest.raises(ValueError) as exc:
+                build()
+            assert type(exc.value) is ValueError and str(exc.value) == UNKNOWN_FAMILY
 
 
 DEFECTS = ("NON_FINITE", "NOT_HERMITIAN", "TRACE_NOT_ONE", "NOT_PSD")
@@ -418,19 +423,19 @@ def reference_threshold(family, lo, hi, criterion, flags):
     and evaluated on its own with a one-point `cli.evaluate_stack`.
     """
     def offset(x):
-        dims, matrices = cli._family_stack(family, [x])
+        dims, matrices = family_stack(family, [x])
         ev = cli.evaluate_stack(matrices, dims, criterion, **flags)
         value = (ev.statistic - CRITERIA[criterion].threshold).tolist()[0]
         if math.isnan(value):
-            raise cli.UsageError(f"statistic undefined at state parameter {cli._fmt(x)} "
-                                 "(criterion parameter outside admissible range)")
+            raise ValueError(f"statistic undefined at state parameter {cli._fmt(x)} "
+                             "(criterion parameter outside admissible range)")
         return value
 
     try:
         f_lo, f_hi = offset(lo), offset(hi)
         if f_lo * f_hi > 0.0:
-            raise cli.UsageError(f"bracket [{cli._fmt(lo)}, {cli._fmt(hi)}] does not straddle the "
-                                 f"threshold (offsets {cli._fmt(f_lo)} and {cli._fmt(f_hi)})")
+            raise ValueError(f"bracket [{cli._fmt(lo)}, {cli._fmt(hi)}] does not straddle the "
+                             f"threshold (offsets {cli._fmt(f_lo)} and {cli._fmt(f_hi)})")
         while hi - lo > cli.BISECTION_TOL:
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:
@@ -440,10 +445,10 @@ def reference_threshold(family, lo, hi, criterion, flags):
                 lo, f_lo = mid, f_mid
             else:
                 hi = mid
-    except cli.UsageError as exc:
-        return 2, "", f"error: {exc}\n"
-    except cli.ValidationFailure as exc:
+    except (DomainError, StateValidationError) as exc:
         return 3, "", f"validation failure: {exc}\n"
+    except ValueError as exc:
+        return 2, "", f"error: {exc}\n"
     return 0, cli._fmt(0.5 * (lo + hi)) + "\n", ""
 
 
@@ -516,16 +521,20 @@ def crossing_cases(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(threshold_cases(), crossing_cases()))
-@example(("rho_pq", 0.0668, 0.491, "v2", {"u": 11.849, "split": "1|2"}))  # NaN unvisited midpoints
-@example(("rho_pq", 0.2, 0.47, "v2", {"u": 11.849, "split": "1|2"}))  # NaN at LO
-@example(("noisy_ghz4", 0.0, 1.5, "v3", {"v": 0.01, "split": "1|2"}))  # HI off the domain
-@example(("rho_eps", 1e12, 1e13, "realign", {"split": "1|2"}))  # equal offsets at both ends
-def test_threshold_matches_point_by_point_bisection(case):
+@given(st.one_of(st.tuples(threshold_cases(), st.just(False)), st.tuples(crossing_cases(), st.just(True))))
+@example((("rho_pq", 0.0668, 0.491, "v2", {"u": 11.849, "split": "1|2"}), True))  # NaN unvisited midpoints
+@example((("rho_pq", 0.2, 0.47, "v2", {"u": 11.849, "split": "1|2"}), True))  # NaN at LO
+@example((("noisy_ghz4", 0.0, 1.5, "v3", {"v": 0.01, "split": "1|2"}), False))  # HI off the domain
+@example((("rho_eps", 1e12, 1e13, "realign", {"split": "1|2"}), False))  # equal offsets at both ends
+@example((("rho_eps", 1.75, 343.3753259391421, "ppt", {"party": 1}), False))  # offsets of float noise
+def test_threshold_matches_point_by_point_bisection(drawn):
     """Exit code, stdout and stderr as the point-by-point loop's.  With both ends in the family's
-    domain, the first stack is LO, HI and the midpoint tree.  A v3, realign or ppt solve then takes
-    at most 3 stacks, which a predictor that misses its paths exceeds; v1/v2 are NaN outside their
-    admissible range, which leaves the predictor fewer offsets (rho_pq v2 brackets took up to 5)."""
+    domain, the first stack is LO, HI and the midpoint tree.  A v3, realign or ppt solve of a
+    `crossing_cases` bracket then takes at most 3 stacks, which a predictor that misses its paths
+    exceeds; v1/v2 are NaN outside their admissible range, which leaves the predictor fewer offsets
+    (rho_pq v2 brackets took up to 5).  Other brackets have no budget: rho_eps is PPT throughout,
+    so its ppt offsets are +-1e-17 of float noise, which no predictor follows (5 stacks above)."""
+    case, crossing = drawn
     family, lo, hi = case[:3]
     with stack_sizes() as sizes:
         got = run_cli("threshold", *threshold_argv(*case))
@@ -534,7 +543,7 @@ def test_threshold_matches_point_by_point_bisection(case):
     low, high = DOMAINS[family]
     if low <= lo and hi <= high:
         assert sizes[0] == 2 + len(cli._midpoint_tree(lo, hi))
-        assert CRITERIA[case[3]].gated or len(sizes) <= 3
+        assert not crossing or CRITERIA[case[3]].gated or len(sizes) <= 3
 
 
 @pytest.mark.parametrize("case", [
@@ -603,13 +612,12 @@ def _benchmark_draws():
 def test_solve_builds_each_state_parameter_once(case):
     """No point is built twice: not within the first stack, and not in a later round."""
     points = []
-    family_stack = cli._family_stack
 
     def recording(family, xs):
         points.extend(xs)
         return family_stack(family, xs)
 
-    with mock.patch.object(cli, "_family_stack", recording):
+    with mock.patch.object(cli, "family_stack", recording):
         got = run_cli("threshold", *threshold_argv(*case))
     assert got == reference_threshold(*case)
     assert len(points) == len(set(points))
@@ -745,10 +753,10 @@ class TestFamilyScratch:
 
 
 def test_sweep_rows_unknown_family():
-    """The CLI's --family choices stop an unknown name; called directly, sweep_rows raises UsageError."""
-    with pytest.raises(cli.UsageError) as exc:
+    """The CLI's --family choices stop an unknown name; called directly, sweep_rows raises ValueError."""
+    with pytest.raises(ValueError) as exc:
         sweep_rows("nope", [0.1], "realign", split="1|2")
-    assert str(exc.value) == "unknown family 'nope'; choose from ['ghz_w', 'noisy_ghz4', 'rho_d', 'rho_eps', 'rho_pq']"
+    assert type(exc.value) is ValueError and str(exc.value) == UNKNOWN_FAMILY
 
 
 def test_sweep_usage_error_before_later_domain_error():

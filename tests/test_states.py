@@ -27,7 +27,7 @@ from remoments import (
     to_json_dict,
     validate,
 )
-from remoments.states import RHO_D_MAX, RHO_D_MIN
+from remoments.states import RHO_D_MAX, RHO_D_MIN, DomainError
 from test_cli import run_cli
 
 Q0 = (math.sqrt(2) - 1) / 2
@@ -172,7 +172,7 @@ class TestRhoD:
         want = f"rho_d requires {RHO_D_MIN!r} <= d <= {RHO_D_MAX!r}, got {float(text)!r}"
         with pytest.raises(ValueError) as exc:
             rho_d(float(text))
-        assert type(exc.value) is ValueError and str(exc.value) == want
+        assert type(exc.value) is DomainError and str(exc.value) == want
         argv = ("analyze", "--family", "rho_d", f"--param={text}", "--criterion", "realign", "--split", "1|2")
         assert run_cli(*argv) == (3, "", f"validation failure: {want}\n")
 
