@@ -64,19 +64,11 @@ _TREE_DEPTH = 3
 _PREDICTOR_POINTS = 7  # known offsets nearest the bracket, interpolated
 _NEWTON_STEPS = 12  # on that polynomial
 
-# Audit samples realigned and decomposed together; bounds the stack at
-# AUDIT_CHUNK * D^2 complex entries however many states are requested.
-# With more than D terms per sample the chunk shrinks by num_terms / D, so
-# the sampler's (chunk, num_terms, D) kets keep that bound too.
-AUDIT_CHUNK = 256
-# Matrix entries of a stack of sweep points, or of threshold round points, built,
-# validated and evaluated together: floor(STACK_ENTRIES / D^2) points of a D x D
-# family (_stack_points).  A stack costs a fixed time besides its entries, so fewer,
-# wider stacks are faster; but every stack-sized temporary grows with its entries
-# (256-point 16 x 16 stacks raised the peak RSS of the four figure-data sweeps by
-# 2.3 MB, 32-point ones by 0.6 MB).  So the budget is 32 points of the 16 x 16
-# families, and the 9 x 9 and 8 x 8 families take 101 and 128 points in the same bytes.
-STACK_ENTRIES = 32 * 16 * 16
+# Matrix entries of one stack built, validated and evaluated together: sweep points, threshold
+# round points or audit samples (_stack_size).  A stack costs a fixed time besides its entries,
+# but its temporaries grow with them; 64 points of the 16 x 16 families is the smallest budget
+# that keeps both benchmark audits (50 samples on 4 qubits, 200 on 3 x 3) in one stack.
+STACK_ENTRIES = 64 * 16 * 16
 
 # A sweep grid with more points than this is rejected before any is built.
 MAX_GRID_POINTS = 100_000
@@ -121,10 +113,16 @@ def _build_state(args: argparse.Namespace) -> DensityMatrix:
     return DensityMatrix(dims=dims, matrix=matrices[0])
 
 
+def _stack_size(d: int, width: int) -> int:
+    """How many D x D matrices, at least 1, one stack holds where each also takes `width` D-vectors
+    (D for a family point, num_terms for an audit sample's kets)."""
+    return max(1, STACK_ENTRIES // (d * max(d, width)))
+
+
 def _stack_points(family: str) -> int:
-    """The most points of `family` one stack holds: STACK_ENTRIES // D^2; ValueError for an unknown family."""
+    """The most points of `family` one stack holds (:func:`_stack_size`); ValueError for an unknown family."""
     d = math.prod(family_dims(family))
-    return STACK_ENTRIES // (d * d)
+    return _stack_size(d, d)
 
 
 def evaluate_stack(
@@ -368,7 +366,7 @@ def _midpoint_tree(lo: float, hi: float) -> list[float]:
 
 
 def _predicted_path(lo: float, hi: float, table: dict[float, float], size: int) -> list[float]:
-    """Up to `size` midpoints the bisection visits from [lo, hi] if it crosses where predicted.
+    """Up to `size` midpoints the bisection visits from [lo, hi], ends on opposite sides, if it crosses where predicted.
 
     The prediction is a root of the polynomial, in Newton's divided-difference form, through the
     _PREDICTOR_POINTS finite offsets of `table` nearest the bracket's midpoint: _NEWTON_STEPS Newton
@@ -378,7 +376,7 @@ def _predicted_path(lo: float, hi: float, table: dict[float, float], size: int) 
     second-to-last midpoint, where the bisection goes if it turns the other way there.
     """
     f_lo, f_hi, centre = table[lo], table[hi], _mid(lo, hi)
-    start = lo - f_lo * (hi - lo) / (f_hi - f_lo) if f_hi != f_lo else math.nan
+    start = lo - f_lo * (hi - lo) / (f_hi - f_lo)
     if not lo <= start <= hi:  # also NaN, from inf / inf
         start = centre
     xs = sorted((x for x, f in table.items() if math.isfinite(f)), key=lambda x: abs(x - centre))
@@ -442,7 +440,10 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     prefetch([lo, hi, *_midpoint_tree(lo, hi)])
     f_lo = offset(lo)
     f_hi = offset(hi)
-    if f_lo * f_hi > 0.0:
+    # Ends on opposite sides as the walk tells sides, only one flagged (offset + threshold is the
+    # statistic, exactly near the threshold): offsets within the tolerance are noise, no crossing.
+    flagged = entangled(args.criterion, np.array([f_lo, f_hi]) + CRITERIA[args.criterion].threshold)
+    if (f_lo < 0.0) == (f_hi < 0.0) or flagged[0] == flagged[1]:
         raise ValueError(
             f"bracket [{_fmt(lo)}, {_fmt(hi)}] does not straddle the threshold "
             f"(offsets {_fmt(f_lo)} and {_fmt(f_hi)})"
@@ -544,7 +545,7 @@ def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
     checked when it was built (:class:`AuditConfig`).
 
     The plan, built once, pairs each cell's entry with the split or party
-    whose :func:`spectrum` it reads, in report order.  Up to AUDIT_CHUNK
+    whose :func:`spectrum` it reads, in report order.  Up to :func:`_stack_size`
     samples, fewer when `num_terms` exceeds D, are drawn and validated as
     one stack (`separable_stack`); each distinct target takes one spectrum
     per stack, which serves every criterion and weight reading it, and
@@ -563,7 +564,7 @@ def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
             plan += [(AuditEntry(criterion, w, str(sp)), sp)
                      for sp in enumerate_splits(n) for w in (params if row.flag else (None,))]
 
-    chunk = min(AUDIT_CHUNK, max(1, AUDIT_CHUNK * math.prod(cfg.dims) // cfg.num_terms))
+    chunk = _stack_size(math.prod(cfg.dims), cfg.num_terms)
     for start in range(0, cfg.num_states, chunk):
         seeds = range(cfg.seed + start, cfg.seed + min(cfg.num_states, start + chunk))
         stack = separable_stack(cfg.dims, cfg.num_terms, seeds)

@@ -9,8 +9,8 @@ validation take.
 
 Stack-sized temporaries come from :data:`SCRATCH`, named buffers kept per
 thread, not faulted in anew on every call.  A thread keeps each named buffer
-as large as the largest stack it has taken: for the CLI at most 256 * D^2
-complex entries (an audit chunk).  A float take views a complex buffer as
+as large as the largest stack it has taken: for the CLI at most its
+STACK_ENTRIES complex entries.  A float take views a complex buffer as
 float, so a real stack's validation and its complex spectrum share it.
 """
 from __future__ import annotations

@@ -545,7 +545,7 @@ def from_json_dict(obj: object) -> DensityMatrix:
             for j, pair in enumerate(row):
                 re, im = pair
                 m[i, j] = complex(float(re), float(im))
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, OverflowError) as exc:  # OverflowError: an int beyond float
         raise ValueError(f"malformed state JSON: {exc}") from exc
     return DensityMatrix(dims=dims, matrix=m)
 

@@ -33,6 +33,13 @@ COUNTS = "--num-states and --num-terms must be >= 1"
 TWO_PARTY = "criterion v1 requires a two-party state (use v2 with --split instead)"
 
 
+def set_chunk(monkeypatch, dims, num_terms, chunk):
+    """Shrink the stack budget so an audit over `dims` with `num_terms` terms draws `chunk` samples per stack."""
+    d = math.prod(dims)
+    monkeypatch.setattr(cli, "STACK_ENTRIES", chunk * d * max(d, num_terms))
+    assert cli._stack_size(d, num_terms) == chunk
+
+
 def two_party_criteria(dims, criteria=ALL_CRITERIA):
     """`criteria` without v1 where `dims` has more than two parties: v1 reads a two-party state alone."""
     return tuple(c for c in criteria if c != "v1" or len(dims) == 2)
@@ -149,7 +156,7 @@ def test_chunk_boundaries(monkeypatch):
         criteria=two_party_criteria((2, 2, 2)), params=(0.5, 5.0),
     )
     whole = run_audit(cfg)
-    monkeypatch.setattr(cli, "AUDIT_CHUNK", 4)
+    set_chunk(monkeypatch, cfg.dims, cfg.num_terms, 4)
     chunked = run_audit(cfg)
     assert_same_report(chunked, whole)
     assert_same_report(chunked, reference_audit(cfg))
@@ -172,7 +179,7 @@ def test_one_spectrum_per_target_and_chunk(monkeypatch, dims, per_chunk, chunks)
         return spectrum(stack, stack_dims, target, *rest)
 
     monkeypatch.setattr(cli, "spectrum", counting_spectrum)
-    monkeypatch.setattr(cli, "AUDIT_CHUNK", 8 // chunks)
+    set_chunk(monkeypatch, dims, 2, 8 // chunks)
     run_audit(AuditConfig(dims=dims, num_states=8, num_terms=2, criteria=("realign", "v3", "ppt")))
     assert calls == per_chunk * chunks
 
@@ -213,7 +220,7 @@ def test_scratch_allocates_only_in_the_first_chunk(monkeypatch, allocations, dim
         return separable_stack(*args)
 
     monkeypatch.setattr(cli, "separable_stack", counting_stack)
-    monkeypatch.setattr(cli, "AUDIT_CHUNK", 4)
+    set_chunk(monkeypatch, dims, 2, 4)
     cfg = AuditConfig(dims=dims, num_states=12, num_terms=2, criteria=two_party_criteria(dims), params=(0.5, 5.0))
     report = run_audit(cfg)
     assert len(chunks) == 3
@@ -270,7 +277,7 @@ def test_ties_across_chunks_keep_the_first_seed(monkeypatch, chunk):
     stats = [verdict_v1(sample_separable(cfg.dims, 1, cfg.seed + i), 0.5).statistic for i in range(12)]
     tied = [i for i, x in enumerate(stats) if x == max(stats)]
     assert len({i // chunk for i in tied}) >= 2  # the tie spans a chunk boundary
-    monkeypatch.setattr(cli, "AUDIT_CHUNK", chunk)
+    set_chunk(monkeypatch, cfg.dims, cfg.num_terms, chunk)
     (entry,) = run_audit(cfg)
     assert entry.worst_statistic == max(stats)
     assert entry.worst_seed == cfg.seed + tied[0]
@@ -278,7 +285,7 @@ def test_ties_across_chunks_keep_the_first_seed(monkeypatch, chunk):
 
 
 def test_many_terms_shrink_the_chunk(monkeypatch):
-    """With num_terms above D the chunk shrinks, so the sampler's kets stay within AUDIT_CHUNK * D^2.
+    """With num_terms above D the chunk shrinks, so the sampler's kets stay within STACK_ENTRIES.
 
     The report equals the one-sample-per-chunk report, and the audit's
     allocation peak is several times below that of sampling all its states
@@ -297,7 +304,7 @@ def test_many_terms_shrink_the_chunk(monkeypatch):
     finally:
         tracemalloc.stop()
     assert audit_peak * 3 < whole_peak
-    monkeypatch.setattr(cli, "AUDIT_CHUNK", 1)
+    set_chunk(monkeypatch, cfg.dims, cfg.num_terms, 1)
     assert_same_report(report, run_audit(cfg))
 
 

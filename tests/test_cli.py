@@ -29,6 +29,20 @@ def run_cli(*args):
     return code, out.getvalue(), err.getvalue()
 
 
+def step_statistic(monkeypatch, root):
+    """Make every family evaluation's statistic step across its threshold at `root`: one unit on
+    the unflagged side at state parameters up to `root`, one unit on the flagged side above it."""
+    family_evaluation = cli._family_evaluation
+
+    def stepped(family, xs, criterion, **flags):
+        ev = family_evaluation(family, xs, criterion, **flags)
+        row = cli.CRITERIA[criterion]
+        side = np.where(np.array(xs) > root, 1.0, -1.0) * (-1.0 if row.below else 1.0)
+        return ev._replace(statistic=row.threshold + side)
+
+    monkeypatch.setattr(cli, "_family_evaluation", stepped)
+
+
 def parse_report(text):
     fields = {}
     for line in text.splitlines():
@@ -249,6 +263,15 @@ class TestExitCodes:
             "analyze", "--state", str(path), "--criterion", "realign", "--split", "1|2"
         )
         assert code == 2 and "cannot read" in err
+        # An integer entry no float holds: float() raises OverflowError.
+        matrix = [[[10**400 if i == j == 0 else 0.25 * (i == j), 0] for j in range(4)] for i in range(4)]
+        path.write_text(json.dumps({"dims": [2, 2], "matrix": matrix}))
+        code, out, err = run_cli(
+            "analyze", "--state", str(path), "--criterion", "realign", "--split", "1|2"
+        )
+        assert (code, out) == (2, "")
+        assert err == (f"error: cannot read state file {str(path)!r}: "
+                       "malformed state JSON: int too large to convert to float\n")
 
     @staticmethod
     def mixed_state_file(tmp_path, dims):
@@ -561,16 +584,19 @@ class TestThreshold:
         assert code == 2
         assert "straddle" in err
 
-    # The ends sum past the largest float, so the midpoint halves each end first.
+    # The ends sum past the largest float, so the midpoint halves each end first.  rho_eps's
+    # realign statistic is 1 at both ends, no crossing, so it is made to step across inside.
     @pytest.mark.parametrize("bracket", ["1e308:1.7e308", "1e-300:1e308"])
-    def test_bracket_near_float_max_gives_a_finite_root(self, bracket):
+    def test_bracket_near_float_max_gives_a_finite_root(self, monkeypatch, bracket):
+        lo, hi = (float(end) for end in bracket.split(":"))
+        root = lo + 0.3 * (hi - lo)
+        step_statistic(monkeypatch, root)
         code, out, err = run_cli(
             "threshold", "--family", "rho_eps", "--bracket", bracket,
             "--criterion", "realign", "--split", "1|2",
         )
         assert (code, err) == (0, "")
-        lo, hi = (float(end) for end in bracket.split(":"))
-        assert lo <= float(out) <= hi
+        assert lo <= float(out) <= hi and float(out) == pytest.approx(root, rel=1e-11)
 
 
 class TestAudit:

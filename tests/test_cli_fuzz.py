@@ -30,6 +30,7 @@ STATE_FILES = {
     "huge_dims.json": json.dumps({"dims": [1000, 1000], "matrix": []}),  # a 14.6 TiB matrix
     "nan.json": json.dumps({"dims": [2, 2], "matrix": [[[math.nan, 0.0]] * 4] * 4}),
     "fractional_dims.json": json.dumps({"dims": [2.5, 2], "matrix": BELL}),
+    "huge_int.json": json.dumps({"dims": [2, 2], "matrix": [[[10**400, 0]] + BELL[0][1:]] + BELL[1:]}),  # no float
 }
 DIRECTORY = "a_directory"
 STATES = st.sampled_from(sorted(STATE_FILES) + [DIRECTORY, "absent.json"])

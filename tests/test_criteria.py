@@ -601,6 +601,6 @@ class TestMomentRowsSkipEigensolve:
     @pytest.mark.parametrize("names,per_chunk", [(("v3", "realign"), 6), (("v3", "ppt"), 3)])
     def test_audit_eigensolves_once_per_split_or_party_and_chunk(self, solves, monkeypatch, names, per_chunk):
         # (2, 2, 2) has 6 splits and 3 parties; only realign eigensolves a split's Gram matrix
-        monkeypatch.setattr(cli, "AUDIT_CHUNK", 8)
+        monkeypatch.setattr(cli, "STACK_ENTRIES", 8 * 8 * 8)  # 8 samples of dimension 8
         run_audit(AuditConfig(dims=(2, 2, 2), num_states=20, num_terms=1, criteria=names))
         assert solves["solves"] == per_chunk * 3  # chunks of 8, 8 and 4 states

@@ -23,11 +23,13 @@ from conftest import random_density
 from remoments import FAMILIES, DensityMatrix, StateValidationError, validate
 from remoments import cli
 from remoments.cli import _parse_grid, sweep_rows, write_sweep_csv
-from remoments.criteria import CRITERIA, evaluate, spectrum
+from remoments.criteria import CRITERIA, entangled, evaluate, spectrum
 from remoments.linalg import SCRATCH, Scratch
 from remoments.realign import RealignSpec, enumerate_splits
-from remoments.states import RHO_D_MAX, RHO_D_MIN, DomainError, family_dims, family_stack, validate_stack
-from test_cli import run_cli
+from remoments.states import (
+    RHO_D_MAX, RHO_D_MIN, DomainError, family_dims, family_stack, separable_stack, validate_stack,
+)
+from test_cli import run_cli, step_statistic
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -301,8 +303,8 @@ def _figure_series():
 @pytest.mark.parametrize("series", _figure_series(), ids=lambda s: s[0])
 def test_figure_series_match_reference_csv(tmp_path, series):
     """Each figure CSV byte for byte: from `sweep_rows`, and from `remoments sweep` through --out and
-    through stdout, in one stack for rho_d (55 points) and ghz_w (101), and in four (32, 32, 32 and
-    5 points) for rho_pq and noisy_ghz4."""
+    through stdout, in one stack for rho_d (55 points) and ghz_w (101), and in two (64 and 37
+    points) for rho_pq and noisy_ghz4."""
     filename, family, range_spec, criterion, kwargs = series
     want = (ROOT / "bench" / "ref" / filename).read_bytes()
     rows = sweep_rows(family, _parse_grid(range_spec), criterion, **kwargs)
@@ -314,7 +316,7 @@ def test_figure_series_match_reference_csv(tmp_path, series):
         argv += [f"--{name}", str(value)]
     with stack_sizes() as sizes:
         assert run_cli(*argv) == (0, want.decode(), "")
-    assert len(sizes) == {"rho_d": 1, "ghz_w": 1, "rho_pq": 4, "noisy_ghz4": 4}[family]
+    assert len(sizes) == {"rho_d": 1, "ghz_w": 1, "rho_pq": 2, "noisy_ghz4": 2}[family]
     assert max(sizes) * ENTRIES[family] <= cli.STACK_ENTRIES
     out = tmp_path / filename
     assert run_cli(*argv, "--out", str(out)) == (0, "", "")
@@ -406,10 +408,11 @@ def test_unvisited_nan_midpoints_do_not_raise(monkeypatch):
     assert any(math.isnan(x) for x in evaluated)
 
 
-def test_threshold_stops_between_adjacent_floats():
+def test_threshold_stops_between_adjacent_floats(monkeypatch):
     # Near 3e10 adjacent floats are 3.8e-6 apart, wider than the 1e-6
-    # tolerance, and the realign offset there is exactly 0, so the bracket
-    # passes the straddle check; the midpoint rounds to an end every time.
+    # tolerance, and a statistic stepping across the threshold at 3e10
+    # straddles it; the midpoint rounds to an end every time.
+    step_statistic(monkeypatch, 3e10)
     hi = math.nextafter(3e10, math.inf)
     argv = ("--family", "rho_eps", "--bracket", f"3e10:{hi!r}", "--criterion", "realign",
             "--split", "1|2")
@@ -420,20 +423,26 @@ def reference_threshold(family, lo, hi, criterion, flags):
     """(exit code, stdout, stderr) of `threshold` as a point-by-point bisection.
 
     Each point the bisection visits, LO, HI, then each midpoint, is built
-    and evaluated on its own with a one-point `cli.evaluate_stack`.
+    and evaluated on its own with a one-point `cli._family_evaluation`.
+    The ends straddle the threshold when their offsets lie on opposite
+    sides of 0 and exactly one of their statistics is flagged.
     """
-    def offset(x):
-        dims, matrices = family_stack(family, [x])
-        ev = cli.evaluate_stack(matrices, dims, criterion, **flags)
-        value = (ev.statistic - CRITERIA[criterion].threshold).tolist()[0]
+    def statistic(x):
+        value = cli._family_evaluation(family, [x], criterion, **flags).statistic.tolist()[0]
         if math.isnan(value):
             raise ValueError(f"statistic undefined at state parameter {cli._fmt(x)} "
                              "(criterion parameter outside admissible range)")
         return value
 
+    threshold = CRITERIA[criterion].threshold
+
+    def offset(x):
+        return statistic(x) - threshold
+
     try:
-        f_lo, f_hi = offset(lo), offset(hi)
-        if f_lo * f_hi > 0.0:
+        s_lo, s_hi = statistic(lo), statistic(hi)
+        f_lo, f_hi = s_lo - threshold, s_hi - threshold
+        if (f_lo < 0.0) == (f_hi < 0.0) or entangled(criterion, s_lo) == entangled(criterion, s_hi):
             raise ValueError(f"bracket [{cli._fmt(lo)}, {cli._fmt(hi)}] does not straddle the "
                              f"threshold (offsets {cli._fmt(f_lo)} and {cli._fmt(f_hi)})")
         while hi - lo > cli.BISECTION_TOL:
@@ -525,15 +534,16 @@ def crossing_cases(draw):
 @example((("rho_pq", 0.0668, 0.491, "v2", {"u": 11.849, "split": "1|2"}), True))  # NaN unvisited midpoints
 @example((("rho_pq", 0.2, 0.47, "v2", {"u": 11.849, "split": "1|2"}), True))  # NaN at LO
 @example((("noisy_ghz4", 0.0, 1.5, "v3", {"v": 0.01, "split": "1|2"}), False))  # HI off the domain
-@example((("rho_eps", 1e12, 1e13, "realign", {"split": "1|2"}), False))  # equal offsets at both ends
+@example((("rho_eps", 1e12, 1e13, "realign", {"split": "1|2"}), False))  # offsets 0 at both ends
 @example((("rho_eps", 1.75, 343.3753259391421, "ppt", {"party": 1}), False))  # offsets of float noise
+@example((("rho_eps", 1e-200, 1e200, "realign", {"split": "1|2"}), False))  # offsets 0 across eps = 1
 def test_threshold_matches_point_by_point_bisection(drawn):
     """Exit code, stdout and stderr as the point-by-point loop's.  With both ends in the family's
     domain, the first stack is LO, HI and the midpoint tree.  A v3, realign or ppt solve of a
     `crossing_cases` bracket then takes at most 3 stacks, which a predictor that misses its paths
     exceeds; v1/v2 are NaN outside their admissible range, which leaves the predictor fewer offsets
     (rho_pq v2 brackets took up to 5).  Other brackets have no budget: rho_eps is PPT throughout,
-    so its ppt offsets are +-1e-17 of float noise, which no predictor follows (5 stacks above)."""
+    so its ppt offsets are +-1e-17 of float noise, which the straddle check rejects."""
     case, crossing = drawn
     family, lo, hi = case[:3]
     with stack_sizes() as sizes:
@@ -550,8 +560,8 @@ def test_threshold_matches_point_by_point_bisection(drawn):
     ("noisy_ghz4", 0.0, 1.0, "v3", {"v": 0.01, "split": "1|2"}),
     ("rho_eps", 1e12, 1e13, "realign", {"split": "1|2"}),
 ])
-def test_equal_end_offsets_fall_back_to_the_midpoint(monkeypatch, case):
-    """Every statistic on its threshold: f_lo == f_hi == 0 leave no regula-falsi point."""
+def test_equal_end_offsets_do_not_straddle(monkeypatch, case):
+    """Every statistic on its threshold: offsets 0 and 0 are no crossing, an input error."""
     evaluate_stack = cli.evaluate_stack
 
     def on_threshold(matrices, dims, criterion, **flags):
@@ -560,7 +570,7 @@ def test_equal_end_offsets_fall_back_to_the_midpoint(monkeypatch, case):
 
     monkeypatch.setattr(cli, "evaluate_stack", on_threshold)
     want = reference_threshold(*case)
-    assert want[0] == 0
+    assert want[:2] == (2, "") and "does not straddle the threshold (offsets 0 and 0)" in want[2]
     assert run_cli("threshold", *threshold_argv(*case)) == want
 
 
@@ -609,8 +619,10 @@ def _benchmark_draws():
     *[("rho_eps", 3e10, _ulps_above(3e10, k), "realign", {"split": "1|2"}) for k in (1, 2, 3)],
     *_benchmark_draws(),
 ])
-def test_solve_builds_each_state_parameter_once(case):
+def test_solve_builds_each_state_parameter_once(monkeypatch, case):
     """No point is built twice: not within the first stack, and not in a later round."""
+    if case[0] == "rho_eps":  # its realign statistic is 1 there: step it across the threshold
+        step_statistic(monkeypatch, 3e10)
     points = []
 
     def recording(family, xs):
@@ -639,11 +651,11 @@ def test_sweep_chunk_boundaries(monkeypatch, chunk):
 
 
 @pytest.mark.parametrize("family, points", [
-    ("rho_d", 101), ("rho_eps", 101), ("rho_pq", 32), ("ghz_w", 128), ("noisy_ghz4", 32),
+    ("rho_d", 202), ("rho_eps", 202), ("rho_pq", 64), ("ghz_w", 256), ("noisy_ghz4", 64),
 ])
 def test_sweep_stacks_hold_at_most_the_entry_budget(family, points):
-    """A stack holds floor(8192 / D^2) points: 32 of the 16 x 16 families, as many entries as 128 of ghz_w."""
-    assert cli.STACK_ENTRIES == 8192 and cli._stack_points(family) == points
+    """A stack holds floor(16384 / D^2) points: 64 of the 16 x 16 families, as many entries as 256 of ghz_w."""
+    assert cli.STACK_ENTRIES == 16384 and cli._stack_points(family) == points
     assert points * ENTRIES[family] <= cli.STACK_ENTRIES < (points + 1) * ENTRIES[family]
     lo, hi = DOMAINS[family]
     grid = np.linspace(lo, hi, 2 * points + 5).tolist()
@@ -688,6 +700,29 @@ class TestFamilyScratch:
                        "--v", "0.01", "--split", "1|2")[0] == 0
         assert SCRATCH.buffers.keys() == buffers.keys()
         assert all(SCRATCH.buffers[name] is buf for name, buf in buffers.items())
+
+    @pytest.mark.parametrize("dims, num_states, num_terms", [
+        ("8,8", 16, 3), ("2,2,2,2", 200, 3), ("2,2", 300, 16),  # the last with more terms than D
+    ])
+    def test_audit_stacks_hold_at_most_the_entry_budget(self, dims, num_states, num_terms):
+        """An audit's chunks hold STACK_ENTRIES // (D * max(D, num_terms)) samples, so every
+        buffer its stacks take holds at most STACK_ENTRIES entries, as a sweep's do."""
+        d = math.prod(map(int, dims.split(",")))
+        chunk = max(1, cli.STACK_ENTRIES // (d * max(d, num_terms)))
+        sizes = []
+
+        def recording(stack_dims, terms, seeds):
+            sizes.append(len(seeds))
+            return separable_stack(stack_dims, terms, seeds)
+
+        SCRATCH.buffers.clear()
+        with mock.patch.object(cli, "separable_stack", recording):
+            assert run_cli("audit", "--dims", dims, "--num-states", str(num_states),
+                           "--num-terms", str(num_terms))[0] == 0
+        assert sum(sizes) == num_states and max(sizes) == min(chunk, num_states)
+        assert len(sizes) == -(-num_states // chunk)
+        assert set(SCRATCH.buffers) == {"moved", "conj", "sym", "abs"}
+        assert all(buf.size <= cli.STACK_ENTRIES for buf in SCRATCH.buffers.values())
 
     def test_float_and_complex_takes_share_one_buffer(self):
         """A float take spans half the complex entries; once a complex take of the shape has grown
