@@ -40,8 +40,6 @@ DETECTION_SLACK = 1e-9
 PT_NEGATIVITY_TOL = 1e-10
 # Quadratic coefficient below this is treated as the rank-1 linear case.
 DEGENERATE_TOL = 1e-12
-# Radicand values in [F_CLAMP, 0) are endpoint rounding and clamp to 0.
-F_CLAMP = -1e-12
 
 
 @dataclass(frozen=True)
@@ -143,8 +141,10 @@ def admissible_bounds(t1: np.ndarray, t2: np.ndarray) -> AdmissibleBounds:
     moment sets.  Nondegenerate with a nonpositive discriminant: all of
     (0, inf).  Positive discriminant: (0, r-] and [r+, inf) around the
     radicand's roots, dropping an interval whose upper end is not
-    positive.  Degenerate (rank-1 realignment, T2 = T1^2): the linear
-    tail decides, giving (0, inf) when T1^2 >= T1 and otherwise
+    positive.  r- = 2 T1^2 / (sqrt(delta) + T1 - T1^2) (Vieta: the roots
+    multiply to 2 T1^2/(T1^2 - T2)) subtracts nothing; r+ carries the
+    rounding of T1^2 - T2.  Degenerate (rank-1 realignment, T2 = T1^2):
+    the linear tail decides, giving (0, inf) when T1^2 >= T1 and otherwise
     (0, T1^2/(T1 - T1^2)].
     """
     quad = t1 * t1 - t2
@@ -153,7 +153,7 @@ def admissible_bounds(t1: np.ndarray, t2: np.ndarray) -> AdmissibleBounds:
     degenerate = quad <= DEGENERATE_TOL
     with np.errstate(divide="ignore", invalid="ignore"):  # only where unused
         root = np.sqrt(disc)
-        lower = (-lin - root) / quad
+        lower = 2.0 * t1 * t1 / (root - lin)
         upper = (-lin + root) / quad
         tail = t1 * t1 / -lin
     two_sided = ~degenerate & (disc > 0.0) & (upper > 0.0)
@@ -168,23 +168,24 @@ def admissible_range(t1: float, t2: float) -> AdmissibleRange:
     return admissible_bounds(np.array([t1]), np.array([t2])).at(0)
 
 
+def _weighted(t1, t2, a: float):
+    """The v1/v2 formula at an admitted weight; F rounding below 0 at an end of the range clamps to 0."""
+    # F(a) = (T1^2 - T2) a^2 / 2 + (T1^2 - T1) a + T1^2
+    f = (t1 * t1 - t2) * a * a / 2.0 + (t1 * t1 - t1) * a + t1 * t1
+    return np.sqrt((2.0 / a) * ((1.0 + a / 2.0) * t1 + np.sqrt(np.maximum(f, 0.0))))
+
+
 def v1(t1, t2, a: float):
     """Weighted moment statistic sqrt((2/a)((1 + a/2) T1 + sqrt(F(a)))), of floats or of arrays alike.
 
-    A radicand F(a) in [F_CLAMP, 0) is endpoint rounding and clamps to 0.  Raises the ValueError of
-    v1's ``check_weight`` for a weight outside its domain, then that of the first state whose
-    radicand lies lower, where `a` sits outside the admissible range.
+    Raises the ValueError of v1's ``check_weight`` for a weight outside its domain, then
+    ``weight W lies outside the admissible range`` where :func:`admissible_bounds` does not admit
+    `a` for some state.  Inside the range, F rounding below 0 clamps to 0.
     """
     CRITERIA["v1"].check_weight(a)
-    # F(a) = (T1^2 - T2) a^2 / 2 + (T1^2 - T1) a + T1^2
-    f = (t1 * t1 - t2) * a * a / 2.0 + (t1 * t1 - t1) * a + t1 * t1
-    negative = np.flatnonzero(f < F_CLAMP)
-    if negative.size:
-        raise ValueError(
-            f"radicand {float(np.ravel(f)[negative[0]]):.3e} is negative: "
-            f"weight {a!r} lies outside the admissible range"
-        )
-    return np.sqrt((2.0 / a) * ((1.0 + a / 2.0) * t1 + np.sqrt(np.maximum(f, 0.0))))
+    if not admissible_bounds(np.atleast_1d(t1), np.atleast_1d(t2)).admits(a).all():
+        raise ValueError(f"weight {a!r} lies outside the admissible range")
+    return _weighted(t1, t2, a)
 
 
 def v3(t1, t2, v: float):
@@ -224,9 +225,10 @@ class Spectrum(NamedTuple):
 
 def _gated_v1(sp: Spectrum, a: float) -> np.ndarray:
     """v1 at `a` where it is admissible by `sp.bounds`, NaN elsewhere."""
+    CRITERIA["v1"].check_weight(a)  # a bad weight raises even if none is admitted
     ok = sp.bounds.admits(a)
     stats = np.full(np.shape(sp.t1), np.nan)
-    stats[ok] = v1(sp.t1[ok], sp.t2[ok], a)  # a bad weight raises even if none is admitted
+    stats[ok] = _weighted(sp.t1[ok], sp.t2[ok], a)
     return stats
 
 

@@ -4,12 +4,15 @@ The frozen copies below are the per-term sampler (a `kron` and an
 `np.linalg.norm` per factor) and the scalar v1, v3, admissible range and
 moment verdict as they were before the array versions replaced them,
 with the range's membership test and finite endpoints as they were
-then.  They carry the two changes made since: the discriminant's
-`lin * lin` in place of Python's `lin ** 2`, and v3's inner term
+then.  They carry the changes made since: the discriminant's
+`lin * lin` in place of Python's `lin ** 2`; v3's inner term
 sqrt(T1 + (v^2 + 2v) T2) - v sqrt(T2) taken as the equal quotient
 (T1 + 2v T2) / (sqrt(T1 + (v^2 + 2v) T2) + v sqrt(T2)), which does not
-cancel at large v.  The array code must reproduce them bit for bit,
-errors included.
+cancel at large v; the range's lower root in Vieta's form
+2 T1^2 / (sqrt(delta) + T1 - T1^2), which does not cancel either; and v1
+deciding admissibility by the frozen range, not by the sign of its
+radicand.  The array code must reproduce them bit for bit, errors
+included.
 """
 import math
 import struct
@@ -38,7 +41,6 @@ from remoments import (
 )
 from remoments.criteria import (
     CRITERIA,
-    F_CLAMP,
     DEGENERATE_TOL,
     Evaluation,
     Spectrum,
@@ -99,7 +101,7 @@ def frozen_admissible_range(m):
     if disc <= 0.0:
         return AdmissibleRange(intervals=(unbounded,), discriminant=disc, degenerate=False)
     root = math.sqrt(disc)
-    lower = (-lin - root) / quad
+    lower = 2.0 * const / (root - lin)
     upper = (-lin + root) / quad
     pieces = []
     if lower > 0.0:
@@ -127,12 +129,9 @@ def frozen_finite_endpoints(rng):
 def frozen_v1(m, a):
     if a <= 0.0:
         raise ValueError(f"weight must be positive, got {a!r}")
-    f = frozen_radicand(m, a)
-    if f < F_CLAMP:
-        raise ValueError(
-            f"radicand {f:.3e} is negative: weight {a!r} lies outside the admissible range"
-        )
-    f = max(f, 0.0)
+    if not frozen_contains(frozen_admissible_range(m), a):
+        raise ValueError(f"weight {a!r} lies outside the admissible range")
+    f = max(frozen_radicand(m, a), 0.0)
     return math.sqrt((2.0 / a) * ((1.0 + a / 2.0) * m[0] + math.sqrt(f)))
 
 
@@ -378,14 +377,14 @@ class TestMomentArrays:
         assert lower_nonpositive.discriminant > 0.0 and len(lower_nonpositive.intervals) == 1
         assert len(ranges["disc_positive_two_roots"].intervals) == 2
 
-    def test_radicand_error_at_the_first_state(self):
-        # Weights inside (r-, r+) of a two-root state give a negative radicand.
+    def test_range_error_at_any_state(self):
+        # Weights inside (r-, r+) of a two-root state lie outside its admissible range.
         good, bad = (1.0, 1.0), CASES["disc_positive_two_roots"]
         t1 = np.array([good[0], bad[0], good[0], 0.5])
         t2 = np.array([good[1], bad[1], good[1], 0.21])
         msets = list(zip(t1.tolist(), t2.tolist()))
         _, error = first_error(frozen_v1, [(m, 4.0) for m in msets])
-        assert error is not None and "radicand" in str(error)
+        assert str(error) == "weight 4.0 lies outside the admissible range"
         assert_raises_same(error, lambda: v1(t1, t2, 4.0))
         assert_raises_same(error, lambda: v1(*msets[1], 4.0))  # the first bad state's own float call
         # Gated, those states are inadmissible instead.

@@ -1,11 +1,12 @@
 """Detection criteria: weighted moment statistics, comparators, verdicts."""
 import decimal
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_density
 from remoments import (
@@ -38,10 +39,11 @@ from remoments import (
 )
 from remoments import cli, criteria
 from remoments.cli import AuditConfig, run_audit
-from remoments.criteria import CRITERIA, admissible_bounds, evaluate, spectrum
+from remoments.criteria import CRITERIA, Spectrum, admissible_bounds, evaluate, spectrum
 from remoments.states import separable_stack
 from test_audit import AUDIT_DIMS, two_party_criteria
-from test_cli import run_cli
+from test_arrays import CASES
+from test_cli import parse_report, run_cli
 
 Q0 = (math.sqrt(2) - 1) / 2
 BELL = pure_state(np.array([1, 0, 0, 1]) / math.sqrt(2), (2, 2))
@@ -183,10 +185,83 @@ class TestV1:
         with pytest.raises(ValueError, match="admissible"):
             v1(*pq_moments(), 1.0)
 
-    def test_clamps_tiny_negative_radicand(self):
+    def test_finite_at_both_ends(self):
+        """The reported ends are admitted, and F rounding below 0 there clamps to 0."""
         m = pq_moments()
-        edge = bounds_of(*m).low_end[0]
-        assert v1(*m, edge) > 0  # |F| <= 1e-9 at the root, clamp handles sign noise
+        bounds = bounds_of(*m)
+        for end in (bounds.low_end[0], bounds.high_start[0]):
+            assert math.isfinite(v1(*m, end))
+
+
+# diag(0.499, 0.499, 0.002, 0), a separable 2x2 state, and its moment sums as computed.
+NEAR_END_STATE = np.diag([0.499, 0.499, 0.002, 0.0])
+NEAR_END_MOMENTS = (0.498006, 0.248007984028)
+
+
+@st.composite
+def physical_moments(draw):
+    """0 < T1 <= 1 and T1^2/n <= T2 <= T1^2 for a rank n >= 2, near-degenerate T2 = T1^2 (1 - delta)
+    down to delta = 1e-14 included."""
+    t1 = draw(st.floats(1e-6, 1.0))
+    n = draw(st.integers(2, 64))
+    ratio = draw(st.one_of(
+        st.floats(1.0 / n, 1.0),
+        st.floats(-14.0, -1.0).map(lambda e: 1.0 - 10.0**e),
+        st.just(1.0),
+    ))
+    return t1, t1 * t1 * ratio
+
+
+class TestOneAdmissibilityRule:
+    """`admits` alone decides whether v1 and the gated v1/v2 rows take a weight, checked at each
+    finite end of the range and its float neighbours on both sides."""
+
+    def check(self, t1, t2):
+        t1s, t2s = np.array([t1]), np.array([t2])
+        bounds = admissible_bounds(t1s, t2s)
+        ends = [e for e in (float(bounds.low_end[0]), float(bounds.high_start[0])) if 0.0 < e < math.inf]
+        for w in [x for e in ends for x in (math.nextafter(e, 0.0), e, math.nextafter(e, math.inf))]:
+            admitted = bool(bounds.admits(w)[0])
+            if admitted:
+                assert math.isfinite(v1(t1, t2, w)), w
+            else:
+                with pytest.raises(ValueError, match=r"^weight .* lies outside the admissible range$"):
+                    v1(t1, t2, w)
+            for criterion in ("v1", "v2"):
+                stat = CRITERIA[criterion].statistic(Spectrum(None, t1s, t2s, bounds), w)
+                assert math.isnan(stat[0]) != admitted, (criterion, w)
+
+    @settings(max_examples=300, deadline=None)
+    @given(physical_moments())
+    @example(NEAR_END_MOMENTS)
+    def test_physical_moments(self, m):
+        self.check(*m)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_named_cases(self, name):
+        self.check(*CASES[name])
+
+    def test_cli_at_the_reported_ends(self, tmp_path):
+        """analyze exits 0 at both ends read from --out, with a finite statistic there and NaN and
+        the note one float outside."""
+        state = tmp_path / "state.json"
+        matrix = [[[x, 0.0] for x in row] for row in NEAR_END_STATE.tolist()]
+        state.write_text(json.dumps({"dims": [2, 2], "matrix": matrix}))
+        out = tmp_path / "out.json"
+        code, _, err = run_cli("analyze", "--state", str(state), "--criterion", "v1", "--a", "1", "--out", str(out))
+        assert (code, err) == (0, "")
+        low, high = json.loads(out.read_text())["admissible"]["intervals"]
+        ends = ((low["hi"], math.nextafter(low["hi"], math.inf)), (high["lo"], math.nextafter(high["lo"], 0.0)))
+        for end, outward in ends:
+            for flags in (("--criterion", "v1", "--a"), ("--criterion", "v2", "--split", "1|2", "--u")):
+                code, text, err = run_cli("analyze", "--state", str(state), *flags, repr(end))
+                fields = parse_report(text)
+                assert (code, err) == (0, "") and math.isfinite(float(fields["statistic"])), (flags, end)
+                assert "note" not in fields
+                code, text, err = run_cli("analyze", "--state", str(state), *flags, repr(outward))
+                fields = parse_report(text)
+                assert (code, err, fields["statistic"]) == (0, "", "nan"), (flags, outward)
+                assert fields["note"] == "parameter outside admissible range"
 
 
 class TestV3:

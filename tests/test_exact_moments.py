@@ -34,6 +34,23 @@ gated statistic) keep to:
   Measured at most 0.25 of it.  First order: F is off by at most about
   2 m eps T1 (1 + a)^2, and v1 >= sqrt(T1 (1 + 2/a)), which gives twice
   this bound.
+
+The ends of v1/v2's admissible range are checked against the radicand's
+roots r- <= r+ for the stored T1 and T2 taken as exact (`exact_roots`, in
+`decimal` at 60 digits), with m = T1 - T1^2 and s = sqrt(delta).  Rounding
+T1^2 moves m, delta and T1^2 - T2, so to first order the ends carry the
+bounds below, measured over 2,285 two-sided states (the diagonal scan,
+and 300 seeds of 2- and 3-term audit samples on (2,2), (3,3) and (2,4)):
+
+- |low_end - r-| <= 4 ulp(r-) + eps K r-, K = T1^2 (s + m + T1^2) / (s (s + m)).
+  Measured at most 0.48 of it.  On the diagonal scan (K <= 1.5) every low
+  end is within 4 ulp of r-, at most 2.4 ulp; the difference form
+  ((T1 - T1^2) - s) / (T1^2 - T2) was off there by up to 8.6e-6 relative.
+  K grows as T1 nears 1, where T1 - T1^2 cancels: 2-term samples reach
+  2.2e6 ulp.
+- |high_start - r+| <= 4 ulp(r+) + eps (K + T1^2 / (T1^2 - T2)) r+.
+  Measured at most 0.48 of it.  On the diagonal scan, where K is small beside
+  T1^2 / (T1^2 - T2), at most 0.33 of eps T1^2 / (T1^2 - T2) r+ alone.
 """
 import decimal
 import math
@@ -43,7 +60,7 @@ import numpy as np
 import pytest
 
 from remoments.criteria import CRITERIA, spectrum, v3
-from remoments.realign import enumerate_splits, realign_array
+from remoments.realign import RealignSpec, enumerate_splits, realign_array
 from remoments.states import family_stack, separable_stack
 
 EPS = np.finfo(float).eps
@@ -176,3 +193,59 @@ def test_family_moments_at_rational_parameters(name):
 def test_audit_sample_moments(dims, num_terms):
     checked = assert_moment_bounds(separable_stack(dims, num_terms, range(4)), dims)
     assert (checked > 0) == (num_terms > 1)  # a pure product realigns to rank 1: e2 = 0
+
+
+def exact_roots(t1: float, t2: float) -> tuple[decimal.Decimal, decimal.Decimal, float, float]:
+    """The radicand's roots r- and r+ for the stored `t1` and `t2` taken as exact, then the factors
+    K = T1^2 (s + m + T1^2) / (s (s + m)) and T1^2 / (T1^2 - T2) of the module's range-end bounds."""
+    sq = Fraction(t1) ** 2
+    m, quad = Fraction(t1) - sq, sq - Fraction(t2)
+    delta = m * m - 2 * quad * sq
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        sq, m, quad, s = _decimal(sq), _decimal(m), _decimal(quad), _decimal(delta).sqrt()
+        return (m - s) / quad, (m + s) / quad, float(sq * (s + m + sq) / (s * (s + m))), float(sq / quad)
+
+
+def range_end_errors(sp) -> list[tuple[float, float, float, float]]:
+    """Per state of `sp` with two finite ends: the low end's error in ulp of r-, its share of the low
+    end's bound, the high end's share of its bound and its share of eps T1^2 / (T1^2 - T2) r+."""
+    out = []
+    bounds = sp.bounds
+    for t1, t2, low, high in zip(sp.t1.tolist(), sp.t2.tolist(), bounds.low_end.tolist(), bounds.high_start.tolist()):
+        if high == math.inf:
+            continue
+        r_low, r_high, k, q = exact_roots(t1, t2)
+        err_low = float(abs(decimal.Decimal(low) - r_low))
+        err_high = float(abs(decimal.Decimal(high) - r_high))
+        r_low, r_high = float(r_low), float(r_high)
+        out.append((
+            err_low / math.ulp(r_low),
+            err_low / (4 * math.ulp(r_low) + EPS * k * r_low),
+            err_high / (4 * math.ulp(r_high) + EPS * (k + q) * r_high),
+            err_high / (EPS * q * r_high),
+        ))
+    return out
+
+
+def test_range_ends_on_the_diagonal_scan():
+    """diag((1 - x)/2, (1 - x)/2, x, 0), separable, for 800 x log-spaced in [1e-9, 1e-1]."""
+    x = np.geomspace(1e-9, 1e-1, 800)
+    stack = np.zeros((len(x), 4, 4), dtype=complex)
+    stack[:, 0, 0] = stack[:, 1, 1] = (1 - x) / 2
+    stack[:, 2, 2] = x
+    errors = range_end_errors(spectrum(stack, (2, 2), RealignSpec((1,), (2,)), ("v1",)))
+    assert len(errors) > 400  # the rest have T1^2 - T2 <= DEGENERATE_TOL: one interval
+    assert max(e[0] for e in errors) <= 4
+    assert max(e[2] for e in errors) <= 1
+    assert max(e[3] for e in errors) <= 1
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 4)])
+@pytest.mark.parametrize("num_terms", [2, 3])
+def test_range_ends_on_audit_samples(dims, num_terms):
+    sp = spectrum(separable_stack(dims, num_terms, range(300)), dims, RealignSpec((1,), (2,)), ("v1",))
+    errors = range_end_errors(sp)
+    assert len(errors) > 10
+    assert max(e[1] for e in errors) <= 1
+    assert max(e[2] for e in errors) <= 1

@@ -175,7 +175,7 @@ def check_moment_rows(t1, t2, weight):
         want = [frozen_verdict_row(x, verdict)
                 for x, verdict in zip(xs, moment_verdicts("v1", t1, t2, weight))]
     except ValueError:
-        return  # a radicand error; the sweep raises it before any row is built
+        return  # a weight error; the sweep raises it before any row is built
     bounds = admissible_bounds(t1, t2)
     ev = Evaluation("v1", weight, row_statistic("v1", t1, t2, weight, bounds), t1, t2, bounds)
     got = cli._sweep_rows(xs, ev)
