@@ -1,5 +1,7 @@
 """Entanglement detection from realignment moments of density matrices."""
 
+from types import ModuleType as _ModuleType
+
 from .criteria import (
     ENTANGLED,
     INCONCLUSIVE,
@@ -49,50 +51,6 @@ from .states import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ENTANGLED",
-    "INCONCLUSIVE",
-    "AdmissibleRange",
-    "CriterionVerdict",
-    "DensityMatrix",
-    "FAMILIES",
-    "Interval",
-    "RealignSpec",
-    "StateValidationError",
-    "admissible_range",
-    "dagger",
-    "discriminant",
-    "enumerate_splits",
-    "family_stack",
-    "from_json_dict",
-    "ghz_w",
-    "hermitian_eigenvalues",
-    "kron",
-    "load_state",
-    "mixture",
-    "moments",
-    "noisy_ghz4",
-    "partial_transpose",
-    "ppt_verdict",
-    "pure_state",
-    "realign_bipartite",
-    "realign_partial",
-    "realignment_norm_verdict",
-    "rho_d",
-    "rho_eps",
-    "rho_pq",
-    "sample_separable",
-    "save_state",
-    "separable_stack",
-    "singular_values",
-    "to_json_dict",
-    "trace_norm",
-    "v1",
-    "v3",
-    "validate",
-    "validate_stack",
-    "verdict_v1",
-    "verdict_v2",
-    "verdict_v3",
-    "__version__",
-]
+# The public API is what the imports above bind, less the submodules they load.
+__all__ = [name for name, value in list(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)] + ["__version__"]

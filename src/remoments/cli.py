@@ -130,22 +130,22 @@ def evaluate_stack(
     dims: tuple[int, ...],
     criterion: str,
     *,
-    a: float | None = None,
-    u: float | None = None,
-    v: float | None = None,
     split: str | None = None,
     party: int | None = None,
+    **weights: float | None,
 ) -> Evaluation:
     """:func:`evaluate` with the criterion's flags, on a (N, D, D) stack over `dims`.
 
-    The split text is parsed where the criterion reads one.  That parse and
-    :func:`evaluate` raise ValueError for a criterion without a row, a missing
-    flag, bad splits or parties, and invalid or non-finite weights.
+    The criterion takes the weight keyed by its row's flag (`a=`, `u=`, `v=`); a keyword that is no
+    row's flag raises TypeError.  The split text is parsed where the criterion reads one.  That parse
+    and :func:`evaluate` raise ValueError for a criterion without a row, a missing flag, bad splits or
+    parties, and invalid or non-finite weights.
     """
+    if unknown := sorted(weights.keys() - {r.flag for r in CRITERIA.values()}):
+        raise TypeError(f"evaluate_stack() got unexpected keyword arguments {unknown}")
     row = criterion_row(criterion)
     spec = RealignSpec.parse(split) if row.reads == "split" and split is not None else None
-    weight = {"a": a, "u": u, "v": v}.get(row.flag)
-    return evaluate(matrices, dims, criterion, weight, spec, party)
+    return evaluate(matrices, dims, criterion, weights.get(row.flag), spec, party)
 
 
 def evaluate_criterion(
@@ -161,8 +161,8 @@ def evaluate_criterion(
 
 
 def _criterion_flags(args: argparse.Namespace) -> dict[str, float | str | None]:
-    """The five criterion flags of a parsed command, as keywords of :func:`evaluate_stack`."""
-    return {name: getattr(args, name) for name in ("a", "u", "v", "split", "party")}
+    """The criterion flags of a parsed command (each weight, split, party), as :func:`evaluate_stack` keywords."""
+    return {k: getattr(args, k) for k in [r.flag for r in CRITERIA.values() if r.flag] + ["split", "party"]}
 
 
 def _family_evaluation(family: str, xs: list[float], criterion: str, **flags) -> Evaluation:
@@ -626,11 +626,12 @@ def _add_state_flags(sp: argparse.ArgumentParser) -> None:
 
 def _add_criterion_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--criterion", required=True, choices=CRITERIA)
-    sp.add_argument("--a", type=float, help="weight for v1")
-    sp.add_argument("--u", type=float, help="weight for v2")
-    sp.add_argument("--v", type=float, help="weight for v3")
-    sp.add_argument("--split", help='party grouping like "1|2" or "12|3" (v2/v3/realign)')
-    sp.add_argument("--party", type=int, help="1-based party index (ppt)")
+    for name, row in CRITERIA.items():  # one weight option per weighted row
+        if row.flag:
+            sp.add_argument(f"--{row.flag}", type=float, help=f"weight for {name}")
+    reading = {r: "/".join(name for name, row in CRITERIA.items() if row.reads == r) for r in ("split", "party")}
+    sp.add_argument("--split", help=f'party grouping like "1|2" or "12|3" ({reading["split"]})')
+    sp.add_argument("--party", type=int, help=f"1-based party index ({reading['party']})")
 
 
 @functools.cache

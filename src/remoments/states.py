@@ -318,6 +318,9 @@ _FAMILY_SPECS = {
     ),
 }
 
+# Parameterized families the CLI can build directly: each name's one-state constructor.
+FAMILIES = {name: globals()[name] for name in _FAMILY_SPECS}
+
 
 def family_dims(name: str) -> tuple[int, ...]:
     """The factor dims of family `name`; ValueError for an unknown name."""
@@ -496,16 +499,6 @@ def separable_stack(dims: Sequence[int], num_terms: int, seeds: Sequence[int]) -
         np.multiply(weights[:, t, None, None], outer, out=outer)
         m += outer
     return validate_stack(m)
-
-
-# Parameterized families the CLI can build directly.
-FAMILIES = {
-    "rho_d": rho_d,
-    "rho_eps": rho_eps,
-    "rho_pq": rho_pq,
-    "ghz_w": ghz_w,
-    "noisy_ghz4": noisy_ghz4,
-}
 
 
 def to_json_dict(dm: DensityMatrix) -> dict:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from remoments import cli
+from remoments.criteria import CRITERIA
 from test_cli_fuzz import analyze_argv, audit_argv, sweep_argv, threshold_argv
 
 COMMANDS = ("analyze", "sweep", "threshold", "audit")
@@ -121,6 +122,30 @@ def test_one_process_builds_the_parser_once():
     finally:
         cli.build_parser.cache_clear()
     assert built == list(COMMANDS)  # every subparser, built for the first request only
+
+
+def subparser(command):
+    return next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices[command]
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep", "threshold"])
+def test_weight_options_are_the_weighted_rows_flags(command):
+    """The options between --criterion and --split are one float weight per weighted row, in
+    CRITERIA order, and the --split and --party help name the rows reading each."""
+    actions = {action.option_strings[-1]: action for action in subparser(command)._actions}
+    options = list(actions)
+    weights = options[options.index("--criterion") + 1:options.index("--split")]
+    flagged = [(name, row.flag) for name, row in CRITERIA.items() if row.flag]
+    assert weights == [f"--{flag}" for _, flag in flagged] == ["--a", "--u", "--v"]
+    for name, flag in flagged:
+        assert (actions[f"--{flag}"].type, actions[f"--{flag}"].help) == (float, f"weight for {name}")
+    assert actions["--split"].help == 'party grouping like "1|2" or "12|3" (v2/v3/realign)'
+    assert actions["--party"].help == "1-based party index (ppt)"
+
+
+def test_criterion_flags_are_the_weights_split_and_party():
+    args = cli.build_parser().parse_args([*THRESHOLD, "--a", "2", "--party", "1"])
+    assert cli._criterion_flags(args) == {"a": 2.0, "u": None, "v": 0.01, "split": "1|2", "party": 1}
 
 
 def test_negative_weight_in_exponent_form_is_a_value():

@@ -191,6 +191,31 @@ def test_evaluate_stack_usage_errors(criterion, dims, flags, message):
     assert type(exc.value) is ValueError and str(exc.value) == message
 
 
+@pytest.mark.parametrize("name", [name for name, row in CRITERIA.items() if row.flag])
+def test_each_weighted_row_takes_its_own_flag(name):
+    """evaluate_stack routes a weighted row the weight keyed by its flag, and no other row's."""
+    row = CRITERIA[name]
+    dims = (2, 2)
+    matrices = np.stack([random_density(dims, seed).matrix for seed in range(3)])
+    reads = {"split": "1|2"} if row.reads == "split" else {}
+    ev = evaluate_stack(matrices, dims, name, **reads, **{row.flag: 0.5})
+    expected = evaluate(matrices, dims, name, 0.5, RealignSpec.parse("1|2") if reads else None)
+    assert (ev.criterion, ev.parameter) == (name, 0.5)
+    np.testing.assert_array_equal(ev.statistic, expected.statistic)
+    others = [other.flag for other in CRITERIA.values() if other.flag not in (None, row.flag)]
+    assert others
+    for flag in others:
+        with pytest.raises(ValueError) as exc:
+            evaluate_stack(matrices, dims, name, **reads, **{flag: 0.5})
+        assert str(exc.value) == f"criterion {name} requires --{row.flag}"
+
+
+def test_a_keyword_that_is_no_rows_flag_is_a_type_error():
+    matrices = np.eye(4, dtype=complex)[None] / 4
+    with pytest.raises(TypeError, match=r"unexpected keyword arguments \['b', 'weight'\]$"):
+        evaluate_stack(matrices, (2, 2), "realign", split="1|2", weight=1.0, b=2.0)
+
+
 # What `evaluate` itself checks, in its order: the row, then the party, split and weight it reads.
 SPEC = RealignSpec.parse("1|2")
 EVALUATE_ERRORS = [

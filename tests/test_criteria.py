@@ -39,7 +39,7 @@ from remoments import (
 )
 from remoments import cli, criteria
 from remoments.cli import AuditConfig, run_audit
-from remoments.criteria import CRITERIA, Spectrum, admissible_bounds, evaluate, spectrum
+from remoments.criteria import CRITERIA, Spectrum, admissible_bounds, entangled, evaluate, spectrum
 from remoments.states import separable_stack
 from test_audit import AUDIT_DIMS, two_party_criteria
 from test_arrays import CASES
@@ -563,6 +563,17 @@ def test_pure_products_keep_t2_at_most_t1_squared(dims):
         for name in ("v1", "v2") if len(dims) == 2 else ("v2",):
             for w in weights:
                 CRITERIA[name].statistic(sp, w)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the Gram route flags pure products near threshold")
+@pytest.mark.parametrize("criterion, weight", [("realign", None), ("v3", 0.0)])
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (4, 4)])
+def test_pure_products_are_not_flagged(dims, criterion, weight):
+    """A pure product's realign norm and v3(0) are exactly 1: no sample may read ENTANGLED.
+    The Gram route flags 293/300/300 (realign) and 92/104/130 (v3) of these samples."""
+    stack = separable_stack(dims, 1, range(300))
+    ev = evaluate(stack, dims, criterion, weight, RealignSpec.parse("1|2"))
+    assert np.count_nonzero(entangled(criterion, ev.statistic)) == 0
 
 
 def weight_collapse_stacks():

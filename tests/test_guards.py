@@ -42,6 +42,27 @@ def test_exported_names_resolve(name):
     assert hasattr(importlib.import_module("remoments"), name)
 
 
+# `__all__` is derived from the package's import block: an import added there, or a submodule
+# that slipped through, would change what `from remoments import *` binds.
+STAR_NAMES = {
+    "ENTANGLED", "INCONCLUSIVE", "AdmissibleRange", "CriterionVerdict", "DensityMatrix", "FAMILIES",
+    "Interval", "RealignSpec", "StateValidationError", "admissible_range", "dagger", "discriminant",
+    "enumerate_splits", "family_stack", "from_json_dict", "ghz_w", "hermitian_eigenvalues", "kron",
+    "load_state", "mixture", "moments", "noisy_ghz4", "partial_transpose", "ppt_verdict", "pure_state",
+    "realign_bipartite", "realign_partial", "realignment_norm_verdict", "rho_d", "rho_eps", "rho_pq",
+    "sample_separable", "save_state", "separable_stack", "singular_values", "to_json_dict", "trace_norm",
+    "v1", "v3", "validate", "validate_stack", "verdict_v1", "verdict_v2", "verdict_v3", "__version__",
+}
+
+
+def test_star_import_binds_the_public_api():
+    namespace: dict = {}
+    exec("from remoments import *", namespace)
+    del namespace["__builtins__"]
+    assert len(STAR_NAMES) == 45 and set(namespace) == STAR_NAMES
+    assert len(importlib.import_module("remoments").__all__) == 45  # each name listed once
+
+
 def readme_python_blocks():
     return re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), flags=re.S)
 

@@ -27,6 +27,7 @@ from remoments import (
     to_json_dict,
     validate,
 )
+from remoments import states
 from remoments.states import RHO_D_MAX, RHO_D_MIN, DomainError
 from test_cli import run_cli
 
@@ -411,6 +412,9 @@ class TestJsonFormat:
 
 
 def test_families_registry():
-    assert sorted(FAMILIES) == ["ghz_w", "noisy_ghz4", "rho_d", "rho_eps", "rho_pq"]
-    for fn in FAMILIES.values():
-        assert callable(fn)
+    """FAMILIES is built from the spec names, in their order, each mapped to its one-state constructor."""
+    assert list(FAMILIES) == list(states._FAMILY_SPECS) == ["rho_d", "rho_eps", "rho_pq", "ghz_w", "noisy_ghz4"]
+    for name, fn in FAMILIES.items():
+        assert fn is getattr(states, name)
+        with pytest.raises(DomainError, match=f"^{name} requires "):  # -1 is off every family's domain
+            fn(-1.0)
