@@ -109,8 +109,7 @@ def _build_state(args: argparse.Namespace) -> DensityMatrix:
         raise ValueError("one of --family or --state is required")
     if args.param is None:
         raise ValueError("--family requires --param")
-    dims, matrices = family_stack(args.family, [args.param])
-    return DensityMatrix(dims=dims, matrix=matrices[0])
+    return FAMILIES[args.family](args.param)
 
 
 def _stack_size(d: int, width: int) -> int:
@@ -276,18 +275,14 @@ def _sweep_rows(xs: list[float], ev: Evaluation) -> list[SweepRow]:
     """One CSV row per state parameter of an evaluated stack.
 
     The admissible columns hold the finite positive ends, ascending, of
-    (0, low_end] and [high_start, inf): both only for the two roots of one
-    quadratic, low_end <= high_start, and neither when every weight is
-    admissible (low_end and high_start both inf).
+    (0, low_end] and [high_start, inf): a finite high_start comes only with
+    a finite positive low_end, the two roots of one quadratic, and neither
+    column is filled when every weight is admissible (both ends inf).
     """
     lows = highs = [None] * len(xs)
     if ev.bounds is not None:
-        low, high = ev.bounds.low_end, ev.bounds.high_start
-        has_low = (low > 0.0) & (low < math.inf)
-        has_high = (high > 0.0) & (high < math.inf)
-        first = np.where(has_low, low, high).tolist()
-        lows = [x if ok else None for x, ok in zip(first, (has_low | has_high).tolist())]
-        highs = [x if ok else None for x, ok in zip(high.tolist(), (has_low & has_high).tolist())]
+        lows = [x if 0.0 < x < math.inf else None for x in ev.bounds.low_end.tolist()]
+        highs = [x if x < math.inf else None for x in ev.bounds.high_start.tolist()]
     flagged = entangled(ev.criterion, ev.statistic).tolist()
     outcomes = [ENTANGLED if e else INCONCLUSIVE for e in flagged]
     return [
@@ -370,23 +365,19 @@ def _predicted_path(lo: float, hi: float, table: dict[float, float], size: int) 
 
     The prediction is a root of the polynomial, in Newton's divided-difference form, through the
     _PREDICTOR_POINTS finite offsets of `table` nearest the bracket's midpoint: _NEWTON_STEPS Newton
-    steps, each clamped to [lo, hi], from the regula-falsi point of (lo, f_lo) and (hi, f_hi), or from
-    the midpoint where that is undefined or off the bracket; with fewer than two points, or a NaN step,
-    the path aims at that start.  A path shorter than `size` ends with the far child of its
-    second-to-last midpoint, where the bisection goes if it turns the other way there.
+    steps, each clamped to [lo, hi], from the regula-falsi point of (lo, f_lo) and (hi, f_hi); a NaN
+    or off-bracket result aims the path at the midpoint instead.  A path shorter than `size` ends with
+    the far child of its second-to-last midpoint, where the bisection goes if it turns the other way there.
     """
     f_lo, f_hi, centre = table[lo], table[hi], _mid(lo, hi)
-    start = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-    if not lo <= start <= hi:  # also NaN, from inf / inf
-        start = centre
+    guess = lo - f_lo * (hi - lo) / (f_hi - f_lo)  # finite offsets of opposite signs: f_hi != f_lo
     xs = sorted((x for x, f in table.items() if math.isfinite(f)), key=lambda x: abs(x - centre))
     xs = xs[:_PREDICTOR_POINTS]
     coef = [table[x] for x in xs]
     for k in range(1, len(xs)):  # coef[i] becomes the divided difference f[xs[0], ..., xs[i]]
         for i in range(len(xs) - 1, k - 1, -1):
             coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - k])
-    guess = start
-    for _ in range(_NEWTON_STEPS if len(xs) > 1 else 0):
+    for _ in range(_NEWTON_STEPS):
         p, dp = coef[-1], 0.0
         for c, x in zip(coef[-2::-1], xs[-2::-1]):  # Horner's rule on the Newton form, with p'
             p, dp = p * (guess - x) + c, dp * (guess - x) + p
@@ -394,7 +385,7 @@ def _predicted_path(lo: float, hi: float, table: dict[float, float], size: int) 
             break
         guess = min(max(guess - p / dp, lo), hi)  # NaN stays NaN
     if not lo <= guess <= hi:
-        guess = start
+        guess = centre
     path, _ = _walk(lo, hi, lambda lo, hi, mid: mid < guess, size)
     if 2 <= len(path) < size:  # the same walk turned the other way at path[-2]
         far, _ = _walk(lo, hi, lambda lo, hi, mid: (mid < guess) != (mid == path[-2]), len(path))

@@ -46,7 +46,7 @@ class RealignSpec:
             raise ValueError(f"split {text!r} must have exactly one '|'")
         groups = []
         for part in parts:
-            if not part or not all(c.isdigit() and c != "0" for c in part):
+            if not part or not all(c in "123456789" for c in part):  # not str.isdigit: it takes "²" and "１"
                 raise ValueError(f"split {text!r} must list parties as digits 1-9")
             groups.append(tuple(int(c) for c in part))
         spec = RealignSpec(group1=groups[0], group2=groups[1])

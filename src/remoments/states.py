@@ -536,8 +536,10 @@ def from_json_dict(obj: object) -> DensityMatrix:
             if len(row) != d:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {d}")
             for j, pair in enumerate(row):
-                re, im = pair
-                m[i, j] = complex(float(re), float(im))
+                # As for dims, a number is an int or a float, never a bool.
+                if type(pair) is not list or len(pair) != 2 or any(type(x) not in (int, float) for x in pair):
+                    raise ValueError(f"entry ({i}, {j}) must be a list of two numbers [re, im]")
+                m[i, j] = complex(float(pair[0]), float(pair[1]))
     except (KeyError, TypeError, IndexError, OverflowError) as exc:  # OverflowError: an int beyond float
         raise ValueError(f"malformed state JSON: {exc}") from exc
     return DensityMatrix(dims=dims, matrix=m)

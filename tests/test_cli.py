@@ -273,6 +273,25 @@ class TestExitCodes:
         assert err == (f"error: cannot read state file {str(path)!r}: "
                        "malformed state JSON: int too large to convert to float\n")
 
+    @pytest.mark.parametrize("entry", ["00", ["0.25", "0"], [0.25, False], [0.0, 0.0, 7.0]])
+    def test_malformed_entry_exit_2(self, tmp_path, entry):
+        # "00" unpacked into 0+0j and the string and bool pairs into numbers: each state was analyzed.
+        matrix = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+        matrix[3][3] = entry
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"dims": [2, 2], "matrix": matrix}))
+        code, out, err = run_cli("analyze", "--state", str(path), "--criterion", "realign", "--split", "1|2")
+        assert (code, out) == (2, "")
+        assert err == (f"error: cannot read state file {str(path)!r}: "
+                       "entry (3, 3) must be a list of two numbers [re, im]\n")
+
+    @pytest.mark.parametrize("split", ["１|2", "²|1"])
+    def test_non_ascii_digit_split_exit_2(self, split):
+        # The fullwidth 1 was read as party 1 (exit 0); "²" reached int() and its own message.
+        code, out, err = run_cli("analyze", "--family", "rho_d", "--param", "0.3", "--criterion", "realign",
+                                 "--split", split)
+        assert (code, out, err) == (2, "", f"error: split {split!r} must list parties as digits 1-9\n")
+
     @staticmethod
     def mixed_state_file(tmp_path, dims):
         """The 4x4 maximally mixed state, written with the given dims entries."""

@@ -19,7 +19,7 @@ NUMBERS = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-300, 1e308, 0.5, 1.0, 1e8, 1e10]),
 )
 SPLITS = st.sampled_from(
-    ["1|2", "12|3", "1|23", "12|34", "1|234", "13|24", "1|1", "1|5", "|2", "0|1", "1|2|3", "a|b"]
+    ["1|2", "12|3", "1|23", "12|34", "1|234", "13|24", "1|1", "1|5", "|2", "0|1", "1|2|3", "a|b", "１|2", "²|1"]
 )
 
 
@@ -30,6 +30,7 @@ STATE_FILES = {
     "huge_dims.json": json.dumps({"dims": [1000, 1000], "matrix": []}),  # a 14.6 TiB matrix
     "nan.json": json.dumps({"dims": [2, 2], "matrix": [[[math.nan, 0.0]] * 4] * 4}),
     "fractional_dims.json": json.dumps({"dims": [2.5, 2], "matrix": BELL}),
+    "string_entry.json": json.dumps({"dims": [2, 2], "matrix": [["00"] + BELL[0][1:]] + BELL[1:]}),
     "huge_int.json": json.dumps({"dims": [2, 2], "matrix": [[[10**400, 0]] + BELL[0][1:]] + BELL[1:]}),  # no float
 }
 DIRECTORY = "a_directory"
@@ -118,7 +119,7 @@ def audit_argv(draw):
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.one_of(analyze_argv(), sweep_argv(), threshold_argv(), audit_argv()))
-# Both end offsets 0.0: no regula-falsi point to predict the bisection's path from.
+# Both end offsets 0.0: no crossing, so the bracket is rejected before any path is predicted.
 @example(["threshold", "--family", "rho_eps", "--bracket", "1e12:1e13", "--criterion", "realign",
           "--split", "1|2"])
 # Ends that sum past the largest float.

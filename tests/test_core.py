@@ -180,6 +180,8 @@ USAGE_ERRORS = [
     ("v9", (2, 2), {}, "unknown criterion 'v9'; choose from ('v1', 'v2', 'v3', 'realign', 'ppt')"),
     ("v1", (2, 2), {"a": 2.2e-308}, "weight 2.2e-308 is too small: 8/weight overflows"),
     ("v2", (2, 2), {"u": 2.0 ** -1021, "split": "1|2"}, "weight 4.450147717014403e-308 is too small: 8/weight overflows"),
+    ("realign", (2, 2), {"split": "１|2"}, "split '１|2' must list parties as digits 1-9"),  # fullwidth 1
+    ("v3", (2, 2), {"split": "²|1", "v": 1.0}, "split '²|1' must list parties as digits 1-9"),
 ]
 
 

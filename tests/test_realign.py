@@ -175,7 +175,8 @@ class TestRealignSpec:
         assert spec.group1 == (1, 2) and spec.group2 == (3,)
         assert str(RealignSpec.parse("13|2")) == "13|2"
 
-    @pytest.mark.parametrize("text", ["12", "1|2|3", "|2", "1|", "11|2", "1|1", "0|2", "a|b"])
+    # The last three pass str.isdigit, and int() reads "１" and "٣" as 1 and 3.
+    @pytest.mark.parametrize("text", ["12", "1|2|3", "|2", "1|", "11|2", "1|1", "0|2", "a|b", "１|2", "²|1", "1|٣"])
     def test_parse_rejects(self, text):
         with pytest.raises(ValueError):
             RealignSpec.parse(text)

@@ -600,6 +600,28 @@ def test_threshold_budget_on_benchmark_draws():
     assert points <= 1120
 
 
+# u = 11.849 leaves rho_pq's v2 statistic undefined (NaN) on part of the bracket, so the
+# predictor's nodes cluster where earlier rounds landed.
+NAN_SIDED = ("rho_pq", 0.0, 0.47461373193256673, "v2", {"u": 11.849, "split": "1|2"})
+
+
+def test_nan_sided_bracket_root():
+    """The point-by-point root, in at most the five stacks (9, 17, 15, 14 and 11 points) it takes today."""
+    with stack_sizes() as sizes:
+        got = run_cli("threshold", *threshold_argv(*NAN_SIDED))
+    assert got == (0, "0.460899588691\n", "") == reference_threshold(*NAN_SIDED)
+    assert len(sizes) <= 5
+
+
+@pytest.mark.xfail(strict=True, reason="a regula-falsi start on clustered nodes predicts a spurious root")
+def test_nan_sided_bracket_within_four_stacks():
+    """Newton from the bracket midpoint solves this bracket in four stacks, but costs more stacks on
+    other NaN-sided rho_pq brackets, so the start stays at the regula-falsi point."""
+    with stack_sizes() as sizes:
+        assert run_cli("threshold", *threshold_argv(*NAN_SIDED))[0] == 0
+    assert len(sizes) <= 4
+
+
 def _ulps_above(x, k):
     for _ in range(k):
         x = math.nextafter(x, math.inf)

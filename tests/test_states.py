@@ -410,6 +410,18 @@ class TestJsonFormat:
             from_json_dict(payload)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("entry", ["00", ["0.25", "0"], [0.25, False], [0.0, 0.0, 7.0]])
+    def test_entry_must_be_two_numbers(self, entry):
+        """A string, string numbers, a bool or a third number in an entry is malformed, as in dims."""
+        matrix = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], entry]]
+        with pytest.raises(ValueError) as info:
+            from_json_dict({"dims": [2], "matrix": matrix})
+        assert type(info.value) is ValueError
+        assert str(info.value) == "entry (1, 1) must be a list of two numbers [re, im]"
+
+    def test_entry_of_ints_is_read(self):
+        assert from_json_dict({"dims": [1], "matrix": [[[1, 0]]]}).matrix[0, 0] == 1.0
+
 
 def test_families_registry():
     """FAMILIES is built from the spec names, in their order, each mapped to its one-state constructor."""

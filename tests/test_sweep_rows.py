@@ -206,6 +206,28 @@ def test_random_moment_stacks(case):
     check_moment_rows(*case)
 
 
+def check_admissible_columns(t1, t2):
+    """Each row's admissible columns are the finite positive ends of `bounds.at(i)`'s intervals, ascending:
+    `_sweep_rows` and `AdmissibleBounds.at` read one encoding of the bounds."""
+    bounds = admissible_bounds(t1, t2)
+    ev = Evaluation("v1", 1.0, t1, t1, t2, bounds)
+    for i, row in enumerate(cli._sweep_rows([0.0] * len(t1), ev)):
+        ends = finite_endpoints(bounds.at(i))
+        assert len(ends) <= 2
+        assert (row.admissible_low, row.admissible_high) == (ends + (None, None))[:2]
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + sorted(EDGE_CASES))
+def test_admissible_columns_of_named_cases(name):
+    check_admissible_columns(*(np.array([v]) for v in {**CASES, **EDGE_CASES}[name]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(moment_stacks())
+def test_admissible_columns_of_random_moment_stacks(case):
+    check_admissible_columns(*case[:2])
+
+
 def test_csv_rows_match_csv_writer():
     """`write_sweep_csv`'s rows against csv.writer's, on fields no grid above reaches together: empty
     admissible columns beside a weight, no weight, NaN and infinite statistics, and a subnormal parameter."""
