@@ -27,7 +27,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .linalg import SCRATCH, gram, gram_moments, gram_singular_values, hermitian_eigenvalues
+from .linalg import gram, gram_moments, gram_singular_values, hermitian_eigenvalues
 from .realign import RealignSpec, realign_array, transpose_party
 from .states import DensityMatrix
 
@@ -295,13 +295,12 @@ def spectrum(
     """The :class:`Spectrum` the rows of `criteria` read off `target`: for a 1-based party,
     one eigensolve of a stack's partial transpose over it; for a split, the :func:`gram`
     stack G of its realignment, read as T1 = tr G and T2 = ||G||_F^2 with no eigensolve.
-    Only realign eigensolves G and only v1/v2 take bounds; temporaries live in :data:`SCRATCH`, results are fresh.
+    Only realign eigensolves G and only v1/v2 take bounds; the permuted stack and the results are fresh arrays.
     """
-    moved = SCRATCH.take("moved", matrices.shape)
     if not isinstance(target, RealignSpec):
-        return Spectrum(hermitian_eigenvalues(transpose_party(matrices, dims, target, moved))[:, -1])
+        return Spectrum(hermitian_eigenvalues(transpose_party(matrices, dims, target))[:, -1])
     rows = [criterion_row(c) for c in criteria]
-    g = gram(realign_array(matrices, dims, target, moved))
+    g = gram(realign_array(matrices, dims, target))
     t1, t2 = gram_moments(g)
     reads_norms = any(r.reads == "split" and not r.flag for r in rows)  # realign
     return Spectrum(gram_singular_values(g).sum(axis=-1) if reads_norms else None, t1, t2,

@@ -7,11 +7,12 @@ the moments and singular values read off it, and the Hermitian part
 (:func:`hermitian_part`, real for a real stack) that eigensolves and state
 validation take.
 
-Stack-sized temporaries come from :data:`SCRATCH`, named buffers kept per
-thread, not faulted in anew on every call.  A thread keeps each named buffer
-as large as the largest stack it has taken: for the CLI at most its
+The stack-sized temporaries of :func:`hermitian_part` (so of validation)
+and :func:`gram` come from :data:`SCRATCH`, named buffers kept per thread,
+not faulted in anew on every call.  A thread keeps each named buffer as
+large as the largest stack it has taken: for the CLI at most its
 STACK_ENTRIES complex entries.  A float take views a complex buffer as
-float, so a real stack's validation and its complex spectrum share it.
+float, so a real stack's validation and its complex Gram matrix share it.
 """
 from __future__ import annotations
 

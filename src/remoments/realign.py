@@ -31,8 +31,8 @@ class RealignSpec:
     """Grouping "group1 | group2" of 1-based party indices.
 
     The two groups name the parties whose indices get rearranged; parties
-    in neither group are left untouched.  Groups must be nonempty and
-    disjoint.
+    in neither group are left untouched.  Groups must be nonempty, repeat
+    no party and be disjoint: a spec checks that once, when it is built.
     """
 
     group1: tuple[int, ...]
@@ -49,11 +49,9 @@ class RealignSpec:
             if not part or not all(c in "123456789" for c in part):  # not str.isdigit: it takes "²" and "１"
                 raise ValueError(f"split {text!r} must list parties as digits 1-9")
             groups.append(tuple(int(c) for c in part))
-        spec = RealignSpec(group1=groups[0], group2=groups[1])
-        spec._check_disjoint()
-        return spec
+        return RealignSpec(group1=groups[0], group2=groups[1])
 
-    def _check_disjoint(self) -> None:
+    def __post_init__(self) -> None:
         if not self.group1 or not self.group2:
             raise ValueError("both groups must be nonempty")
         if len(set(self.group1)) != len(self.group1) or len(set(self.group2)) != len(self.group2):
@@ -62,8 +60,7 @@ class RealignSpec:
             raise ValueError(f"groups {self.group1} and {self.group2} overlap")
 
     def validate_for(self, n_parties: int) -> None:
-        """Check the groups against a state with `n_parties` parties."""
-        self._check_disjoint()
+        """Check the groups' parties against a state with `n_parties` parties."""
         for p in self.group1 + self.group2:
             if not (1 <= p <= n_parties):
                 raise ValueError(f"party {p} out of range for {n_parties} parties")
@@ -78,23 +75,22 @@ class RealignSpec:
 
 
 def permute_parties(matrix: np.ndarray, dims: tuple[int, ...], row_axes: list[int],
-                    col_axes: list[int], out: np.ndarray | None = None) -> np.ndarray:
+                    col_axes: list[int]) -> np.ndarray:
     """`matrix`, or each matrix of a (..., D, D) stack over `dims`, with its 2n party axes rearranged.
 
     Axes 0..n-1 are the parties' bras, n..2n-1 their kets; rows run over `row_axes`, columns over
-    `col_axes`, earlier axes major.  One transpose, copied into `out` (C-contiguous) or a fresh array.
+    `col_axes`, earlier axes major.  One transpose, copied into a fresh C-contiguous complex array.
     """
     lead = matrix.shape[:-2]
     k = len(lead)
     view = matrix.reshape(lead + dims + dims).transpose([*range(k), *(k + a for a in row_axes + col_axes)])
-    out = np.empty(view.shape, view.dtype) if out is None else out
-    np.copyto(out.reshape(view.shape), view)
+    out = np.empty(view.shape, complex)
+    np.copyto(out, view)
     rows = k + len(row_axes)
     return out.reshape(lead + (math.prod(view.shape[k:rows]), math.prod(view.shape[rows:])))
 
 
-def realign_array(matrix: np.ndarray, dims: tuple[int, ...], spec: RealignSpec,
-                  out: np.ndarray | None = None) -> np.ndarray:
+def realign_array(matrix: np.ndarray, dims: tuple[int, ...], spec: RealignSpec) -> np.ndarray:
     """The :func:`permute_parties` call behind :func:`realign_partial`, on raw arrays."""
     n = len(dims)
     spec.validate_for(n)
@@ -102,18 +98,17 @@ def realign_array(matrix: np.ndarray, dims: tuple[int, ...], spec: RealignSpec,
     g2 = [p - 1 for p in spec.group2]
     comp = [p - 1 for p in spec.untouched(n)]
     return permute_parties(matrix, dims, g1 + [n + p for p in g1] + comp,
-                           g2 + [n + p for p in g2] + [n + p for p in comp], out)
+                           g2 + [n + p for p in g2] + [n + p for p in comp])
 
 
-def transpose_party(matrix: np.ndarray, dims: tuple[int, ...], party: int,
-                    out: np.ndarray | None = None) -> np.ndarray:
+def transpose_party(matrix: np.ndarray, dims: tuple[int, ...], party: int) -> np.ndarray:
     """`partial_transpose` on raw arrays: :func:`permute_parties` swaps `party`'s bra and ket axes."""
     n = len(dims)
     if not (1 <= party <= n):
         raise ValueError(f"party {party!r} out of range for {n} parties")
     axes = list(range(2 * n))
     axes[party - 1], axes[n + party - 1] = axes[n + party - 1], axes[party - 1]
-    return permute_parties(matrix, dims, axes[:n], axes[n:], out)
+    return permute_parties(matrix, dims, axes[:n], axes[n:])
 
 
 def realign_bipartite(dm: DensityMatrix) -> np.ndarray:

@@ -199,7 +199,7 @@ def test_shared_scratch_spectra_equal_fresh_ones_bit_for_bit(dims):
     first = [a.tobytes() for a in spectrum_arrays(shared[0])]
     shared += [spectrum(stack, dims, target, ALL_CRITERIA) for target in targets[1:]]
     assert [a.tobytes() for a in spectrum_arrays(shared[0])] == first  # no later target wrote into them
-    assert set(SCRATCH.buffers) == {"moved", "conj", "sym", "abs"}
+    assert set(SCRATCH.buffers) == {"conj", "sym", "abs"}
     for target, sp in zip(targets, shared):
         for a in spectrum_arrays(sp):
             assert not any(np.shares_memory(a, buf) for buf in SCRATCH.buffers.values())
@@ -224,7 +224,7 @@ def test_scratch_allocates_only_in_the_first_chunk(monkeypatch, allocations, dim
     cfg = AuditConfig(dims=dims, num_states=12, num_terms=2, criteria=two_party_criteria(dims), params=(0.5, 5.0))
     report = run_audit(cfg)
     assert len(chunks) == 3
-    assert {name for _, name in made} == {"moved", "conj", "sym", "abs"}
+    assert {name for _, name in made} == {"conj", "sym", "abs"}
     assert all(chunk == 1 for chunk, _ in made)
     assert_same_report(report, reference_audit(cfg))
 

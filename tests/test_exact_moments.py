@@ -249,3 +249,29 @@ def test_range_ends_on_audit_samples(dims, num_terms):
     assert len(errors) > 10
     assert max(e[1] for e in errors) <= 1
     assert max(e[2] for e in errors) <= 1
+
+
+def mixed_products(dims, seeds):
+    """rho_A (x) rho_B per seed s: default_rng(s) draws the full-rank Wishart factors G G^dag / tr G G^dag, A then B."""
+    def factor(rng, d):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        m = g @ g.conj().T
+        return m / np.trace(m).real
+
+    return np.stack([np.kron(factor(rng, dims[0]), factor(rng, dims[1]))
+                     for rng in map(np.random.default_rng, seeds)])
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 4), (4, 4)])
+def test_mixed_products_keep_the_linear_tail(dims):
+    """rho_A (x) rho_B realigns to rank 1 (T2 = T1^2), so its range is the linear tail (0, T1^2 / (T1 - T1^2)].
+
+    Over a third of these states compute 0 < fl(T1^2) - T2 <= 5.6e-16 from the rounding of the
+    Gram sum.  A rule calling a state degenerate only where T2 >= fl(T1^2) would give each of them
+    a spurious upper interval from about 3e14 on; this pins the one interval they have.
+    """
+    sp = spectrum(mixed_products(dims, range(1000)), dims, RealignSpec((1,), (2,)), ("v1",))
+    t1, quad = sp.t1, sp.t1 * sp.t1 - sp.t2
+    assert 100 <= np.count_nonzero((quad > 0) & (quad <= 5.6e-16))
+    assert (sp.bounds.high_start == np.inf).all()
+    assert (sp.bounds.low_end == t1 * t1 / (t1 - t1 * t1)).all()

@@ -18,6 +18,7 @@ from remoments import (
     pure_state,
     realign_bipartite,
     realign_partial,
+    rho_d,
     sample_separable,
     singular_values,
     trace_norm,
@@ -188,16 +189,17 @@ class TestRealignSpec:
             spec.validate_for(2)
 
     @pytest.mark.parametrize(
-        "spec, message",
+        "groups, message",
         [
-            # Built directly: `parse` rejects both groups before a spec exists.
-            (RealignSpec((), (1,)), "both groups must be nonempty"),
-            (RealignSpec((1, 1), (2,)), "a group may not repeat a party"),
+            (((), (1,)), "both groups must be nonempty"),
+            (((1, 1), (2,)), "a group may not repeat a party"),
+            (((1,), (1,)), "groups (1,) and (1,) overlap"),
         ],
     )
-    def test_validate_for_messages(self, spec, message):
+    def test_construction_messages(self, groups, message):
+        """A spec checks its groups when it is built, directly as by `parse`, so no invalid spec exists."""
         with pytest.raises(ValueError) as exc:
-            spec.validate_for(2)
+            RealignSpec(*groups)
         assert str(exc.value) == message
 
     def test_untouched(self):
@@ -296,12 +298,24 @@ def loop_partial_transpose(matrix, dims, party):
 @pytest.mark.parametrize("dims", [(2, 3, 2), (2, 2, 2, 2)])
 def test_partial_transpose_matches_loop_oracle_exactly(dims):
     stack = np.stack([random_density(dims, seed).matrix for seed in range(3)])
-    buf = np.empty(stack.size, dtype=complex)
     for party in range(1, len(dims) + 1):
         want = np.stack([loop_partial_transpose(m, dims, party) for m in stack])
         assert np.array_equal(partial_transpose(DensityMatrix(dims, stack[0]), party), want[0])
-        got = transpose_party(stack, dims, party, out=buf)
-        assert np.shares_memory(got, buf)
+        assert np.array_equal(transpose_party(stack, dims, party), want)
+
+
+@pytest.mark.parametrize("dm", [rho_d(0.3), ghz_w(0.3)], ids=["rho_d", "ghz_w"])
+def test_real_states_permute_into_complex_arrays_with_equal_values(dm):
+    """A float64 state's realignments and partial transpose are fresh complex128 arrays, equal
+    to those of the state cast to complex."""
+    assert dm.matrix.dtype == np.float64
+    cplx = DensityMatrix(dm.dims, dm.matrix.astype(complex))
+    spec = RealignSpec.parse("1|2")
+    pairs = [(realign_partial(dm, spec), realign_partial(cplx, spec)), (partial_transpose(dm, 2), partial_transpose(cplx, 2))]
+    if len(dm.dims) == 2:
+        pairs.append((realign_bipartite(dm), realign_bipartite(cplx)))
+    for got, want in pairs:
+        assert got.dtype == np.complex128 and not np.shares_memory(got, dm.matrix)
         assert np.array_equal(got, want)
 
 

@@ -695,6 +695,21 @@ def test_predicted_paths_hold_at_most_the_entry_budget(family):
     assert len(path) * ENTRIES[family] <= cli.STACK_ENTRIES
 
 
+TOWARD_HALF = [0.5, 0.25, 0.375, 0.4375, 0.46875, 0.484375, 0.4921875, 0.49609375]
+
+
+def test_predicted_path_stops_newton_where_the_derivative_vanishes():
+    """Nodes on 8 (x - 1/2)^3 give p = p' = 0 at the regula-falsi start 1/2: Newton stops there, not on p / 0."""
+    table = {0.0: -1.0, 1.0: 1.0, 0.25: -0.125, 0.75: 0.125}
+    assert cli._predicted_path(0.0, 1.0, table, 8) == TOWARD_HALF
+
+
+def test_predicted_path_aims_at_the_midpoint_when_the_prediction_is_nan():
+    """Divided differences that overflow make the prediction NaN; the path aims at the midpoint, not leftwards."""
+    table = {0.0: -1.0, 1.0: 1.0, 0.5: 1e308, math.nextafter(0.5, 1.0): -1e308}
+    assert cli._predicted_path(0.0, 1.0, table, 8) == TOWARD_HALF
+
+
 class TestFamilyScratch:
     """Family stacks of the CLI take their temporaries from the thread's scratch, kept between commands."""
 
@@ -715,7 +730,7 @@ class TestFamilyScratch:
         SCRATCH.buffers.clear()
         self.sweep(*self.SWEEPS[0])
         buffers = dict(SCRATCH.buffers)
-        assert set(buffers) == {"moved", "conj", "sym", "abs"}
+        assert set(buffers) == {"conj", "sym", "abs"}
         assert all(buf.size <= cli.STACK_ENTRIES for buf in buffers.values())
         self.sweep(*self.SWEEPS[0])
         assert run_cli("threshold", "--family", "noisy_ghz4", "--bracket", "0:1", "--criterion", "v3",
@@ -743,7 +758,7 @@ class TestFamilyScratch:
                            "--num-terms", str(num_terms))[0] == 0
         assert sum(sizes) == num_states and max(sizes) == min(chunk, num_states)
         assert len(sizes) == -(-num_states // chunk)
-        assert set(SCRATCH.buffers) == {"moved", "conj", "sym", "abs"}
+        assert set(SCRATCH.buffers) == {"conj", "sym", "abs"}
         assert all(buf.size <= cli.STACK_ENTRIES for buf in SCRATCH.buffers.values())
 
     def test_float_and_complex_takes_share_one_buffer(self):
@@ -767,7 +782,7 @@ class TestFamilyScratch:
         for label[0] in range(3):
             dims, stack = family_stack("noisy_ghz4", np.linspace(0.0, 1.0, cli._stack_points("noisy_ghz4")))
             spectrum(stack, dims, RealignSpec.parse("1|2"), ("realign",))
-        assert {name for _, name in made} == {"abs", "conj", "moved", "sym"}
+        assert {name for _, name in made} == {"abs", "conj", "sym"}
         assert all(chunk == 0 for chunk, _ in made)
 
     def test_threads_get_distinct_buffers(self):
