@@ -124,50 +124,29 @@ def _stack_points(family: str) -> int:
     return _stack_size(d, d)
 
 
-def evaluate_stack(
-    matrices: np.ndarray,
-    dims: tuple[int, ...],
-    criterion: str,
-    *,
-    split: str | None = None,
-    party: int | None = None,
-    **weights: float | None,
-) -> Evaluation:
-    """:func:`evaluate` with the criterion's flags, on a (N, D, D) stack over `dims`.
-
-    The criterion takes the weight keyed by its row's flag (`a=`, `u=`, `v=`); a keyword that is no
-    row's flag raises TypeError.  The split text is parsed where the criterion reads one.  That parse
-    and :func:`evaluate` raise ValueError for a criterion without a row, a missing flag, bad splits or
-    parties, and invalid or non-finite weights.
-    """
-    if unknown := sorted(weights.keys() - {r.flag for r in CRITERIA.values()}):
-        raise TypeError(f"evaluate_stack() got unexpected keyword arguments {unknown}")
-    row = criterion_row(criterion)
-    spec = RealignSpec.parse(split) if row.reads == "split" and split is not None else None
-    return evaluate(matrices, dims, criterion, weights.get(row.flag), spec, party)
+def _request(args: argparse.Namespace) -> tuple[str, float | None, RealignSpec | None, int | None]:
+    """A parsed command's (criterion, weight, spec, party) for :func:`evaluate`: the weight of the row's
+    own flag, the split parsed (ValueError where it does not parse) only where the row reads one."""
+    row = criterion_row(args.criterion)
+    spec = RealignSpec.parse(args.split) if row.reads == "split" and args.split is not None else None
+    return args.criterion, getattr(args, row.flag) if row.flag else None, spec, args.party
 
 
 def evaluate_criterion(
-    dm: DensityMatrix, criterion: str, **flags: float | str | None
+    dm: DensityMatrix, criterion: str, weight: float | None = None,
+    spec: RealignSpec | None = None, party: int | None = None,
 ) -> tuple[CriterionVerdict, Evaluation]:
-    """One criterion's verdict on one state: :func:`evaluate_stack` with N = 1.
-
-    Takes the same flags, and returns the evaluation beside the verdict,
-    so that callers reporting T1/T2 take the spectrum only once.
-    """
-    ev = evaluate_stack(np.asarray(dm.matrix)[None], dm.dims, criterion, **flags)
+    """One criterion's verdict on one state, :func:`evaluate` with N = 1, beside the evaluation:
+    callers reporting T1/T2 take the spectrum only once."""
+    ev = evaluate(np.asarray(dm.matrix)[None], dm.dims, criterion, weight, spec, party)
     return verdict(ev), ev
 
 
-def _criterion_flags(args: argparse.Namespace) -> dict[str, float | str | None]:
-    """The criterion flags of a parsed command (each weight, split, party), as :func:`evaluate_stack` keywords."""
-    return {k: getattr(args, k) for k in [r.flag for r in CRITERIA.values() if r.flag] + ["split", "party"]}
-
-
-def _family_evaluation(family: str, xs: list[float], criterion: str, **flags) -> Evaluation:
-    """Family members at `xs` built as one stack and evaluated together, all or nothing."""
+def _family_evaluation(family: str, xs: list[float], *request) -> Evaluation:
+    """Family members at `xs` built as one stack and evaluated together on :func:`evaluate`'s
+    (criterion, weight, spec, party) `request`, all or nothing."""
     dims, matrices = family_stack(family, xs)
-    return evaluate_stack(matrices, dims, criterion, **flags)
+    return evaluate(matrices, dims, *request)
 
 
 def _format_admissible(verdict: CriterionVerdict) -> str:
@@ -191,7 +170,7 @@ def _write_out(path: str, write) -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     dm = _build_state(args)
-    result, ev = evaluate_criterion(dm, args.criterion, **_criterion_flags(args))
+    result, ev = evaluate_criterion(dm, *_request(args))
     reads = CRITERIA[args.criterion].reads
 
     if args.family is not None:
@@ -291,22 +270,25 @@ def _sweep_rows(xs: list[float], ev: Evaluation) -> list[SweepRow]:
     ]
 
 
-def sweep_rows(family: str, grid: list[float], criterion: str, **flags: float | str | None) -> list[SweepRow]:
-    """Evaluate one criterion, with :func:`evaluate_stack`'s flags, across a family grid, ascending order.
+def sweep_rows(
+    family: str, grid: list[float], criterion: str, weight: float | None = None,
+    spec: RealignSpec | None = None, party: int | None = None,
+) -> list[SweepRow]:
+    """Evaluate one criterion, with :func:`evaluate`'s weight, spec and party, across a family grid in order.
 
     Up to :func:`_stack_points` grid points are built, validated and evaluated
     as one stack.  A chunk that fails is redone point by point, so the error
     raised is the one the point-by-point loop raises first.
     """
-    size = _stack_points(family)
+    size, request = _stack_points(family), (criterion, weight, spec, party)
     rows = []
     for start in range(0, len(grid), size):
         chunk = grid[start:start + size]
         try:
-            rows += _sweep_rows(chunk, _family_evaluation(family, chunk, criterion, **flags))
+            rows += _sweep_rows(chunk, _family_evaluation(family, chunk, *request))
         except ValueError:
             for x in chunk:
-                rows += _sweep_rows([x], _family_evaluation(family, [x], criterion, **flags))
+                rows += _sweep_rows([x], _family_evaluation(family, [x], *request))
     return rows
 
 
@@ -324,7 +306,7 @@ def write_sweep_csv(fh, rows: list[SweepRow]) -> None:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.range_spec)
-    rows = sweep_rows(args.family, grid, args.criterion, **_criterion_flags(args))
+    rows = sweep_rows(args.family, grid, *_request(args))
     if args.out:
         _write_out(args.out, lambda fh: write_sweep_csv(fh, rows))
     else:
@@ -397,13 +379,13 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     lo, hi = _parse_floats(args.bracket, "bracket", ("LO", "HI"))
     if hi <= lo:
         raise ValueError("bracket requires HI > LO")
-    flags = _criterion_flags(args)
+    request = _request(args)  # a split that does not parse stops the solve before any state is built
     size = _stack_points(args.family)
     # State parameter -> offset from the threshold; NaN where the statistic is undefined.
     table: dict[float, float] = {}
 
     def offsets(xs: list[float]) -> dict[float, float]:
-        ev = _family_evaluation(args.family, xs, args.criterion, **flags)
+        ev = _family_evaluation(args.family, xs, *request)
         return dict(zip(xs, (ev.statistic - CRITERIA[ev.criterion].threshold).tolist()))
 
     def prefetch(xs: list[float]) -> None:

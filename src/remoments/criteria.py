@@ -243,7 +243,7 @@ def _values(sp: Spectrum, weight: float | None) -> np.ndarray:
 class _Row(NamedTuple):
     """What one criterion needs; see :data:`CRITERIA`."""
 
-    flag: str | None  # the weight's CLI option without "--" and evaluate_stack keyword; None when unweighted
+    flag: str | None  # the weight's CLI option without "--", which cli._request reads; None when unweighted
     reads: str  # "pair": the 1|2 realignment; "split": a split's; "party": a partial transpose
     gated: bool  # the weight must be > 0 and lie in the admissible range (otherwise >= 0)
     statistic: Callable[[Spectrum, float | None], np.ndarray]  # each state's, at a weight

@@ -1,9 +1,22 @@
 """Shared test helpers."""
+import argparse
+
 import numpy as np
 import pytest
 
-from remoments import DensityMatrix, validate
+from remoments import DensityMatrix, cli, validate
+from remoments.criteria import CRITERIA
 from remoments.linalg import SCRATCH, Scratch
+
+# The criterion flags of analyze, sweep and threshold, without "--".
+FLAGS = [row.flag for row in CRITERIA.values() if row.flag] + ["split", "party"]
+
+
+def request(criterion, **flags):
+    """`evaluate`'s (criterion, weight, spec, party) for a command given `--criterion criterion` and
+    `flags` ("a", "u", "v", "split", "party" as parsed values): what `cli._request` makes of them."""
+    assert flags.keys() <= set(FLAGS), flags
+    return cli._request(argparse.Namespace(criterion=criterion, **{**dict.fromkeys(FLAGS), **flags}))
 
 
 def random_density(dims, seed):

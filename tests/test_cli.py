@@ -34,9 +34,9 @@ def step_statistic(monkeypatch, root):
     the unflagged side at state parameters up to `root`, one unit on the flagged side above it."""
     family_evaluation = cli._family_evaluation
 
-    def stepped(family, xs, criterion, **flags):
-        ev = family_evaluation(family, xs, criterion, **flags)
-        row = cli.CRITERIA[criterion]
+    def stepped(family, xs, *request):
+        ev = family_evaluation(family, xs, *request)
+        row = cli.CRITERIA[ev.criterion]
         side = np.where(np.array(xs) > root, 1.0, -1.0) * (-1.0 if row.below else 1.0)
         return ev._replace(statistic=row.threshold + side)
 
@@ -236,7 +236,7 @@ class TestExitCodes:
         def raising(*args, **kwargs):
             raise exc
 
-        monkeypatch.setattr(cli, "evaluate_stack", raising)
+        monkeypatch.setattr(cli, "evaluate", raising)
         monkeypatch.setattr(cli, "spectrum", raising)
         flags = ("--criterion", "realign", "--split", "1|2")
         for argv in [
@@ -246,6 +246,15 @@ class TestExitCodes:
             ("audit", "--dims", "2,2", "--num-states", "2", "--criteria", "realign"),
         ]:
             assert run_cli(*argv) == want, argv
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--family", "rho_d", "--range", "0.2:0.36:0.05"),
+        ("threshold", "--family", "rho_d", "--bracket", "0.2:0.36"),
+    ])
+    def test_a_split_that_does_not_parse_is_rejected_before_any_state(self, argv):
+        """The first point, 0.2, lies off rho_d's domain; the split is refused before it is built."""
+        got = run_cli(*argv, "--criterion", "realign", "--split", "1|1")
+        assert got == (2, "", "error: groups (1,) and (1,) overlap\n")
 
     def test_both_sources_exit_2(self, tmp_path):
         path = tmp_path / "s.json"
@@ -602,6 +611,14 @@ class TestThreshold:
         )
         assert code == 2
         assert "straddle" in err
+
+    def test_undefined_statistic_at_lo_wins_over_an_off_domain_hi(self):
+        """LO is evaluated on its own where the first stack fails on HI: its NaN statistic is the error."""
+        assert run_cli(
+            "threshold", "--family", "rho_pq", "--bracket", "0.3:0.9",
+            "--criterion", "v2", "--u", "5", "--split", "1|2",
+        ) == (2, "", "error: statistic undefined at state parameter 0.3 "
+                     "(criterion parameter outside admissible range)\n")
 
     # The ends sum past the largest float, so the midpoint halves each end first.  rho_eps's
     # realign statistic is 1 at both ends, no crossing, so it is made to step across inside.

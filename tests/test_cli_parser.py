@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from remoments import cli
 from remoments.criteria import CRITERIA
+from remoments.realign import RealignSpec
 from test_cli_fuzz import analyze_argv, audit_argv, sweep_argv, threshold_argv
 
 COMMANDS = ("analyze", "sweep", "threshold", "audit")
@@ -145,7 +146,29 @@ def test_weight_options_are_the_weighted_rows_flags(command):
 
 def test_criterion_flags_are_the_weights_split_and_party():
     args = cli.build_parser().parse_args([*THRESHOLD, "--a", "2", "--party", "1"])
-    assert cli._criterion_flags(args) == {"a": 2.0, "u": None, "v": 0.01, "split": "1|2", "party": 1}
+    assert cli._request(args) == ("v3", 0.01, RealignSpec((1,), (2,)), 1)
+
+
+@pytest.mark.parametrize("criterion", CRITERIA)
+def test_request_reads_the_rows_own_weight_and_split(criterion):
+    """`_request` gives each weighted row the weight of its own flag and no other's, parses the split
+    only for the rows that read one (a split that does not parse is a ValueError there alone), and
+    passes the party through."""
+    row = CRITERIA[criterion]
+    weights = {"a": 2.0, "u": 5.0, "v": 0.01}
+    argv = ["threshold", "--family", "rho_eps", "--bracket", "1:2", "--criterion", criterion, "--party", "2"]
+    args = cli.build_parser().parse_args([*argv, *(f"--{k}={w!r}" for k, w in weights.items()), "--split", "12|3"])
+    spec = RealignSpec((1, 2), (3,)) if row.reads == "split" else None
+    assert cli._request(args) == (criterion, weights.get(row.flag), spec, 2)
+    if row.flag:  # every other row's flag given, not its own
+        args = cli.build_parser().parse_args([*argv, *(f"--{k}=1" for k in weights if k != row.flag)])
+        assert cli._request(args) == (criterion, None, None, 2)
+    args = cli.build_parser().parse_args([*argv, "--split", "a|b"])
+    if row.reads == "split":
+        with pytest.raises(ValueError, match=r"^split 'a\|b' must list parties as digits 1-9$"):
+            cli._request(args)
+    else:
+        assert cli._request(args)[2] is None
 
 
 def test_negative_weight_in_exponent_form_is_a_value():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_density
+from conftest import random_density, request
 from remoments import (
     RealignSpec,
     ghz_w,
@@ -27,7 +27,6 @@ from remoments import (
     verdict_v2,
     verdict_v3,
 )
-from remoments.cli import evaluate_stack
 from remoments.criteria import CRITERIA, admissible_bounds, entangled, evaluate, verdict
 from test_arrays import moment_stacks
 from test_cli import run_cli
@@ -158,7 +157,8 @@ def test_admits_is_membership_in_the_intervals(case, weight):
         assert admitted == [in_intervals(bounds.at(i), w) for i in range(len(t1))], w
 
 
-# Each ValueError of evaluate_stack, in the order the flags are checked: exit 2 under the CLI.
+# Each ValueError of a command's request on a stack, `cli._request` then `evaluate`, in the order the
+# flags are checked: exit 2 under the CLI.
 USAGE_ERRORS = [
     ("v1", (2, 2), {}, "criterion v1 requires --a"),
     ("v2", (2, 2), {"split": "1|2"}, "criterion v2 requires --u"),
@@ -189,18 +189,19 @@ USAGE_ERRORS = [
 def test_evaluate_stack_usage_errors(criterion, dims, flags, message):
     matrices = np.eye(math.prod(dims), dtype=complex)[None] / math.prod(dims)
     with pytest.raises(ValueError) as exc:
-        evaluate_stack(matrices, dims, criterion, **flags)
+        evaluate(matrices, dims, *request(criterion, **flags))
     assert type(exc.value) is ValueError and str(exc.value) == message
+
 
 
 @pytest.mark.parametrize("name", [name for name, row in CRITERIA.items() if row.flag])
 def test_each_weighted_row_takes_its_own_flag(name):
-    """evaluate_stack routes a weighted row the weight keyed by its flag, and no other row's."""
+    """A command's request routes a weighted row the weight keyed by its flag, and no other row's."""
     row = CRITERIA[name]
     dims = (2, 2)
     matrices = np.stack([random_density(dims, seed).matrix for seed in range(3)])
     reads = {"split": "1|2"} if row.reads == "split" else {}
-    ev = evaluate_stack(matrices, dims, name, **reads, **{row.flag: 0.5})
+    ev = evaluate(matrices, dims, *request(name, **reads, **{row.flag: 0.5}))
     expected = evaluate(matrices, dims, name, 0.5, RealignSpec.parse("1|2") if reads else None)
     assert (ev.criterion, ev.parameter) == (name, 0.5)
     np.testing.assert_array_equal(ev.statistic, expected.statistic)
@@ -208,15 +209,8 @@ def test_each_weighted_row_takes_its_own_flag(name):
     assert others
     for flag in others:
         with pytest.raises(ValueError) as exc:
-            evaluate_stack(matrices, dims, name, **reads, **{flag: 0.5})
+            evaluate(matrices, dims, *request(name, **reads, **{flag: 0.5}))
         assert str(exc.value) == f"criterion {name} requires --{row.flag}"
-
-
-def test_a_keyword_that_is_no_rows_flag_is_a_type_error():
-    matrices = np.eye(4, dtype=complex)[None] / 4
-    with pytest.raises(TypeError, match=r"unexpected keyword arguments \['b', 'weight'\]$"):
-        evaluate_stack(matrices, (2, 2), "realign", split="1|2", weight=1.0, b=2.0)
-
 
 # What `evaluate` itself checks, in its order: the row, then the party, split and weight it reads.
 SPEC = RealignSpec.parse("1|2")

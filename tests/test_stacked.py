@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_density
+from conftest import random_density, request
 from remoments import FAMILIES, DensityMatrix, StateValidationError, validate
 from remoments import cli
 from remoments.cli import _parse_grid, sweep_rows, write_sweep_csv
@@ -305,14 +305,15 @@ def test_figure_series_match_reference_csv(tmp_path, series):
     """Each figure CSV byte for byte: from `sweep_rows`, and from `remoments sweep` through --out and
     through stdout, in one stack for rho_d (55 points) and ghz_w (101), and in two (64 and 37
     points) for rho_pq and noisy_ghz4."""
-    filename, family, range_spec, criterion, kwargs = series
+    filename, family, range_spec, req = series
     want = (ROOT / "bench" / "ref" / filename).read_bytes()
-    rows = sweep_rows(family, _parse_grid(range_spec), criterion, **kwargs)
+    rows = sweep_rows(family, _parse_grid(range_spec), *req)
     buf = io.StringIO(newline="")
     write_sweep_csv(buf, rows)
     assert buf.getvalue().encode() == want
+    criterion = req[0]
     argv = ["sweep", "--family", family, "--range", range_spec, "--criterion", criterion]
-    for name, value in kwargs.items():
+    for name, value in zip([CRITERIA[criterion].flag, "split"], req[1:]):
         argv += [f"--{name}", str(value)]
     with stack_sizes() as sizes:
         assert run_cli(*argv) == (0, want.decode(), "")
@@ -396,14 +397,13 @@ def test_threshold_golden(argv, code, out, err):
 def test_unvisited_nan_midpoints_do_not_raise(monkeypatch):
     """The stacked rounds do evaluate NaN points, and the solve still succeeds."""
     evaluated = []
-    evaluate_stack = cli.evaluate_stack
 
-    def recording(matrices, dims, criterion, **flags):
-        result = evaluate_stack(matrices, dims, criterion, **flags)
+    def recording(*args):
+        result = evaluate(*args)
         evaluated.extend(result.statistic.tolist())
         return result
 
-    monkeypatch.setattr(cli, "evaluate_stack", recording)
+    monkeypatch.setattr(cli, "evaluate", recording)
     assert run_cli("threshold", *NAN_UNVISITED) == (0, "0.460899558067\n", "")
     assert any(math.isnan(x) for x in evaluated)
 
@@ -422,13 +422,14 @@ def test_threshold_stops_between_adjacent_floats(monkeypatch):
 def reference_threshold(family, lo, hi, criterion, flags):
     """(exit code, stdout, stderr) of `threshold` as a point-by-point bisection.
 
-    Each point the bisection visits, LO, HI, then each midpoint, is built
-    and evaluated on its own with a one-point `cli._family_evaluation`.
-    The ends straddle the threshold when their offsets lie on opposite
-    sides of 0 and exactly one of their statistics is flagged.
+    The flags become the command's request first; then each point the
+    bisection visits, LO, HI, then each midpoint, is built and evaluated
+    on its own with a one-point `cli._family_evaluation`.  The ends
+    straddle the threshold when their offsets lie on opposite sides of 0
+    and exactly one of their statistics is flagged.
     """
     def statistic(x):
-        value = cli._family_evaluation(family, [x], criterion, **flags).statistic.tolist()[0]
+        value = cli._family_evaluation(family, [x], *req).statistic.tolist()[0]
         if math.isnan(value):
             raise ValueError(f"statistic undefined at state parameter {cli._fmt(x)} "
                              "(criterion parameter outside admissible range)")
@@ -440,6 +441,7 @@ def reference_threshold(family, lo, hi, criterion, flags):
         return statistic(x) - threshold
 
     try:
+        req = request(criterion, **flags)
         s_lo, s_hi = statistic(lo), statistic(hi)
         f_lo, f_hi = s_lo - threshold, s_hi - threshold
         if (f_lo < 0.0) == (f_hi < 0.0) or entangled(criterion, s_lo) == entangled(criterion, s_hi):
@@ -470,15 +472,14 @@ def threshold_argv(family, lo, hi, criterion, flags):
 
 @contextlib.contextmanager
 def stack_sizes():
-    """The size of each stack `cli.evaluate_stack` evaluates inside the block, in call order."""
+    """The size of each stack `cli.evaluate` evaluates inside the block, in call order."""
     sizes = []
-    evaluate_stack = cli.evaluate_stack
 
-    def counting(matrices, *args, **flags):
+    def counting(matrices, *args):
         sizes.append(len(matrices))
-        return evaluate_stack(matrices, *args, **flags)
+        return evaluate(matrices, *args)
 
-    with mock.patch.object(cli, "evaluate_stack", counting):
+    with mock.patch.object(cli, "evaluate", counting):
         yield sizes
 
 
@@ -562,13 +563,11 @@ def test_threshold_matches_point_by_point_bisection(drawn):
 ])
 def test_equal_end_offsets_do_not_straddle(monkeypatch, case):
     """Every statistic on its threshold: offsets 0 and 0 are no crossing, an input error."""
-    evaluate_stack = cli.evaluate_stack
+    def on_threshold(*args):
+        ev = evaluate(*args)
+        return ev._replace(statistic=np.full_like(ev.statistic, CRITERIA[ev.criterion].threshold))
 
-    def on_threshold(matrices, dims, criterion, **flags):
-        ev = evaluate_stack(matrices, dims, criterion, **flags)
-        return ev._replace(statistic=np.full_like(ev.statistic, CRITERIA[criterion].threshold))
-
-    monkeypatch.setattr(cli, "evaluate_stack", on_threshold)
+    monkeypatch.setattr(cli, "evaluate", on_threshold)
     want = reference_threshold(*case)
     assert want[:2] == (2, "") and "does not straddle the threshold (offsets 0 and 0)" in want[2]
     assert run_cli("threshold", *threshold_argv(*case)) == want
@@ -598,6 +597,24 @@ def test_threshold_budget_on_benchmark_draws():
         rounds, points = rounds + len(sizes), points + sum(sizes)
     assert rounds <= 83
     assert points <= 1120
+
+
+@pytest.mark.parametrize("argv", [
+    ("threshold", "--family", "noisy_ghz4", "--bracket", "0:1"),
+    ("sweep", "--family", "noisy_ghz4", "--range", "0:1:0.01"),
+])
+def test_a_command_parses_its_split_once(monkeypatch, argv):
+    """One request per command: a solve of two rounds and a sweep of two stacks parse --split once."""
+    parsed, parse = [], RealignSpec.parse
+
+    def counting(text):
+        parsed.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(RealignSpec, "parse", staticmethod(counting))
+    with stack_sizes() as sizes:
+        assert run_cli(*argv, "--criterion", "v3", "--v", "0.01", "--split", "1|2")[0] == 0
+    assert (len(sizes), parsed) == (2, ["1|2"])
 
 
 # u = 11.849 leaves rho_pq's v2 statistic undefined (NaN) on part of the bracket, so the
@@ -660,11 +677,11 @@ def test_solve_builds_each_state_parameter_once(monkeypatch, case):
 @pytest.mark.parametrize("chunk", [1, 3, 7])
 def test_sweep_chunk_boundaries(monkeypatch, chunk):
     grid = _parse_grid("0:1:0.05")
-    flags = dict(v=0.5, split="12|3")
-    expected = sweep_rows("ghz_w", grid, "v3", **flags)
+    req = ("v3", 0.5, RealignSpec.parse("12|3"))
+    expected = sweep_rows("ghz_w", grid, *req)
     monkeypatch.setattr(cli, "STACK_ENTRIES", chunk * ENTRIES["ghz_w"])
     assert cli._stack_points("ghz_w") == chunk
-    assert sweep_rows("ghz_w", grid, "v3", **flags) == expected
+    assert sweep_rows("ghz_w", grid, *req) == expected
     # the first failing point wins, whichever chunk it is in
     code, out, err = run_cli("sweep", "--family", "ghz_w", "--range", "0.5:1.3:0.1",
                              "--criterion", "v3", "--v", "0.5", "--split", "12|3")
@@ -682,7 +699,7 @@ def test_sweep_stacks_hold_at_most_the_entry_budget(family, points):
     lo, hi = DOMAINS[family]
     grid = np.linspace(lo, hi, 2 * points + 5).tolist()
     with stack_sizes() as sizes:
-        sweep_rows(family, grid, "realign", split="1|2")
+        sweep_rows(family, grid, "realign", spec=RealignSpec.parse("1|2"))
     assert sizes == [points, points, 5]
 
 
@@ -722,7 +739,7 @@ class TestFamilyScratch:
     def sweep(family, grid, criterion, flags):
         """The sweep's CSV text."""
         fh = io.StringIO()
-        write_sweep_csv(fh, sweep_rows(family, _parse_grid(grid), criterion, **flags))
+        write_sweep_csv(fh, sweep_rows(family, _parse_grid(grid), *request(criterion, **flags)))
         return fh.getvalue()
 
     def test_one_thread_reuses_its_buffers(self):
@@ -827,7 +844,7 @@ class TestFamilyScratch:
 def test_sweep_rows_unknown_family():
     """The CLI's --family choices stop an unknown name; called directly, sweep_rows raises ValueError."""
     with pytest.raises(ValueError) as exc:
-        sweep_rows("nope", [0.1], "realign", split="1|2")
+        sweep_rows("nope", [0.1], "realign", spec=RealignSpec.parse("1|2"))
     assert type(exc.value) is ValueError and str(exc.value) == UNKNOWN_FAMILY
 
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from conftest import request
 from remoments import ENTANGLED, INCONCLUSIVE, CriterionVerdict, cli
 from remoments.cli import SweepRow, _parse_grid, sweep_rows, write_sweep_csv
 from remoments.criteria import (
@@ -146,7 +147,7 @@ GRIDS = [
 def test_csv_bytes_match_the_per_verdict_path(family, spec, criterion, flags):
     grid = _parse_grid(spec)
     want, _ = frozen_sweep(family, grid, criterion, **flags)
-    got = sweep_rows(family, grid, criterion, **flags)
+    got = sweep_rows(family, grid, *request(criterion, **flags))
     assert new_csv(got) == frozen_csv(want)
     assert exact(got) == exact(want)
 
