@@ -30,6 +30,7 @@ from .criteria import (
     CriterionVerdict,
     Evaluation,
     Spectrum,
+    check_request,
     criterion_row,
     discriminant,
     entangled,
@@ -276,19 +277,16 @@ def sweep_rows(
 ) -> list[SweepRow]:
     """Evaluate one criterion, with :func:`evaluate`'s weight, spec and party, across a family grid in order.
 
-    Up to :func:`_stack_points` grid points are built, validated and evaluated
-    as one stack.  A chunk that fails is redone point by point, so the error
-    raised is the one the point-by-point loop raises first.
+    :func:`check_request` checks the request before any state is built.  Then up to
+    :func:`_stack_points` grid points are built, validated and evaluated as one stack,
+    whose first point that cannot be built raises, as a point-by-point loop would.
     """
     size, request = _stack_points(family), (criterion, weight, spec, party)
+    check_request(family_dims(family), *request)
     rows = []
     for start in range(0, len(grid), size):
         chunk = grid[start:start + size]
-        try:
-            rows += _sweep_rows(chunk, _family_evaluation(family, chunk, *request))
-        except ValueError:
-            for x in chunk:
-                rows += _sweep_rows([x], _family_evaluation(family, [x], *request))
+        rows += _sweep_rows(chunk, _family_evaluation(family, chunk, *request))
     return rows
 
 
@@ -379,38 +377,30 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     lo, hi = _parse_floats(args.bracket, "bracket", ("LO", "HI"))
     if hi <= lo:
         raise ValueError("bracket requires HI > LO")
-    request = _request(args)  # a split that does not parse stops the solve before any state is built
+    request = _request(args)
+    check_request(family_dims(args.family), *request)  # before any state is built
     size = _stack_points(args.family)
     # State parameter -> offset from the threshold; NaN where the statistic is undefined.
     table: dict[float, float] = {}
 
-    def offsets(xs: list[float]) -> dict[float, float]:
+    def fetch(xs: list[float]) -> None:
         ev = _family_evaluation(args.family, xs, *request)
-        return dict(zip(xs, (ev.statistic - CRITERIA[ev.criterion].threshold).tolist()))
-
-    def prefetch(xs: list[float]) -> None:
-        try:
-            table.update(offsets(xs))
-        except ValueError:
-            pass  # offset() evaluates each visited point on its own instead
+        table.update(zip(xs, (ev.statistic - CRITERIA[ev.criterion].threshold).tolist()))
 
     def offset(x: float) -> float:
-        if x not in table:
-            table.update(offsets([x]))
-        value = table[x]
-        if math.isnan(value):
+        if math.isnan(value := table[x]):
             raise ValueError(
                 f"statistic undefined at state parameter {_fmt(x)} "
                 "(criterion parameter outside admissible range)"
             )
         return value
 
-    # The first round evaluates as one stack LO, HI and the midpoints of the
-    # first _TREE_DEPTH steps; each later round, the path predicted from every
-    # offset known by then.  The sequential bisection below reads them from
-    # the table, so errors surface only at points it visits, in its order,
-    # and a wrong prediction costs only one more round.
-    prefetch([lo, hi, *_midpoint_tree(lo, hi)])
+    # The first round evaluates as one stack LO, HI and the midpoints of the first _TREE_DEPTH
+    # steps; each later round, the path predicted from every offset known by then, which starts
+    # at the midpoint the bisection reads.  So LO and HI are built before either statistic is
+    # read, and only they can fail to build: every midpoint of an in-domain bracket builds.  The
+    # bisection below reads the table, so an undefined statistic raises only where it is visited.
+    fetch([lo, hi, *_midpoint_tree(lo, hi)])
     f_lo = offset(lo)
     f_hi = offset(hi)
     # Ends on opposite sides as the walk tells sides, only one flagged (offset + threshold is the
@@ -424,7 +414,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 
     def right(lo: float, hi: float, mid: float) -> bool:
         if mid not in table:
-            prefetch(_predicted_path(lo, hi, table, size))
+            fetch(_predicted_path(lo, hi, table, size))
         return (offset(mid) < 0.0) == (f_lo < 0.0)  # lo only moves to LO's sign, so f_lo keeps it
 
     _, (lo, hi) = _walk(lo, hi, right, math.inf)

@@ -323,23 +323,16 @@ class Evaluation(NamedTuple):
     bounds: AdmissibleBounds | None = None
 
 
-def evaluate(
-    matrices: np.ndarray,
-    dims: tuple[int, ...],
-    criterion: str,
-    weight: float | None = None,
-    spec: RealignSpec | None = None,
-    party: int | None = None,
-) -> Evaluation:
-    """Evaluate one criterion on every matrix of a (N, D, D) stack over `dims`.
+def check_request(
+    dims: tuple[int, ...], criterion: str, weight: float | None = None,
+    spec: RealignSpec | None = None, party: int | None = None,
+) -> tuple[_Row, float | None, RealignSpec | int]:
+    """Check an :func:`evaluate` request on states over `dims`, reading no state.
 
-    v1 reads the 1|2 realignment of a two-party state, v2, v3 and realign
-    that of `spec`, and ppt the partial transpose over `party`; v1, v2 and
-    v3 take `weight`.  After the checks this is one :func:`spectrum` call
-    at that target, serving this criterion alone, so v1/v2/v3 take no
-    eigensolve, and the row's `statistic` on it.  A criterion without a
-    row, a missing party, split or weight, a non-finite or out-of-domain
-    weight, or a state, split or party that does not fit, raises ValueError.
+    In order: the row; a missing party, split or weight; v1's two parties; a finite
+    weight; the split's or party's range; the weight's ``check_weight``.  The first
+    that fails raises ValueError.  Returns the row, the weight (a float where the row
+    takes one) and the target read: the party, the split, or 1|2 for v1.
     """
     row = criterion_row(criterion)
     if row.reads == "party" and party is None:
@@ -349,17 +342,35 @@ def evaluate(
     if row.flag and weight is None:
         raise ValueError(f"criterion {criterion} requires --{row.flag}")
     row.check_parties(criterion, len(dims))
-    if row.reads == "pair":
-        spec = RealignSpec((1,), (2,))
+    if row.flag and not math.isfinite(weight := float(weight)):
+        raise ValueError(f"--{row.flag} must be finite, got {weight!r}")
+    target = party if row.reads == "party" else RealignSpec((1,), (2,)) if row.reads == "pair" else spec
+    if row.reads != "party":
+        target.validate_for(len(dims))
+    elif not 1 <= party <= len(dims):  # as transpose_party checks it
+        raise ValueError(f"party {party!r} out of range for {len(dims)} parties")
     if row.flag:
-        weight = float(weight)
-        if not math.isfinite(weight):
-            raise ValueError(f"--{row.flag} must be finite, got {weight!r}")
-    target = party if row.reads == "party" else spec
+        row.check_weight(weight)
+    return row, weight, target
+
+
+def evaluate(
+    matrices: np.ndarray, dims: tuple[int, ...], criterion: str, weight: float | None = None,
+    spec: RealignSpec | None = None, party: int | None = None,
+) -> Evaluation:
+    """Evaluate one criterion on every matrix of a (N, D, D) stack over `dims`.
+
+    v1 reads the 1|2 realignment of a two-party state, v2, v3 and realign
+    that of `spec`, and ppt the partial transpose over `party`; v1, v2 and
+    v3 take `weight`.  After :func:`check_request`, whose ValueError it raises,
+    this is one :func:`spectrum` call at the target, serving this criterion
+    alone, so v1/v2/v3 take no eigensolve, and the row's `statistic` on it.
+    """
+    row, weight, target = check_request(dims, criterion, weight, spec, party)
     sp = spectrum(matrices, dims, target, (criterion,))
     stats = row.statistic(sp, weight)
     if not row.flag:
-        return Evaluation(criterion, float(party) if row.reads == "party" else None, stats)
+        return Evaluation(criterion, float(target) if row.reads == "party" else None, stats)
     return Evaluation(criterion, weight, stats, sp.t1, sp.t2, sp.bounds)
 
 

@@ -612,13 +612,12 @@ class TestThreshold:
         assert code == 2
         assert "straddle" in err
 
-    def test_undefined_statistic_at_lo_wins_over_an_off_domain_hi(self):
-        """LO is evaluated on its own where the first stack fails on HI: its NaN statistic is the error."""
+    def test_off_domain_hi_wins_over_an_undefined_statistic_at_lo(self):
+        """LO and HI are built before either statistic is read: HI's domain error comes before LO's NaN."""
         assert run_cli(
             "threshold", "--family", "rho_pq", "--bracket", "0.3:0.9",
             "--criterion", "v2", "--u", "5", "--split", "1|2",
-        ) == (2, "", "error: statistic undefined at state parameter 0.3 "
-                     "(criterion parameter outside admissible range)\n")
+        ) == (3, "", "validation failure: rho_pq requires 0 <= q <= 1/2, got 0.9\n")
 
     # The ends sum past the largest float, so the midpoint halves each end first.  rho_eps's
     # realign statistic is 1 at both ends, no crossing, so it is made to step across inside.

@@ -27,7 +27,7 @@ from remoments import (
     verdict_v2,
     verdict_v3,
 )
-from remoments.criteria import CRITERIA, admissible_bounds, entangled, evaluate, verdict
+from remoments.criteria import CRITERIA, admissible_bounds, check_request, entangled, evaluate, verdict
 from test_arrays import moment_stacks
 from test_cli import run_cli
 from test_sweep_rows import EDGE_CASES
@@ -158,7 +158,7 @@ def test_admits_is_membership_in_the_intervals(case, weight):
 
 
 # Each ValueError of a command's request on a stack, `cli._request` then `evaluate`, in the order the
-# flags are checked: exit 2 under the CLI.
+# flags are checked: exit 2 under the CLI.  `check_request` raises each with no matrix at all.
 USAGE_ERRORS = [
     ("v1", (2, 2), {}, "criterion v1 requires --a"),
     ("v2", (2, 2), {"split": "1|2"}, "criterion v2 requires --u"),
@@ -191,6 +191,9 @@ def test_evaluate_stack_usage_errors(criterion, dims, flags, message):
     with pytest.raises(ValueError) as exc:
         evaluate(matrices, dims, *request(criterion, **flags))
     assert type(exc.value) is ValueError and str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        check_request(dims, *request(criterion, **flags))
+    assert type(exc.value) is ValueError and str(exc.value) == message
 
 
 
@@ -213,6 +216,7 @@ def test_each_weighted_row_takes_its_own_flag(name):
         assert str(exc.value) == f"criterion {name} requires --{row.flag}"
 
 # What `evaluate` itself checks, in its order: the row, then the party, split and weight it reads.
+# `check_request` raises each with no matrix at all.
 SPEC = RealignSpec.parse("1|2")
 EVALUATE_ERRORS = [
     ("v9", {}, "unknown criterion 'v9'; choose from ('v1', 'v2', 'v3', 'realign', 'ppt')"),
@@ -232,4 +236,7 @@ def test_evaluate_checks_what_it_reads(criterion, args, message):
     stack = rho_pq(0.2).matrix[None]  # its partial transpose has eigenvalue -0.006
     with pytest.raises(ValueError) as exc:
         evaluate(stack, (4, 4), criterion, **args)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        check_request((4, 4), criterion, **args)
     assert str(exc.value) == message

@@ -23,7 +23,7 @@ from conftest import random_density, request
 from remoments import FAMILIES, DensityMatrix, StateValidationError, validate
 from remoments import cli
 from remoments.cli import _parse_grid, sweep_rows, write_sweep_csv
-from remoments.criteria import CRITERIA, entangled, evaluate, spectrum
+from remoments.criteria import CRITERIA, check_request, entangled, evaluate, spectrum
 from remoments.linalg import SCRATCH, Scratch
 from remoments.realign import RealignSpec, enumerate_splits
 from remoments.states import (
@@ -422,11 +422,12 @@ def test_threshold_stops_between_adjacent_floats(monkeypatch):
 def reference_threshold(family, lo, hi, criterion, flags):
     """(exit code, stdout, stderr) of `threshold` as a point-by-point bisection.
 
-    The flags become the command's request first; then each point the
-    bisection visits, LO, HI, then each midpoint, is built and evaluated
-    on its own with a one-point `cli._family_evaluation`.  The ends
-    straddle the threshold when their offsets lie on opposite sides of 0
-    and exactly one of their statistics is flagged.
+    The flags become the command's request, which `check_request` checks
+    first; then LO and HI are built together, before either statistic is
+    read, and each point the bisection visits, LO, HI, then each midpoint,
+    is evaluated on its own with a one-point `cli._family_evaluation`.  The
+    ends straddle the threshold when their offsets lie on opposite sides of
+    0 and exactly one of their statistics is flagged.
     """
     def statistic(x):
         value = cli._family_evaluation(family, [x], *req).statistic.tolist()[0]
@@ -442,6 +443,8 @@ def reference_threshold(family, lo, hi, criterion, flags):
 
     try:
         req = request(criterion, **flags)
+        check_request(family_dims(family), *req)
+        family_stack(family, [lo, hi])
         s_lo, s_hi = statistic(lo), statistic(hi)
         f_lo, f_hi = s_lo - threshold, s_hi - threshold
         if (f_lo < 0.0) == (f_hi < 0.0) or entangled(criterion, s_lo) == entangled(criterion, s_hi):
@@ -539,11 +542,11 @@ def crossing_cases(draw):
 @example((("rho_eps", 1.75, 343.3753259391421, "ppt", {"party": 1}), False))  # offsets of float noise
 @example((("rho_eps", 1e-200, 1e200, "realign", {"split": "1|2"}), False))  # offsets 0 across eps = 1
 def test_threshold_matches_point_by_point_bisection(drawn):
-    """Exit code, stdout and stderr as the point-by-point loop's.  With both ends in the family's
-    domain, the first stack is LO, HI and the midpoint tree.  A v3, realign or ppt solve of a
-    `crossing_cases` bracket then takes at most 3 stacks, which a predictor that misses its paths
-    exceeds; v1/v2 are NaN outside their admissible range, which leaves the predictor fewer offsets
-    (rho_pq v2 brackets took up to 5).  Other brackets have no budget: rho_eps is PPT throughout,
+    """Exit code, stdout and stderr as the point-by-point loop's.  A request error builds no stack.
+    Otherwise, with both ends in the family's domain, the first stack is LO, HI and the midpoint
+    tree, and a v3, realign or ppt solve of a `crossing_cases` bracket takes at most 3 stacks,
+    which a predictor that misses its paths exceeds; v1/v2 are NaN outside their admissible range,
+    which leaves the predictor fewer offsets (rho_pq v2 brackets took up to 5).  Other brackets have no budget: rho_eps is PPT throughout,
     so its ppt offsets are +-1e-17 of float noise, which the straddle check rejects."""
     case, crossing = drawn
     family, lo, hi = case[:3]
@@ -552,9 +555,14 @@ def test_threshold_matches_point_by_point_bisection(drawn):
     assert got == reference_threshold(*case)
     assert max(sizes, default=0) * ENTRIES[family] <= cli.STACK_ENTRIES
     low, high = DOMAINS[family]
-    if low <= lo and hi <= high:
-        assert sizes[0] == 2 + len(cli._midpoint_tree(lo, hi))
-        assert not crossing or CRITERIA[case[3]].gated or len(sizes) <= 3
+    try:
+        check_request(family_dims(family), *request(case[3], **case[4]))
+    except ValueError:
+        assert sizes == []
+    else:
+        if low <= lo and hi <= high:
+            assert sizes[0] == 2 + len(cli._midpoint_tree(lo, hi))
+            assert not crossing or CRITERIA[case[3]].gated or len(sizes) <= 3
 
 
 @pytest.mark.parametrize("case", [
@@ -849,11 +857,44 @@ def test_sweep_rows_unknown_family():
 
 
 def test_sweep_usage_error_before_later_domain_error():
-    # The chunk fails on the out-of-domain 1.1 first; redone point by point,
-    # the first point raises its usage error, as the point-by-point loop did.
+    # The request is checked before any state is built, so the missing --split
+    # is the error, not the out-of-domain 1.1 of the grid.
     code, out, err = run_cli("sweep", "--family", "ghz_w", "--range", "0.5:1.3:0.1",
                              "--criterion", "v3", "--v", "0.5")
     assert (code, out, err) == (2, "", "error: criterion v3 requires --split\n")
+
+
+EARLY_REQUESTS = [
+    (("--split", "1|2"), "error: criterion v3 requires --v\n"),
+    (("--v", "1", "--split", "1|3"), "error: party 3 out of range for 2 parties\n"),
+    (("--v", "-1", "--split", "1|2"), "error: weight must be nonnegative, got -1.0\n"),
+]
+
+
+@pytest.mark.parametrize("command", [("sweep", "--range", "0.2:0.36:0.05"), ("threshold", "--bracket", "0.2:0.36")])
+@pytest.mark.parametrize("flags, message", EARLY_REQUESTS)
+def test_request_error_before_the_first_domain_error(command, flags, message):
+    """The request is checked before any state is built: its own error, exit 2, not the domain
+    error of rho_d's first point 0.2, and no stack is evaluated."""
+    with stack_sizes() as sizes:
+        got = run_cli(command[0], "--family", "rho_d", *command[1:], "--criterion", "v3", *flags)
+    assert (got, sizes) == ((2, "", message), [])
+
+
+# Each family's domain; rho_eps's (eps > 0) from the smallest positive float to 1.7e308.
+BUILD_DOMAINS = {**DOMAINS, "rho_eps": (5e-324, 1.7e308)}
+
+
+@pytest.mark.parametrize("family", sorted(BUILD_DOMAINS))
+def test_every_member_of_a_domain_builds(family):
+    """`family_stack` builds every parameter of the family's domain: both ends, their inner
+    neighbours and 1,999 points between.  Threshold rounds rely on it: only LO and HI can fail
+    to build, because every midpoint of an in-domain bracket builds, so a later round never raises."""
+    lo, hi = BUILD_DOMAINS[family]
+    space = np.geomspace if family == "rho_eps" else np.linspace
+    xs = [*space(lo, hi, 1999).tolist(), math.nextafter(lo, math.inf), math.nextafter(hi, -math.inf)]
+    assert xs[0] == lo and xs[1998] == hi
+    assert family_stack(family, xs)[1].shape[0] == len(xs)
 
 
 class TestRealFamilies:
