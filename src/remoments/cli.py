@@ -96,21 +96,17 @@ def _fmt(x: float | None) -> str:
     return format(float(x), ".12g")
 
 
-def _build_state(args: argparse.Namespace) -> DensityMatrix:
-    """State from --family/--param or --state; validates either way."""
-    if args.state is not None and args.family is not None:
-        raise ValueError("give either --family or --state, not both")
-    if args.state is not None:
-        try:
-            dm = load_state(args.state)
-        except (OSError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
-            raise ValueError(f"cannot read state file {args.state!r}: {exc}") from exc
-        return validate(dm)
-    if args.family is None:
-        raise ValueError("one of --family or --state is required")
-    if args.param is None:
-        raise ValueError("--family requires --param")
-    return FAMILIES[args.family](args.param)
+def _build_state(args: argparse.Namespace, request: tuple) -> DensityMatrix:
+    """The --family/--param or --state state, built or validated once its dims pass :func:`check_request`."""
+    if args.state is None:
+        check_request(family_dims(args.family), *request)
+        return FAMILIES[args.family](args.param)
+    try:
+        dm = load_state(args.state)
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+        raise ValueError(f"cannot read state file {args.state!r}: {exc}") from exc
+    check_request(dm.dims, *request)
+    return validate(dm)
 
 
 def _stack_size(d: int, width: int) -> int:
@@ -170,8 +166,11 @@ def _write_out(path: str, write) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    dm = _build_state(args)
-    result, ev = evaluate_criterion(dm, *_request(args))
+    if args.state is None and args.param is None:
+        raise ValueError("--family requires --param")
+    request = _request(args)
+    dm = _build_state(args, request)
+    result, ev = evaluate_criterion(dm, *request)
     reads = CRITERIA[args.criterion].reads
 
     if args.family is not None:
@@ -582,9 +581,10 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _add_state_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--family", choices=sorted(FAMILIES), help="state family name")
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--family", choices=sorted(FAMILIES), help="state family name")
+    source.add_argument("--state", help="path to a state JSON file")
     sp.add_argument("--param", type=float, help="family parameter value")
-    sp.add_argument("--state", help="path to a state JSON file")
 
 
 def _add_criterion_flags(sp: argparse.ArgumentParser) -> None:

@@ -3,6 +3,7 @@ import contextlib
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import subprocess
@@ -250,6 +251,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ("sweep", "--family", "rho_d", "--range", "0.2:0.36:0.05"),
         ("threshold", "--family", "rho_d", "--bracket", "0.2:0.36"),
+        ("analyze", "--family", "rho_d", "--param", "0.2"),
     ])
     def test_a_split_that_does_not_parse_is_rejected_before_any_state(self, argv):
         """The first point, 0.2, lies off rho_d's domain; the split is refused before it is built."""
@@ -364,8 +366,22 @@ class TestExitCodes:
         "realign": ("--split", "1|2"), "ppt": ("--party", "1"),
     }
 
-    @pytest.mark.parametrize("criterion", list(CRITERION_FLAGS))
-    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 2, 2)])
+    @staticmethod
+    def overflowing_state_file(tmp_path, dims, sign):
+        """The maximally mixed state over `dims` with entries (0, 1) and (1, 0) of 1.5e308 and sign * 1.5e308."""
+        d = math.prod(dims)
+        matrix = [[[1.0 / d if i == j else 0.0, 0.0] for j in range(d)] for i in range(d)]
+        matrix[0][1][0], matrix[1][0][0] = 1.5e308, sign * 1.5e308
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"dims": list(dims), "matrix": matrix}))
+        return str(path)
+
+    # Every criterion on each dims but v1 on three parties, a request error (next test).
+    @pytest.mark.parametrize("dims, criterion", [
+        pytest.param(dims, criterion, id=f"dims{i}-{criterion}")
+        for (i, dims), criterion in itertools.product(enumerate([(2, 2), (3, 3), (2, 2, 2)]), CRITERION_FLAGS)
+        if len(dims) == 2 or criterion != "v1"
+    ])
     @pytest.mark.parametrize(
         "sign, message",
         [
@@ -376,16 +392,22 @@ class TestExitCodes:
     )
     def test_overflowing_state_file_exit_3(self, tmp_path, criterion, dims, sign, message):
         """Finite entries whose rho + rho^dagger or rho - rho^dagger overflows: exit 3, no warning."""
-        d = math.prod(dims)
-        matrix = [[[1.0 / d if i == j else 0.0, 0.0] for j in range(d)] for i in range(d)]
-        matrix[0][1][0], matrix[1][0][0] = 1.5e308, sign * 1.5e308
-        path = tmp_path / "state.json"
-        path.write_text(json.dumps({"dims": list(dims), "matrix": matrix}))
+        path = self.overflowing_state_file(tmp_path, dims, sign)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = run_cli("analyze", "--state", str(path), "--criterion", criterion,
+            result = run_cli("analyze", "--state", path, "--criterion", criterion,
                              *self.CRITERION_FLAGS[criterion])
         assert result == (3, "", f"validation failure: {message}\n")
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["symmetric", "antisymmetric"])
+    def test_request_error_before_an_overflowing_state_file(self, tmp_path, sign):
+        """v1 on the three-party file of the test above: the request is refused, exit 2, before
+        the file is validated, as `sweep` and `threshold` refuse it before any state is built."""
+        path = self.overflowing_state_file(tmp_path, (2, 2, 2), sign)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_cli("analyze", "--state", path, "--criterion", "v1", "--a", "1")
+        assert result == (2, "", "error: criterion v1 requires a two-party state (use v2 with --split instead)\n")
 
     @pytest.mark.parametrize(
         "diagonal, deviation",
@@ -733,7 +755,7 @@ class TestPureProductsAtLargeWeights:
     """A pure product's T2 computed a few ulp above T1^2 made v1/v2 raise a negative radicand at a >= 1e8."""
 
     def test_audit_exits_0(self):
-        code, out, err = run_cli("audit", "--dims", "2,2", "--num-terms", "1", "--criteria", "v1", "--params", "1e8")
+        code, out, err = run_cli("audit", "--dims", "2,2", "--num-terms", "1", "--criteria", "v1,v2", "--params", "1e8")
         assert (code, err) == (0, "")
 
     @pytest.mark.parametrize("flags", [("v1", "--a", "1e8"), ("v2", "--u", "1e8", "--split", "1|2")])
@@ -745,6 +767,8 @@ class TestPureProductsAtLargeWeights:
 
 
 def test_module_entry_point():
+    """`python -m remoments` (src/remoments/__main__.py) in its own process: a verdict, and the root
+    of the benchmark's noisy_ghz4 v3 solve."""
     proc = subprocess.run(
         [
             sys.executable, "-m", "remoments", "analyze",
@@ -756,3 +780,13 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "ENTANGLED" in proc.stdout
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "remoments", "threshold",
+            "--family", "noisy_ghz4", "--bracket", "0:1",
+            "--criterion", "v3", "--v", "0.01", "--split", "1|2",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0.642671108246\n", "")

@@ -182,6 +182,7 @@ USAGE_ERRORS = [
     ("v2", (2, 2), {"u": 2.0 ** -1021, "split": "1|2"}, "weight 4.450147717014403e-308 is too small: 8/weight overflows"),
     ("realign", (2, 2), {"split": "１|2"}, "split '１|2' must list parties as digits 1-9"),  # fullwidth 1
     ("v3", (2, 2), {"split": "²|1", "v": 1.0}, "split '²|1' must list parties as digits 1-9"),
+    ("realign", (2, 2), {"split": "11|2"}, "a group may not repeat a party"),
 ]
 
 

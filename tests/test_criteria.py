@@ -587,7 +587,8 @@ def weight_collapse_stacks():
 
 
 class TestWeightCollapse:
-    """v3 is largest at v = 0, and v1 tends to v3(0) as a grows (ROADMAP item 3)."""
+    """v3 is largest at v = 0, and v1 tends to v3(0) as a grows.  The float excess of T2 over T1^2
+    measured here is what ROADMAP item 1's refined `e2` removes."""
 
     def test_v3_does_not_increase_in_v(self):
         # d/dv of the inner term is <= 0 exactly when T2 <= T1.  A pure product

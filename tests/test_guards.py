@@ -92,8 +92,8 @@ def test_readme_examples_print_what_their_comments_say():
 
 
 def test_readme_commands_exit_0():
-    """README's ```sh block after "Examples:", read as CI's installed-script step reads it: at least
-    4 lines, each a `remoments` command; each one, run in-process, exits 0."""
+    """README's ```sh block after "Examples:": at least 4 lines, each a `remoments` command; each
+    one, run in-process, exits 0."""
     text = (ROOT / "README.md").read_text()
     lines = re.search(r"^Examples:\n.*?^```sh\n(.*?)^```", text, flags=re.S | re.M).group(1).splitlines()
     assert len(lines) >= 4

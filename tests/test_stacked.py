@@ -381,7 +381,7 @@ THRESHOLD_GOLDEN = [
       "--split", "12|34"), 0, "0.643637180328\n", ""),
     (("--family", "noisy_ghz4", "--bracket", "0:1", "--criterion", "v3", "--v", "0.01",
       "--split", "1|234"), 0, "0.643915653229\n", ""),
-    # The roots CI pins for the installed console script on the last two splits.
+    # The last two splits of the first solve.
     (("--family", "noisy_ghz4", "--bracket", "0:1", "--criterion", "v3", "--v", "0.01",
       "--split", "12|3"), 0, "0.643041133881\n", ""),
     (("--family", "noisy_ghz4", "--bracket", "0:1", "--criterion", "v3", "--v", "0.01",
@@ -566,19 +566,31 @@ def test_threshold_matches_point_by_point_bisection(drawn):
 
 
 @pytest.mark.parametrize("case", [
-    ("noisy_ghz4", 0.0, 1.0, "v3", {"v": 0.01, "split": "1|2"}),
-    ("rho_eps", 1e12, 1e13, "realign", {"split": "1|2"}),
+    # (family, LO, HI, criterion, flags, whether every statistic is put on its threshold)
+    ("noisy_ghz4", 0.0, 1.0, "v3", {"v": 0.01, "split": "1|2"}, True),
+    ("rho_eps", 1e12, 1e13, "realign", {"split": "1|2"}, True),
+    # rho_eps's own realign statistic is 1 at both ends: offsets 0 here and +-1e-16 on other BLAS
+    # builds, within the criterion's tolerance.  The second bracket's ends sum past the largest float.
+    ("rho_eps", 1e12, 1e13, "realign", {"split": "1|2"}, False),
+    ("rho_eps", 1e308, 1.7e308, "realign", {"split": "1|2"}, False),
 ])
 def test_equal_end_offsets_do_not_straddle(monkeypatch, case):
-    """Every statistic on its threshold: offsets 0 and 0 are no crossing, an input error."""
-    def on_threshold(*args):
+    """Offsets equal up to the tolerance, 0 and 0 where every statistic is on its threshold, are no
+    crossing: an input error, exit 2, with no warning."""
+    *case, on_threshold = case
+
+    def put_on_threshold(*args):
         ev = evaluate(*args)
         return ev._replace(statistic=np.full_like(ev.statistic, CRITERIA[ev.criterion].threshold))
 
-    monkeypatch.setattr(cli, "evaluate", on_threshold)
+    if on_threshold:
+        monkeypatch.setattr(cli, "evaluate", put_on_threshold)
     want = reference_threshold(*case)
-    assert want[:2] == (2, "") and "does not straddle the threshold (offsets 0 and 0)" in want[2]
-    assert run_cli("threshold", *threshold_argv(*case)) == want
+    assert want[:2] == (2, "") and "does not straddle the threshold (offsets " in want[2]
+    assert "(offsets 0 and 0)" in want[2] or not on_threshold
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("threshold", *threshold_argv(*case)) == want
 
 
 @pytest.mark.parametrize("golden, rounds", [(0, 3), (1, 2), (2, 3), (3, 2), (4, 2), (7, 2), (8, 2)])
@@ -871,11 +883,13 @@ EARLY_REQUESTS = [
 ]
 
 
-@pytest.mark.parametrize("command", [("sweep", "--range", "0.2:0.36:0.05"), ("threshold", "--bracket", "0.2:0.36")])
+@pytest.mark.parametrize("command", [
+    ("sweep", "--range", "0.2:0.36:0.05"), ("threshold", "--bracket", "0.2:0.36"), ("analyze", "--param", "0.2"),
+])
 @pytest.mark.parametrize("flags, message", EARLY_REQUESTS)
 def test_request_error_before_the_first_domain_error(command, flags, message):
     """The request is checked before any state is built: its own error, exit 2, not the domain
-    error of rho_d's first point 0.2, and no stack is evaluated."""
+    error of rho_d's (first) point 0.2, and no stack is evaluated."""
     with stack_sizes() as sizes:
         got = run_cli(command[0], "--family", "rho_d", *command[1:], "--criterion", "v3", *flags)
     assert (got, sizes) == ((2, "", message), [])
