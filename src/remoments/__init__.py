@@ -19,7 +19,7 @@ from .criteria import (
     verdict_v2,
     verdict_v3,
 )
-from .linalg import dagger, hermitian_eigenvalues, kron, singular_values, trace_norm
+from .linalg import hermitian_eigenvalues, kron, singular_values, trace_norm
 from .realign import (
     RealignSpec,
     enumerate_splits,

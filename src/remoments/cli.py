@@ -16,6 +16,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -166,8 +167,8 @@ def _write_out(path: str, write) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    if args.state is None and args.param is None:
-        raise ValueError("--family requires --param")
+    if (args.state is None) == (args.param is None):  # --param goes with --family alone
+        raise ValueError("--family requires --param" if args.state is None else "--param requires --family")
     request = _request(args)
     dm = _build_state(args, request)
     result, ev = evaluate_criterion(dm, *request)
@@ -425,7 +426,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 class AuditConfig:
     """Settings for one audit run over seeded separable samples.
 
-    Building one checks every audit rule; the first one broken raises ValueError.
+    Building one checks its own rules, not each cell's request; the first one broken raises ValueError.
     """
 
     dims: tuple[int, ...]
@@ -449,21 +450,12 @@ class AuditConfig:
             raise ValueError(f"--num-terms must be at most D^2 = {d * d}, got {self.num_terms}")
         if not self.criteria:
             raise ValueError("--criteria requires at least one criterion")
-        rows = [criterion_row(criterion) for criterion in self.criteria]
-        for criterion, row in zip(self.criteria, rows):
-            if row.flag and not self.params:
-                raise ValueError(f"criterion {criterion} requires a weight in --params")
+        weighted = [criterion for criterion in self.criteria if criterion_row(criterion).flag]
+        if weighted and not self.params:
+            raise ValueError(f"criterion {weighted[0]} requires a weight in --params")
         for w in self.params:
             if not math.isfinite(w):
                 raise ValueError(f"weight {w!r} in --params is not finite")
-            for criterion, row in zip(self.criteria, rows):
-                if row.flag:
-                    try:
-                        row.check_weight(w)
-                    except ValueError as exc:
-                        raise ValueError(f"{exc} (criterion {criterion})") from exc
-        for criterion, row in zip(self.criteria, rows):
-            row.check_parties(criterion, len(self.dims))
 
 
 @dataclass
@@ -503,28 +495,29 @@ def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
     published weighted criteria on near-pure samples that is expected,
     which is exactly what this measures.  `worst_statistic` is the
     largest statistic seen (smallest for ppt), with the seed that made it.
-    A criterion or weight listed twice is evaluated once.  `cfg` was
-    checked when it was built (:class:`AuditConfig`).
+    A criterion or weight listed twice is evaluated once.
 
-    The plan, built once, pairs each cell's entry with the split or party
-    whose :func:`spectrum` it reads, in report order.  Up to :func:`_stack_size`
-    samples, fewer when `num_terms` exceeds D, are drawn and validated as
-    one stack (`separable_stack`); each distinct target takes one spectrum
-    per stack, which serves every criterion and weight reading it, and
-    each cell tallies the array its row's `statistic` reads from that,
-    the worst sample being the first index of the extreme value.
+    The plan, built before any sample, pairs each cell's entry with the split or
+    party whose :func:`spectrum` it reads, in report order; :func:`check_request`
+    gives each cell's weight and target, or raises for the first cell that fails.
+    Up to :func:`_stack_size` samples, fewer when `num_terms` exceeds D, are drawn
+    and validated as one stack (`separable_stack`); each distinct target takes one
+    spectrum per stack, which serves every criterion and weight reading it, and
+    each cell tallies the array its row's `statistic` reads from that, the worst
+    sample being the first index of the extreme value.
     """
     params = tuple(dict.fromkeys(cfg.params))
     n = len(cfg.dims)
     plan: list[tuple[AuditEntry, RealignSpec | int]] = []
     for criterion in dict.fromkeys(cfg.criteria):
         row = CRITERIA[criterion]
-        if row.reads == "party":
+        cells = ([(None, None, p) for p in range(1, n + 1)] if row.reads == "party" else
+                 [(w, sp, None) for sp in enumerate_splits(n) for w in (params if row.flag else (None,))])
+        for weight, spec, party in cells:
+            _, weight, target = check_request(cfg.dims, criterion, weight, spec, party)
+            entry = AuditEntry(criterion, float(party) if party else weight, None if party else str(target))
             # For two parties, party 2 reads party 1's spectrum: rho^T2 = (rho^T1)^T, bit for bit.
-            plan += [(AuditEntry(criterion, float(p), None), 1 if n == 2 else p) for p in range(1, n + 1)]
-        else:  # v1 reads the 1|2 realignment, a two-party state's one split
-            plan += [(AuditEntry(criterion, w, str(sp)), sp)
-                     for sp in enumerate_splits(n) for w in (params if row.flag else (None,))]
+            plan.append((entry, 1 if party and n == 2 else target))
 
     chunk = _stack_size(math.prod(cfg.dims), cfg.num_terms)
     for start in range(0, cfg.num_states, chunk):
@@ -548,7 +541,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ValueError(f"params {args.params!r} must be comma-separated numbers") from exc
     criteria = tuple(c.strip() for c in args.criteria.split(",") if c.strip())
-    cfg = AuditConfig(  # checks every audit rule
+    cfg = AuditConfig(
         dims=dims,
         num_states=args.num_states,
         num_terms=args.num_terms,
@@ -665,4 +658,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # stdout was closed early.  Interpreter exit flushes it again; into the null device, that succeeds.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        code = EXIT_INPUT
+    raise SystemExit(code)

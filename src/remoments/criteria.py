@@ -264,11 +264,6 @@ class _Row(NamedTuple):
         if self.gated and 8.0 / weight == math.inf:  # v1^2 is about 4 T1 / a, and T1 may round above 1
             raise ValueError(f"weight {weight!r} is too small: 8/weight overflows")
 
-    def check_parties(self, criterion: str, parties: int) -> None:
-        """Raise ValueError where the row reads the 1|2 realignment (v1) of a state without two parties."""
-        if self.reads == "pair" and parties != 2:
-            raise ValueError(f"criterion {criterion} requires a two-party state (use v2 with --split instead)")
-
 
 # v1 and v2 share one formula and differ only in which realignment the
 # moments come from; v3 holds for every weight >= 0, with no gate.
@@ -330,9 +325,9 @@ def check_request(
     """Check an :func:`evaluate` request on states over `dims`, reading no state.
 
     In order: the row; a missing party, split or weight; v1's two parties; a finite
-    weight; the split's or party's range; the weight's ``check_weight``.  The first
-    that fails raises ValueError.  Returns the row, the weight (a float where the row
-    takes one) and the target read: the party, the split, or 1|2 for v1.
+    weight; the split's or party's range; the weight's ``check_weight``, its message
+    suffixed `` (criterion X)``.  The first that fails raises ValueError.  Returns the row,
+    the weight (a float where the row takes one) and the target: the party, the split, or 1|2 for v1.
     """
     row = criterion_row(criterion)
     if row.reads == "party" and party is None:
@@ -341,7 +336,8 @@ def check_request(
         raise ValueError(f"criterion {criterion} requires --split")
     if row.flag and weight is None:
         raise ValueError(f"criterion {criterion} requires --{row.flag}")
-    row.check_parties(criterion, len(dims))
+    if row.reads == "pair" and len(dims) != 2:
+        raise ValueError(f"criterion {criterion} requires a two-party state (use v2 with --split instead)")
     if row.flag and not math.isfinite(weight := float(weight)):
         raise ValueError(f"--{row.flag} must be finite, got {weight!r}")
     target = party if row.reads == "party" else RealignSpec((1,), (2,)) if row.reads == "pair" else spec
@@ -350,7 +346,10 @@ def check_request(
     elif not 1 <= party <= len(dims):  # as transpose_party checks it
         raise ValueError(f"party {party!r} out of range for {len(dims)} parties")
     if row.flag:
-        row.check_weight(weight)
+        try:
+            row.check_weight(weight)
+        except ValueError as exc:
+            raise ValueError(f"{exc} (criterion {criterion})") from exc
     return row, weight, target
 
 

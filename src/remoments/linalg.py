@@ -73,11 +73,6 @@ class Scratch(threading.local):
 SCRATCH = Scratch()
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose; of each matrix, for a (..., m, n) stack."""
-    return np.asarray(a).conj().swapaxes(-1, -2)
-
-
 def _adjoint(a: np.ndarray) -> np.ndarray:
     """The conjugate transpose of each matrix of a (..., n, n) stack, contiguous, in :data:`SCRATCH` "conj" of its dtype.
 

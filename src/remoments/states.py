@@ -514,8 +514,8 @@ def to_json_dict(dm: DensityMatrix) -> dict:
 def from_json_dict(obj: object) -> DensityMatrix:
     """Parse the JSON form back into a DensityMatrix.
 
-    Raises ValueError on any structural problem; invariants are the
-    caller's job (run :func:`validate` afterwards).
+    Raises ValueError on any structural problem, empty or nonpositive dims included;
+    the other invariants are the caller's job (run :func:`validate` afterwards).
     """
     if not isinstance(obj, dict):
         raise ValueError("state JSON must be an object with 'dims' and 'matrix'")
@@ -524,7 +524,7 @@ def from_json_dict(obj: object) -> DensityMatrix:
         bad = [d for d in dims if not (type(d) is int or type(d) is float and d.is_integer())]
         if bad:  # int() would truncate 2.5 to 2 and read true, a bool, as 1
             raise ValueError(f"dims entry {json.dumps(bad[0])} is not an integer")
-        dims = tuple(int(d) for d in dims)
+        dims = _factor_dims(dims)
         rows = obj["matrix"]
         d = math.prod(dims)
         if d > MAX_KRON_DIM:  # before allocating a D x D matrix

@@ -65,12 +65,14 @@ def two_party_criteria(dims, criteria=ALL_CRITERIA):
         ((), (0.5,), "--criteria requires at least one criterion", {}),
         (("realign", "v3"), (), "criterion v3 requires a weight in --params", {}),
         (("v1",), (), "criterion v1 requires a weight in --params", {"dims": (2, 2, 2)}),
-        # v1 reads the 1|2 realignment, which only a two-party state has; checked last.
+        # v1 reads the 1|2 realignment, which only a two-party state has; checked at v1's first cell.
         (("v1",), (0.5,), TWO_PARTY, {"dims": (2, 2, 2)}),
         (("v1", "realign"), (0.5,), TWO_PARTY, {"dims": (2, 2, 2)}),
         # A v1/v2 weight whose 8/weight overflows, as a weight whose square overflows.
         (("v1",), (1e-309,), "weight 1e-309 is too small: 8/weight overflows (criterion v1)", {}),
         (("v3", "v2"), (0.5, 4e-308), "weight 4e-308 is too small: 8/weight overflows (criterion v2)", {}),
+        # Cells are checked in report order: v3's cell at -1 comes before v2's at 0.
+        (("v3", "v2"), (0.0, -1.0), "weight must be nonnegative, got -1.0 (criterion v3)", {}),
     ],
 )
 def test_run_audit_checks_its_config_before_sampling(monkeypatch, criteria, params, message, settings):

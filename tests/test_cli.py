@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -266,6 +267,9 @@ class TestExitCodes:
             "--criterion", "v1", "--a", "2",
         )
         assert code == 2
+        # A family parameter beside a state file is refused too, before the file is read.
+        got = run_cli("analyze", "--param", "0.3", "--state", str(path), "--criterion", "v1", "--a", "2")
+        assert got == (2, "", "error: --param requires --family\n")
 
     def test_malformed_state_file_exit_2(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -283,6 +287,16 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == (f"error: cannot read state file {str(path)!r}: "
                        "malformed state JSON: int too large to convert to float\n")
+        # Dims that no state has are the file's fault, reported before the request is checked.
+        mixed = [[[0.25 * (i == j), 0] for j in range(4)] for i in range(4)]
+        for dims, matrix in [([], [[[1, 0]]]), ([0, 3], []), ([-2, -2], mixed)]:
+            path.write_text(json.dumps({"dims": dims, "matrix": matrix}))
+            code, out, err = run_cli(
+                "analyze", "--state", str(path), "--criterion", "realign", "--split", "1|2"
+            )
+            assert (code, out) == (2, "")
+            assert err == (f"error: cannot read state file {str(path)!r}: DIMENSION_MISMATCH: "
+                           f"invalid factor dimensions {tuple(dims)} (deviation nan)\n")
 
     @pytest.mark.parametrize("entry", ["00", ["0.25", "0"], [0.25, False], [0.0, 0.0, 7.0]])
     def test_malformed_entry_exit_2(self, tmp_path, entry):
@@ -456,7 +470,9 @@ class TestExitCodes:
              "weight 1e+160 is too large: its square overflows (criterion v3)"),
             (("--dims", "2,2", "--criteria", "ppt,v3,v2", "--params", "1,0"),
              "weight must be positive, got 0.0 (criterion v2)"),
-            (("--dims", "2,2,2", "--criteria", "v1", "--params", "0"), "weight must be positive, got 0.0 (criterion v1)"),
+            # A cell's request is checked in check_request's order: v1's two parties before its weight.
+            (("--dims", "2,2,2", "--criteria", "v1", "--params", "0"),
+             "criterion v1 requires a two-party state (use v2 with --split instead)"),
         ],
     )
     def test_audit_input_errors(self, argv, message):
@@ -790,3 +806,19 @@ def test_module_entry_point():
         text=True,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0.642671108246\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--family", "rho_d", "--param", "0.3", "--criterion", "ppt", "--party", "1"),
+    ("sweep", "--family", "rho_d", "--range", "0.3:0.35:0.05", "--criterion", "ppt", "--party", "1"),
+])
+def test_closed_stdout_exit_2(argv):
+    """stdout a pipe whose read end is already closed: exit 2 with one line on stderr, no traceback."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "remoments", *argv], stdout=write, stderr=subprocess.PIPE,
+                              text=True)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (2, "error: cannot write stdout: Broken pipe\n")

@@ -173,7 +173,7 @@ def test_request_reads_the_rows_own_weight_and_split(criterion):
 
 def test_negative_weight_in_exponent_form_is_a_value():
     argv = ["analyze", "--family", "rho_eps", "--param", "1", "--criterion", "v3", "--split", "1|2"]
-    assert run([*argv, "--v", "-1e-3"]) == (2, "", "error: weight must be nonnegative, got -0.001\n")
+    assert run([*argv, "--v", "-1e-3"]) == (2, "", "error: weight must be nonnegative, got -0.001 (criterion v3)\n")
 
 
 NO_PARAM = ("analyze", "--family", "rho_eps", "--criterion", "realign", "--split", "1|2")

@@ -173,13 +173,13 @@ USAGE_ERRORS = [
     ("v2", (2, 2), {"u": -math.inf, "split": "1|2"}, "--u must be finite, got -inf"),
     ("v3", (2, 2), {"v": math.nan, "split": "1|3"}, "--v must be finite, got nan"),
     ("v2", (2, 2), {"u": 1.0, "split": "1|3"}, "party 3 out of range for 2 parties"),
-    ("v1", (2, 2), {"a": -1.0}, "weight must be positive, got -1.0"),
-    ("v2", (2, 2), {"u": 0.0, "split": "1|2"}, "weight must be positive, got 0.0"),
-    ("v3", (2, 2), {"v": -0.5, "split": "1|2"}, "weight must be nonnegative, got -0.5"),
+    ("v1", (2, 2), {"a": -1.0}, "weight must be positive, got -1.0 (criterion v1)"),
+    ("v2", (2, 2), {"u": 0.0, "split": "1|2"}, "weight must be positive, got 0.0 (criterion v2)"),
+    ("v3", (2, 2), {"v": -0.5, "split": "1|2"}, "weight must be nonnegative, got -0.5 (criterion v3)"),
     ("ppt", (2, 2), {"party": 3}, "party 3 out of range for 2 parties"),
     ("v9", (2, 2), {}, "unknown criterion 'v9'; choose from ('v1', 'v2', 'v3', 'realign', 'ppt')"),
-    ("v1", (2, 2), {"a": 2.2e-308}, "weight 2.2e-308 is too small: 8/weight overflows"),
-    ("v2", (2, 2), {"u": 2.0 ** -1021, "split": "1|2"}, "weight 4.450147717014403e-308 is too small: 8/weight overflows"),
+    ("v1", (2, 2), {"a": 2.2e-308}, "weight 2.2e-308 is too small: 8/weight overflows (criterion v1)"),
+    ("v2", (2, 2), {"u": 2.0 ** -1021, "split": "1|2"}, "weight 4.450147717014403e-308 is too small: 8/weight overflows (criterion v2)"),
     ("realign", (2, 2), {"split": "１|2"}, "split '１|2' must list parties as digits 1-9"),  # fullwidth 1
     ("v3", (2, 2), {"split": "²|1", "v": 1.0}, "split '²|1' must list parties as digits 1-9"),
     ("realign", (2, 2), {"split": "11|2"}, "a group may not repeat a party"),

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from conftest import random_matrix
 from remoments import (
-    dagger,
     hermitian_eigenvalues,
     kron,
     realign_bipartite,
@@ -60,19 +59,6 @@ class TestKron:
         assert str(info.value) == "kron operands must both be vectors or both be matrices"
 
 
-class TestDagger:
-    def test_identity(self):
-        assert np.array_equal(dagger(np.eye(3)), np.eye(3))
-
-    def test_conjugates_1x1(self):
-        assert dagger(np.array([[1j]]))[0, 0] == -1j
-
-    @given(st.integers(0, 10_000))
-    def test_involution(self, seed):
-        m = random_matrix(3, 5, seed)
-        assert np.array_equal(dagger(dagger(m)), m)
-
-
 class TestHermitianEigenvalues:
     def test_diagonal_exact(self):
         out = hermitian_eigenvalues(np.diag([3.0, 1.0, 2.0]).astype(complex))
@@ -84,7 +70,7 @@ class TestHermitianEigenvalues:
 
     def test_descending(self):
         m = random_matrix(6, 6, 3)
-        out = hermitian_eigenvalues(m + dagger(m))
+        out = hermitian_eigenvalues(m + m.conj().swapaxes(-1, -2))
         assert np.all(np.diff(out) <= 0)
 
     def test_known_spectrum(self):
@@ -93,14 +79,14 @@ class TestHermitianEigenvalues:
         g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         q, _ = np.linalg.qr(g)
         diag = np.array([4.0, 1.5, 0.0, -2.0, -3.25])
-        m = q @ np.diag(diag) @ dagger(q)
+        m = q @ np.diag(diag) @ q.conj().swapaxes(-1, -2)
         out = hermitian_eigenvalues(m)
         scale = np.max(np.abs(m)) + 1.0
         assert np.max(np.abs(out - np.sort(diag)[::-1])) <= 1e-10 * scale
 
     def test_trace_preserved(self):
         m = random_matrix(7, 7, 5)
-        h = m + dagger(m)
+        h = m + m.conj().swapaxes(-1, -2)
         out = hermitian_eigenvalues(h)
         assert np.sum(out) == pytest.approx(np.trace(h).real, abs=1e-10)
 
@@ -128,7 +114,7 @@ class TestHermitianEigenvalues:
     @pytest.mark.parametrize("n", [1, 2, 4, 9, 16])
     def test_stack_equals_per_matrix(self, n):
         stack = np.stack([random_matrix(n, n, 40 + k) for k in range(7)])
-        stack = stack + dagger(stack)
+        stack = stack + stack.conj().swapaxes(-1, -2)
         out = hermitian_eigenvalues(stack)
         assert out.shape == (7, n)
         for k in range(7):
@@ -168,7 +154,7 @@ class TestSingularValues:
     @given(st.integers(0, 10_000))
     def test_matches_dagger(self, seed):
         m = random_matrix(4, 6, seed)
-        assert np.max(np.abs(singular_values(m) - singular_values(dagger(m)))) <= 1e-10
+        assert np.max(np.abs(singular_values(m) - singular_values(m.conj().swapaxes(-1, -2)))) <= 1e-10
 
     @given(st.integers(0, 10_000))
     def test_frobenius_identity(self, seed):
@@ -226,7 +212,7 @@ class TestTraceNorm:
     def test_bounds_trace(self):
         for seed in range(10):
             m = random_matrix(5, 5, 100 + seed)
-            h = m + dagger(m)
+            h = m + m.conj().swapaxes(-1, -2)
             assert trace_norm(h) >= abs(np.trace(h)) - 1e-10
 
     def test_unitary_has_norm_n(self):

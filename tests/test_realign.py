@@ -9,7 +9,6 @@ from conftest import random_density
 from remoments import (
     DensityMatrix,
     RealignSpec,
-    dagger,
     enumerate_splits,
     ghz_w,
     kron,
@@ -34,7 +33,7 @@ def gram_power_traces(a, max_k=2):
     An arithmetic path independent of the singular values, kept as the
     oracle that :func:`moments` must agree with to 1e-9 relative.
     """
-    gram = a @ dagger(a) if a.shape[0] <= a.shape[1] else dagger(a) @ a
+    gram = a @ a.conj().swapaxes(-1, -2) if a.shape[0] <= a.shape[1] else a.conj().swapaxes(-1, -2) @ a
     vals = []
     power = gram
     for _ in range(max_k):

@@ -566,28 +566,33 @@ def test_threshold_matches_point_by_point_bisection(drawn):
 
 
 @pytest.mark.parametrize("case", [
-    # (family, LO, HI, criterion, flags, whether every statistic is put on its threshold)
-    ("noisy_ghz4", 0.0, 1.0, "v3", {"v": 0.01, "split": "1|2"}, True),
-    ("rho_eps", 1e12, 1e13, "realign", {"split": "1|2"}, True),
+    # (family, LO, HI, criterion, flags, the offsets put at LO and HI (every other statistic on its
+    # threshold), or None to leave the statistics as they are)
+    ("noisy_ghz4", 0.0, 1.0, "v3", {"v": 0.01, "split": "1|2"}, (0.0, 0.0)),
+    ("rho_eps", 1e12, 1e13, "realign", {"split": "1|2"}, (0.0, 0.0)),
     # rho_eps's own realign statistic is 1 at both ends: offsets 0 here and +-1e-16 on other BLAS
     # builds, within the criterion's tolerance.  The second bracket's ends sum past the largest float.
-    ("rho_eps", 1e12, 1e13, "realign", {"split": "1|2"}, False),
-    ("rho_eps", 1e308, 1.7e308, "realign", {"split": "1|2"}, False),
+    ("rho_eps", 1e12, 1e13, "realign", {"split": "1|2"}, None),
+    ("rho_eps", 1e308, 1.7e308, "realign", {"split": "1|2"}, None),
+    # Offsets of opposite signs, both within the tolerance: neither end is flagged.
+    ("noisy_ghz4", 0.0, 1.0, "v3", {"v": 0.01, "split": "1|2"}, (-1e-12, 1e-12)),
 ])
 def test_equal_end_offsets_do_not_straddle(monkeypatch, case):
-    """Offsets equal up to the tolerance, 0 and 0 where every statistic is on its threshold, are no
-    crossing: an input error, exit 2, with no warning."""
-    *case, on_threshold = case
+    """End offsets that flag neither end (0 and 0 where every statistic is on its threshold, or of
+    opposite signs within the tolerance) are no crossing: an input error, exit 2, with no warning."""
+    *case, ends = case
+    family_evaluation = cli._family_evaluation
 
-    def put_on_threshold(*args):
-        ev = evaluate(*args)
-        return ev._replace(statistic=np.full_like(ev.statistic, CRITERIA[ev.criterion].threshold))
+    def put_ends(family, xs, *request):
+        ev = family_evaluation(family, xs, *request)
+        offsets = [ends[0] if x == case[1] else ends[1] if x == case[2] else 0.0 for x in xs]
+        return ev._replace(statistic=CRITERIA[ev.criterion].threshold + np.array(offsets))
 
-    if on_threshold:
-        monkeypatch.setattr(cli, "evaluate", put_on_threshold)
+    if ends is not None:
+        monkeypatch.setattr(cli, "_family_evaluation", put_ends)
     want = reference_threshold(*case)
     assert want[:2] == (2, "") and "does not straddle the threshold (offsets " in want[2]
-    assert "(offsets 0 and 0)" in want[2] or not on_threshold
+    assert "(offsets 0 and 0)" in want[2] or ends != (0.0, 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run_cli("threshold", *threshold_argv(*case)) == want
@@ -879,7 +884,7 @@ def test_sweep_usage_error_before_later_domain_error():
 EARLY_REQUESTS = [
     (("--split", "1|2"), "error: criterion v3 requires --v\n"),
     (("--v", "1", "--split", "1|3"), "error: party 3 out of range for 2 parties\n"),
-    (("--v", "-1", "--split", "1|2"), "error: weight must be nonnegative, got -1.0\n"),
+    (("--v", "-1", "--split", "1|2"), "error: weight must be nonnegative, got -1.0 (criterion v3)\n"),
 ]
 
 
