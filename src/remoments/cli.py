@@ -12,6 +12,7 @@ type alone: 3 for a DomainError or StateValidationError, 2 for any other ValueEr
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import itertools
 import json
@@ -30,7 +31,6 @@ from .criteria import (
     INCONCLUSIVE,
     CriterionVerdict,
     Evaluation,
-    Spectrum,
     check_request,
     criterion_row,
     discriminant,
@@ -71,6 +71,8 @@ _NEWTON_STEPS = 12  # on that polynomial
 # but its temporaries grow with them; 64 points of the 16 x 16 families is the smallest budget
 # that keeps both benchmark audits (50 samples on 4 qubits, 200 on 3 x 3) in one stack.
 STACK_ENTRIES = 64 * 16 * 16
+
+_IN_FLIGHT = 8  # the most audit spectra taken and not yet read, so the most eigensolves queued at once
 
 # A sweep grid with more points than this is rejected before any is built.
 MAX_GRID_POINTS = 100_000
@@ -497,38 +499,47 @@ def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
     largest statistic seen (smallest for ppt), with the seed that made it.
     A criterion or weight listed twice is evaluated once.
 
-    The plan, built before any sample, pairs each cell's entry with the split or
-    party whose :func:`spectrum` it reads, in report order; :func:`check_request`
-    gives each cell's weight and target, or raises for the first cell that fails.
-    Up to :func:`_stack_size` samples, fewer when `num_terms` exceeds D, are drawn
-    and validated as one stack (`separable_stack`); each distinct target takes one
-    spectrum per stack, which serves every criterion and weight reading it, and
-    each cell tallies the array its row's `statistic` reads from that, the worst
-    sample being the first index of the extreme value.
+    The plan, built before any sample, groups the cells' entries, in report order, by the
+    split or party whose :func:`spectrum` they read; :func:`check_request` gives each cell's
+    weight and target, or raises for the first cell that fails.  Up to :func:`_stack_size`
+    samples, fewer when `num_terms` exceeds D, are drawn and validated as one stack
+    (`separable_stack`); each target, parties first, takes one spectrum per stack, which serves
+    every criterion and weight reading it.  Its eigensolve is queued on linalg's solver thread
+    while the caller takes up to _IN_FLIGHT - 1 more; then it is read (a failed solve raises
+    there) and each of its cells tallies its row's `statistic` array, ties keeping the first seed.
     """
     params = tuple(dict.fromkeys(cfg.params))
     n = len(cfg.dims)
-    plan: list[tuple[AuditEntry, RealignSpec | int]] = []
+    splits = enumerate_splits(n)
+    plan, report = {}, []  # target -> the entries reading it; every entry, in report order
     for criterion in dict.fromkeys(cfg.criteria):
         row = CRITERIA[criterion]
         cells = ([(None, None, p) for p in range(1, n + 1)] if row.reads == "party" else
-                 [(w, sp, None) for sp in enumerate_splits(n) for w in (params if row.flag else (None,))])
+                 [(w, sp, None) for sp in splits for w in (params if row.flag else (None,))])
         for weight, spec, party in cells:
             _, weight, target = check_request(cfg.dims, criterion, weight, spec, party)
-            entry = AuditEntry(criterion, float(party) if party else weight, None if party else str(target))
+            report.append(AuditEntry(criterion, float(party) if party else weight, None if party else str(target)))
             # For two parties, party 2 reads party 1's spectrum: rho^T2 = (rho^T1)^T, bit for bit.
-            plan.append((entry, 1 if party and n == 2 else target))
+            plan.setdefault(1 if party and n == 2 else target, []).append(report[-1])
+    targets = sorted(plan, key=lambda target: isinstance(target, RealignSpec))  # parties first
 
-    chunk = _stack_size(math.prod(cfg.dims), cfg.num_terms)
-    for start in range(0, cfg.num_states, chunk):
-        seeds = range(cfg.seed + start, cfg.seed + min(cfg.num_states, start + chunk))
-        stack = separable_stack(cfg.dims, cfg.num_terms, seeds)
-        spectra: dict[RealignSpec | int, Spectrum] = {}
-        for entry, target in plan:
-            if target not in spectra:
-                spectra[target] = spectrum(stack, cfg.dims, target, cfg.criteria)
-            entry.tally(CRITERIA[entry.criterion].statistic(spectra[target], entry.parameter), seeds)
-    return [entry for entry, _ in plan]
+    def taken():  # (entries, seeds, spectrum to read) of each chunk and target in turn, _IN_FLIGHT - 1 behind
+        pending = collections.deque()
+        chunk = _stack_size(math.prod(cfg.dims), cfg.num_terms)
+        for start in range(0, cfg.num_states, chunk):
+            seeds = range(cfg.seed + start, cfg.seed + min(cfg.num_states, start + chunk))
+            stack = separable_stack(cfg.dims, cfg.num_terms, seeds)
+            for target in targets:
+                pending.append((plan[target], seeds, spectrum(stack, cfg.dims, target, cfg.criteria, later=True)))
+                if len(pending) == _IN_FLIGHT:
+                    yield pending.popleft()
+        yield from pending
+
+    for entries, seeds, read in taken():
+        sp = read()
+        for entry in entries:
+            entry.tally(CRITERIA[entry.criterion].statistic(sp, entry.parameter), seeds)
+    return report
 
 
 def cmd_audit(args: argparse.Namespace) -> int:

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .linalg import gram, gram_moments, gram_singular_values, hermitian_eigenvalues
+from .linalg import checked_hermitian_part, eigvalsh, gram, gram_moments, gram_singular_values
 from .realign import RealignSpec, realign_array, transpose_party
 from .states import DensityMatrix
 
@@ -285,21 +285,25 @@ def criterion_row(name: str) -> _Row:
 
 def spectrum(
     matrices: np.ndarray, dims: tuple[int, ...], target: RealignSpec | int,
-    criteria: Iterable[str] = tuple(CRITERIA),
-) -> Spectrum:
+    criteria: Iterable[str] = tuple(CRITERIA), later: bool = False,
+) -> Spectrum | Callable[[], Spectrum]:
     """The :class:`Spectrum` the rows of `criteria` read off `target`: for a 1-based party,
     one eigensolve of a stack's partial transpose over it; for a split, the :func:`gram`
     stack G of its realignment, read as T1 = tr G and T2 = ||G||_F^2 with no eigensolve.
     Only realign eigensolves G and only v1/v2 take bounds; the permuted stack and the results are fresh arrays.
+    With `later`, the eigensolve is queued on linalg's solver thread, and a function to call once returns the Spectrum.
     """
     if not isinstance(target, RealignSpec):
-        return Spectrum(hermitian_eigenvalues(transpose_party(matrices, dims, target))[:, -1])
-    rows = [criterion_row(c) for c in criteria]
-    g = gram(realign_array(matrices, dims, target))
-    t1, t2 = gram_moments(g)
-    reads_norms = any(r.reads == "split" and not r.flag for r in rows)  # realign
-    return Spectrum(gram_singular_values(g).sum(axis=-1) if reads_norms else None, t1, t2,
-                    admissible_bounds(t1, t2) if any(r.gated for r in rows) else None)
+        w = eigvalsh(checked_hermitian_part(transpose_party(matrices, dims, target)), later)
+        done = lambda: Spectrum(w()[:, 0])  # the minimum eigenvalues
+    else:
+        rows = [criterion_row(c) for c in criteria]
+        g = gram(realign_array(matrices, dims, target))
+        t1, t2 = gram_moments(g)
+        w = eigvalsh(g, later) if any(r.reads == "split" and not r.flag for r in rows) else None  # realign
+        done = lambda: Spectrum(gram_singular_values(w()).sum(axis=-1) if w else None, t1, t2,
+                                admissible_bounds(t1, t2) if any(r.gated for r in rows) else None)
+    return done if later else done()
 
 
 class Evaluation(NamedTuple):

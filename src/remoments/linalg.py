@@ -17,7 +17,10 @@ float, so a real stack's validation and its complex Gram matrix share it.
 from __future__ import annotations
 
 import math
+import os
+import queue
 import threading
+from typing import Callable
 
 import numpy as np
 
@@ -101,14 +104,9 @@ def hermitian_part(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return h, dev
 
 
-def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, sorted descending.
-
-    Also takes a (..., n, n) stack and returns one descending row per
-    matrix.  The input's :func:`hermitian_part` is solved; a max-abs deviation
-    from Hermiticity beyond HERMITICITY_TOL, in any matrix of a stack, is
-    rejected instead of hidden, and so is a NaN.
-    """
+def checked_hermitian_part(a: np.ndarray) -> np.ndarray:
+    """The complex :func:`hermitian_part` of a square matrix or (..., n, n) stack; a max-abs deviation from
+    Hermiticity beyond HERMITICITY_TOL, in any matrix of a stack, is rejected instead of hidden, and so is a NaN."""
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -116,7 +114,44 @@ def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     dev = float(np.max(dev, initial=0.0))
     if not dev <= HERMITICITY_TOL:  # NaN compares False
         raise ValueError(f"matrix is not Hermitian: deviation {dev:.3e} exceeds {HERMITICITY_TOL:.1e}")
-    return np.linalg.eigvalsh(h)[..., ::-1].copy()
+    return h
+
+
+def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
+    """Real eigenvalues, descending, of a Hermitian matrix or each of a stack: of its :func:`checked_hermitian_part`."""
+    return np.linalg.eigvalsh(checked_hermitian_part(a))[..., ::-1].copy()
+
+
+_SOLVER: dict[str, queue.SimpleQueue] = {}  # "jobs": the solver thread's queue, once started
+if hasattr(os, "register_at_fork"):  # a forked child has no solver thread: its first queued solve starts one
+    os.register_at_fork(after_in_child=_SOLVER.clear)
+
+
+def _solve(jobs: queue.SimpleQueue) -> None:
+    for h, box in iter(jobs.get, None):  # the solver thread: each job's eigenvalues, or what raised, go in its box
+        try:
+            box.put(np.linalg.eigvalsh(h))
+        except Exception as exc:  # the thread keeps serving; the reader raises it
+            box.put(exc)
+
+
+def eigvalsh(h: np.ndarray, later: bool = False) -> Callable[[], np.ndarray]:
+    """np.linalg.eigvalsh(h), read by calling the result once, which raises what the solve raised.  Solved at once, or,
+    `later`, on a copy of `h` (a :data:`SCRATCH` view is fine) by the process's one solver thread, a daemon that the
+    first such call starts; it runs only that call, in numpy's default error state, and reading waits for it."""
+    if not later:
+        w = np.linalg.eigvalsh(h)
+        return lambda: w
+    if _SOLVER.setdefault("jobs", new := queue.SimpleQueue()) is new:  # atomic: of racing callers, one starts it
+        threading.Thread(target=_solve, args=(new,), name="remoments-eigvalsh", daemon=True).start()
+    box = queue.SimpleQueue()
+    _SOLVER["jobs"].put((h.copy(), box))
+
+    def read() -> np.ndarray:
+        if isinstance(w := box.get(), Exception):
+            raise w
+        return w
+    return read
 
 
 def gram(a: np.ndarray) -> np.ndarray:
@@ -145,16 +180,16 @@ def gram_moments(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t1, np.minimum(np.einsum("...ij,...ij->...", flat, flat), t1 * t1)
 
 
-def gram_singular_values(g: np.ndarray) -> np.ndarray:
-    """Singular values of `a`, descending, from g = gram(a); G is PSD, so a negative eigenvalue clamps to 0."""
-    return np.sqrt(np.clip(np.linalg.eigvalsh(g), 0.0, None))[..., ::-1].copy()
+def gram_singular_values(w: np.ndarray) -> np.ndarray:
+    """Singular values of `a`, descending, from the eigenvalues `w` of G = gram(a); G is PSD: w < 0 clamps to 0."""
+    return np.sqrt(np.clip(w, 0.0, None))[..., ::-1].copy()
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:
     """All min(rows, cols) singular values, sorted descending, of a matrix or of
     each matrix of a (..., rows, cols) stack, equal bit for bit to the per-matrix call.
     """
-    return gram_singular_values(gram(a))
+    return gram_singular_values(np.linalg.eigvalsh(gram(a)))
 
 
 def trace_norm(a: np.ndarray) -> np.ndarray:

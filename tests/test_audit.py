@@ -2,9 +2,13 @@
 import itertools
 import json
 import math
+import os
+import signal
+import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -167,18 +171,19 @@ def test_chunk_boundaries(monkeypatch):
 @pytest.mark.parametrize(
     "dims, per_chunk",
     [
-        ((2, 2), ["1|2", 1]),  # party 2 reads party 1's spectrum
-        ((2, 2, 2), [*map(str, enumerate_splits(3)), 1, 2, 3]),
+        ((2, 2), [1, "1|2"]),  # party 2 reads party 1's spectrum
+        ((2, 2, 2), [1, 2, 3, *map(str, enumerate_splits(3))]),
     ],
 )
 @pytest.mark.parametrize("chunks", [1, 2])
 def test_one_spectrum_per_target_and_chunk(monkeypatch, dims, per_chunk, chunks):
-    """Each chunk takes exactly one spectrum per distinct split or party of the plan, in report order."""
+    """Each chunk takes exactly one spectrum per distinct split or party of the plan: the parties, then
+    the splits, each in report order."""
     calls = []
 
-    def counting_spectrum(stack, stack_dims, target, *rest):
+    def counting_spectrum(stack, stack_dims, target, *rest, **kwargs):
         calls.append(target if isinstance(target, int) else str(target))
-        return spectrum(stack, stack_dims, target, *rest)
+        return spectrum(stack, stack_dims, target, *rest, **kwargs)
 
     monkeypatch.setattr(cli, "spectrum", counting_spectrum)
     set_chunk(monkeypatch, dims, 2, 8 // chunks)
@@ -370,3 +375,120 @@ def test_repeated_criteria_and_weights_count_once(tmp_path, repeated, once, dims
     assert got["config"]["criteria"] == flags["--criteria"].split(",")
     if "--params" in flags:
         assert got["config"]["params"] == [float(x) for x in flags["--params"].split(",")]
+
+
+# The solver thread: audits queue their eigensolves on linalg's one worker thread.
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 2, 2), (2, 2, 2, 2)])
+@pytest.mark.parametrize("chunk", [3, 8])
+@pytest.mark.parametrize("num_terms", [1, 3])
+def test_queued_solves_give_the_scalar_loop_bit_for_bit(monkeypatch, dims, chunk, num_terms):
+    """Every field of every entry, the worst statistic's bits included, equals the per-state loop's."""
+    cfg = AuditConfig(dims=dims, num_states=17, num_terms=num_terms, seed=11,
+                      criteria=two_party_criteria(dims), params=(0.01, 0.5, 1.0, 5.0, 30.0))
+    set_chunk(monkeypatch, dims, num_terms, chunk)
+    assert [repr(vars(e)) for e in run_audit(cfg)] == [repr(vars(e)) for e in reference_audit(cfg)]
+
+
+@pytest.mark.parametrize("failing", [{1}, {3}, {"last"}, {1, 3, "last"}])
+def test_a_failed_solve_exits_as_before(monkeypatch, failing):
+    """np.linalg.eigvalsh raising on the solver thread ends the audit with exit 2 and numpy's message,
+    as a solve on the caller did; the thread keeps serving the next audit."""
+    argv = ("audit", "--dims", "2,2,2", "--num-states", "20", "--criteria", "realign,v3,ppt")
+    set_chunk(monkeypatch, (2, 2, 2), AuditConfig.num_terms, 8)
+    code, want, err = run_cli(*argv)
+    assert (code, err) == (0, "")
+    solve, solves = np.linalg.eigvalsh, []
+
+    def counted(h):
+        solves.append(None)
+        return solve(h)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    assert run_cli(*argv) == (0, want, "")
+    last = len(solves)
+    assert last == 9 * 3  # 6 realign splits and 3 parties, in chunks of 8, 8 and 4 states
+    failing = {last if k == "last" else k for k in failing}
+
+    def failing_solve(h):
+        solves.append(None)
+        if len(solves) - last in failing:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return solve(h)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing_solve)
+    assert run_cli(*argv) == (2, "", "error: Eigenvalues did not converge\n")
+    monkeypatch.setattr(np.linalg, "eigvalsh", solve)
+    assert run_cli(*argv) == (0, want, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--family", "noisy_ghz4", "--param", "0.5"),
+    ("sweep", "--family", "noisy_ghz4", "--range", "0:1:0.25"),
+    ("threshold", "--family", "noisy_ghz4", "--bracket", "0:1"),
+])
+@pytest.mark.parametrize("flags", [("--criterion", "realign", "--split", "1|2"), ("--criterion", "ppt", "--party", "1")])
+def test_evaluate_solves_inline(monkeypatch, argv, flags):
+    """analyze, sweep and threshold solve on the calling thread and start none."""
+    solve, threads = np.linalg.eigvalsh, []
+
+    def recorded(h):
+        threads.append(threading.get_ident())
+        return solve(h)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    before = threading.active_count()
+    code, _, err = run_cli(*argv, *flags)
+    assert (code, err) == (0, "")
+    assert threading.active_count() == before
+    assert threads and set(threads) == {threading.get_ident()}
+
+
+def test_one_solver_thread_per_process():
+    """In a new process, analyze, sweep and threshold leave one thread; ten audits leave two."""
+    script = """if True:
+        import contextlib, io, threading
+        from remoments.cli import main
+        realign, ppt = ("--criterion", "realign", "--split", "1|2"), ("--criterion", "ppt", "--party", "1")
+        with contextlib.redirect_stdout(io.StringIO()):
+            for flags in (realign, ppt):
+                assert main(["analyze", "--family", "noisy_ghz4", "--param", "0.5", *flags]) == 0
+                assert main(["sweep", "--family", "noisy_ghz4", "--range", "0:1:0.25", *flags]) == 0
+                assert main(["threshold", "--family", "noisy_ghz4", "--bracket", "0:1", *flags]) == 0
+            counts = [threading.active_count()]
+            for seed in range(10):
+                assert main(["audit", "--dims", "2,2,2,2", "--num-states", "8", "--seed", str(seed)]) == 0
+            counts.append(threading.active_count())
+        print(counts)
+    """
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[1, 2]\n", "")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="os.fork after threads is checked on Linux")
+def test_a_forked_child_starts_its_own_solver():
+    """A child forked after an audit has no solver thread; its first audit starts one and reports as the parent."""
+    first = AuditConfig(dims=(2, 2, 2, 2), num_states=8, seed=1)
+    second = AuditConfig(dims=(3, 3), num_states=30, criteria=ALL_CRITERIA, seed=2)
+    run_audit(first)
+    want = [repr(vars(e)) for e in run_audit(second)]
+    read, write = os.pipe()
+    with warnings.catch_warnings():  # Python 3.12+ warns on fork in a process with threads
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:  # the child: report, then leave without running the parent's test session
+        code = 1
+        try:
+            os.close(read)
+            signal.alarm(60)  # a solve queued to no thread would wait forever
+            report = [repr(vars(e)) for e in run_audit(second)]
+            os.write(write, json.dumps([threading.active_count(), report]).encode())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    with os.fdopen(read, "rb") as fh:
+        got = fh.read()
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert json.loads(got) == [2, want]

@@ -2,6 +2,7 @@
 import decimal
 import json
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -629,18 +630,30 @@ class TestMomentRowsSkipEigensolve:
     @pytest.fixture
     def solves(self, monkeypatch):
         # Count Hermitian eigensolves (and SVDs, in case singular values move
-        # to one) while criteria.spectrum runs, not elsewhere: validation may
-        # eigensolve legitimately.
+        # to one) that criteria.spectrum runs on this thread or queues on
+        # linalg's solver thread, not elsewhere: validation may eigensolve
+        # legitimately.  Every solve off this thread is a queued one, and only
+        # spectrum queues; a queued solve is counted before its result is read.
         count = {"depth": 0, "solves": 0}
+        caller, lock = threading.get_ident(), threading.Lock()
+        criteria.eigvalsh(np.eye(1), later=True)()  # the solver's queue is first in, first out: now empty
 
         def counted(fn):
             def wrapper(*args, **kwargs):
-                count["solves"] += count["depth"] > 0
+                with lock:
+                    count["solves"] += count["depth"] > 0 if threading.get_ident() == caller else 1
                 return fn(*args, **kwargs)
             return wrapper
 
         for name in ("eigvalsh", "eigh", "svd"):
             monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+        eigvalsh = criteria.eigvalsh
+
+        def queued_only_in_spectrum(h, later=False):
+            assert count["depth"] > 0 or not later, "a solve queued outside spectrum"
+            return eigvalsh(h, later)
+
+        monkeypatch.setattr(criteria, "eigvalsh", queued_only_in_spectrum)
         inner = criteria.spectrum
 
         def spectrum_(*args, **kwargs):
