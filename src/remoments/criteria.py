@@ -290,7 +290,7 @@ def spectrum(
     """The :class:`Spectrum` the rows of `criteria` read off `target`: for a 1-based party,
     one eigensolve of a stack's partial transpose over it; for a split, the :func:`gram`
     stack G of its realignment, read as T1 = tr G and T2 = ||G||_F^2 with no eigensolve.
-    Only realign eigensolves G and only v1/v2 take bounds; the permuted stack and the results are fresh arrays.
+    Only split rows reading trace norms (realign) eigensolve G, only v1/v2 take bounds; the permuted stack and results are fresh.
     With `later`, the eigensolve is queued on linalg's solver thread, and a function to call once returns the Spectrum.
     """
     if not isinstance(target, RealignSpec):
@@ -300,7 +300,7 @@ def spectrum(
         rows = [criterion_row(c) for c in criteria]
         g = gram(realign_array(matrices, dims, target))
         t1, t2 = gram_moments(g)
-        w = eigvalsh(g, later) if any(r.reads == "split" and not r.flag for r in rows) else None  # realign
+        w = eigvalsh(g, later) if any(r.reads == "split" and r.statistic is _values for r in rows) else None
         done = lambda: Spectrum(gram_singular_values(w()).sum(axis=-1) if w else None, t1, t2,
                                 admissible_bounds(t1, t2) if any(r.gated for r in rows) else None)
     return done if later else done()

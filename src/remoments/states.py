@@ -476,21 +476,14 @@ def separable_stack(dims: Sequence[int], num_terms: int, seeds: Sequence[int]) -
         rng.standard_normal(out=normals[i])
     # Each row's pairwise sum, as rng.exponential(size=num_terms).sum() gives it.
     weights /= weights.sum(axis=1, keepdims=True)
-    # Party p's real parts start at 2 * (its offset in the ket widths); its
-    # imaginary parts follow them.
-    offsets = np.cumsum((0,) + dims[:-1])
-    real_at = np.concatenate([2 * o + np.arange(dk) for o, dk in zip(offsets, dims)])
-    factors = normals[..., real_at] + 1j * normals[..., real_at + np.repeat(dims, dims)]
-    ket = None
-    for o, dk in zip(offsets, dims):
-        f = factors[..., o:o + dk]
+    ket = np.ones((n, num_terms, 1), dtype=complex)
+    # Party p's real parts start at o = 2 * (its offset in the ket widths); its imaginary parts follow them.
+    for o, dk in zip(2 * np.cumsum((0,) + dims[:-1]), dims):
+        f = normals[..., o:o + dk] + 1j * normals[..., o + dk:o + 2 * dk]
         # np.linalg.norm's arithmetic: one BLAS dot each on the strided real and imaginary views.
         re, im = f.real, f.imag
         f /= np.sqrt(re[..., None, :] @ re[..., :, None] + im[..., None, :] @ im[..., :, None])[..., 0]
-        if ket is None:
-            ket = f
-        else:
-            ket = (ket[..., :, None] * f[..., None, :]).reshape(n, num_terms, ket.shape[-1] * dk)
+        ket = (ket[..., :, None] * f[..., None, :]).reshape(n, num_terms, ket.shape[-1] * dk)
     d = ket.shape[-1]
     m = np.zeros((n, d, d), dtype=complex)
     for t in range(num_terms):

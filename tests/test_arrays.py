@@ -51,7 +51,7 @@ from remoments.criteria import (
 from remoments.realign import realign_array
 from remoments.states import separable_stack
 
-SAMPLER_DIMS = [(2, 2), (2, 3), (3, 3), (4, 4), (2, 2, 2), (3, 2, 2), (2, 2, 2, 2)]
+SAMPLER_DIMS = [(2, 2), (2, 3), (3, 3), (4, 4), (2, 2, 2), (3, 2, 2), (2, 2, 2, 2), (2, 1, 3)]
 
 
 def frozen_sample_separable(dims, num_terms, seed):
@@ -211,6 +211,7 @@ class TestSeparableStack:
         seeds=st.lists(st.integers(0, 2**200), min_size=1, max_size=6),
     )
     @example(dims=(2, 2, 2, 2), num_terms=3, seeds=[0, 1, 2])
+    @example(dims=(2, 1, 3), num_terms=2, seeds=[0, 1])  # a factor of dimension 1
     # Seeds of one to five uint32 words: the fifth word mixes into the hash
     # pool for 2**128 only, not for the four-word seeds beside it.
     @example(dims=(2, 2), num_terms=1, seeds=[2**32 - 1, 2**32, 2**128 - 1, 2**128])

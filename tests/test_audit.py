@@ -291,6 +291,24 @@ def test_ties_across_chunks_keep_the_first_seed(monkeypatch, chunk):
     assert_same_report([entry], reference_audit(cfg))
 
 
+@pytest.mark.parametrize("criterion, chunks, want", [
+    ("v2", [[math.nan, math.nan]], (0, 0, math.nan, None)),  # an all-NaN chunk adds no count and no worst
+    ("v2", [[math.nan, math.nan], [math.nan, 0.9], [math.nan]], (1, 0, 0.9, 103)),
+    ("v1", [[math.nan, 1.2, math.nan, 0.7]], (2, 1, 1.2, 101)),  # NaN beside finite statistics
+    ("v3", [[0.5, 0.8, 0.8], [0.8, 0.3]], (5, 0, 0.8, 101)),  # ties within and across calls keep the first seed
+    ("realign", [[1.0, math.inf], [math.inf, math.nan]], (3, 2, math.inf, 101)),
+    ("ppt", [[0.0, -math.inf], [-math.inf, 0.1]], (4, 2, -math.inf, 101)),
+])
+def test_tally(criterion, chunks, want):
+    """`chunks` tallied in turn on consecutive seeds from 100: (evaluated, violations, worst statistic, its seed)."""
+    entry, start = AuditEntry(criterion, None, None), 100
+    for stats in chunks:
+        entry.tally(np.array(stats), range(start, start + len(stats)))
+        start += len(stats)
+    got = (entry.evaluated, entry.violations, entry.worst_statistic, entry.worst_seed)
+    assert repr(got) == repr(want)
+
+
 def test_many_terms_shrink_the_chunk(monkeypatch):
     """With num_terms above D the chunk shrinks, so the sampler's kets stay within STACK_ENTRIES.
 

@@ -704,3 +704,16 @@ class TestMomentRowsSkipEigensolve:
         monkeypatch.setattr(cli, "STACK_ENTRIES", 8 * 8 * 8)  # 8 samples of dimension 8
         run_audit(AuditConfig(dims=(2, 2, 2), num_states=20, num_terms=1, criteria=names))
         assert solves["solves"] == per_chunk * 3  # chunks of 8, 8 and 4 states
+
+    def test_unweighted_split_row_reading_moments(self, solves, monkeypatch):
+        # An unweighted split row whose statistic reads T1 alone needs no Gram eigensolve; only a
+        # row reading the trace norms (realign) takes one per split and chunk.
+        monkeypatch.setitem(criteria.CRITERIA, "t1", criteria._Row(None, "split", gated=False,
+                                                                   statistic=lambda sp, w: sp.t1))
+        ev = evaluate(self.rho_pq_stack(), (4, 4), "t1", spec=RealignSpec.parse("1|2"))
+        assert (ev.statistic > 0.0).all() and solves["solves"] == 0
+        monkeypatch.setattr(cli, "STACK_ENTRIES", 8 * 8 * 8)  # 8 samples of dimension 8
+        cfg = AuditConfig(dims=(2, 2, 2), num_states=20, num_terms=1, criteria=("t1", "v3"))
+        assert all(e.evaluated == 20 for e in run_audit(cfg)) and solves["solves"] == 0
+        run_audit(AuditConfig(dims=(2, 2, 2), num_states=20, num_terms=1, criteria=("t1", "realign")))
+        assert solves["solves"] == 6 * 3  # 6 splits, chunks of 8, 8 and 4 states
