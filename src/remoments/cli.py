@@ -34,13 +34,14 @@ from .criteria import (
     check_request,
     criterion_row,
     discriminant,
+    eigensolves,
     entangled,
     evaluate,
     json_safe,
     spectrum,
     verdict,
 )
-from .linalg import MAX_KRON_DIM
+from .linalg import MAX_KRON_DIM, later
 from .realign import RealignSpec, enumerate_splits
 from .states import (
     FAMILIES,
@@ -174,7 +175,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     request = _request(args)
     dm = _build_state(args, request)
     result, ev = evaluate_criterion(dm, *request)
-    reads = CRITERIA[args.criterion].reads
+    row = CRITERIA[args.criterion]
 
     if args.family is not None:
         state_label = f"{args.family}({_fmt(args.param)})"
@@ -187,12 +188,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     ]
     if result.parameter is not None:
         lines.append(("parameter", _fmt(result.parameter)))
-    if args.split is not None and reads == "split":
+    if args.split is not None and row.reads == "split":
         lines.append(("split", args.split))
     lines.append(("statistic", _fmt(result.statistic)))
     lines.append(("threshold", _fmt(result.threshold)))
     lines.append(("outcome", result.outcome))
-    if ev.t1 is not None:
+    if row.flag:
         lines += [("T1", _fmt(ev.t1[0])), ("T2", _fmt(ev.t2[0]))]
     if result.admissible is not None:
         lines.append(("discriminant", _fmt(result.admissible.discriminant)))
@@ -211,10 +212,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             if args.family is not None
             else {"file": args.state}
         )
-        payload["split"] = args.split if reads == "split" else None
-        payload["party"] = args.party if reads == "party" else None
-        payload["moments"] = None if ev.t1 is None else {"t1": float(ev.t1[0]), "t2": float(ev.t2[0])}
-        payload["discriminant"] = None if ev.t1 is None else float(discriminant(ev.t1, ev.t2)[0])
+        payload["split"] = args.split if row.reads == "split" else None
+        payload["party"] = args.party if row.reads == "party" else None
+        payload["moments"] = {"t1": float(ev.t1[0]), "t2": float(ev.t2[0])} if row.flag else None
+        payload["discriminant"] = float(discriminant(ev.t1, ev.t2)[0]) if row.flag else None
         _write_out(args.out, lambda fh: fh.write(json.dumps(payload, indent=2) + "\n"))
     return EXIT_OK
 
@@ -501,11 +502,11 @@ def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
 
     The plan, built before any sample, groups the cells' entries, in report order, by the
     split or party whose :func:`spectrum` they read; :func:`check_request` gives each cell's
-    weight and target, or raises for the first cell that fails.  Up to :func:`_stack_size`
+    parameter and target, or raises for the first cell that fails.  Up to :func:`_stack_size`
     samples, fewer when `num_terms` exceeds D, are drawn and validated as one stack
     (`separable_stack`); each target, parties first, takes one spectrum per stack, which serves
-    every criterion and weight reading it.  Its eigensolve is queued on linalg's solver thread
-    while the caller takes up to _IN_FLIGHT - 1 more; then it is read (a failed solve raises
+    every criterion and weight reading it.  Where it :func:`eigensolves`, it is run by linalg's solver
+    thread (:func:`later`) while the caller takes up to _IN_FLIGHT - 1 more; then it is read (a failed solve raises
     there) and each of its cells tallies its row's `statistic` array, ties keeping the first seed.
     """
     params = tuple(dict.fromkeys(cfg.params))
@@ -517,8 +518,8 @@ def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
         cells = ([(None, None, p) for p in range(1, n + 1)] if row.reads == "party" else
                  [(w, sp, None) for sp in splits for w in (params if row.flag else (None,))])
         for weight, spec, party in cells:
-            _, weight, target = check_request(cfg.dims, criterion, weight, spec, party)
-            report.append(AuditEntry(criterion, float(party) if party else weight, None if party else str(target)))
+            _, parameter, target = check_request(cfg.dims, criterion, weight, spec, party)
+            report.append(AuditEntry(criterion, parameter, None if party else str(target)))
             # For two parties, party 2 reads party 1's spectrum: rho^T2 = (rho^T1)^T, bit for bit.
             plan.setdefault(1 if party and n == 2 else target, []).append(report[-1])
     targets = sorted(plan, key=lambda target: isinstance(target, RealignSpec))  # parties first
@@ -530,7 +531,8 @@ def run_audit(cfg: AuditConfig) -> list[AuditEntry]:
             seeds = range(cfg.seed + start, cfg.seed + min(cfg.num_states, start + chunk))
             stack = separable_stack(cfg.dims, cfg.num_terms, seeds)
             for target in targets:
-                pending.append((plan[target], seeds, spectrum(stack, cfg.dims, target, cfg.criteria, later=True)))
+                read = spectrum(stack, cfg.dims, target, cfg.criteria)
+                pending.append((plan[target], seeds, later(read) if eigensolves(target, cfg.criteria) else read))
                 if len(pending) == _IN_FLIGHT:
                     yield pending.popleft()
         yield from pending

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .linalg import checked_hermitian_part, eigvalsh, gram, gram_moments, gram_singular_values
+from .linalg import checked_hermitian_part, gram, gram_moments, gram_singular_values
 from .realign import RealignSpec, realign_array, transpose_party
 from .states import DensityMatrix
 
@@ -215,7 +215,8 @@ def entangled(criterion: str, statistic):
 
 
 class Spectrum(NamedTuple):
-    """Per state: ppt minimum eigenvalues, or trace norms (realign only), T1, T2 and bounds (v1/v2 only)."""
+    """Per state: the solved stack's eigenvalues, ascending (where :func:`eigensolves`), T1 and T2 (splits) and
+    bounds (v1/v2 only)."""
 
     values: np.ndarray | None
     t1: np.ndarray | None = None
@@ -234,10 +235,6 @@ def _gated_v1(sp: Spectrum, a: float) -> np.ndarray:
 
 def _v3(sp: Spectrum, v: float) -> np.ndarray:
     return v3(sp.t1, sp.t2, v)
-
-
-def _values(sp: Spectrum, weight: float | None) -> np.ndarray:
-    return sp.values
 
 
 class _Row(NamedTuple):
@@ -271,8 +268,8 @@ CRITERIA = {
     "v1": _Row("a", "pair", gated=True, statistic=_gated_v1),
     "v2": _Row("u", "split", gated=True, statistic=_gated_v1),
     "v3": _Row("v", "split", gated=False, statistic=_v3),
-    "realign": _Row(None, "split", gated=False, statistic=_values),
-    "ppt": _Row(None, "party", gated=False, statistic=_values, threshold=0.0, below=True),
+    "realign": _Row(None, "split", gated=False, statistic=lambda sp, w: gram_singular_values(sp.values).sum(axis=-1)),
+    "ppt": _Row(None, "party", gated=False, statistic=lambda sp, w: sp.values[:, 0], threshold=0.0, below=True),
 }
 
 
@@ -283,35 +280,35 @@ def criterion_row(name: str) -> _Row:
     return CRITERIA[name]
 
 
+def eigensolves(target: RealignSpec | int, criteria: Iterable[str]) -> bool:
+    """Whether the :func:`spectrum` `criteria` read at `target` eigensolves: at every party, and at a split realign reads."""
+    return not isinstance(target, RealignSpec) or "realign" in criteria
+
+
 def spectrum(
-    matrices: np.ndarray, dims: tuple[int, ...], target: RealignSpec | int,
-    criteria: Iterable[str] = tuple(CRITERIA), later: bool = False,
-) -> Spectrum | Callable[[], Spectrum]:
-    """The :class:`Spectrum` the rows of `criteria` read off `target`: for a 1-based party,
-    one eigensolve of a stack's partial transpose over it; for a split, the :func:`gram`
-    stack G of its realignment, read as T1 = tr G and T2 = ||G||_F^2 with no eigensolve.
-    Only split rows reading trace norms (realign) eigensolve G, only v1/v2 take bounds; the permuted stack and results are fresh.
-    With `later`, the eigensolve is queued on linalg's solver thread, and a function to call once returns the Spectrum.
-    """
-    if not isinstance(target, RealignSpec):
-        w = eigvalsh(checked_hermitian_part(transpose_party(matrices, dims, target)), later)
-        done = lambda: Spectrum(w()[:, 0])  # the minimum eigenvalues
+    matrices: np.ndarray, dims: tuple[int, ...], target: RealignSpec | int, criteria: Iterable[str] = tuple(CRITERIA),
+) -> Callable[[], Spectrum]:
+    """A function to call once for the :class:`Spectrum` the rows of `criteria` read off `target`.  It runs only the
+    eigensolve, where :func:`eigensolves`: of a stack's partial transpose over a 1-based party, or of the :func:`gram`
+    stack G of a split's realignment, whose T1 = tr G, T2 = ||G||_F^2 and v1/v2 bounds are taken here.  Every array
+    is fresh, so the function may run on another thread."""
+    if isinstance(target, RealignSpec):
+        h = gram(realign_array(matrices, dims, target))
+        t1, t2 = gram_moments(h)
+        bounds = admissible_bounds(t1, t2) if any(criterion_row(c).gated for c in criteria) else None
     else:
-        rows = [criterion_row(c) for c in criteria]
-        g = gram(realign_array(matrices, dims, target))
-        t1, t2 = gram_moments(g)
-        w = eigvalsh(g, later) if any(r.reads == "split" and r.statistic is _values for r in rows) else None
-        done = lambda: Spectrum(gram_singular_values(w()).sum(axis=-1) if w else None, t1, t2,
-                                admissible_bounds(t1, t2) if any(r.gated for r in rows) else None)
-    return done if later else done()
+        h = checked_hermitian_part(transpose_party(matrices, dims, target))
+        t1 = t2 = bounds = None
+    h = h.copy() if eigensolves(target, criteria) else None
+    return lambda: Spectrum(None if h is None else np.linalg.eigvalsh(h), t1, t2, bounds)
 
 
 class Evaluation(NamedTuple):
     """One criterion evaluated on every matrix of a stack, as arrays.
 
     `statistic` is NaN where a v1/v2 weight is not admissible; `parameter`
-    is the weight, the party as a float (ppt) or None (realign).  v1/v2/v3
-    carry their moment sums and v1/v2 their admissible bounds.
+    is the weight, the party as a float (ppt) or None (realign).  Rows reading
+    a realignment carry its moment sums, and v1/v2 their admissible bounds.
     """
 
     criterion: str
@@ -330,8 +327,9 @@ def check_request(
 
     In order: the row; a missing party, split or weight; v1's two parties; a finite
     weight; the split's or party's range; the weight's ``check_weight``, its message
-    suffixed `` (criterion X)``.  The first that fails raises ValueError.  Returns the row,
-    the weight (a float where the row takes one) and the target: the party, the split, or 1|2 for v1.
+    suffixed `` (criterion X)``.  The first that fails raises ValueError.  Returns the row, the parameter
+    a report shows (the weight as a float, the party as a float for a party row, otherwise None) and the
+    target: the party, the split, or 1|2 for v1.
     """
     row = criterion_row(criterion)
     if row.reads == "party" and party is None:
@@ -354,7 +352,7 @@ def check_request(
             row.check_weight(weight)
         except ValueError as exc:
             raise ValueError(f"{exc} (criterion {criterion})") from exc
-    return row, weight, target
+    return row, weight if row.flag else float(party) if row.reads == "party" else None, target
 
 
 def evaluate(
@@ -366,15 +364,12 @@ def evaluate(
     v1 reads the 1|2 realignment of a two-party state, v2, v3 and realign
     that of `spec`, and ppt the partial transpose over `party`; v1, v2 and
     v3 take `weight`.  After :func:`check_request`, whose ValueError it raises,
-    this is one :func:`spectrum` call at the target, serving this criterion
-    alone, so v1/v2/v3 take no eigensolve, and the row's `statistic` on it.
+    this is one :func:`spectrum` at the target, serving this criterion alone
+    and read at once on this thread, and the row's `statistic` on it.
     """
-    row, weight, target = check_request(dims, criterion, weight, spec, party)
-    sp = spectrum(matrices, dims, target, (criterion,))
-    stats = row.statistic(sp, weight)
-    if not row.flag:
-        return Evaluation(criterion, float(target) if row.reads == "party" else None, stats)
-    return Evaluation(criterion, weight, stats, sp.t1, sp.t2, sp.bounds)
+    row, parameter, target = check_request(dims, criterion, weight, spec, party)
+    sp = spectrum(matrices, dims, target, (criterion,))()
+    return Evaluation(criterion, parameter, row.statistic(sp, parameter), sp.t1, sp.t2, sp.bounds)
 
 
 def verdict(ev: Evaluation, i: int = 0) -> CriterionVerdict:

@@ -128,26 +128,23 @@ if hasattr(os, "register_at_fork"):  # a forked child has no solver thread: its 
 
 
 def _solve(jobs: queue.SimpleQueue) -> None:
-    for h, box in iter(jobs.get, None):  # the solver thread: each job's eigenvalues, or what raised, go in its box
+    for fn, box in iter(jobs.get, None):  # the solver thread: each job's result, or what raised, goes in its box
         try:
-            box.put(np.linalg.eigvalsh(h))
+            box.put(fn())
         except Exception as exc:  # the thread keeps serving; the reader raises it
             box.put(exc)
 
 
-def eigvalsh(h: np.ndarray, later: bool = False) -> Callable[[], np.ndarray]:
-    """np.linalg.eigvalsh(h), read by calling the result once, which raises what the solve raised.  Solved at once, or,
-    `later`, on a copy of `h` (a :data:`SCRATCH` view is fine) by the process's one solver thread, a daemon that the
-    first such call starts; it runs only that call, in numpy's default error state, and reading waits for it."""
-    if not later:
-        w = np.linalg.eigvalsh(h)
-        return lambda: w
+def later(fn: Callable[[], object]) -> Callable[[], object]:
+    """fn() run by the process's one solver thread, a daemon that the first call starts, in numpy's default error
+    state; read by calling the result once, which waits for it and raises what fn raised.  `fn` must hold its own
+    arrays, no :data:`SCRATCH` view, which the caller's next take may overwrite."""
     if _SOLVER.setdefault("jobs", new := queue.SimpleQueue()) is new:  # atomic: of racing callers, one starts it
         threading.Thread(target=_solve, args=(new,), name="remoments-eigvalsh", daemon=True).start()
     box = queue.SimpleQueue()
-    _SOLVER["jobs"].put((h.copy(), box))
+    _SOLVER["jobs"].put((fn, box))
 
-    def read() -> np.ndarray:
+    def read() -> object:
         if isinstance(w := box.get(), Exception):
             raise w
         return w

@@ -202,16 +202,17 @@ def test_shared_scratch_spectra_equal_fresh_ones_bit_for_bit(dims):
     those taken after its buffers are cleared, and none of their arrays shares memory with a buffer."""
     stack = separable_stack(dims, 2, range(12))
     targets = [*enumerate_splits(len(dims)), *range(1, len(dims) + 1)]
-    shared = [spectrum(stack, dims, targets[0], ALL_CRITERIA)]
+    shared = [spectrum(stack, dims, targets[0], ALL_CRITERIA)()]
     first = [a.tobytes() for a in spectrum_arrays(shared[0])]
-    shared += [spectrum(stack, dims, target, ALL_CRITERIA) for target in targets[1:]]
+    solves = [spectrum(stack, dims, target, ALL_CRITERIA) for target in targets[1:]]  # every take before a solve
+    shared += [solve() for solve in solves]
     assert [a.tobytes() for a in spectrum_arrays(shared[0])] == first  # no later target wrote into them
     assert set(SCRATCH.buffers) == {"conj", "sym", "abs"}
     for target, sp in zip(targets, shared):
         for a in spectrum_arrays(sp):
             assert not any(np.shares_memory(a, buf) for buf in SCRATCH.buffers.values())
         SCRATCH.buffers.clear()
-        fresh = spectrum(stack, dims, target, ALL_CRITERIA)
+        fresh = spectrum(stack, dims, target, ALL_CRITERIA)()
         assert [a.tobytes() for a in spectrum_arrays(sp)] == [a.tobytes() for a in spectrum_arrays(fresh)]
 
 
@@ -335,7 +336,7 @@ def test_many_terms_shrink_the_chunk(monkeypatch):
 
 def per_party_min_eigenvalues(matrices, dims):
     """One eigensolve per party, as two-party audits made before they shared one."""
-    return [spectrum(matrices, dims, p).values for p in range(1, len(dims) + 1)]
+    return [spectrum(matrices, dims, p)().values[:, 0] for p in range(1, len(dims) + 1)]
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (4, 4)])
@@ -481,6 +482,23 @@ def test_one_solver_thread_per_process():
     """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[1, 2]\n", "")
+
+
+def test_moment_only_audits_start_no_solver_thread():
+    """In a new process, audits whose criteria never eigensolve (criteria.eigensolves) leave one thread;
+    the first audit with realign starts the solver."""
+    script = """if True:
+        import contextlib, io, threading
+        from remoments.cli import main
+        counts = []
+        with contextlib.redirect_stdout(io.StringIO()):
+            for criteria in ("v3", "v1,v2,v3", "realign"):
+                assert main(["audit", "--dims", "2,2", "--num-states", "8", "--criteria", criteria]) == 0
+                counts.append(threading.active_count())
+        print(counts)
+    """
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[1, 1, 2]\n", "")
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="os.fork after threads is checked on Linux")

@@ -27,7 +27,7 @@ from remoments import (
     verdict_v2,
     verdict_v3,
 )
-from remoments.criteria import CRITERIA, admissible_bounds, check_request, entangled, evaluate, verdict
+from remoments.criteria import CRITERIA, Spectrum, admissible_bounds, check_request, entangled, evaluate, verdict
 from test_arrays import moment_stacks
 from test_cli import run_cli
 from test_sweep_rows import EDGE_CASES
@@ -59,7 +59,11 @@ def test_table_rows():
     assert weighted == {"v1": "a", "v2": "u", "v3": "v"}
     assert [name for name, row in CRITERIA.items() if row.gated] == ["v1", "v2"]
     assert CRITERIA["v1"].statistic is CRITERIA["v2"].statistic
-    assert CRITERIA["realign"].statistic is CRITERIA["ppt"].statistic
+    # Both read a stack's eigenvalues, ascending: realign those of G, as the trace norms sqrt(max(w, 0))
+    # sum to, and ppt those of a partial transpose, as the minimum eigenvalue.
+    sp = Spectrum(np.array([[-0.25, 0.0, 0.25, 4.0], [-1.0, 0.0625, 1.0, 2.25]]))
+    assert CRITERIA["realign"].statistic(sp, None).tolist() == [2.5, 2.75]
+    assert CRITERIA["ppt"].statistic(sp, 1.0).tolist() == [-0.25, -1.0]
     assert {name: row.reads for name, row in CRITERIA.items()} == {
         "v1": "pair", "v2": "split", "v3": "split", "realign": "split", "ppt": "party",
     }
@@ -129,12 +133,16 @@ def test_mixed_stacks_reach_gated_and_flagged_rows():
 
 @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
 def test_evaluation_carries_what_the_row_reads(case):
-    """Moment sums for weighted criteria only, admissible bounds for gated ones only."""
+    """The parameter check_request gives (the weight, the party as a float, otherwise None, whatever weight an
+    unweighted row is passed), moment sums for every row reading a realignment, admissible bounds for gated ones only."""
     criterion, dims, members, _, args = case
     _, stack = mixed(dims, members, 0)
     row = CRITERIA[criterion]
     ev = evaluate(stack, dims, criterion, *args(1.0))
-    assert (ev.t1 is not None, ev.t2 is not None) == (bool(row.flag), bool(row.flag))
+    assert ev.parameter == (1.0 if row.flag else 2.0 if row.reads == "party" else None)
+    assert check_request(dims, criterion, *args(1.0))[1] == ev.parameter
+    assert evaluate(stack, dims, criterion, 1.0, *args(1.0)[1:]).parameter == ev.parameter
+    assert (ev.t1 is not None, ev.t2 is not None) == (row.reads != "party",) * 2
     assert (ev.bounds is not None) == row.gated
 
 

@@ -1,5 +1,6 @@
 """Detection criteria: weighted moment statistics, comparators, verdicts."""
 import decimal
+import functools
 import json
 import math
 import threading
@@ -38,7 +39,7 @@ from remoments import (
     verdict_v2,
     verdict_v3,
 )
-from remoments import cli, criteria
+from remoments import cli, criteria, linalg
 from remoments.cli import AuditConfig, run_audit
 from remoments.criteria import CRITERIA, Spectrum, admissible_bounds, entangled, evaluate, spectrum
 from remoments.states import separable_stack
@@ -431,6 +432,12 @@ class TestPartialTranspose:
         assert np.allclose(pt, pt.conj().T)
         assert np.trace(pt) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("party", [0, 3])
+    def test_party_out_of_range(self, party):
+        with pytest.raises(ValueError) as exc:
+            partial_transpose(random_density((2, 3), 16), party)
+        assert str(exc.value) == f"party {party} out of range for 2 parties"
+
 
 class TestPptVerdict:
     def test_pq_q0_is_ppt(self):
@@ -501,11 +508,11 @@ class TestV3AtLargeWeights:
 
     def moment_sums(self):
         dm = rho_eps(1.0)
-        yield spectrum(dm.matrix[None], dm.dims, RealignSpec.parse("1|2"))
+        yield spectrum(dm.matrix[None], dm.dims, RealignSpec.parse("1|2"))()
         for dims in ((2, 2), (3, 3), (2, 2, 2)):
             stack = separable_stack(dims, 3, range(20))
             for spec in enumerate_splits(len(dims)):
-                yield spectrum(stack, dims, spec)
+                yield spectrum(stack, dims, spec)()
 
     @pytest.mark.parametrize("v", LARGE_WEIGHTS)
     def test_matches_decimal_formula(self, v):
@@ -559,7 +566,7 @@ def test_pure_products_keep_t2_at_most_t1_squared(dims):
     largest = math.sqrt(np.finfo(float).max)  # the largest weight with a finite square
     weights = [*np.geomspace(1e-3, largest, 60)[:-1].tolist(), largest]
     for spec in enumerate_splits(len(dims)):
-        sp = spectrum(stack, dims, spec, ("v1", "v2"))
+        sp = spectrum(stack, dims, spec, ("v1", "v2"))()
         assert (sp.t2 <= sp.t1 * sp.t1).all()
         for name in ("v1", "v2") if len(dims) == 2 else ("v2",):
             for w in weights:
@@ -583,7 +590,7 @@ def weight_collapse_stacks():
         stack = np.concatenate([separable_stack(dims, k, range(40)) for k in (1, 2, 3)]
                                + [np.stack([random_density(dims, s).matrix for s in range(10)])])
         for spec in enumerate_splits(len(dims)):
-            sp = spectrum(stack, dims, spec, criteria=("v3",))
+            sp = spectrum(stack, dims, spec, criteria=("v3",))()
             yield sp.t1, sp.t2
 
 
@@ -630,41 +637,50 @@ class TestMomentRowsSkipEigensolve:
     @pytest.fixture
     def solves(self, monkeypatch):
         # Count Hermitian eigensolves (and SVDs, in case singular values move
-        # to one) that criteria.spectrum runs on this thread or queues on
-        # linalg's solver thread, not elsewhere: validation may eigensolve
-        # legitimately.  Every solve off this thread is a queued one, and only
-        # spectrum queues; a queued solve is counted before its result is read.
-        count = {"depth": 0, "solves": 0}
-        caller, lock = threading.get_ident(), threading.Lock()
-        criteria.eigvalsh(np.eye(1), later=True)()  # the solver's queue is first in, first out: now empty
+        # to one) run inside criteria.spectrum or a function it returned, on
+        # this thread or on linalg's solver thread, not elsewhere: validation
+        # may eigensolve legitimately on this thread.  Only spectrum's
+        # functions may reach the solver thread, and a solve there outside
+        # them fails the read that waits for it.
+        count = {"solves": 0}
+        caller, lock, inside = threading.get_ident(), threading.Lock(), threading.local()
+        linalg.later(lambda: None)()  # the solver's queue is first in, first out: now empty
 
         def counted(fn):
             def wrapper(*args, **kwargs):
+                depth = getattr(inside, "depth", 0)
+                assert depth > 0 or threading.get_ident() == caller, "a solve on another thread outside spectrum"
                 with lock:
-                    count["solves"] += count["depth"] > 0 if threading.get_ident() == caller else 1
+                    count["solves"] += depth > 0
                 return fn(*args, **kwargs)
             return wrapper
 
         for name in ("eigvalsh", "eigh", "svd"):
             monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
-        eigvalsh = criteria.eigvalsh
 
-        def queued_only_in_spectrum(h, later=False):
-            assert count["depth"] > 0 or not later, "a solve queued outside spectrum"
-            return eigvalsh(h, later)
+        def within(fn, *args, **kwargs):
+            inside.depth = getattr(inside, "depth", 0) + 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.depth -= 1
 
-        monkeypatch.setattr(criteria, "eigvalsh", queued_only_in_spectrum)
-        inner = criteria.spectrum
+        made = set()
+        inner, handed = criteria.spectrum, linalg.later
 
         def spectrum_(*args, **kwargs):
-            count["depth"] += 1
-            try:
-                return inner(*args, **kwargs)
-            finally:
-                count["depth"] -= 1
+            solve = functools.partial(within, within(inner, *args, **kwargs))
+            made.add(solve)
+            return solve
+
+        def later_(fn):
+            assert fn in made, "the solver thread handed a function spectrum did not return"
+            return handed(fn)
 
         monkeypatch.setattr(criteria, "spectrum", spectrum_)
         monkeypatch.setattr(cli, "spectrum", spectrum_)
+        monkeypatch.setattr(linalg, "later", later_)
+        monkeypatch.setattr(cli, "later", later_)
         return count
 
     def rho_pq_stack(self):

@@ -154,7 +154,7 @@ def assert_moment_bounds(stack, dims) -> int:
     bounds; returns how many v3 and v1 values were held to theirs."""
     checked = 0
     for spec in enumerate_splits(len(dims)):
-        sp = spectrum(stack, dims, spec, ("v2", "v3"))
+        sp = spectrum(stack, dims, spec, ("v2", "v3"))()
         realigned = realign_array(stack.astype(complex), dims, spec)  # a permutation: exact
         m = max(realigned.shape[1:])
         v3s = {v: v3(sp.t1, sp.t2, v).tolist() for v in V3_WEIGHTS}
@@ -234,7 +234,7 @@ def test_range_ends_on_the_diagonal_scan():
     stack = np.zeros((len(x), 4, 4), dtype=complex)
     stack[:, 0, 0] = stack[:, 1, 1] = (1 - x) / 2
     stack[:, 2, 2] = x
-    errors = range_end_errors(spectrum(stack, (2, 2), RealignSpec((1,), (2,)), ("v1",)))
+    errors = range_end_errors(spectrum(stack, (2, 2), RealignSpec((1,), (2,)), ("v1",))())
     assert len(errors) > 400  # the rest have T1^2 - T2 <= DEGENERATE_TOL: one interval
     assert max(e[0] for e in errors) <= 4
     assert max(e[2] for e in errors) <= 1
@@ -244,7 +244,7 @@ def test_range_ends_on_the_diagonal_scan():
 @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 4)])
 @pytest.mark.parametrize("num_terms", [2, 3])
 def test_range_ends_on_audit_samples(dims, num_terms):
-    sp = spectrum(separable_stack(dims, num_terms, range(300)), dims, RealignSpec((1,), (2,)), ("v1",))
+    sp = spectrum(separable_stack(dims, num_terms, range(300)), dims, RealignSpec((1,), (2,)), ("v1",))()
     errors = range_end_errors(sp)
     assert len(errors) > 10
     assert max(e[1] for e in errors) <= 1
@@ -270,7 +270,7 @@ def test_mixed_products_keep_the_linear_tail(dims):
     Gram sum.  A rule calling a state degenerate only where T2 >= fl(T1^2) would give each of them
     a spurious upper interval from about 3e14 on; this pins the one interval they have.
     """
-    sp = spectrum(mixed_products(dims, range(1000)), dims, RealignSpec((1,), (2,)), ("v1",))
+    sp = spectrum(mixed_products(dims, range(1000)), dims, RealignSpec((1,), (2,)), ("v1",))()
     t1, quad = sp.t1, sp.t1 * sp.t1 - sp.t2
     assert 100 <= np.count_nonzero((quad > 0) & (quad <= 5.6e-16))
     assert (sp.bounds.high_start == np.inf).all()

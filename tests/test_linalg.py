@@ -239,7 +239,7 @@ def test_results_never_share_memory_with_the_scratch():
     results = [*moments(realigned), singular_values(realigned), trace_norm(realigned),
                hermitian_eigenvalues(stack), fam]
     for target in (spec, 2):
-        sp = spectrum(stack, dims, target)
+        sp = spectrum(stack, dims, target)()
         results += [sp.values, sp.t1, sp.t2, *(vars(sp.bounds).values() if sp.bounds else ())]
     for criterion, weight, party in (("v2", 0.5, None), ("v3", 0.5, None), ("realign", None, None), ("ppt", None, 1)):
         ev = evaluate(stack, dims, criterion, weight, spec, party)

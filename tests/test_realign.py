@@ -400,7 +400,7 @@ class TestMoments:
         ])
         eps = np.finfo(float).eps
         for spec in enumerate_splits(len(dims)):
-            sp = spectrum(stack, dims, spec)
+            sp = spectrum(stack, dims, spec)()
             for i, matrix in enumerate(stack):
                 dm = DensityMatrix(dims=dims, matrix=matrix)
                 r = realign_partial(dm, spec)

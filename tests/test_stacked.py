@@ -823,7 +823,7 @@ class TestFamilyScratch:
         label, made = allocations
         for label[0] in range(3):
             dims, stack = family_stack("noisy_ghz4", np.linspace(0.0, 1.0, cli._stack_points("noisy_ghz4")))
-            spectrum(stack, dims, RealignSpec.parse("1|2"), ("realign",))
+            spectrum(stack, dims, RealignSpec.parse("1|2"), ("realign",))()
         assert {name for _, name in made} == {"abs", "conj", "sym"}
         assert all(chunk == 0 for chunk, _ in made)
 

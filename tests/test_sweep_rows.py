@@ -25,6 +25,7 @@ from remoments.criteria import (
     spectrum,
     v3,
 )
+from remoments.linalg import gram_singular_values
 from remoments.realign import RealignSpec
 from remoments.states import RHO_D_MIN, family_stack
 from test_arrays import CASES, WEIGHTS, moment_stacks, row_statistic
@@ -59,14 +60,14 @@ def frozen_verdicts(matrices, dims, criterion, a=None, u=None, v=None, split=Non
     """The per-point verdicts of a successful stack evaluation."""
     if criterion == "ppt":
         return [min_eigenvalue_verdict(party, x)
-                for x in spectrum(matrices, dims, party).values.tolist()]
+                for x in spectrum(matrices, dims, party)().values[:, 0].tolist()]
     if criterion == "v1":
         spec, weight = RealignSpec((1,), (2,)), a
     else:
         spec, weight = RealignSpec.parse(split), (u if criterion == "v2" else v)
-    sp = spectrum(matrices, dims, spec)
+    sp = spectrum(matrices, dims, spec)()
     if criterion == "realign":
-        return [norm_verdict(x) for x in sp.values.tolist()]
+        return [norm_verdict(x) for x in gram_singular_values(sp.values).sum(axis=-1).tolist()]
     return moment_verdicts(criterion, sp.t1, sp.t2, weight)
 
 
